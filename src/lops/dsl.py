@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .poly import Atom, Poly, param, xi
+from .poly import Atom, DegreeOverflowError, Poly, param, xi
 from .system import (DependencyDecl, EquationBlock, FactorClaim, LeraySystem,
                      ParamDecl, SymbolEntry, UnknownBlock)
 
@@ -100,8 +100,12 @@ class _PolyParser:
         self.atoms = atoms
 
     def parse(self) -> Poly:
-        p = self.expr()
-        return p
+        t = self.toks.peek()
+        try:
+            return self.expr()
+        except DegreeOverflowError as err:
+            col = t[2] if t else len(self.toks.text) + 1
+            raise ParseError(str(err), self.toks.line_no, col) from None
 
     def expr(self) -> Poly:
         t = self.toks.peek()
@@ -190,6 +194,9 @@ def parse_system(text: str) -> LeraySystem:
 
     atoms: Dict[str, Atom] = dict(XI_NAMES)
     entry_keys = set()
+    # (statement, equation token, unknown token, line) of every reference to
+    # a block, checked once all blocks are declared
+    block_refs: List[tuple] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -240,11 +247,13 @@ def parse_system(text: str) -> LeraySystem:
             toks.done()
 
         elif head[1] == "entry":
-            eq_name = toks.expect("name")[1]
+            eq_tok = toks.expect("name")
+            eq_name = eq_tok[1]
             toks.expect("op", "[")
             eq_idx = int(toks.expect("num")[1])
             toks.expect("op", "]")
-            unk_name = toks.expect("name")[1]
+            unk_tok = toks.expect("name")
+            unk_name = unk_tok[1]
             toks.expect("op", "[")
             unk_idx = int(toks.expect("num")[1])
             toks.expect("op", "]")
@@ -257,17 +266,19 @@ def parse_system(text: str) -> LeraySystem:
                     f"duplicate entry {eq_name}[{eq_idx}] {unk_name}[{unk_idx}]",
                     line_no, head[2])
             entry_keys.add(key)
+            block_refs.append(("entry", eq_tok, unk_tok, line_no))
             if not symbol.is_zero():
                 entries.append(SymbolEntry(eq_name, eq_idx, unk_name, unk_idx, symbol))
 
         elif head[1] == "depends":
-            eq_name = toks.expect("name")[1]
+            eq_tok = toks.expect("name")
             toks.expect("name", "on")
-            unk_name = toks.expect("name")[1]
+            unk_tok = toks.expect("name")
             toks.expect("name", "order")
             order = int(toks.expect("num")[1])
             toks.done()
-            deps.append(DependencyDecl(eq_name, unk_name, order))
+            block_refs.append(("dependency", eq_tok, unk_tok, line_no))
+            deps.append(DependencyDecl(eq_tok[1], unk_tok[1], order))
 
         elif head[1] == "factor":
             mult = int(toks.expect("num")[1])
@@ -286,15 +297,15 @@ def parse_system(text: str) -> LeraySystem:
 
     eq_names = {b.name for b in equations}
     unk_names = {b.name for b in unknowns}
-    for e in entries:
-        if e.eq_block not in eq_names:
-            raise ParseError(f"entry references undeclared equation {e.eq_block!r}", 0, 0)
-        if e.unk_block not in unk_names:
-            raise ParseError(f"entry references undeclared unknown {e.unk_block!r}", 0, 0)
-    for d in deps:
-        if d.eq_block not in eq_names or d.unk_block not in unk_names:
-            raise ParseError(
-                f"dependency references undeclared block {d.eq_block!r}/{d.unk_block!r}", 0, 0)
+    for what, (_, eq, eq_col), (_, unk, unk_col), line_no in block_refs:
+        if what == "entry":
+            if eq not in eq_names:
+                raise ParseError(f"entry references undeclared equation {eq!r}", line_no, eq_col)
+            if unk not in unk_names:
+                raise ParseError(f"entry references undeclared unknown {unk!r}", line_no, unk_col)
+        elif eq not in eq_names or unk not in unk_names:
+            raise ParseError(f"dependency references undeclared block {eq!r}/{unk!r}",
+                             line_no, eq_col if eq not in eq_names else unk_col)
 
     claim = None
     if factors or prefactor is not None:

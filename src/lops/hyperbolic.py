@@ -225,18 +225,33 @@ def _orthogonal_frame(tau: Sequence[Fraction]) -> List[List[Fraction]]:
     return basis
 
 
-def _line_polynomial(q: Poly, eta: Sequence[Fraction], tau: Sequence[Fraction],
-                     s_atom: Atom) -> List[Fraction]:
-    """Exact coefficients (descending) of s -> q(eta + s*tau)."""
-    s = Poly.atom(s_atom)
-    bind = {xi(i): Poly.constant(Fr(eta[i])) + Poly.constant(Fr(tau[i])) * s
+_LINE_XYZ = (param("_line_x"), param("_line_y"), param("_line_z"))
+_LINE_S = param("_line_s")
+
+
+def _line_restriction(q: Poly, tau: Sequence[Fraction],
+                      frame: List[List[Fraction]]) -> List[Poly]:
+    """Coefficients (descending in s) of q(x*f0 + y*f1 + z*f2 + s*tau) as
+    polynomials in the direction atoms x, y, z: one substitution serves
+    every direction of a sample."""
+    x, y, z = (Poly.atom(a) for a in _LINE_XYZ)
+    s = Poly.atom(_LINE_S)
+    bind = {xi(i): x * frame[0][i] + y * frame[1][i] + z * frame[2][i] + s * Fr(tau[i])
             for i in range(4)}
     uni = q.substitute(bind)
-    deg = uni.degree_in([s_atom])
-    coeffs = []
-    for k in range(deg, -1, -1):
-        coeffs.append(uni.coefficient_of(s_atom, k).as_constant())
-    return coeffs
+    return [uni.coefficient_of(_LINE_S, k)
+            for k in range(uni.degree_in([_LINE_S]), -1, -1)]
+
+
+def _line_polynomial(restriction: List[Poly], direction) -> List[Fraction]:
+    """Exact coefficients (descending) of s -> q(eta + s*tau) for
+    eta = x*f0 + y*f1 + z*f2, leading zeros stripped."""
+    point = dict(zip(_LINE_XYZ, direction))
+    coeffs = [c.eval(point) for c in restriction]
+    k = 0
+    while k < len(coeffs) and coeffs[k] == 0:
+        k += 1
+    return coeffs[k:]
 
 
 def hyperbolicity_sampled(p: Poly, tau: Sequence[Fraction],
@@ -254,18 +269,19 @@ def hyperbolicity_sampled(p: Poly, tau: Sequence[Fraction],
     if lead == 0:
         raise LeadingCoefficientVanishesError(f"polynomial vanishes at tau={_fmt_cov(tau)}")
     frame = _orthogonal_frame(tau)
-    s_atom = param("_line_s")
+    restriction = _line_restriction(q, tau, frame)
     worst = 0.0
     witness = None
     for k, (x, y, z) in enumerate(rational_directions(n_samples, seed)):
-        eta = [x * frame[0][i] + y * frame[1][i] + z * frame[2][i] for i in range(4)]
-        coeffs = _line_polynomial(q, eta, tau, s_atom)
+        coeffs = _line_polynomial(restriction, (x, y, z))
         roots = np.roots([float(c) for c in coeffs])
         for r in roots:
             ratio = abs(r.imag) / (1.0 + abs(r.real))
             if ratio > worst:
                 worst = ratio
                 if ratio > tol:
+                    eta = [x * frame[0][i] + y * frame[1][i] + z * frame[2][i]
+                           for i in range(4)]
                     witness = (f"direction #{k} eta=({float(eta[0]):.6g},{float(eta[1]):.6g},"
                                f"{float(eta[2]):.6g},{float(eta[3]):.6g}) root {r:.6g}")
     verdict = "hyperbolic" if worst <= tol else "not-hyperbolic"
@@ -388,20 +404,19 @@ def cone_sample(p: Poly, tau: Sequence[Fraction],
     flagged by whether the factor's outermost sheet stays inside the
     reference's outermost sheet (propagation no faster than the reference).
     """
-    q = _specialize(p, params)
-    ref = _specialize(reference, params) if reference is not None else None
     frame = _orthogonal_frame(tau)
-    s_atom = param("_line_s")
+    q = _line_restriction(_specialize(p, params), tau, frame)
+    ref = (_line_restriction(_specialize(reference, params), tau, frame)
+           if reference is not None else None)
     dirs = rational_directions(n, seed)
     all_roots: List[List[float]] = []
     ref_roots: List[List[float]] = []
     within: List[bool] = []
-    for (x, y, z) in dirs:
-        eta = [x * frame[0][i] + y * frame[1][i] + z * frame[2][i] for i in range(4)]
-        roots = _real_roots(q, eta, tau, s_atom, tol)
+    for d in dirs:
+        roots = _real_roots(q, d, tol)
         all_roots.append(roots)
         if ref is not None:
-            rr = _real_roots(ref, eta, tau, s_atom, tol)
+            rr = _real_roots(ref, d, tol)
             ref_roots.append(rr)
             speed = max((abs(r) for r in roots), default=0.0)
             ref_speed = max((abs(r) for r in rr), default=0.0)
@@ -412,8 +427,8 @@ def cone_sample(p: Poly, tau: Sequence[Fraction],
                        within if ref is not None else None)
 
 
-def _real_roots(q: Poly, eta, tau, s_atom, tol: float) -> List[float]:
-    coeffs = _line_polynomial(q, eta, tau, s_atom)
+def _real_roots(restriction: List[Poly], direction, tol: float) -> List[float]:
+    coeffs = _line_polynomial(restriction, direction)
     if len(coeffs) <= 1:
         return []
     roots = np.roots([float(c) for c in coeffs])

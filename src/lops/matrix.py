@@ -511,14 +511,9 @@ def verify_factorization(det: Poly, f: Factorization) -> VerifyReport:
     if f.scalar_prefactor.degree_in(XI) > 0:
         return VerifyReport(False, "scalar prefactor contains covector atoms")
     product = f.expand()
-    diff = det - product
-    if diff.is_zero():
+    if (det - product).is_zero():
         return VerifyReport(True, "claimed factorization matches the determinant exactly")
-    mono, _ = diff.leading()
-    lhs = dict(det.terms()).get(mono, Fraction(0))
-    rhs = dict(product.terms()).get(mono, Fraction(0))
-    mono_str = "*".join(f"{a.name}^{e}" if e > 1 else a.name for a, e in mono) or "1"
-    return VerifyReport(False, "difference is nonzero", mono_str, lhs, rhs)
+    return _diff_report(det, product)
 
 
 def _frac(c: Optional[Fraction]) -> Optional[str]:

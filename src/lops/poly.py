@@ -1,25 +1,56 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 Polynomials live in Q[xi0..xi3, p1, p2, ...]: four distinguished covector
-atoms plus an open-ended set of named parameter atoms.  Every coefficient is
-a `fractions.Fraction`; no floating point enters any operation here.
-Values are immutable after construction, so they are safe to share freely.
+atoms plus an open-ended set of named parameter atoms.  No floating point
+enters any operation here.  Values are immutable after construction, so
+they are safe to share freely.
+
+Representation: one positive rational content times a primitive integer
+polynomial (integer coefficients with gcd 1), stored as a map from packed
+monomials to ints.  A packed monomial is one Python int: the lowest
+`_BITS`-wide field holds the total degree and every atom owns the field at
+the slot a process-wide registry gave it, so a monomial product is one
+integer addition and a term lookup hashes a plain int.  The top bit of each
+field is a guard that stays clear; a monomial quotient that borrows sets it.
+By Gauss's lemma a product of primitive polynomials is primitive and an
+exact quotient of primitive polynomials is integral, so multiplication never
+reduces coefficients and exact division runs on integers only (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  Ordering packed ints as integers is a
+monomial order; `leading()` and `render()` use graded-lex order by
+`Atom.sort_key` instead.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from functools import reduce
+from operator import or_
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 KIND_COVECTOR = "covector"
 KIND_PARAMETER = "parameter"
 
 Scalar = Union[int, Fraction]
 
+# width of every exponent field, degree field included; the top bit of a
+# field is the guard, so exponents and total degrees stay below 2**(_BITS-1)
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_GUARD = 1 << (_BITS - 1)
+MAX_DEGREE = _GUARD - 1
+
 
 class PolyError(Exception):
     pass
+
+
+class DegreeOverflowError(PolyError):
+    """A total degree beyond MAX_DEGREE, which the exponent fields cannot hold."""
 
 
 class MissingAtomError(PolyError):
@@ -31,7 +62,11 @@ class NotDivisibleError(PolyError):
 
     def __init__(self, remainder: "Poly"):
         self.remainder = remainder
-        super().__init__(f"not exactly divisible, remainder {remainder}")
+        super().__init__()
+
+    def __str__(self):
+        # rendered on demand: failed divisions are common and rarely printed
+        return f"not exactly divisible, remainder {self.remainder}"
 
 
 class NotPerfectSquareError(PolyError):
@@ -39,7 +74,10 @@ class NotPerfectSquareError(PolyError):
 
     def __init__(self, remainder: "Poly"):
         self.remainder = remainder
-        super().__init__(f"not a perfect square, obstruction {remainder}")
+        super().__init__()
+
+    def __str__(self):
+        return f"not a perfect square, obstruction {self.remainder}"
 
 
 @dataclass(frozen=True)
@@ -51,8 +89,7 @@ class Atom:
     index: Optional[int] = None
 
     def __post_init__(self):
-        # covector atoms first (by index), then parameters alphabetically;
-        # precomputed because monomial merges read it in their inner loop
+        # covector atoms first (by index), then parameters alphabetically
         if self.kind == KIND_COVECTOR:
             key = (0, self.index or 0, self.name)
         else:
@@ -72,6 +109,31 @@ class Atom:
         return self.name
 
 
+# -- atom registry -------------------------------------------------------------
+
+_ATOMS: List[Atom] = []          # slot -> atom; slot s owns field s + 1
+_OFFSETS: Dict[Atom, int] = {}   # atom -> bit offset of its field
+_GUARDS = _GUARD                 # guard bits of every field in use
+_ODDS = 1                        # lowest bits of every field in use
+_LOCK = threading.Lock()
+
+
+def _offset(atom: Atom) -> int:
+    """Bit offset of the atom's exponent field, registering it on first use."""
+    off = _OFFSETS.get(atom)
+    if off is None:
+        global _GUARDS, _ODDS
+        with _LOCK:
+            off = _OFFSETS.get(atom)
+            if off is None:
+                off = (len(_ATOMS) + 1) * _BITS
+                _ATOMS.append(atom)
+                _GUARDS |= _GUARD << off
+                _ODDS |= 1 << off
+                _OFFSETS[atom] = off
+    return off
+
+
 def xi(i: int) -> Atom:
     if not 0 <= i <= 3:
         raise ValueError("covector components are xi0..xi3")
@@ -80,89 +142,144 @@ def xi(i: int) -> Atom:
 
 XI = (xi(0), xi(1), xi(2), xi(3))
 XI_SET = frozenset(XI)
+for _a in XI:
+    _offset(_a)  # the covector atoms own the lowest slots
 
 
 def param(name: str, index: Optional[int] = None) -> Atom:
     return Atom(name, KIND_PARAMETER, index)
 
 
-# A monomial is a tuple of (Atom, exponent) pairs with exponent > 0, sorted by
-# the atom sort key.  The empty tuple is the constant monomial.
+# -- packed monomials ----------------------------------------------------------
+
+# the public monomial form: (Atom, exponent) pairs with exponent > 0, sorted
+# by the atom sort key; the empty tuple is the constant monomial
 Monomial = tuple
 
-_ONE_MONO: Monomial = ()
+
+def _pack(mono: Iterable[Tuple[Atom, int]]) -> int:
+    m = deg = 0
+    for a, e in mono:
+        m += e << _offset(a)
+        deg += e
+    _check_degree(deg)
+    return m + deg
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
+def _unpack(m: int) -> Monomial:
     out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        (va, ea), (vb, eb) = a[i], b[j]
-        ka, kb = va.sort_key, vb.sort_key
-        if ka == kb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif ka < kb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
+    m >>= _BITS
+    while m:
+        slot = ((m & -m).bit_length() - 1) // _BITS
+        off = slot * _BITS
+        out.append((_ATOMS[slot], (m >> off) & _MASK))
+        m &= ~(_MASK << off)
+    out.sort(key=lambda pair: pair[0].sort_key)
     return tuple(out)
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def _mono_min_key(m: Monomial):
+def _glex_key(m: int):
     """Sort key under which the graded-lex LARGEST monomial has the SMALLEST
     key (atom sort keys contain strings, so descending order is encoded by
     negating degrees and exponents instead)."""
-    return (-_mono_degree(m), tuple((a.sort_key, -e) for a, e in m))
+    return (-(m & _MASK), tuple((a.sort_key, -e) for a, e in _unpack(m)))
 
 
-def _leading_mono(monos) -> Monomial:
-    best = None
-    best_key = None
-    for m in monos:
-        k = _mono_min_key(m)
-        if best_key is None or k < best_key:
-            best, best_key = m, k
-    return best
+def _divides(num: int, den: int) -> bool:
+    """Whether monomial `den` divides monomial `num` (no field borrows)."""
+    d = num - den
+    return d >= 0 and not d & _GUARDS
 
 
-def _mono_try_div(num: Monomial, den: Monomial) -> Optional[Monomial]:
-    """num / den as a monomial, or None when an exponent would go negative."""
-    dd = dict(den)
-    out = []
-    for a, e in num:
-        e2 = e - dd.pop(a, 0)
-        if e2 < 0:
-            return None
-        if e2:
-            out.append((a, e2))
-    if dd:
-        return None
-    return tuple(out)
+def _check_degree(deg: int) -> None:
+    if deg > MAX_DEGREE:
+        raise DegreeOverflowError(
+            f"total degree {deg} exceeds the supported maximum {MAX_DEGREE}")
+
+
+def _field_sum(atoms: Iterable[Atom]):
+    """Function of a packed monomial: its combined exponent of `atoms`.
+
+    Masks the atoms' fields and adds them with one multiplication: the
+    field at the highest selected offset of (fields * 0b..0001..0001)
+    collects every selected field, and no partial sum carries because all
+    of them are bounded by the total degree.
+    """
+    sel = top = 0
+    for a in atoms:
+        off = _OFFSETS.get(a)
+        if off is not None:
+            sel |= _MASK << off
+            top = max(top, off)
+    if not sel:
+        return lambda m: 0
+    ones = sum(1 << k for k in range(0, top + 1, _BITS))
+    return lambda m: ((m & sel) * ones >> top) & _MASK
+
+
+# -- polynomials ---------------------------------------------------------------
+
+# the content of every primitive polynomial the constructors build; products
+# test for it by identity to skip a Fraction multiplication
+_F1 = Fraction(1)
+
+
+def _new(content: Fraction, terms: Dict[int, int], deg: Optional[int] = None) -> "Poly":
+    """Wrap a canonical (positive content, primitive terms) pair."""
+    p = object.__new__(Poly)
+    p._c = content
+    p._t = terms
+    p._deg = deg
+    p._hash = None
+    p._plan = None
+    return p
+
+
+def _normal(content: Fraction, terms: Dict[int, int]) -> "Poly":
+    """Canonical form of content * terms; `terms` holds no zero values."""
+    if not terms:
+        return _ZERO
+    g = math.gcd(*terms.values())
+    if content < 0:
+        g = -g
+    if g != 1:
+        terms = {m: c // g for m, c in terms.items()}
+        content = content * g
+    return _new(_F1 if content == 1 else content, terms)
+
+
+def _from_fractions(terms: Mapping[int, Fraction]) -> "Poly":
+    terms = {m: c for m, c in terms.items() if c}
+    if not terms:
+        return _ZERO
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return _normal(Fraction(1, den),
+                   {m: c.numerator * (den // c.denominator) for m, c in terms.items()})
+
+
+def _drop_zeros(terms: Dict[int, int]) -> Dict[int, int]:
+    if 0 in terms.values():
+        return {m: c for m, c in terms.items() if c}
+    return terms
 
 
 class Poly:
-    """Immutable sparse polynomial: map from monomial to nonzero Fraction."""
+    """Immutable sparse polynomial: rational content times a primitive
+    integer polynomial over packed monomials."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_c", "_t", "_deg", "_hash", "_plan")
 
-    def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None):
-        # trusts the caller to pass canonical monomials; public constructors below
-        self._terms = dict(terms) if terms else {}
+    def __init__(self, terms: Optional[Mapping[Monomial, Scalar]] = None):
+        """From a map of (Atom, exponent)-tuple monomials to coefficients."""
+        acc: Dict[int, Fraction] = {}
+        for mono, c in (terms.items() if terms else ()):
+            m = _pack(mono)
+            acc[m] = acc.get(m, 0) + Fraction(c)
+        p = _from_fractions(acc)
+        self._c, self._t = p._c, p._t
+        self._deg = None
         self._hash = None
+        self._plan = None
 
     # -- constructors ------------------------------------------------------
 
@@ -176,76 +293,71 @@ class Poly:
 
     @staticmethod
     def constant(c: Scalar) -> "Poly":
+        if not c:
+            return _ZERO
         c = Fraction(c)
-        return Poly({_ONE_MONO: c}) if c else _ZERO
+        return _new(_F1 if abs(c) == 1 else abs(c), {0: 1 if c > 0 else -1}, 0)
 
     @staticmethod
     def atom(a: Atom) -> "Poly":
-        return Poly({((a, 1),): Fraction(1)})
+        return _new(_F1, {(1 << _offset(a)) + 1: 1}, 1)
 
     @staticmethod
     def linear(coeffs: Mapping[Atom, Scalar]) -> "Poly":
-        terms = {}
-        for a, c in coeffs.items():
-            c = Fraction(c)
-            if c:
-                terms[((a, 1),)] = c
-        return Poly(terms)
+        return _from_fractions({(1 << _offset(a)) + 1: Fraction(c) for a, c in coeffs.items()})
 
     # -- inspection --------------------------------------------------------
 
-    def terms(self):
-        return self._terms.items()
+    def terms(self) -> List[Tuple[Monomial, Fraction]]:
+        """(monomial, coefficient) pairs; monomials as sorted (Atom, exp) tuples."""
+        c = self._c
+        return [(_unpack(m), c * v) for m, v in self._t.items()]
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._t
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._t)
 
     def __len__(self):
-        return len(self._terms)
+        return len(self._t)
 
     def atoms(self) -> set:
-        out = set()
-        for m in self._terms:
-            for a, _ in m:
-                out.add(a)
-        return out
+        return {a for a, _ in _unpack(reduce(or_, self._t, 0))}
 
     def as_constant(self) -> Fraction:
         """The value of a constant polynomial (zero or a single empty monomial)."""
-        if not self._terms:
+        if not self._t:
             return Fraction(0)
-        if len(self._terms) == 1 and _ONE_MONO in self._terms:
-            return self._terms[_ONE_MONO]
+        if self.is_constant():
+            return self._c * self._t[0]
         raise PolyError(f"not a constant polynomial: {self}")
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and _ONE_MONO in self._terms)
+        return not self._t or (len(self._t) == 1 and 0 in self._t)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(_mono_degree(m) for m in self._terms)
+        if self._deg is None:
+            self._deg = max((m & _MASK for m in self._t), default=-1)
+        return self._deg
 
     def degree_in(self, atoms: Iterable[Atom]) -> int:
         """Largest combined exponent of the given atoms; -1 for zero."""
-        aset = set(atoms)
-        if not self._terms:
+        if not self._t:
             return -1
-        return max(sum(e for a, e in m if a in aset) for m in self._terms)
+        f = _field_sum(atoms)
+        return max(f(m) for m in self._t)
 
     def homogeneous_degree_in(self, atoms: Iterable[Atom]) -> Optional[int]:
         """Common degree in `atoms` of every term, or None when inhomogeneous.
 
         The zero polynomial is homogeneous of every degree; it reports 0.
         """
-        aset = set(atoms)
-        if not self._terms:
+        if not self._t:
             return 0
-        degs = {sum(e for a, e in m if a in aset) for m in self._terms}
+        f = _field_sum(atoms)
+        degs = {f(m) for m in self._t}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -255,20 +367,19 @@ class Poly:
 
     def leading(self) -> tuple:
         """(monomial, coefficient) of the graded-lex leading term."""
-        if not self._terms:
+        if not self._t:
             raise PolyError("zero polynomial has no leading term")
-        m = _leading_mono(self._terms)
-        return m, self._terms[m]
+        m = min(self._t, key=_glex_key)
+        return _unpack(m), self._c * self._t[m]
 
     def coefficient_of(self, atom: Atom, power: int) -> "Poly":
         """Collect the coefficient of atom**power (a polynomial in the rest)."""
-        out = {}
-        for m, c in self._terms.items():
-            e = dict(m).get(atom, 0)
-            if e == power:
-                rest = tuple((a, k) for a, k in m if a != atom)
-                _acc(out, rest, c)
-        return Poly(out)
+        off = _OFFSETS.get(atom)
+        if off is None:
+            return self if power == 0 else _ZERO
+        drop = (power << off) + power
+        return _normal(self._c, {m - drop: c for m, c in self._t.items()
+                                 if (m >> off) & _MASK == power})
 
     # -- ring operations ---------------------------------------------------
 
@@ -277,35 +388,51 @@ class Poly:
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._t == other._t and self._c == other._c
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._c, frozenset(self._t.items())))
         return self._hash
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other."""
+        a, b = self._t, other._t
+        if not b:
+            return self
+        if not a:
+            return other if sign > 0 else -other
+        ca, cb = self._c, other._c
+        if ca is cb or ca == cb:
+            g, ka, kb = ca, 1, sign
+        else:
+            na, da, nb, db = ca.numerator, ca.denominator, cb.numerator, cb.denominator
+            gn, gd = math.gcd(na, nb), math.lcm(da, db)
+            g = Fraction(gn, gd)
+            ka = na // gn * (gd // da)
+            kb = sign * (nb // gn) * (gd // db)
+        out = dict(a) if ka == 1 else {m: ka * c for m, c in a.items()}
+        get = out.get
+        for m, c in b.items():
+            out[m] = get(m, 0) + kb * c
+        return _normal(g, _drop_zeros(out))
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            _acc(out, m, c)
-        return Poly(out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self._terms.items()})
+        return _new(self._c, {m: -c for m, c in self._t.items()}, self._deg)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            _acc(out, m, -c)
-        return Poly(out)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -314,16 +441,28 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._terms, other._terms
+        a, b = self._t, other._t
         if not a or not b:
             return _ZERO
+        # Z[x] is a domain, so leading forms never cancel: degrees add
+        deg = self.degree() + other.degree()
+        _check_degree(deg)
         if len(a) > len(b):
             a, b = b, a
-        out = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                _acc(out, _mono_mul(ma, mb), ca * cb)
-        return Poly(out)
+        if len(a) == 1:
+            (ma, ca), = a.items()
+            out = {ma + mb: ca * cb for mb, cb in b.items()}
+        else:
+            out = {}
+            get = out.get
+            for ma, ca in a.items():
+                for mb, cb in b.items():
+                    m = ma + mb
+                    out[m] = get(m, 0) + ca * cb
+            out = _drop_zeros(out)
+        # Gauss's lemma: the product of primitive parts is primitive
+        ca, cb = self._c, other._c
+        return _new(cb if ca is _F1 else ca if cb is _F1 else ca * cb, out, deg)
 
     __rmul__ = __mul__
 
@@ -342,56 +481,91 @@ class Poly:
 
     # -- evaluation and substitution ----------------------------------------
 
-    def eval(self, assignment: Mapping[Atom, Scalar]) -> Fraction:
-        """Exact value under a total assignment of the polynomial's atoms."""
-        total = Fraction(0)
-        cache = {}
-        for m, c in self._terms.items():
-            v = c
-            for a, e in m:
-                key = (a, e)
-                p = cache.get(key)
-                if p is None:
-                    if a not in assignment:
-                        raise MissingAtomError(f"no value for atom {a.name}")
-                    p = Fraction(assignment[a]) ** e
-                    cache[key] = p
-                v *= p
-            total += v
-        return total
+    def _eval_plan(self):
+        """(atoms, largest exponent per atom, (coefficient, ((atom number,
+        exponent), ...)) per term), built once per polynomial: state samples
+        evaluate the same entries at many points."""
+        if self._plan is None:
+            atoms = sorted(self.atoms(), key=lambda a: _OFFSETS[a])
+            offs = [_OFFSETS[a] for a in atoms]
+            rows = []
+            tops = [0] * len(atoms)
+            for m, c in self._t.items():
+                pairs = []
+                for k, off in enumerate(offs):
+                    e = (m >> off) & _MASK
+                    if e:
+                        pairs.append((k, e))
+                        tops[k] = max(tops[k], e)
+                rows.append((c, tuple(pairs)))
+            self._plan = (atoms, tops, rows)
+        return self._plan
 
-    def eval_float(self, assignment: Mapping[Atom, float]) -> float:
-        total = 0.0
-        for m, c in self._terms.items():
-            v = float(c)
-            for a, e in m:
-                if a not in assignment:
-                    raise MissingAtomError(f"no value for atom {a.name}")
-                v *= float(assignment[a]) ** e
-            total += v
-        return total
+    def eval(self, assignment: Mapping[Atom, Scalar]) -> Fraction:
+        """Exact value under a total assignment of the polynomial's atoms.
+
+        Runs on integers: with a = n_a/d_a and E_a the largest exponent of
+        a, every term is scaled by D = prod d_a**E_a.  A term then
+        contributes c * prod n_a**e * d_a**(E_a - e) over its own atoms,
+        times D / prod d_a**E_a over the same atoms, and one Fraction is
+        formed at the end.
+        """
+        if not self._t:
+            return Fraction(0)
+        atoms, tops, rows = self._eval_plan()
+        tables = []  # per atom: n**e * d**(E - e) for e = 0..E; entry 0 is d**E
+        scale = 1
+        for a, top in zip(atoms, tops):
+            try:
+                v = assignment[a]
+            except KeyError:
+                raise MissingAtomError(f"no value for atom {a.name}") from None
+            if not isinstance(v, (int, Fraction)):
+                v = Fraction(v)
+            n, d = v.numerator, v.denominator
+            npow = [1] * (top + 1)
+            dpow = [1] * (top + 1)
+            for e in range(1, top + 1):
+                npow[e] = npow[e - 1] * n
+                dpow[e] = dpow[e - 1] * d
+            tables.append([npow[e] * dpow[top - e] for e in range(top + 1)])
+            scale *= dpow[top]
+        total = 0
+        for c, pairs in rows:
+            own = 1
+            for k, e in pairs:
+                tab = tables[k]
+                c *= tab[e]
+                own *= tab[0]
+            total += c * (scale // own)
+        return Fraction(total * self._c.numerator, scale * self._c.denominator)
 
     def substitute(self, bindings: Mapping[Atom, "Poly"]) -> "Poly":
         """Exact composition; atoms without a binding are left in place."""
-        if not self._terms:
-            return _ZERO
+        present = reduce(or_, self._t, 0)
+        bound = []
+        for a, b in bindings.items():
+            off = _OFFSETS.get(a)
+            if off is not None and (present >> off) & _MASK:
+                bound.append((off, b))
+        if not bound:
+            return self
+        # group the terms by their exponents of the bound atoms
+        groups: Dict[tuple, Dict[int, int]] = {}
+        for m, c in self._t.items():
+            exps = tuple((m >> off) & _MASK for off, _ in bound)
+            free = m - sum(e << off for e, (off, _) in zip(exps, bound)) - sum(exps)
+            groups.setdefault(exps, {})[free] = c
+        powers: Dict[tuple, Poly] = {}
         out = _ZERO
-        cache = {}
-        for m, c in self._terms.items():
-            term = Poly.constant(c)
-            for a, e in m:
-                if a in bindings:
-                    key = (a, e)
-                    p = cache.get(key)
+        for exps, terms in groups.items():
+            term = _normal(self._c, terms)
+            for k, e in enumerate(exps):
+                if e:
+                    p = powers.get((k, e))
                     if p is None:
-                        b = bindings[a]
-                        if not isinstance(b, Poly):
-                            b = Poly.constant(b)
-                        p = b ** e
-                        cache[key] = p
+                        p = powers[(k, e)] = _coerce(bound[k][1]) ** e
                     term = term * p
-                else:
-                    term = term * Poly({((a, e),): Fraction(1)})
             out = out + term
         return out
 
@@ -400,44 +574,60 @@ class Poly:
     def exact_div(self, den: "Poly") -> "Poly":
         """Quotient when `den` divides exactly; NotDivisibleError otherwise.
 
-        Greedy leading-term reduction in graded-lex order.  For an exact
-        quotient every intermediate remainder is a multiple of `den`, so the
-        first leading term that `den`'s leading term fails to divide proves
-        non-divisibility; the remainder at that point is returned as the
-        diagnostic witness.
+        Divides the primitive parts on integers.  A product's leading and
+        trailing terms (in packed order) are the products of its factors'
+        leading and trailing terms, which rules most non-divisors out in
+        linear time.  Otherwise the remainder's largest term is reduced
+        repeatedly, taken from a heap of packed monomials; the first such
+        term that `den`'s leading term fails to divide, or that leaves a
+        non-integral quotient coefficient (an exact quotient of primitive
+        polynomials is integral), proves non-divisibility, and the
+        remainder at that point is the diagnostic witness.
         """
         den = _coerce(den)
-        if den.is_zero():
+        d = den._t
+        if not d:
             raise ZeroDivisionError("division by zero polynomial")
+        n = self._t
+        if not n:
+            return _ZERO
+        content = self._c / den._c
         if den.is_constant():
-            inv = 1 / den.as_constant()
-            return Poly({m: c * inv for m, c in self._terms.items()})
-        import heapq
+            return _new(content, n if d[0] > 0 else {m: -c for m, c in n.items()}, self._deg)
+        for pick in (max, min):
+            nm, dm = pick(n), pick(d)
+            if not _divides(nm, dm) or n[nm] % d[dm]:
+                raise NotDivisibleError(self)
 
-        dm, dc = den.leading()
-        q = {}
-        r = dict(self._terms)
-        heap = [(_mono_min_key(m), i, m) for i, m in enumerate(r)]
+        lm = max(d)
+        lc = d[lm]
+        rest = [(m, c) for m, c in d.items() if m != lm]
+        r = dict(n)
+        heap = [-m for m in r]
         heapq.heapify(heap)
-        counter = len(heap)
+        q = {}
         while heap:
-            _, _, rm = heapq.heappop(heap)
-            rc = r.get(rm)
-            if not rc:
+            m = -heapq.heappop(heap)
+            c = r.pop(m, 0)
+            if not c:
                 continue  # stale entry, already cancelled
-            qm = _mono_try_div(rm, dm)
-            if qm is None:
-                raise NotDivisibleError(Poly(r))
-            qc = rc / dc
-            _acc(q, qm, qc)
-            for m, c in den._terms.items():
-                mm = _mono_mul(qm, m)
-                fresh = mm not in r
-                _acc(r, mm, -qc * c)
-                if fresh and mm in r:
-                    counter += 1
-                    heapq.heappush(heap, (_mono_min_key(mm), counter, mm))
-        return Poly(q)
+            qc, rem = divmod(c, lc)
+            if rem or not _divides(m, lm):
+                r[m] = c
+                raise NotDivisibleError(_normal(self._c, r))
+            qm = m - lm
+            q[qm] = qc
+            for mr, cr in rest:
+                mm = qm + mr
+                old = r.get(mm)
+                if old is None:
+                    r[mm] = -qc * cr
+                    heapq.heappush(heap, -mm)
+                elif old == qc * cr:
+                    del r[mm]
+                else:
+                    r[mm] = old - qc * cr
+        return _new(content, q, self.degree() - den.degree())
 
     def divides(self, other: "Poly") -> bool:
         try:
@@ -447,53 +637,71 @@ class Poly:
             return False
 
     def sqrt(self) -> "Poly":
-        """Exact square root with positive leading coefficient.
+        """Exact square root with positive graded-lex leading coefficient.
 
-        Matches the leading monomial and solves term by term; raises
-        NotPerfectSquareError with the residual when no root exists.
+        The content of a square is a rational square and its primitive part
+        the square of an integer polynomial (Gauss's lemma).  Root terms are
+        solved largest first in packed order against the running residue
+        self - root**2, each bounded by half the largest exponents, which
+        ends the search; raises NotPerfectSquareError with the residue when
+        no root exists.
         """
-        if not self._terms:
+        t = self._t
+        if not t:
             return _ZERO
-        lm, lc = self.leading()
-        if lc < 0:
-            raise NotPerfectSquareError(self)
-        if any(e % 2 for _, e in lm):
-            raise NotPerfectSquareError(self)
-        num, den = lc.numerator, lc.denominator
-        rn, rd = _isqrt_exact(num), _isqrt_exact(den)
+        c = self._c
+        rn, rd = _isqrt_exact(c.numerator), _isqrt_exact(c.denominator)
         if rn is None or rd is None:
             raise NotPerfectSquareError(self)
-        lead_m = tuple((a, e // 2) for a, e in lm)
-        lead_c = Fraction(rn, rd)
-        root = Poly({lead_m: lead_c})
-        diff = self - root * root
-        guard = 0
-        limit = 4 * (len(self._terms) + 2) ** 2
-        while diff:
-            dm, dc = diff.leading()
-            qm = _mono_try_div(dm, lead_m)
-            if qm is None:
-                raise NotPerfectSquareError(diff)
-            root = root + Poly({qm: dc / (2 * lead_c)})
-            diff = self - root * root
-            guard += 1
-            if guard > limit:
-                raise NotPerfectSquareError(diff)
-        return root
+        # every root exponent is at most half the matching largest exponent
+        bound = 0
+        for a in self.atoms():
+            off = _OFFSETS[a]
+            bound += max((m >> off) & _MASK for m in t) // 2 << off
+        bound += self.degree() // 2
+        lm = max(t)
+        if lm & _ODDS or t[lm] < 0:
+            raise NotPerfectSquareError(self)
+        root_m, root_c = lm >> 1, _isqrt_exact(t[lm])
+        if root_c is None:
+            raise NotPerfectSquareError(self)
+        root = {root_m: root_c}
+        # residue = self - root**2, as integers over the primitive part
+        res = dict(t)
+        del res[lm]
+        while res:
+            m = max(res)
+            v = res.pop(m)
+            new_m = m - root_m
+            if not _divides(bound, new_m) or not _divides(m, root_m) or v % (2 * root_c):
+                res[m] = v
+                raise NotPerfectSquareError(_normal(c, res))
+            new_c = v // (2 * root_c)
+            # residue -= 2*new*(root - lead) + new**2; 2*new*lead cancelled m
+            updates = [(new_m + rm, 2 * new_c * rc) for rm, rc in root.items() if rm != root_m]
+            updates.append((2 * new_m, new_c * new_c))
+            for mm, cc in updates:
+                left = res.get(mm, 0) - cc
+                if left:
+                    res[mm] = left
+                else:
+                    del res[mm]
+            root[new_m] = new_c
+        if root[min(root, key=_glex_key)] < 0:
+            root = {m: -v for m, v in root.items()}
+        content = Fraction(rn, rd)
+        return _new(_F1 if content == 1 else content, root, self.degree() // 2)
 
     # -- rendering -----------------------------------------------------------
 
     def render(self) -> str:
         """Deterministic text form; parseable back by the system-spec reader."""
-        if not self._terms:
+        if not self._t:
             return "0"
         parts = []
-        for m in sorted(self._terms, key=_mono_min_key):
-            c = self._terms[m]
-            factors = []
-            for a, e in m:
-                factors.append(a.name if e == 1 else f"{a.name}^{e}")
-            body = "*".join(factors)
+        for m in sorted(self._t, key=_glex_key):
+            c = self._c * self._t[m]
+            body = "*".join(a.name if e == 1 else f"{a.name}^{e}" for a, e in _unpack(m))
             mag = abs(c)
             if not body:
                 chunk = _frac_str(mag)
@@ -520,19 +728,6 @@ def _coerce(x):
     return NotImplemented
 
 
-def _acc(store: dict, m: Monomial, c: Fraction):
-    acc = store.get(m)
-    if acc is None:
-        if c:
-            store[m] = c
-    else:
-        acc += c
-        if acc:
-            store[m] = acc
-        else:
-            del store[m]
-
-
 def _frac_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
@@ -540,16 +735,9 @@ def _frac_str(c: Fraction) -> str:
 def _isqrt_exact(n: int) -> Optional[int]:
     if n < 0:
         return None
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    # fall back for large ints where float sqrt is off
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None
 
 
-_ZERO = Poly()
-_ONE = Poly({_ONE_MONO: Fraction(1)})
+_ZERO = _new(_F1, {}, -1)
+_ONE = _new(_F1, {0: 1}, 0)

@@ -53,6 +53,54 @@ class TestExitCodes:
         assert payload["factor_count"] == 1
 
 
+class TestBadInputExitTwo:
+    """Bad input exits 2 with a message naming the file or the factor."""
+
+    HEAD = ("unknown w multiplicity 1 index 3\n"
+            "equation e multiplicity 1 index 0\n"
+            "entry e[0] w[0] := xi0^3\n"
+            "prefactor := 1\n")
+
+    def analyze(self, tmp_path, capsys, content: bytes):
+        spec = tmp_path / "bad.lops"
+        spec.write_bytes(content)
+        code = main(["analyze", str(spec), "--json"])
+        return code, capsys.readouterr().err
+
+    def test_non_utf8_spec(self, tmp_path, capsys):
+        code, err = self.analyze(tmp_path, capsys,
+                                 b"unknown w multiplicity 1 index 1\n\xff\xfe\n")
+        assert code == 2
+        assert "bad.lops" in err and "UTF-8" in err
+
+    def test_zero_factor(self, tmp_path, capsys):
+        code, err = self.analyze(tmp_path, capsys,
+                                 (self.HEAD + "factor 1 := xi1 - xi1\n").encode())
+        assert code == 2
+        assert "claimed factor 1" in err and "is zero" in err
+
+    def test_inhomogeneous_factor(self, tmp_path, capsys):
+        code, err = self.analyze(tmp_path, capsys,
+                                 (self.HEAD + "factor 1 := xi0^3 + xi1\n").encode())
+        assert code == 2
+        assert "claimed factor 1 (xi0^3 + xi1)" in err and "not homogeneous" in err
+
+    def test_exponent_overflow(self, tmp_path, capsys):
+        code, err = self.analyze(tmp_path, capsys,
+                                 (self.HEAD + "factor 1 := xi0^40000\n").encode())
+        assert code == 2
+        assert "bad.lops" in err and "line 5" in err and "degree" in err
+
+    def test_determinant_degree_overflow(self, tmp_path, capsys):
+        entries = "".join(f"entry e[{i}] w[{j}] := xi{2 * i + j}^20000\n"
+                          for i in range(2) for j in range(2))
+        code, err = self.analyze(tmp_path, capsys, (
+            "unknown w multiplicity 2 index 20000\n"
+            "equation e multiplicity 2 index 0\n" + entries).encode())
+        assert code == 2
+        assert "bad.lops" in err and "degree 40000" in err
+
+
 class TestAnalyzeEns:
     def test_json_report_fields(self, tmp_path):
         out = tmp_path / "r.json"

@@ -137,6 +137,32 @@ class TestErrors:
         s = parse_system("# hello\n\n   # indented comment\n" + WAVE)
         assert s.total_unknowns == 1
 
+    @pytest.mark.parametrize("statement, line, col, message", [
+        ("entry other[0] w[0] := xi0^2", 4, 7, "undeclared equation 'other'"),
+        ("entry weq[0] v[0] := xi0^2", 4, 14, "undeclared unknown 'v'"),
+        ("depends weq on v order 1", 4, 16, "undeclared block 'weq'/'v'"),
+    ])
+    def test_undeclared_block_located(self, statement, line, col, message):
+        # the offending statement precedes a later, valid declaration
+        text = ("unknown w multiplicity 1 index 2\n"
+                "equation weq multiplicity 1 index 0\n"
+                "entry weq[0] w[0] := xi0^2 - xi1^2\n"
+                f"{statement}\n"
+                "unknown u multiplicity 1 index 1\n")
+        with pytest.raises(ParseError) as err:
+            parse_system(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert message in str(err.value)
+
+    def test_exponent_overflow_located(self):
+        text = ("unknown w multiplicity 1 index 2\n"
+                "equation weq multiplicity 1 index 0\n"
+                "entry weq[0] w[0] := xi0^40000\n")
+        with pytest.raises(ParseError) as err:
+            parse_system(text)
+        assert (err.value.line, err.value.col) == (3, 22)
+        assert "degree" in str(err.value)
+
     def test_assign_requires_declared_param(self):
         with pytest.raises(UnknownAtomError):
             parse_system("assign nope := 3\n")

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from lops.poly import (MissingAtomError, NotDivisibleError,
-                       NotPerfectSquareError, Poly, XI, param, xi)
+from lops.poly import (MAX_DEGREE, MissingAtomError, NotDivisibleError,
+                       NotPerfectSquareError, Poly, PolyError, XI, param, xi)
 from lops.dsl import parse_poly
 
 X0, X1, X2, X3 = (Poly.atom(a) for a in XI)
@@ -168,3 +168,103 @@ class TestRenderParse:
         a = X0 * X1 + 2 * X2 - Poly.constant(Fr(1, 2))
         b = -Poly.constant(Fr(1, 2)) + X0 * X1 + 2 * X2
         assert a.render() == b.render()
+
+
+class TestContent:
+    """The integer kernel keeps one rational content per polynomial."""
+
+    def test_quotient_carries_rational_content(self):
+        assert (X0 ** 2 - X1 ** 2).exact_div(2 * X0 - 2 * X1) == (X0 + X1) * Fr(1, 2)
+
+    def test_non_integral_quotient_is_not_divisible(self):
+        with pytest.raises(NotDivisibleError) as err:
+            (X0 ** 2 + X1).exact_div(2 * X0)
+        assert not err.value.remainder.is_zero()
+
+    def test_terms_report_rational_coefficients(self):
+        p = Fr(2, 3) * X0 * F - Fr(4, 9) * X1
+        assert dict(p.terms()) == {((XI[0], 1), (param("F"), 1)): Fr(2, 3),
+                                   ((XI[1], 1),): Fr(-4, 9)}
+
+    def test_exponent_field_overflow_raises(self):
+        half = X0 ** (MAX_DEGREE // 2 + 1)
+        with pytest.raises(PolyError):
+            half * half
+        with pytest.raises(PolyError):
+            X1 ** (MAX_DEGREE + 1)
+        assert (X2 ** MAX_DEGREE).degree() == MAX_DEGREE
+
+
+class TestSympyOracle:
+    """sympy as an independent implementation of the same ring."""
+
+    @staticmethod
+    def to_sympy(p):
+        sp = pytest.importorskip("sympy")
+        return sp.Add(*(c * sp.Mul(*(sp.Symbol(a.name) ** e for a, e in mono))
+                        for mono, c in p.terms()))
+
+    @given(polys(), polys())
+    @settings(max_examples=100, deadline=None)
+    def test_product(self, a, b):
+        sp = pytest.importorskip("sympy")
+        assert sp.expand(self.to_sympy(a) * self.to_sympy(b) - self.to_sympy(a * b)) == 0
+
+    @given(polys(max_terms=4, max_exp=2), polys(max_terms=3, max_exp=2))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_division(self, a, b):
+        sp = pytest.importorskip("sympy")
+        if b.is_zero():
+            return
+        quotient = sp.cancel(self.to_sympy(a) / self.to_sympy(b))
+        divisible = sp.fraction(quotient)[1].is_number
+        try:
+            q = a.exact_div(b)
+        except NotDivisibleError:
+            assert not divisible
+        else:
+            assert divisible and sp.expand(quotient - self.to_sympy(q)) == 0
+        # and a multiple always divides back
+        assert sp.expand(self.to_sympy((a * b).exact_div(b)) - self.to_sympy(a)) == 0
+
+    @given(polys())
+    @settings(max_examples=100, deadline=None)
+    def test_render_parse_roundtrip(self, p):
+        sp = pytest.importorskip("sympy")
+        text = p.render()
+        assert parse_poly(text, {a.name: a for a in p.atoms()}) == p
+        parsed = sp.sympify(text.replace("^", "**"),
+                            locals={a.name: sp.Symbol(a.name) for a in ATOM_POOL})
+        assert sp.expand(parsed - self.to_sympy(p)) == 0
+
+
+def test_atom_registry_is_thread_safe():
+    """Concurrent first uses of atoms never give two atoms one exponent field."""
+    import sys
+    import threading
+
+    from lops import poly
+
+    own = [[param(f"_stress{t}_{k}") for k in range(500)] for t in range(8)]
+    shared = [param(f"_stress_shared{k}") for k in range(500)]
+    seen = {}
+
+    def work(t):
+        seen[t] = [Poly.atom(a) for a in own[t] + shared]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(old)
+    atoms = [a for batch in own for a in batch] + shared
+    offsets = [poly._OFFSETS[a] for a in atoms]
+    assert len(set(offsets)) == len(atoms)
+    assert all(poly._ATOMS[off // poly._BITS - 1] == a for a, off in zip(atoms, offsets))
+    assert all(seen[t][500:] == seen[0][500:] for t in range(8))
