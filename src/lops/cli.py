@@ -53,6 +53,17 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _parse_count(text: str) -> int:
+    """A sample or direction count: below 1 a check would pass on nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _emit(payload, args, renderer=None) -> None:
     if getattr(args, "json", False) or renderer is None:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -361,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=_parse_tau, default=[Fraction(1), Fraction(0),
                                                           Fraction(0), Fraction(0)],
                        help="time direction covector, four comma-separated rationals")
-        p.add_argument("--samples", type=int, default=samples_default)
+        p.add_argument("--samples", type=_parse_count, default=samples_default)
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true")
@@ -378,14 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     ens_sub = p_ens.add_subparsers(dest="ens_command", required=True)
     p_ver = ens_sub.add_parser("verify", help="verify the reference system end to end")
     common(p_ver, samples_default=100)
-    p_ver.add_argument("--n", type=int, default=10_000,
+    p_ver.add_argument("--n", type=_parse_count, default=10_000,
                        help="sphere directions for the sampled root check")
     p_ver.set_defaults(func=cmd_ens_verify)
 
     p_cone = sub.add_parser("cones", help="sample characteristic root sheets")
     p_cone.add_argument("--factor", required=True,
                         help=f"one of: {', '.join(ens.FACTOR_NAMES)}")
-    p_cone.add_argument("--n", type=int, default=100)
+    p_cone.add_argument("--n", type=_parse_count, default=100)
     common(p_cone)
     p_cone.set_defaults(func=cmd_cones)
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .poly import Atom, Poly, XI, param
+from .poly import Atom, Poly, XI, eval_rows, param
 from .system import (DependencyDecl, EquationBlock, FactorClaim, LeraySystem,
                      ParamDecl, SymbolEntry, UnknownBlock)
 
@@ -955,34 +955,35 @@ def sampled_root_nonnegativity(F_val: Fraction, q_val: Fraction,
     from .hyperbolic import rational_directions
 
     mink = {GM[i]: Poly.constant(-1) for i in range(3)}
-    consts = {F_ATOM: Poly.constant(F_val), Q_ATOM: Poly.constant(q_val)}
+    consts = {F_ATOM: Poly.constant(F_val), Q_ATOM: Poly.constant(q_val),
+              XI[0]: Poly.zero()}
     B = CLAIMED_QUARTIC[1].substitute(mink).substitute(consts)
     disc = CLAIMED_DISCRIMINANT.substitute(mink).substitute(consts)
-    worst = None
+    worst = None  # (numerator, denominator) of the least value so far
     violations = 0
-    for d in rational_directions(n_dirs, seed):
-        assign = {XI[0]: Fr(0), XI[1]: d[0], XI[2]: d[1], XI[3]: d[2]}
-        bv = B.eval(assign)
-        dv = disc.eval(assign)
-        root_n, root_d = _sqrt_fraction(dv)
-        value = -bv - Fraction(root_n, root_d)
-        if worst is None or value < worst:
-            worst = value
-        if value < 0:
+    for (bn, bd), (dn, dd) in eval_rows([B, disc], XI[1:], rational_directions(n_dirs, seed)):
+        rn, rd = _sqrt_ratio(dn, dd)
+        # -bn/bd - rn/rd over the positive denominator bd * rd
+        vn, vd = -(bn * rd + rn * bd), bd * rd
+        if worst is None or vn * worst[1] < worst[0] * vd:
+            worst = (vn, vd)
+        if vn < 0:
             violations += 1
     ok = violations == 0
     return VerifyItem(f"sampled-root-nonnegativity-F{F_val}-q{q_val}", ok,
                       f"{n_dirs} directions, {violations} violations, "
-                      f"min value {worst}")
+                      f"min value {None if worst is None else Fraction(*worst)}")
 
 
-def _sqrt_fraction(x: Fraction):
+def _sqrt_ratio(num: int, den: int) -> Tuple[int, int]:
+    """Exact square root of num/den (den > 0) as a reduced integer pair."""
     import math
 
-    n = math.isqrt(x.numerator)
-    d = math.isqrt(x.denominator)
-    if n * n != x.numerator or d * d != x.denominator:
-        raise ValueError(f"not an exact rational square: {x}")
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    n, d = math.isqrt(num), math.isqrt(den)
+    if n * n != num or d * d != den:
+        raise ValueError(f"not an exact rational square: {Fraction(num, den)}")
     return n, d
 
 #: The same table with its two self-evident index slips repaired: the

@@ -4,6 +4,15 @@ Degree-1 and degree-2 factors get exact verdicts (nonvanishing at tau,
 rational signature of the coefficient form).  Higher degrees fall back to a
 sampled falsification screen: companion-matrix roots of the restriction to
 lines eta + s*tau over a deterministic sphere of directions.
+
+The sampled screen, `cone_sample` and `ens.sampled_root_nonnegativity`
+share one batched path.  `rational_directions` gives a memoized table of
+sphere directions with exact rational coordinates.  One symbolic
+substitution turns a factor into its line coefficients, polynomials in the
+direction coordinates; `poly.eval_rows` evaluates them at every direction
+on integers, sharing each direction's power tables.  The roots of all lines
+then come from one `np.linalg.eigvals` call per companion size, equal bit
+for bit to per-line `np.roots`.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .poly import Atom, Poly, XI, param, xi
+from .poly import Atom, Poly, XI, eval_rows, param, xi
 
 Fr = Fraction
 
@@ -201,9 +210,57 @@ def sphere_directions(n: int, seed: int = 0) -> List[Tuple[float, float, float]]
     return out
 
 
-def rational_directions(n: int, seed: int = 0, max_den: int = 4096) -> List[Tuple[Fraction, ...]]:
-    return [tuple(Fr(x).limit_denominator(max_den) for x in d)
-            for d in sphere_directions(n, seed)]
+# a direction table: per direction, its three coordinates as exact
+# (numerator, denominator) pairs in lowest terms, denominators positive
+DirectionTable = Tuple[Tuple[Tuple[int, int], ...], ...]
+
+_DIRECTION_TABLES: Dict[Tuple[int, int, int], DirectionTable] = {}
+
+
+def rational_directions(n: int, seed: int = 0, max_den: int = 4096) -> DirectionTable:
+    """sphere_directions(n, seed) with every coordinate replaced by
+    Fraction(x).limit_denominator(max_den), as integer pairs.
+
+    Memoized per (n, seed, max_den): the sampled verdicts, `cone_sample`
+    and the root-nonnegativity check of one process share each table.
+    Raises ValueError for n < 1, on which every sampled check would pass.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one direction, got {n}")
+    key = (n, seed, max_den)
+    table = _DIRECTION_TABLES.get(key)
+    if table is None:
+        table = tuple(tuple(_limit_denominator(c, max_den) for c in d)
+                      for d in sphere_directions(n, seed))
+        table = _DIRECTION_TABLES.setdefault(key, table)
+    return table
+
+
+def _limit_denominator(x: float, max_den: int) -> Tuple[int, int]:
+    """(numerator, denominator) of Fraction(x).limit_denominator(max_den),
+    on ints: the continued-fraction convergents of x's exact binary value,
+    then whichever of the last convergent and the best semiconvergent lies
+    closer to x, the convergent on a tie."""
+    if max_den < 1:
+        raise ValueError("max_den should be at least 1")
+    n, d = x.as_integer_ratio()
+    if d <= max_den:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (max_den - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |p2/q2 - n/d|, multiplied through by q1 * q2 * d > 0
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return p1, q1
+    return p2, q2
 
 
 def _orthogonal_frame(tau: Sequence[Fraction]) -> List[List[Fraction]]:
@@ -243,15 +300,45 @@ def _line_restriction(q: Poly, tau: Sequence[Fraction],
             for k in range(uni.degree_in([_LINE_S]), -1, -1)]
 
 
-def _line_polynomial(restriction: List[Poly], direction) -> List[Fraction]:
-    """Exact coefficients (descending) of s -> q(eta + s*tau) for
-    eta = x*f0 + y*f1 + z*f2, leading zeros stripped."""
-    point = dict(zip(_LINE_XYZ, direction))
-    coeffs = [c.eval(point) for c in restriction]
-    k = 0
-    while k < len(coeffs) and coeffs[k] == 0:
-        k += 1
-    return coeffs[k:]
+def _line_coefficients(restrictions: Sequence[List[Poly]],
+                       table: DirectionTable) -> List[np.ndarray]:
+    """Per restriction, a matrix with one row per direction: the float
+    coefficients (descending) of s -> q(eta + s*tau), each rounded once
+    from its exact value."""
+    flat = [c for r in restrictions for c in r]
+    values = np.fromiter((num / den for row in eval_rows(flat, _LINE_XYZ, table)
+                          for num, den in row),
+                         dtype=float, count=len(table) * len(flat))
+    values = values.reshape(len(table), len(flat))
+    return np.split(values, np.cumsum([len(r) for r in restrictions[:-1]]), axis=1)
+
+
+def _line_roots(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """`np.roots` of every coefficient row, batched: row k's roots are
+    roots[k, :count[k]], equal to np.roots(rows[k]) bit for bit, and the
+    rest of the row is 0j.
+
+    Like `np.roots`, strips a row's leading and trailing zeros, takes the
+    eigenvalues of the companion matrix of what is left and appends one
+    zero root per trailing zero.  Rows are grouped by stripped length and
+    each group's companion matrices go to one `np.linalg.eigvals` call,
+    which runs LAPACK on each stacked matrix as on a single one.
+    """
+    width = rows.shape[1]
+    nonzero = rows != 0
+    some = nonzero.any(axis=1)
+    lo = nonzero.argmax(axis=1)
+    size = np.where(some, width - lo - nonzero[:, ::-1].argmax(axis=1), 0)
+    roots = np.zeros((len(rows), width - 1), dtype=complex)
+    for n in sorted(set(size[size > 1].tolist())):
+        numbers = np.flatnonzero(size == n)
+        p = rows[numbers[:, None], lo[numbers, None] + np.arange(n)]
+        companion = np.zeros((len(numbers), n - 1, n - 1))
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        below = np.arange(n - 2)
+        companion[:, below + 1, below] = 1.0
+        roots[numbers, :n - 1] = np.linalg.eigvals(companion)
+    return roots, np.where(some, width - 1 - lo, 0)
 
 
 def hyperbolicity_sampled(p: Poly, tau: Sequence[Fraction],
@@ -269,21 +356,22 @@ def hyperbolicity_sampled(p: Poly, tau: Sequence[Fraction],
     if lead == 0:
         raise LeadingCoefficientVanishesError(f"polynomial vanishes at tau={_fmt_cov(tau)}")
     frame = _orthogonal_frame(tau)
-    restriction = _line_restriction(q, tau, frame)
-    worst = 0.0
+    table = rational_directions(n_samples, seed)
+    rows, = _line_coefficients([_line_restriction(q, tau, frame)], table)
+    roots, _ = _line_roots(rows)
+    # entries past a row's roots are 0j, whose ratio 0 never raises the worst
+    ratios = np.abs(roots.imag) / (1.0 + np.abs(roots.real))
+    worst = float(ratios.max(initial=0.0))
     witness = None
-    for k, (x, y, z) in enumerate(rational_directions(n_samples, seed)):
-        coeffs = _line_polynomial(restriction, (x, y, z))
-        roots = np.roots([float(c) for c in coeffs])
-        for r in roots:
-            ratio = abs(r.imag) / (1.0 + abs(r.real))
-            if ratio > worst:
-                worst = ratio
-                if ratio > tol:
-                    eta = [x * frame[0][i] + y * frame[1][i] + z * frame[2][i]
-                           for i in range(4)]
-                    witness = (f"direction #{k} eta=({float(eta[0]):.6g},{float(eta[1]):.6g},"
-                               f"{float(eta[2]):.6g},{float(eta[3]):.6g}) root {r:.6g}")
+    if worst > max(tol, 0.0):
+        # the witness is the first root, in direction order, that has the
+        # worst ratio; an all-real sample (worst ratio 0) has none
+        k, j = np.unravel_index(np.argmax(ratios), ratios.shape)
+        root = roots[k, j]
+        x, y, z = (Fr(num, den) for num, den in table[k])
+        eta = [x * frame[0][i] + y * frame[1][i] + z * frame[2][i] for i in range(4)]
+        witness = (f"direction #{k} eta=({float(eta[0]):.6g},{float(eta[1]):.6g},"
+                   f"{float(eta[2]):.6g},{float(eta[3]):.6g}) root {root:.6g}")
     verdict = "hyperbolic" if worst <= tol else "not-hyperbolic"
     return HyperbolicityVerdict(factor_id, "sampled", verdict, witness=witness,
                                 sample_count=n_samples, tolerance=tol,
@@ -304,7 +392,12 @@ def hyperbolicity_auto(p: Poly, tau, params=None, n_samples: int = 1000,
         except DegeneracyDetectedError as err:
             return HyperbolicityVerdict(factor_id, "quadratic-signature", "inconclusive",
                                         witness=str(err))
-    return hyperbolicity_sampled(q, tau, None, n_samples, tol, seed, factor_id)
+    try:
+        return hyperbolicity_sampled(q, tau, None, n_samples, tol, seed, factor_id)
+    except LeadingCoefficientVanishesError:
+        return HyperbolicityVerdict(factor_id, "sampled", "not-hyperbolic",
+                                    witness=f"vanishes at tau={_fmt_cov(tau)}",
+                                    tolerance=tol)
 
 
 # -- biquadratic split ----------------------------------------------------------
@@ -405,34 +498,28 @@ def cone_sample(p: Poly, tau: Sequence[Fraction],
     reference's outermost sheet (propagation no faster than the reference).
     """
     frame = _orthogonal_frame(tau)
-    q = _line_restriction(_specialize(p, params), tau, frame)
-    ref = (_line_restriction(_specialize(reference, params), tau, frame)
-           if reference is not None else None)
-    dirs = rational_directions(n, seed)
-    all_roots: List[List[float]] = []
-    ref_roots: List[List[float]] = []
-    within: List[bool] = []
-    for d in dirs:
-        roots = _real_roots(q, d, tol)
-        all_roots.append(roots)
-        if ref is not None:
-            rr = _real_roots(ref, d, tol)
-            ref_roots.append(rr)
-            speed = max((abs(r) for r in roots), default=0.0)
-            ref_speed = max((abs(r) for r in rr), default=0.0)
-            within.append(speed <= ref_speed + 1e-7)
-    dirs_f = [(float(a), float(b), float(c)) for a, b, c in dirs]
+    restrictions = [_line_restriction(_specialize(p, params), tau, frame)]
+    if reference is not None:
+        restrictions.append(_line_restriction(_specialize(reference, params), tau, frame))
+    table = rational_directions(n, seed)
+    sheets = [_real_sheets(rows, tol) for rows in _line_coefficients(restrictions, table)]
+    all_roots = sheets[0]
+    ref_roots = within = None
+    if reference is not None:
+        ref_roots = sheets[1]
+        within = [max(map(abs, roots), default=0.0) <= max(map(abs, rr), default=0.0) + 1e-7
+                  for roots, rr in zip(all_roots, ref_roots)]
+    dirs_f = [tuple(num / den for num, den in row) for row in table]
     return ConeSamples(factor_id, tuple(float(t) for t in tau), dirs_f, all_roots,
-                       ref_roots if ref is not None else None,
-                       within if ref is not None else None)
+                       ref_roots, within)
 
 
-def _real_roots(restriction: List[Poly], direction, tol: float) -> List[float]:
-    coeffs = _line_polynomial(restriction, direction)
-    if len(coeffs) <= 1:
-        return []
-    roots = np.roots([float(c) for c in coeffs])
-    return sorted(float(r.real) for r in roots if abs(r.imag) <= tol * (1.0 + abs(r.real)))
+def _real_sheets(rows: np.ndarray, tol: float) -> List[List[float]]:
+    """Per coefficient row, the sorted real parts of the roots that are
+    real within tol*(1+|Re|)."""
+    roots, count = _line_roots(rows)
+    keep = np.abs(roots.imag) <= tol * (1.0 + np.abs(roots.real))
+    return [sorted(roots.real[k, :c][keep[k, :c]].tolist()) for k, c in enumerate(count)]
 
 
 def _fmt_cov(tau) -> str:

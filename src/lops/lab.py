@@ -369,12 +369,6 @@ def _field_shear_contraction(patch: FieldPatch,
     return lhs - rhs
 
 
-def check_conformal_shear_identities(patch: FieldPatch):
-    """Both conformal-shear identities as a pair of residuals."""
-    return (check_first_shear_identity(patch),
-            check_second_shear_identity(patch))
-
-
 def check_shear_contraction(patch: FieldPatch,
                             drop_acceleration_term: bool = False) -> IdentityResidual:
     """Sigma^{ab} Sigma_{ab} = 2 F^2 (grad-square + grad-transpose-square
@@ -436,15 +430,9 @@ def check_projector_algebra(patch: FieldPatch) -> Dict[str, float]:
 
 
 def _field_velocity_gradient_orthogonality(patch: FieldPatch) -> np.ndarray:
+    """u^a nabla_b u_a = 0 (derivative of the exact unit normalization)."""
     du = patch.cov_deriv_covector(patch.u_lo)  # (..., b, a)
     return np.einsum("...a,...ba->...b", patch.u_up, du)
-
-
-def check_velocity_gradient_orthogonality(patch: FieldPatch) -> IdentityResidual:
-    """u^a nabla_b u_a = 0 (derivative of the exact unit normalization)."""
-    return IdentityResidual("unit-norm-derivative",
-                            patch.interior_max(_field_velocity_gradient_orthogonality(patch)),
-                            patch.h)
 
 
 #: Convergent identity checks: name -> residual-field function.

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 KIND_COVECTOR = "covector"
 KIND_PARAMETER = "parameter"
@@ -502,43 +503,22 @@ class Poly:
         return self._plan
 
     def eval(self, assignment: Mapping[Atom, Scalar]) -> Fraction:
-        """Exact value under a total assignment of the polynomial's atoms.
-
-        Runs on integers: with a = n_a/d_a and E_a the largest exponent of
-        a, every term is scaled by D = prod d_a**E_a.  A term then
-        contributes c * prod n_a**e * d_a**(E_a - e) over its own atoms,
-        times D / prod d_a**E_a over the same atoms, and one Fraction is
-        formed at the end.
-        """
+        """Exact value under a total assignment of the polynomial's atoms;
+        the one-point, one-polynomial case of `eval_rows`."""
         if not self._t:
             return Fraction(0)
         atoms, tops, rows = self._eval_plan()
-        tables = []  # per atom: n**e * d**(E - e) for e = 0..E; entry 0 is d**E
-        scale = 1
-        for a, top in zip(atoms, tops):
+        point = []
+        for a in atoms:
             try:
                 v = assignment[a]
             except KeyError:
                 raise MissingAtomError(f"no value for atom {a.name}") from None
             if not isinstance(v, (int, Fraction)):
                 v = Fraction(v)
-            n, d = v.numerator, v.denominator
-            npow = [1] * (top + 1)
-            dpow = [1] * (top + 1)
-            for e in range(1, top + 1):
-                npow[e] = npow[e - 1] * n
-                dpow[e] = dpow[e - 1] * d
-            tables.append([npow[e] * dpow[top - e] for e in range(top + 1)])
-            scale *= dpow[top]
-        total = 0
-        for c, pairs in rows:
-            own = 1
-            for k, e in pairs:
-                tab = tables[k]
-                c *= tab[e]
-                own *= tab[0]
-            total += c * (scale // own)
-        return Fraction(total * self._c.numerator, scale * self._c.denominator)
+            point.append((v.numerator, v.denominator))
+        (num, den), = _point_values(((self._c, rows),), tops, point)
+        return Fraction(num, den)
 
     def substitute(self, bindings: Mapping[Atom, "Poly"]) -> "Poly":
         """Exact composition; atoms without a binding are left in place."""
@@ -718,6 +698,70 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.render()})"
+
+
+def eval_rows(polys: Sequence["Poly"], atoms: Sequence[Atom],
+              points: Iterable[Sequence[Tuple[int, int]]]) -> Iterator[List[Tuple[int, int]]]:
+    """Exact values of several polynomials at many points, on integers.
+
+    Each point gives its coordinates as (numerator, denominator) pairs in
+    the order of `atoms`, denominators positive.  Yields one row per point,
+    lazily, so callers that reduce the rows hold one at a time: one
+    (numerator, denominator) pair per polynomial, its value at the point.
+    The denominator is positive and the pair is not reduced, so test it for
+    zero by its numerator and take its float as numerator / denominator
+    (correctly rounded, like `float(Fraction)`).  A point's power tables
+    are built once and shared by every polynomial.
+    """
+    slots = {a: k for k, a in enumerate(atoms)}
+    tops = [0] * len(atoms)
+    plans = []
+    for p in polys:
+        p_atoms, p_tops, rows = p._eval_plan()
+        try:
+            where = [slots[a] for a in p_atoms]
+        except KeyError as err:
+            raise MissingAtomError(f"no value for atom {err.args[0].name}") from None
+        for k, top in zip(where, p_tops):
+            tops[k] = max(tops[k], top)
+        if where != list(range(len(where))):
+            rows = [(c, tuple((where[k], e) for k, e in pairs)) for c, pairs in rows]
+        plans.append((p._c, rows))
+    return (_point_values(plans, tops, point) for point in points)
+
+
+def _point_values(plans, tops: Sequence[int],
+                  point: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """(numerator, denominator) of each planned polynomial at one point.
+
+    With coordinate a = n_a/d_a and E_a the largest exponent of a, every
+    term is scaled by D = prod d_a**E_a: a term contributes c * prod
+    n_a**e * d_a**(E_a - e) over its own atoms, times D / prod d_a**E_a
+    over the same atoms, so the sum is an integer and the value is that
+    sum over D.
+    """
+    tables = []  # per atom: n**e * d**(E - e) for e = 0..E; entry 0 is d**E
+    scale = 1
+    for (n, d), top in zip(point, tops):
+        npow = [1] * (top + 1)
+        dpow = [1] * (top + 1)
+        for e in range(1, top + 1):
+            npow[e] = npow[e - 1] * n
+            dpow[e] = dpow[e - 1] * d
+        tables.append([npow[e] * dpow[top - e] for e in range(top + 1)])
+        scale *= dpow[top]
+    out = []
+    for content, rows in plans:
+        total = 0
+        for c, pairs in rows:
+            own = 1
+            for k, e in pairs:
+                tab = tables[k]
+                c *= tab[e]
+                own *= tab[0]
+            total += c * (scale // own)
+        out.append((total * content.numerator, scale * content.denominator))
+    return out
 
 
 def _coerce(x):

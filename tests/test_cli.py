@@ -1,16 +1,23 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import lops
 from lops import ens_spec_path, wave_spec_path
 from lops.cli import main
 
+# the child interpreter imports the same lops as the tests, installed or not
+LOPS_ROOT = os.path.dirname(os.path.dirname(lops.__file__))
 
-def run_cli(args, **kw):
+
+def run_cli(args, env=None):
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (LOPS_ROOT, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "lops", *args],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture
@@ -99,6 +106,42 @@ class TestBadInputExitTwo:
             "equation e multiplicity 2 index 0\n" + entries).encode())
         assert code == 2
         assert "bad.lops" in err and "degree 40000" in err
+
+
+class TestVanishingFactor:
+    def test_cubic_factor_vanishing_at_tau_fails_without_traceback(self, tmp_path):
+        spec = tmp_path / "cube.lops"
+        spec.write_text("unknown w multiplicity 1 index 3\n"
+                        "equation e multiplicity 1 index 0\n"
+                        "entry e[0] w[0] := xi1^3\n"
+                        "prefactor := 1\n"
+                        "factor 1 := xi1^3\n")
+        r = run_cli(["analyze", str(spec), "--json"])
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        verdict = json.loads(r.stdout)["factors"][0]
+        assert verdict["verdict"] == "not-hyperbolic"
+        assert verdict["witness"] == "vanishes at tau=(1,0,0,0)"
+
+
+class TestCountFlags:
+    """A count below 1 would let a check pass on nothing: exit 2, naming the flag."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["analyze", "WAVE", "--samples", "0"], "--samples"),
+        (["analyze", "WAVE", "--samples", "-5"], "--samples"),
+        (["ens", "verify", "--samples", "0"], "--samples"),
+        (["ens", "verify", "--n", "0"], "--n"),
+        (["cones", "--factor", "light", "--n", "0"], "--n"),
+    ], ids=["analyze-samples-0", "analyze-samples-negative", "ens-verify-samples",
+            "ens-verify-n", "cones-n"])
+    def test_rejected(self, argv, flag, capsys):
+        argv = [wave_spec_path() if a == "WAVE" else a for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be at least 1" in err
 
 
 class TestAnalyzeEns:

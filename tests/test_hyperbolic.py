@@ -1,15 +1,20 @@
 import random
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lops import ens
 from lops.hyperbolic import (DegeneracyDetectedError, DegreeMismatchError,
                              LeadingCoefficientVanishesError,
                              LeadingCoefficientZeroError, NotAllHyperbolicError,
-                             biquadratic_split, cone_sample, gevrey_sigma,
-                             hyperbolicity_linear, hyperbolicity_quadratic,
-                             hyperbolicity_sampled, quartic_from_coefficients,
+                             _limit_denominator, _line_coefficients,
+                             _line_restriction, _line_roots,
+                             _orthogonal_frame, biquadratic_split, cone_sample,
+                             gevrey_sigma, hyperbolicity_auto, hyperbolicity_linear,
+                             hyperbolicity_quadratic, hyperbolicity_sampled,
+                             quartic_from_coefficients, rational_directions,
                              rational_signature, sigma_json, sphere_directions)
 from lops.matrix import Factorization
 from lops.poly import NotPerfectSquareError, Poly, XI, param, xi
@@ -97,6 +102,11 @@ class TestSampled:
     def test_vanishing_leading_coefficient(self):
         with pytest.raises(LeadingCoefficientVanishesError):
             hyperbolicity_sampled(X[1] * MINK, DT, n_samples=10)
+
+    def test_auto_reports_vanishing_leading_coefficient(self):
+        v = hyperbolicity_auto(X[1] * MINK, DT, n_samples=10)
+        assert v.verdict == "not-hyperbolic" and v.method == "sampled"
+        assert v.witness == "vanishes at tau=(1,0,0,0)" and v.sample_count == 0
 
     def test_agreement_with_closed_form_on_thousand_directions(self):
         # degree-2 factors certified by signature must also pass sampling
@@ -191,3 +201,146 @@ class TestConeSamples:
         lines = samples.csv_lines()
         assert lines[0] == "dir_x,dir_y,dir_z,roots"
         assert len(lines) == 8
+
+
+# -- the batched direction path against per-direction references ----------------
+
+BOOST = [Fr(5, 4), Fr(3, 4), Fr(0), Fr(0)]   # unit timelike for MINK
+FLOW_BOOSTED = Poly.constant(Fr(5, 4)) * X[0] - Poly.constant(Fr(3, 4)) * X[1]
+LINE_CASES = {
+    "flow-light": FLOW_BOOSTED * MINK,
+    "light2": MINK ** 2,
+    "light3": MINK ** 3,
+    "non-hyperbolic-cubic": X[0] ** 3 + X[0] * X[1] ** 2 - X[2] ** 3,
+    "xi0-light": X[0] * MINK,   # at DT every line has the root s = 0
+}
+
+
+def exact_line(q, tau, eta):
+    """Exact coefficients (descending) of s -> q(eta + s*tau), by univariate
+    convolution over the terms of q."""
+    total = [Fr(0)] * (q.degree() + 1)
+    for mono, c in q.terms():
+        line = [c]  # ascending in s
+        for atom, e in mono:
+            a, b = eta[atom.index], Fr(tau[atom.index])
+            for _ in range(e):
+                line = [(line[k] * a if k < len(line) else 0) + (line[k - 1] * b if k else 0)
+                        for k in range(len(line) + 1)]
+        for k, v in enumerate(line):
+            total[k] += v
+    return total[::-1]
+
+
+def reference_lines(q, tau, n, seed):
+    """Per direction of the table: (exact coefficient floats, np.roots)."""
+    frame = _orthogonal_frame(tau)
+    out = []
+    for row in rational_directions(n, seed):
+        x, y, z = (Fr(a, b) for a, b in row)
+        eta = [x * frame[0][i] + y * frame[1][i] + z * frame[2][i] for i in range(4)]
+        floats = [float(c) for c in exact_line(q, tau, eta)]
+        out.append((floats, np.roots(floats)))
+    return out
+
+
+def assert_same_roots(ours, ref):
+    ours, ref = np.asarray(ours, dtype=complex), np.asarray(ref, dtype=complex)
+    assert ours.tobytes() == ref.tobytes(), (ours, ref)
+
+
+class TestDirectionTable:
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 10 ** 7))
+    @example(0.5, 1)    # a tie between the bounds, which only max_den 1 allows
+    @example(-2.5, 1)
+    def test_limit_denominator_matches_fraction(self, x, max_den):
+        f = Fr(x).limit_denominator(max_den)
+        assert _limit_denominator(x, max_den) == (f.numerator, f.denominator)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_table_matches_definition(self, seed):
+        table = rational_directions(10_000, seed)
+        expected = [tuple((f.numerator, f.denominator)
+                          for f in (Fr(c).limit_denominator(4096) for c in d))
+                    for d in sphere_directions(10_000, seed)]
+        assert list(table) == expected
+        assert rational_directions(10_000, seed) is table
+
+    def test_no_direction_is_an_error(self):
+        for n in (0, -5):
+            with pytest.raises(ValueError):
+                rational_directions(n)
+        with pytest.raises(ValueError):
+            hyperbolicity_sampled(LINE_CASES["non-hyperbolic-cubic"], DT, n_samples=0)
+
+
+class TestBatchedRoots:
+    @pytest.mark.parametrize("tau", [DT, BOOST], ids=["dt", "boost"])
+    @pytest.mark.parametrize("name", sorted(LINE_CASES))
+    def test_roots_equal_per_direction_np_roots(self, name, tau):
+        q = LINE_CASES[name]
+        table = rational_directions(60, 4)
+        rows, = _line_coefficients([_line_restriction(q, tau, _orthogonal_frame(tau))], table)
+        roots, count = _line_roots(rows)
+        for k, (floats, ref) in enumerate(reference_lines(q, tau, 60, 4)):
+            assert rows[k].tolist() == floats[len(floats) - len(rows[k]):]
+            assert_same_roots(roots[k, :count[k]], ref)
+            if name == "xi0-light" and tau is DT:
+                assert rows[k][-1] == 0 and ref[-1] == 0  # a trailing zero root
+
+    @pytest.mark.parametrize("tau", [DT, BOOST], ids=["dt", "boost"])
+    @pytest.mark.parametrize("name", sorted(LINE_CASES))
+    def test_verdict_equals_per_direction_loop(self, name, tau):
+        q = LINE_CASES[name]
+        lines = reference_lines(q, tau, 150, 2)
+        for tol in (1e-9, -1.0):
+            worst, hit = 0.0, None
+            for k, (_, roots) in enumerate(lines):
+                for r in roots:
+                    ratio = abs(r.imag) / (1.0 + abs(r.real))
+                    if ratio > worst:
+                        worst = ratio
+                        if ratio > tol:
+                            hit = (k, r)
+            v = hyperbolicity_sampled(q, tau, n_samples=150, tol=tol, seed=2)
+            assert v.worst_imag_ratio == worst
+            assert v.verdict == ("hyperbolic" if worst <= tol else "not-hyperbolic")
+            if hit is None:
+                assert v.witness is None
+            else:
+                assert v.witness.startswith(f"direction #{hit[0]} eta=")
+                assert v.witness.endswith(f" root {hit[1]:.6g}")
+            if name == "non-hyperbolic-cubic":
+                assert hit is not None
+
+    @pytest.mark.parametrize("tau", [DT, BOOST], ids=["dt", "boost"])
+    def test_cone_rows_for_every_reference_factor(self, tau):
+        tol = 1e-9
+        state = ens.FluidState.minkowski(F=Fr(1), q=Fr(1, 2))
+        assign = state.assignment()
+        bind = {a: Poly.constant(v) for a, v in assign.items()}
+        claim = ens.reference_factor_claim("specialized")
+        polys = {name: p for name, (p, _) in zip(ens.FACTOR_NAMES, claim.factors)}
+
+        def real_sheets(p):
+            out = []
+            for floats, roots in reference_lines(p.substitute(bind), tau, 80, 3):
+                if len(np.trim_zeros(floats, "f")) <= 1:
+                    out.append([])
+                    continue
+                out.append(sorted(float(r.real) for r in roots
+                                  if abs(r.imag) <= tol * (1.0 + abs(r.real))))
+            return out
+
+        light = real_sheets(polys["light"])
+        for name in ens.FACTOR_NAMES:
+            samples = cone_sample(polys[name], tau, assign, n=80, seed=3, tol=tol,
+                                  factor_id=name, reference=polys["light"])
+            expected = real_sheets(polys[name])
+            assert samples.roots == expected, name
+            assert samples.reference_roots == light, name
+            assert samples.within_reference == [
+                max(map(abs, r), default=0.0) <= max(map(abs, rr), default=0.0) + 1e-7
+                for r, rr in zip(expected, light)], name
+            assert samples.directions == [tuple(a / b for a, b in row)
+                                          for row in rational_directions(80, 3)]

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from lops.poly import (MAX_DEGREE, MissingAtomError, NotDivisibleError,
-                       NotPerfectSquareError, Poly, PolyError, XI, param, xi)
+                       NotPerfectSquareError, Poly, PolyError, XI, eval_rows,
+                       param, xi)
 from lops.dsl import parse_poly
 
 X0, X1, X2, X3 = (Poly.atom(a) for a in XI)
@@ -93,6 +94,24 @@ class TestEval:
             sigma = assignments(rng, atoms)
             assert (a * b).eval(sigma) == a.eval(sigma) * b.eval(sigma)
             assert (a + b).eval(sigma) == a.eval(sigma) + b.eval(sigma)
+
+
+    @given(st.lists(polys(), min_size=1, max_size=4), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_eval_rows_matches_substitution(self, ps, rng):
+        atoms = list(ATOM_POOL)
+        rng.shuffle(atoms)  # an atom order unrelated to the registry's
+        points = [assignments(rng, atoms) for _ in range(3)]
+        rows = eval_rows(ps, atoms, [[(pt[a].numerator, pt[a].denominator) for a in atoms]
+                                     for pt in points])
+        for pt, row in zip(points, rows):
+            consts = {a: Poly.constant(v) for a, v in pt.items()}
+            assert [Fr(n, d) for n, d in row] == [p.substitute(consts).as_constant() for p in ps]
+            assert all(d > 0 for _, d in row)
+
+    def test_eval_rows_missing_atom(self):
+        with pytest.raises(MissingAtomError):
+            eval_rows([X0, X0 + F], [xi(0)], [[(1, 2)]])
 
 
 class TestDivision:
