@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -54,13 +55,40 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_count(text: str) -> int:
-    """A sample or direction count: below 1 a check would pass on nothing."""
+    """A sample, direction or refinement count: below 1 a check would pass on
+    nothing."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _parse_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _parse_tol(text: str) -> float:
+    """A root tolerance: below 0 every sampled factor fails, with no witness."""
+    value = _parse_finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
+def _parse_spacing(text: str) -> float:
+    """A lattice spacing: the finite differences divide by it."""
+    value = _parse_finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
 
@@ -315,8 +343,8 @@ def cmd_cones(args) -> int:
 
 
 def cmd_lab(args) -> int:
-    rows = lab.refinement_table(h=args.h, refine=args.refine)
     patch = lab.FieldPatch.standard(args.h)
+    rows = lab.refinement_table(refine=args.refine, base=patch)
     entropy = lab.check_entropy_sign(patch, vtheta=-1.0)
     algebra = lab.check_projector_algebra(patch)
     sq_range = lab.shear_square_range(patch)
@@ -373,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                           Fraction(0), Fraction(0)],
                        help="time direction covector, four comma-separated rationals")
         p.add_argument("--samples", type=_parse_count, default=samples_default)
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=_parse_tol, default=1e-9)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true")
         p.add_argument("--out", default=None)
@@ -404,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     lab_sub = p_lab.add_subparsers(dest="lab_command", required=True)
     p_run = lab_sub.add_parser("run", help="residual and convergence tables")
     common(p_run)
-    p_run.add_argument("--h", type=float, default=0.1)
-    p_run.add_argument("--refine", type=int, default=1)
+    p_run.add_argument("--h", type=_parse_spacing, default=0.1)
+    p_run.add_argument("--refine", type=_parse_count, default=1)
     p_run.set_defaults(func=cmd_lab)
 
     return ap

@@ -6,6 +6,12 @@ vorticity, shears, projectors) are built pointwise so the only error source
 is the second-order central differencing.  Identities that hold in the
 continuum must then show O(h^2) residuals, and deliberately mutated
 variants must not converge.
+
+Each derived field is computed once per patch, as a cached property that
+every check and mutated control reads, and the index contractions run as
+batched matmuls.  The conformal connection is transient: it is built,
+applied to the dynamic velocity and to the test one-form, and dropped, so it
+is never cached beside the plain connection.
 """
 
 from __future__ import annotations
@@ -154,40 +160,74 @@ class FieldPatch:
         delta = np.broadcast_to(np.eye(4), self.gl.shape)
         return delta - np.einsum("...a,...b->...ab", self.u_up, self.u_lo)
 
-    @cached_property
-    def pi_up(self) -> np.ndarray:
-        return self.gi - np.einsum("...a,...b->...ab", self.u_up, self.u_up)
-
     # -- derivatives -----------------------------------------------------------
 
     def grad(self, f: np.ndarray) -> np.ndarray:
-        """Central-difference gradient; new derivative axis at position -1-rank
-        convention: returned shape (..., 4, *tensor_axes_of_f_beyond_grid)."""
-        parts = [np.gradient(f, self.h, axis=a, edge_order=2) for a in range(4)]
-        return np.stack(parts, axis=4)
+        """Central-difference gradient, shape (n, n, n, n, 4, *tensor axes of f)."""
+        return _gradient(f, self.h)
 
     @cached_property
     def christoffel(self) -> np.ndarray:
         """Gamma^l_{mn} from second-order central differences of the metric."""
         return christoffel_from(self.gl, self.gi, self.h)
 
+    def cov_deriv_covector(self, v: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+        """(nabla_a v_b) = d_a v_b - Gamma^l_{ab} v_l with shape (..., 4a, 4b)."""
+        return self.grad(v) - np.einsum("...lab,...l->...ab", gamma, v)
+
     @cached_property
-    def christoffel_conformal(self) -> np.ndarray:
-        gbar = self.F[..., None, None] ** 2 * self.gl
-        gbar_inv = self.gi / self.F[..., None, None] ** 2
-        return christoffel_from(gbar, gbar_inv, self.h)
+    def one_form(self) -> np.ndarray:
+        """The unrelated analytic one-form of the conformal-derivative check."""
+        return standard_one_form(self.coords)
 
-    def cov_deriv_covector(self, v: np.ndarray, conformal: bool = False) -> np.ndarray:
-        """(nabla_a v_b) with shape (..., 4a, 4b)."""
-        gamma = self.christoffel_conformal if conformal else self.christoffel
-        dv = self.grad(v)  # (..., 4a, 4b)
-        return dv - np.einsum("...lab,...l->...ab", gamma, v)
+    @cached_property
+    def _conformal_derivatives(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(nablabar_a C_b, nablabar_a v_b) for the conformal metric F^2 g_{ab}.
 
-    def cov_deriv_vector(self, v: np.ndarray, conformal: bool = False) -> np.ndarray:
-        """(nabla_a v^b) with shape (..., 4a, 4b)."""
-        gamma = self.christoffel_conformal if conformal else self.christoffel
-        dv = self.grad(v)
-        return dv + np.einsum("...bal,...l->...ab", gamma, v)
+        The conformal connection is as large as the plain one (64 numbers per
+        node), so it lives only inside this call.
+        """
+        f2 = self.F[..., None, None] ** 2
+        gamma = christoffel_from(f2 * self.gl, self.gi / f2, self.h)
+        return (self.cov_deriv_covector(self.C_lo, gamma),
+                self.cov_deriv_covector(self.one_form, gamma))
+
+    @property
+    def dbarC(self) -> np.ndarray:
+        """nablabar_a C_b, the conformal derivative of the dynamic velocity."""
+        return self._conformal_derivatives[0]
+
+    @property
+    def dbar_one_form(self) -> np.ndarray:
+        """nablabar_a v_b of the test one-form."""
+        return self._conformal_derivatives[1]
+
+    @cached_property
+    def dv(self) -> np.ndarray:
+        """nabla_a v_b of the test one-form."""
+        return self.cov_deriv_covector(self.one_form, self.christoffel)
+
+    @cached_property
+    def du(self) -> np.ndarray:
+        """nabla_a u_b."""
+        return self.cov_deriv_covector(self.u_lo, self.christoffel)
+
+    @cached_property
+    def du_sq(self) -> np.ndarray:
+        """nabla^a u^b nabla_a u_b + nabla^a u^b nabla_b u_a."""
+        du_up = project(self.gi, self.du)
+        return (np.einsum("...ab,...ab->...", du_up, self.du)
+                + np.einsum("...ab,...ba->...", du_up, self.du))
+
+    @cached_property
+    def acc(self) -> np.ndarray:
+        """Flow acceleration u^a nabla_a u_b."""
+        return np.einsum("...a,...ab->...b", self.u_up, self.du)
+
+    @cached_property
+    def dF(self) -> np.ndarray:
+        """d_a F."""
+        return self.grad(self.F)
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -198,24 +238,28 @@ class FieldPatch:
     @cached_property
     def K(self) -> np.ndarray:
         """K_a = d_a F / F."""
-        return self.grad(self.F) / self.F[..., None]
+        return self.dF / self.F[..., None]
 
     @cached_property
     def sigma(self) -> np.ndarray:
         """Shear Sigma_{ab}: doubly projected symmetrized gradient of C."""
-        dC = self.cov_deriv_covector(self.C_lo)
-        sym = dC + np.swapaxes(dC, -1, -2)
-        return np.einsum("...am,...bn,...mn->...ab", self.pi_mixed_T, self.pi_mixed_T, sym)
+        dC = self.cov_deriv_covector(self.C_lo, self.christoffel)
+        return project(self.pi_mixed_T, dC + np.swapaxes(dC, -1, -2))
 
     @cached_property
     def pi_mixed_T(self) -> np.ndarray:
-        """pi_a^m = pi^m_a, arranged as (..., a, m) for projection einsums."""
+        """pi_a^m = pi^m_a, arranged as (..., a, m) for projections."""
         return np.swapaxes(self.pi_mixed, -1, -2)
+
+    @cached_property
+    def sigma_sq(self) -> np.ndarray:
+        """Sigma^{ab} Sigma_{ab} at every node."""
+        return np.einsum("...ab,...ab->...", project(self.gi, self.sigma), self.sigma)
 
     @cached_property
     def sigma_bar(self) -> np.ndarray:
         """Conformal shear built from its definition (conformal derivatives)."""
-        dbarC = self.cov_deriv_covector(self.C_lo, conformal=True)  # (...,a,b)
+        dbarC = self.dbarC  # (...,a,b)
         sym = dbarC + np.swapaxes(dbarC, -1, -2)
         cbar_up = self.u_up / self.F[..., None]
         drift = np.einsum("...l,...la->...a", cbar_up, dbarC)  # Cbar^l nablabar_l C_a
@@ -223,9 +267,10 @@ class FieldPatch:
                       + np.einsum("...b,...a->...ab", drift, self.C_lo))
         return sym - correction
 
-    @cached_property
+    @property
     def theta_tensor(self) -> np.ndarray:
-        """Theta_{ab} = Omega_{ab} - u^l (Omega_{la} u_b + Omega_{lb} u_a)."""
+        """Theta_{ab} = Omega_{ab} - u^l (Omega_{la} u_b + Omega_{lb} u_a); one
+        check reads it, so it is not kept."""
         contr = np.einsum("...l,...la->...a", self.u_up, self.omega)
         return (self.omega
                 - np.einsum("...a,...b->...ab", contr, self.u_lo)
@@ -236,11 +281,30 @@ class FieldPatch:
         return float(np.max(np.abs(arr[sl])))
 
 
+def _gradient(f: np.ndarray, h: float) -> np.ndarray:
+    """Central differences along the four lattice axes, written into one array
+    whose derivative axis sits right after them: (n, n, n, n, 4, *rest)."""
+    out = np.empty(f.shape[:4] + (4,) + f.shape[4:])
+    for a in range(4):
+        out[:, :, :, :, a] = np.gradient(f, h, axis=a, edge_order=2)
+    return out
+
+
+def project(p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """p_am p_bn s_mn at every node, as the batched matmul p @ s @ p^T."""
+    return p @ s @ np.swapaxes(p, -1, -2)
+
+
 def christoffel_from(gl: np.ndarray, gi: np.ndarray, h: float) -> np.ndarray:
-    dg = np.stack([np.gradient(gl, h, axis=a, edge_order=2) for a in range(4)], axis=4)
-    # dg[..., m, r, n] = d_m g_{rn}
-    return 0.5 * np.einsum("...lr,...mrn->...lmn",
-                           gi, dg + np.swapaxes(dg, 4, 6) - np.moveaxis(dg, 4, 5))
+    """Gamma^l_{mn} = g^{lr} (d_m g_{rn} + d_n g_{rm} - d_r g_{mn}) / 2."""
+    dg = _gradient(gl, h)  # dg[..., m, r, n] = d_m g_{rn}
+    # first-kind symbols arranged (..., r, m, n), so raising r is one matmul
+    first = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1)
+    first -= dg
+    del dg
+    gamma = gi @ first.reshape(first.shape[:-3] + (4, 16))
+    gamma *= 0.5
+    return gamma.reshape(first.shape)
 
 
 # -- identity checks -------------------------------------------------------------
@@ -278,12 +342,12 @@ def check_metric_compatibility(patch: FieldPatch) -> IdentityResidual:
 
 
 def _field_conformal_derivative(patch: FieldPatch,
-                                one_form: Callable[[np.ndarray], np.ndarray] = standard_one_form,
                                 drop_trace_term: bool = False) -> np.ndarray:
-    v = one_form(patch.coords)
-    lhs = patch.cov_deriv_covector(v, conformal=True)
-    K = patch.K
-    rhs = (patch.cov_deriv_covector(v)
+    # the conformal side first: its transient connection then peaks before
+    # the plain one is built and cached
+    lhs = patch.dbar_one_form
+    v, K = patch.one_form, patch.K
+    rhs = (patch.dv
            - np.einsum("...a,...b->...ab", K, v)
            - np.einsum("...b,...a->...ab", K, v))
     if not drop_trace_term:
@@ -293,18 +357,17 @@ def _field_conformal_derivative(patch: FieldPatch,
 
 
 def check_conformal_derivative(patch: FieldPatch,
-                               one_form: Callable[[np.ndarray], np.ndarray] = standard_one_form,
                                drop_trace_term: bool = False) -> IdentityResidual:
-    """Conformal covariant derivative against its expansion in K-terms."""
+    """Conformal covariant derivative of the test one-form against its
+    expansion in K-terms."""
     name = "conformal-derivative" + ("-mutated" if drop_trace_term else "")
-    field = _field_conformal_derivative(patch, one_form, drop_trace_term)
+    field = _field_conformal_derivative(patch, drop_trace_term)
     return IdentityResidual(name, patch.interior_max(field), patch.h)
 
 
 def _field_first_shear_identity(patch: FieldPatch,
                                 drop_projection_term: bool = False) -> np.ndarray:
-    dF = patch.grad(patch.F)
-    u_dF = np.einsum("...r,...r->...", patch.u_up, dF)
+    u_dF = np.einsum("...r,...r->...", patch.u_up, patch.dF)
     rhs = patch.sigma
     if not drop_projection_term:
         rhs = rhs + 2.0 * patch.pi_lo * u_dF[..., None, None]
@@ -321,8 +384,7 @@ def check_first_shear_identity(patch: FieldPatch,
 
 
 def _field_second_shear_identity(patch: FieldPatch) -> np.ndarray:
-    dbarC = patch.cov_deriv_covector(patch.C_lo, conformal=True)
-    rhs = 2.0 * np.swapaxes(dbarC, -1, -2) + patch.theta_tensor
+    rhs = 2.0 * np.swapaxes(patch.dbarC, -1, -2) + patch.theta_tensor
     return patch.sigma_bar - rhs
 
 
@@ -336,10 +398,8 @@ def check_second_shear_identity(patch: FieldPatch) -> IdentityResidual:
 
 def _field_acceleration_identity(patch: FieldPatch,
                                  drop_vorticity_term: bool = False) -> np.ndarray:
-    du = patch.cov_deriv_covector(patch.u_lo)  # (..., a, b)
-    lhs = np.einsum("...a,...ab->...b", patch.u_up, du)
-    dF = patch.grad(patch.F)
-    rhs = np.einsum("...ab,...a->...b", patch.pi_mixed, dF) / patch.F[..., None]
+    lhs = patch.acc
+    rhs = np.einsum("...ab,...a->...b", patch.pi_mixed, patch.dF) / patch.F[..., None]
     if not drop_vorticity_term:
         rhs = rhs + np.einsum("...a,...ab->...b", patch.u_up, patch.omega) / patch.F[..., None]
     return lhs - rhs
@@ -355,16 +415,10 @@ def check_acceleration_identity(patch: FieldPatch,
 
 def _field_shear_contraction(patch: FieldPatch,
                              drop_acceleration_term: bool = False) -> np.ndarray:
-    sigma_up = np.einsum("...am,...bn,...mn->...ab", patch.gi, patch.gi, patch.sigma)
-    lhs = np.einsum("...ab,...ab->...", sigma_up, patch.sigma)
-    du = patch.cov_deriv_covector(patch.u_lo)          # nabla_a u_b
-    du_up = np.einsum("...am,...bn,...mn->...ab", patch.gi, patch.gi, du)
-    acc = np.einsum("...a,...ab->...b", patch.u_up, du)
-    acc_sq = np.einsum("...ab,...a,...b->...", patch.gi, acc, acc)
-    rhs = (np.einsum("...ab,...ab->...", du_up, du)
-           + np.einsum("...ab,...ba->...", du_up, du))
+    lhs = patch.sigma_sq
+    rhs = patch.du_sq
     if not drop_acceleration_term:
-        rhs = rhs - acc_sq
+        rhs = rhs - np.einsum("...ab,...a,...b->...", patch.gi, patch.acc, patch.acc)
     rhs = 2.0 * patch.F ** 2 * rhs
     return lhs - rhs
 
@@ -403,9 +457,7 @@ def check_entropy_sign(patch: FieldPatch, vtheta: float = -1.0,
     when vtheta >= 0; the report records that alongside the verdict for the
     requested vtheta.
     """
-    sigma_up = np.einsum("...am,...bn,...mn->...ab", patch.gi, patch.gi, patch.sigma)
-    sq = np.einsum("...ab,...ab->...", sigma_up, patch.sigma)
-    produced = vtheta / (2.0 * patch.F) * sq
+    produced = vtheta / (2.0 * patch.F) * patch.sigma_sq
     sl = (slice(1, -1),) * 4
     mn = float(np.min(produced[sl]))
     mx = float(np.max(produced[sl]))
@@ -431,8 +483,7 @@ def check_projector_algebra(patch: FieldPatch) -> Dict[str, float]:
 
 def _field_velocity_gradient_orthogonality(patch: FieldPatch) -> np.ndarray:
     """u^a nabla_b u_a = 0 (derivative of the exact unit normalization)."""
-    du = patch.cov_deriv_covector(patch.u_lo)  # (..., b, a)
-    return np.einsum("...a,...ba->...b", patch.u_up, du)
+    return np.einsum("...a,...ba->...b", patch.u_up, patch.du)  # du is (..., b, a)
 
 
 #: Convergent identity checks: name -> residual-field function.
@@ -468,10 +519,19 @@ def _nested_max(field: np.ndarray, level: int, base_n: int) -> float:
 
 
 def refinement_table(h: float = 0.1, refine: int = 1, n: int = 9,
-                     include_controls: bool = True) -> List[IdentityResidual]:
+                     include_controls: bool = True,
+                     base: Optional[FieldPatch] = None) -> List[IdentityResidual]:
     """Residuals across k halvings of the spacing, with convergence ratios
-    measured over the shared base-grid interior nodes."""
-    patches = [FieldPatch.standard(h, n)]
+    measured over the shared base-grid interior nodes.
+
+    The coarsest patch is `base` when given (its h and n then stand in for
+    the arguments), else the standard patch; a caller that goes on to probe
+    that patch passes it in, so its fields are computed once.
+    """
+    if base is None:
+        base = FieldPatch.standard(h, n)
+    n = base.n
+    patches = [base]
     for k in range(1, refine + 1):
         patches.append(patches[0].refined(k))
     rows: List[IdentityResidual] = []
@@ -496,7 +556,6 @@ def shear_square_range(patch: FieldPatch) -> Tuple[float, float]:
     signs, so the contraction is pointwise non-negative in any signature;
     the range makes the measured sign structure part of the report.
     """
-    sigma_up = np.einsum("...am,...bn,...mn->...ab", patch.gi, patch.gi, patch.sigma)
-    sq = np.einsum("...ab,...ab->...", sigma_up, patch.sigma)
     sl = (slice(1, -1),) * 4
-    return float(np.min(sq[sl])), float(np.max(sq[sl]))
+    sq = patch.sigma_sq[sl]
+    return float(np.min(sq)), float(np.max(sq))

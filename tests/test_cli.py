@@ -133,8 +133,10 @@ class TestCountFlags:
         (["ens", "verify", "--samples", "0"], "--samples"),
         (["ens", "verify", "--n", "0"], "--n"),
         (["cones", "--factor", "light", "--n", "0"], "--n"),
+        (["lab", "run", "--refine", "0"], "--refine"),
+        (["lab", "run", "--refine", "-1"], "--refine"),
     ], ids=["analyze-samples-0", "analyze-samples-negative", "ens-verify-samples",
-            "ens-verify-n", "cones-n"])
+            "ens-verify-n", "cones-n", "lab-refine-0", "lab-refine-negative"])
     def test_rejected(self, argv, flag, capsys):
         argv = [wave_spec_path() if a == "WAVE" else a for a in argv]
         with pytest.raises(SystemExit) as exit_info:
@@ -142,6 +144,25 @@ class TestCountFlags:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: must be at least 1" in err
+
+
+class TestRealFlags:
+    """A negative or non-finite tolerance fails every sampled factor with no
+    witness; a spacing that is not finite and positive breaks the lab's
+    differences: exit 2, naming the flag."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "WAVE", "--tol", "-1"], "argument --tol: must be at least 0"),
+        (["analyze", "WAVE", "--tol", "nan"], "argument --tol: must be finite"),
+        (["lab", "run", "--h", "0"], "argument --h: must be positive"),
+        (["lab", "run", "--h", "nan"], "argument --h: must be finite"),
+    ], ids=["tol-negative", "tol-nan", "lab-h-0", "lab-h-nan"])
+    def test_rejected(self, argv, message, capsys):
+        argv = [wave_spec_path() if a == "WAVE" else a for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestAnalyzeEns:

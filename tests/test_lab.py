@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lops import lab
+from lops.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +33,43 @@ class TestFlatCases:
     def test_entropy_production_exactly_zero(self, flat):
         rep = lab.check_entropy_sign(flat, vtheta=-1.0)
         assert rep.min_value == 0.0 and rep.max_value == 0.0
+
+
+def einsum_christoffel(gl, gi, h):
+    """Reference: Gamma^l_{mn} = g^{lr} (d_m g_{rn} + d_n g_{rm} - d_r g_{mn}) / 2."""
+    dg = np.stack([np.gradient(gl, h, axis=a, edge_order=2) for a in range(4)], axis=4)
+    return 0.5 * np.einsum("...lr,...mrn->...lmn",
+                           gi, dg + np.swapaxes(dg, 4, 6) - np.moveaxis(dg, 4, 5))
+
+
+class TestContractionKernels:
+    def test_project_matches_einsum(self, patch, flat):
+        for p in (patch, flat):
+            ref = np.einsum("...am,...bn,...mn->...ab", p.pi_mixed_T, p.pi_mixed_T, p.gl)
+            assert np.max(np.abs(lab.project(p.pi_mixed_T, p.gl) - ref)) <= 1e-15
+        assert not flat.sigma.any()
+
+    def test_christoffel_matches_einsum(self, patch, flat):
+        got = lab.christoffel_from(patch.gl, patch.gi, patch.h)
+        ref = einsum_christoffel(patch.gl, patch.gi, patch.h)
+        assert np.max(np.abs(ref)) > 1e-2  # the family is genuinely curved
+        assert np.max(np.abs(got - ref)) <= 1e-15
+        assert not lab.christoffel_from(flat.gl, flat.gi, flat.h).any()
+
+    def test_two_connections_per_patch(self, monkeypatch, capsys):
+        """The plain connection once and the transient conformal one once per
+        patch: a default run (base patch plus one refinement) builds four."""
+        calls = []
+        original = lab.christoffel_from
+
+        def counted(gl, gi, h):
+            calls.append(gl.shape[0])
+            return original(gl, gi, h)
+
+        monkeypatch.setattr(lab, "christoffel_from", counted)
+        assert main(["lab", "run", "--json"]) == 0
+        capsys.readouterr()
+        assert sorted(calls) == [9, 9, 17, 17]
 
 
 class TestPointwiseAlgebra:
