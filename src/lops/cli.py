@@ -85,10 +85,13 @@ def _parse_tol(text: str) -> float:
 
 
 def _parse_spacing(text: str) -> float:
-    """A lattice spacing: the finite differences divide by it."""
+    """A lattice spacing: the finite differences divide by it and the
+    entropy bound scales with its square."""
     value = _parse_finite(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not math.isfinite(value * value):
+        raise argparse.ArgumentTypeError(f"its square overflows, got {text}")
     return value
 
 
@@ -262,7 +265,7 @@ def cmd_ens_verify(args) -> int:
         n_dirs=args.n, seed=args.seed)
     report["sampled_root_nonnegativity"] = {
         "name": sampled.name, "ok": sampled.ok, "detail": sampled.detail}
-    deg = ens.degeneration_report()
+    deg = ens.degeneration_report(main.quartic)
     report["degeneration"] = deg.to_json()
 
     # the claimed-table mismatch is a reported finding, not a failure: the
@@ -431,7 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab = sub.add_parser("lab", help="finite-difference identity lab")
     lab_sub = p_lab.add_subparsers(dest="lab_command", required=True)
     p_run = lab_sub.add_parser("run", help="residual and convergence tables")
-    common(p_run)
+    p_run.add_argument("--seed", type=int, default=0,
+                       help="accepted for symmetry with the other commands; the lab "
+                            "draws nothing at random")
+    p_run.add_argument("--json", action="store_true")
+    p_run.add_argument("--out", default=None)
     p_run.add_argument("--h", type=_parse_spacing, default=0.1)
     p_run.add_argument("--refine", type=_parse_count, default=1)
     p_run.set_defaults(func=cmd_lab)

@@ -16,7 +16,6 @@ flag rather than assuming either.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -559,21 +558,26 @@ def vorticity_velocity_block(dynamic_velocity: str = "on_data"):
 
 @lru_cache(maxsize=1)
 def derive_quartic_from_block() -> Poly:
-    """P(xi) extracted from the 10 x 10 block determinant by exact division.
-
-    The block determinant equals F^3 (F+q)^2 (u.xi)^6 (light)^2 * P on data;
-    divisibility failure would falsify the reference factorization, so the
-    division is the verification.
-    """
+    """P(xi) extracted from the 10 x 10 block determinant by exact division
+    (see `_quartic_from_block`)."""
     from .matrix import determinant
 
-    det = determinant(vorticity_velocity_block("on_data"))
+    return _quartic_from_block(determinant(vorticity_velocity_block("on_data")))
+
+
+def _quartic_from_block(det: Poly) -> Poly:
+    """P(xi) = det / (F^3 (F+q)^2 (u.xi)^6 (light)^2) for the determinant
+    of the specialized on-data vorticity/velocity block.
+
+    The block determinant equals that prefactor times P on data;
+    divisibility failure (NotDivisibleError) would falsify the reference
+    factorization, so the division is the verification.
+    """
     uxi = _flow(U)
     light = _light_cone("specialized")
     F = Poly.atom(F_ATOM)
     A = F + Poly.atom(Q_ATOM)
-    pref = F ** 3 * A ** 2 * uxi ** 6 * light ** 2
-    return det.exact_div(pref)
+    return det.exact_div(F ** 3 * A ** 2 * uxi ** 6 * light ** 2)
 
 
 def reference_factor_claim(metric: str = "specialized") -> FactorClaim:
@@ -667,6 +671,8 @@ class VerifyItem:
 @dataclass
 class EnsVerifyReport:
     items: List[VerifyItem]
+    # the derived quartic factor P, for reports that reuse it; not in to_json
+    quartic: Optional[Poly] = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -732,6 +738,7 @@ def _numeric_det(rows: List[List[Fraction]]) -> Fraction:
 
 
 def _evaluate_matrix(mat, assign) -> List[List[Fraction]]:
+    """Entry values of a symbol matrix under one assignment."""
     out = []
     for row in mat.entries:
         out.append([e.eval(assign) if not e.is_zero() else Fraction(0) for e in row])
@@ -743,14 +750,19 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     """Symbolic and numeric determinant verification.
 
     Symbolic path: the specialized system's factored determinant is checked
-    against the reference factor table by exact-division cancellation, the
-    three simple diagonal blocks against their closed forms, and the quartic
-    factor is re-derived from the vorticity/velocity block.  Numeric path:
-    at random rational states with fully general Lorentzian metric, the
-    whole 25 x 25 determinant and the 10 x 10 block (against the
-    independent cofactor oracle) are evaluated exactly.
+    against the reference factor table by exact-division cancellation and
+    the three simple diagonal blocks against their closed forms.  The
+    quartic factor P comes from the same factored determinant: it is
+    divided out of the vorticity/velocity block's determinant, which is
+    one of its factors, and the report carries it as `quartic`.
+
+    Numeric path: at random rational states with fully general Lorentzian
+    metric, the whole 25 x 25 determinant and the 10 x 10 block (against
+    the independent cofactor oracle) are evaluated exactly.  One batched
+    evaluation gives, per state, every nonzero matrix entry, the wave cone,
+    u.xi and the reference factors.
     """
-    from .matrix import (Factorization, build_symbol_matrix,
+    from .matrix import (Factorization, block_order, build_symbol_matrix,
                          cofactor_determinant_rational, determinant,
                          determinant_factors, factored_xi_degree,
                          verify_factorization_product)
@@ -791,7 +803,8 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
             detail = f"division failed: {err}"
         items.append(VerifyItem(name, ok, detail))
 
-    P = derive_quartic_from_block()
+    # P from this run's own vorticity/velocity block determinant
+    P = _quartic_from_block(dets[block_order(mat).index(list(range(15, 25)))])
     A, B, C = quartic_coefficients()
     closed = A * XIP[0] ** 4 + B * XIP[0] ** 2 + C
     items.append(VerifyItem("vorticity-block-quartic", P == closed,
@@ -803,36 +816,48 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     # numeric path: draw all samples first (sequential RNG keeps reports
     # byte-identical for a fixed seed no matter the worker count)
     rng = random.Random(seed)
-    sys_gen = build_ens_system("general", "on_data")
-    mat_gen = build_symbol_matrix(sys_gen)
-    idx10 = list(range(15, 25))
-    block10 = mat_gen.submatrix(idx10, idx10)
-    light_gen = _light_cone("general")
-    samples = []
+    mat_gen = build_symbol_matrix(build_ens_system("general", "on_data"))
+    n = mat_gen.dimension
+    cells = [(i, j) for i in range(n) for j in range(n) if mat_gen.entries[i][j]]
+    ref = reference_factor_claim("general")
+    polys = ([mat_gen.entries[i][j] for i, j in cells]
+             + [_light_cone("general"), uxi, ref.prefactor] + [p for p, _ in ref.factors])
+    atoms = sorted(set().union(*(p.atoms() for p in polys)), key=lambda a: a.sort_key)
+    states = []
+    points = []
     for _ in range(state_samples):
         state = random_state(rng, max_entry=8)
         xi_pt = [Fr(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
-        samples.append((state, xi_pt))
+        assign = state.assignment()
+        assign.update(zip(XI, xi_pt))
+        states.append(state)
+        points.append([(assign[a].numerator, assign[a].denominator) for a in atoms])
+    rows = [[Fr(num, den) for num, den in row] for row in eval_rows(polys, atoms, points)]
+    idx10 = range(15, 25)
 
     def check_sample(pair) -> Tuple[bool, bool]:
-        state, xi_pt = pair
-        assign = dict(state.assignment())
-        for i in range(4):
-            assign[XI[i]] = xi_pt[i]
-        full = _numeric_det(_evaluate_matrix(mat_gen, assign))
-        full_ok = full == reference_product_value(state, xi_pt)
-        oracle = cofactor_determinant_rational(_evaluate_matrix(block10, assign))
-        lightv = light_gen.eval(assign)
-        uxiv = uxi.eval(assign)
+        state, row = pair
+        values = iter(row)
+        full_rows = [[Fr(0)] * n for _ in range(n)]
+        for (i, j), v in zip(cells, values):
+            full_rows[i][j] = v
+        lightv, uxiv, reference = next(values), next(values), next(values)
+        for (_, mult), v in zip(ref.factors, values):
+            reference *= v ** mult
+        full_ok = _numeric_det(full_rows) == reference
+        oracle = cofactor_determinant_rational([[full_rows[i][j] for j in idx10]
+                                                for i in idx10])
         pval = (state.F + state.q) * lightv ** 2
         expected = state.F ** 3 * (state.F + state.q) ** 2 * uxiv ** 6 * lightv ** 2 * pval
         return full_ok, oracle == expected
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check_sample, samples))
+            results = list(pool.map(check_sample, zip(states, rows)))
     else:
-        results = [check_sample(s) for s in samples]
+        results = [check_sample(s) for s in zip(states, rows)]
     mismatches = sum(1 for ok, _ in results if not ok)
     block_mismatches = sum(1 for _, ok in results if not ok)
     items.append(VerifyItem(
@@ -843,13 +868,18 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
         f"{state_samples} states vs independent cofactor expansion, "
         f"{block_mismatches} mismatches"))
 
-    return EnsVerifyReport(items)
+    return EnsVerifyReport(items, quartic=P)
 
 
-def degeneration_report() -> EnsVerifyReport:
-    """Exact q -> 0 degeneration of the quartic factor and the factor table."""
+def degeneration_report(P: Optional[Poly] = None) -> EnsVerifyReport:
+    """Exact q -> 0 degeneration of the quartic factor and the factor table.
+
+    P is the derived quartic factor; when omitted it is derived from the
+    vorticity/velocity block (`derive_quartic_from_block`).
+    """
     items: List[VerifyItem] = []
-    P = derive_quartic_from_block()
+    if P is None:
+        P = derive_quartic_from_block()
     zero_q = {Q_ATOM: Poly.zero()}
     mink = {GM[i]: Poly.constant(-1) for i in range(3)}
     P0 = P.substitute(zero_q).substitute(mink)

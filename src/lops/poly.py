@@ -483,23 +483,30 @@ class Poly:
     # -- evaluation and substitution ----------------------------------------
 
     def _eval_plan(self):
-        """(atoms, largest exponent per atom, (coefficient, ((atom number,
-        exponent), ...)) per term), built once per polynomial: state samples
-        evaluate the same entries at many points."""
+        """(atoms, largest exponent per atom, degree groups), built once per
+        polynomial: state samples evaluate the same entries at many points.
+        The groups are (total degree, rows) in ascending degree, one row
+        (coefficient, ((atom number, exponent), ...)) per term; the packed
+        monomial's lowest field is the total degree."""
         if self._plan is None:
             atoms = sorted(self.atoms(), key=lambda a: _OFFSETS[a])
-            offs = [_OFFSETS[a] for a in atoms]
-            rows = []
+            number = {_OFFSETS[a]: k for k, a in enumerate(atoms)}
+            groups: Dict[int, list] = {}
             tops = [0] * len(atoms)
             for m, c in self._t.items():
                 pairs = []
-                for k, off in enumerate(offs):
-                    e = (m >> off) & _MASK
-                    if e:
-                        pairs.append((k, e))
-                        tops[k] = max(tops[k], e)
-                rows.append((c, tuple(pairs)))
-            self._plan = (atoms, tops, rows)
+                rest, off = m >> _BITS, _BITS
+                while rest:  # visit the nonzero exponent fields only
+                    skip = ((rest & -rest).bit_length() - 1) // _BITS * _BITS
+                    rest >>= skip
+                    off += skip
+                    k, e = number[off], rest & _MASK
+                    pairs.append((k, e))
+                    tops[k] = max(tops[k], e)
+                    rest >>= _BITS
+                    off += _BITS
+                groups.setdefault(m & _MASK, []).append((c, tuple(pairs)))
+            self._plan = (atoms, tops, sorted(groups.items()))
         return self._plan
 
     def eval(self, assignment: Mapping[Atom, Scalar]) -> Fraction:
@@ -507,7 +514,7 @@ class Poly:
         the one-point, one-polynomial case of `eval_rows`."""
         if not self._t:
             return Fraction(0)
-        atoms, tops, rows = self._eval_plan()
+        atoms = self._eval_plan()[0]
         point = []
         for a in atoms:
             try:
@@ -517,7 +524,7 @@ class Poly:
             if not isinstance(v, (int, Fraction)):
                 v = Fraction(v)
             point.append((v.numerator, v.denominator))
-        (num, den), = _point_values(((self._c, rows),), tops, point)
+        (num, den), = next(eval_rows((self,), atoms, (point,)))
         return Fraction(num, den)
 
     def substitute(self, bindings: Mapping[Atom, "Poly"]) -> "Poly":
@@ -710,57 +717,76 @@ def eval_rows(polys: Sequence["Poly"], atoms: Sequence[Atom],
     (numerator, denominator) pair per polynomial, its value at the point.
     The denominator is positive and the pair is not reduced, so test it for
     zero by its numerator and take its float as numerator / denominator
-    (correctly rounded, like `float(Fraction)`).  A point's power tables
-    are built once and shared by every polynomial.
+    (correctly rounded, like `float(Fraction)`).  Each point's coordinates
+    go over one common denominator, their power tables are built once and
+    shared by every polynomial, and each polynomial sums its terms with
+    integer multiplications only (see `_point_values`).
     """
     slots = {a: k for k, a in enumerate(atoms)}
     tops = [0] * len(atoms)
-    plans = []
+    placed = []
     for p in polys:
-        p_atoms, p_tops, rows = p._eval_plan()
+        p_atoms, p_tops, groups = p._eval_plan()
         try:
             where = [slots[a] for a in p_atoms]
         except KeyError as err:
             raise MissingAtomError(f"no value for atom {err.args[0].name}") from None
         for k, top in zip(where, p_tops):
             tops[k] = max(tops[k], top)
-        if where != list(range(len(where))):
-            rows = [(c, tuple((where[k], e) for k, e in pairs)) for c, pairs in rows]
-        plans.append((p._c, rows))
-    return (_point_values(plans, tops, point) for point in points)
+        placed.append((p._c, where, groups))
+    # one flat power table per point: N**1..N**E of each atom in use, so
+    # that N**e of atom k sits at start[k] + e
+    used = [k for k, top in enumerate(tops) if top]
+    start = [0] * len(atoms)
+    size = 0
+    for k in used:
+        start[k] = size - 1
+        size += tops[k]
+    plans = []
+    for content, where, groups in placed:
+        at = [start[k] for k in where]
+        plans.append((content, [(deg, [(c, tuple([at[k] + e for k, e in pairs]))
+                                       for c, pairs in rows])
+                                for deg, rows in groups]))
+    top_degree = max((groups[-1][0] for _, groups in plans if groups), default=0)
+    return (_point_values(plans, used, tops, top_degree, point) for point in points)
 
 
-def _point_values(plans, tops: Sequence[int],
+def _point_values(plans, used: Sequence[int], tops: Sequence[int], top_degree: int,
                   point: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """(numerator, denominator) of each planned polynomial at one point.
 
-    With coordinate a = n_a/d_a and E_a the largest exponent of a, every
-    term is scaled by D = prod d_a**E_a: a term contributes c * prod
-    n_a**e * d_a**(E_a - e) over its own atoms, times D / prod d_a**E_a
-    over the same atoms, so the sum is an integer and the value is that
-    sum over D.
+    The coordinates in use go over their common denominator L, the lcm of
+    their denominators: a = n_a/d_a = N_a/L with N_a = n_a * (L/d_a).  A
+    term of total degree k is then c * prod N_a**e over L**k, so each degree
+    group of a polynomial sums to an integer S_k with multiplications only,
+    and a polynomial of top degree K has the value sum_k S_k * L**(K-k) over
+    L**K (accumulated by Horner's rule in L), times its content.
     """
-    tables = []  # per atom: n**e * d**(E - e) for e = 0..E; entry 0 is d**E
-    scale = 1
-    for (n, d), top in zip(point, tops):
-        npow = [1] * (top + 1)
-        dpow = [1] * (top + 1)
-        for e in range(1, top + 1):
-            npow[e] = npow[e - 1] * n
-            dpow[e] = dpow[e - 1] * d
-        tables.append([npow[e] * dpow[top - e] for e in range(top + 1)])
-        scale *= dpow[top]
+    L = math.lcm(*[point[k][1] for k in used])
+    table = []
+    for k in used:
+        n, d = point[k]
+        v = x = n * (L // d)
+        table.append(x)
+        for _ in range(tops[k] - 1):
+            x *= v
+            table.append(x)
+    lpow = [1]
+    for _ in range(top_degree):
+        lpow.append(lpow[-1] * L)
     out = []
-    for content, rows in plans:
-        total = 0
-        for c, pairs in rows:
-            own = 1
-            for k, e in pairs:
-                tab = tables[k]
-                c *= tab[e]
-                own *= tab[0]
-            total += c * (scale // own)
-        out.append((total * content.numerator, scale * content.denominator))
+    for content, groups in plans:
+        total = prev = 0
+        for deg, rows in groups:
+            s = 0
+            for c, idx in rows:
+                for i in idx:
+                    c *= table[i]
+                s += c
+            total = total * lpow[deg - prev] + s
+            prev = deg
+        out.append((total * content.numerator, lpow[prev] * content.denominator))
     return out
 
 

@@ -156,13 +156,20 @@ class TestRealFlags:
         (["analyze", "WAVE", "--tol", "nan"], "argument --tol: must be finite"),
         (["lab", "run", "--h", "0"], "argument --h: must be positive"),
         (["lab", "run", "--h", "nan"], "argument --h: must be finite"),
-    ], ids=["tol-negative", "tol-nan", "lab-h-0", "lab-h-nan"])
+        (["lab", "run", "--h", "1e200"], "argument --h: its square overflows"),
+        (["lab", "run", "--tol", "-1"], "unrecognized arguments: --tol -1"),
+    ], ids=["tol-negative", "tol-nan", "lab-h-0", "lab-h-nan", "lab-h-huge", "lab-tol"])
     def test_rejected(self, argv, message, capsys):
         argv = [wave_spec_path() if a == "WAVE" else a for a in argv]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_large_spacing_is_a_verdict(self, capsys):
+        # a spacing far too coarse for the differences fails the checks
+        assert main(["lab", "run", "--h", "5"]) == 1
+        assert "overall: FAIL" in capsys.readouterr().out
 
 
 class TestAnalyzeEns:

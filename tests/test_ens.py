@@ -184,6 +184,28 @@ class TestVerification:
         rep = ens.degeneration_report()
         assert rep.ok, "\n".join(i.line() for i in rep.items)
 
+    def test_quartic_from_own_block_determinant(self):
+        rep = ens.verify_ens_determinant(state_samples=0)
+        assert rep.quartic == ens.derive_quartic_from_block()
+        assert "quartic" not in rep.to_json()
+        assert ens.degeneration_report(rep.quartic).to_json() == ens.degeneration_report().to_json()
+
+    def test_block_determinant_expanded_once_per_cli_run(self, monkeypatch, capsys):
+        from lops import matrix
+        from lops.cli import main
+        calls = []
+        expand = matrix._sparse_expansion
+
+        def counted(entries):
+            calls.append(len(entries))
+            return expand(entries)
+
+        monkeypatch.setattr(matrix, "_sparse_expansion", counted)
+        ens.derive_quartic_from_block.cache_clear()  # as in a fresh process
+        assert main(["ens", "verify", "--samples", "1", "--n", "10"]) == 0
+        assert calls == [10]
+        assert capsys.readouterr().out.endswith("overall: pass\n")
+
     def test_minkowski_inequality_identities(self):
         rep = ens.minkowski_inequality_identities()
         assert rep.ok, "\n".join(i.line() for i in rep.items)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -108,6 +109,24 @@ class TestEval:
             consts = {a: Poly.constant(v) for a, v in pt.items()}
             assert [Fr(n, d) for n, d in row] == [p.substitute(consts).as_constant() for p in ps]
             assert all(d > 0 for _, d in row)
+
+    @given(st.lists(polys(max_exp=4), max_size=3),
+           st.permutations([1, 2, 3, 5, 7, 11, 13, 17]),
+           st.lists(st.integers(-9, 9), min_size=len(ATOM_POOL), max_size=len(ATOM_POOL)))
+    @settings(max_examples=100, deadline=None)
+    def test_common_denominator_values(self, ps, dens, nums):
+        # pairwise-coprime denominators make the common denominator their
+        # product; numerators include zero, negatives and shared factors
+        ps = ps + [Poly.zero(), Poly.constant(Fr(-5, 3)) + X0 * X1 ** 2 - F + Q ** 4 * X2]
+        point = {a: Fr(n, d) for a, n, d in zip(ATOM_POOL, nums, dens)}
+        expected = [sum((c * math.prod(point[a] ** e for a, e in mono) for mono, c in p.terms()),
+                        Fr(0))
+                    for p in ps]
+        row, = eval_rows(ps, ATOM_POOL, [list(zip(nums, dens))])
+        assert all(den > 0 for _, den in row)
+        assert [Fr(num, den) for num, den in row] == expected
+        assert [num / den for num, den in row] == [float(v) for v in expected]
+        assert [p.eval(point) for p in ps] == expected
 
     def test_eval_rows_missing_atom(self):
         with pytest.raises(MissingAtomError):
