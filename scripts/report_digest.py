@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Print one sha256 per report over a fixed set of `lops` runs.
+
+Runs `lops.cli.main` in-process on every surface and prints, per report,
+its exit code and the sha256 of its bytes.  Run it against two checkouts
+and diff the outputs to see which reports a change moved:
+
+    python scripts/report_digest.py [SRC_DIR] > digests.txt
+
+SRC_DIR is the `src` directory holding the `lops` package to exercise
+(default: the one beside this script).  The sweep specs come from this
+checkout's `perfbench/specgen.py`: the 50 specs of seed 7.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+
+
+def digest(main, argv, out_path=None):
+    """(exit code, sha256) of one run's report: stdout, or the --out file."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv + (["--out", out_path] if out_path else []))
+    if out_path:
+        with open(out_path, "rb") as fh:
+            data = fh.read()
+    else:
+        data = buf.getvalue().encode()
+    return code, hashlib.sha256(data).hexdigest()
+
+
+def runs(ens_spec, tmp):
+    yield "analyze-ens.json", ["analyze", ens_spec, "--json"], None
+    yield "analyze-ens.txt", ["analyze", ens_spec], None
+    yield "ens-verify-20.json", ["ens", "verify", "--samples", "20", "--json"], None
+    yield "ens-verify-q0.txt", ["ens", "verify", "--q", "0"], None
+    for factor in ("light", "flow", "cubic", "P1", "P2"):
+        yield f"cones-{factor}.json", ["cones", "--factor", factor, "--n", "1000", "--json"], None
+    yield ("cones-cubic.csv", ["cones", "--factor", "cubic", "--n", "1000"],
+           os.path.join(tmp, "cones.csv"))
+    yield "lab-run.json", ["lab", "run", "--json"], None
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from specgen import write_batch
+    for path, _ in write_batch(7, 50, os.path.join(tmp, "sweep")):
+        yield f"sweep/{os.path.basename(path)}", ["analyze", path, "--json"], None
+
+
+def main():
+    src = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else os.path.join(ROOT, "src"))
+    sys.path.insert(0, src)
+    from lops import ens_spec_path
+    from lops.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv, out_path in runs(ens_spec_path(), tmp):
+            code, sha = digest(cli_main, argv, out_path)
+            print(f"{sha}  exit={code}  {name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -86,23 +86,26 @@ def _parse_tol(text: str) -> float:
 
 def _parse_spacing(text: str) -> float:
     """A lattice spacing: the finite differences divide by it and the
-    entropy bound scales with its square."""
+    entropy bound scales with its square, so that bound must be finite."""
     value = _parse_finite(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    if not math.isfinite(value * value):
-        raise argparse.ArgumentTypeError(f"its square overflows, got {text}")
+    if not math.isfinite(lab.entropy_bound(value)):
+        raise argparse.ArgumentTypeError(
+            f"its square overflows the entropy bound {lab.ENTROPY_BOUND_FACTOR:g}*h^2, "
+            f"got {text}")
     return value
 
 
 def _emit(payload, args, renderer=None) -> None:
-    if getattr(args, "json", False) or renderer is None:
+    """Write a report to --out, or to stdout: JSON under --json or without a
+    renderer, else the renderer's text."""
+    if args.json or renderer is None:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         text = renderer(payload)
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -326,21 +329,14 @@ def cmd_cones(args) -> int:
     samples = cone_sample(polys[args.factor], args.tau, assign, n=args.n,
                           seed=args.seed, tol=args.tol, factor_id=args.factor,
                           reference=polys["light"])
-    if args.json:
-        payload = {
-            "factor": samples.factor_id,
-            "tau": list(samples.tau),
-            "rows": [{"direction": list(d), "roots": r}
-                     for d, r in zip(samples.directions, samples.roots)],
-            "all_within_reference_cone": samples.all_within_reference,
-        }
-        _emit(payload, args)
-    else:
-        text = "\n".join(samples.csv_lines()) + "\n"
-        if args.out:
-            open(args.out, "w").write(text)
-        else:
-            sys.stdout.write(text)
+    payload = {
+        "factor": samples.factor_id,
+        "tau": list(samples.tau),
+        "rows": [{"direction": list(d), "roots": r}
+                 for d, r in zip(samples.directions, samples.roots)],
+        "all_within_reference_cone": samples.all_within_reference,
+    }
+    _emit(payload, args, renderer=lambda _: "\n".join(samples.csv_lines()) + "\n")
     ok = samples.all_within_reference is None or samples.all_within_reference
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -367,15 +363,17 @@ def cmd_lab(args) -> int:
         "shear_square_range": list(sq_range),
         "ok": ok,
     }
-    if args.out and args.out.endswith(".csv"):
-        lines = ["identity,h,residual,ratio"]
-        for r in rows:
-            ratio = "" if r.ratio is None else f"{r.ratio:.6g}"
-            lines.append(f"{r.name},{r.h:.6g},{r.residual:.12g},{ratio}")
-        open(args.out, "w").write("\n".join(lines) + "\n")
-    else:
-        _emit(payload, args, renderer=_render_lab)
+    csv_out = args.out is not None and args.out.endswith(".csv")
+    _emit(payload, args, renderer=_render_lab_csv if csv_out else _render_lab)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def _render_lab_csv(payload: Dict) -> str:
+    lines = ["identity,h,residual,ratio"]
+    for r in payload["residuals"]:
+        ratio = f"{r['ratio']:.6g}" if "ratio" in r else ""
+        lines.append(f"{r['identity']},{r['h']:.6g},{r['residual']:.12g},{ratio}")
+    return "\n".join(lines) + "\n"
 
 
 def _render_lab(payload: Dict) -> str:
@@ -399,27 +397,32 @@ def build_parser() -> argparse.ArgumentParser:
                                              "systems with per-block derivative indices")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, samples_default=1000):
-        p.add_argument("--tau", type=_parse_tau, default=[Fraction(1), Fraction(0),
-                                                          Fraction(0), Fraction(0)],
-                       help="time direction covector, four comma-separated rationals")
-        p.add_argument("--samples", type=_parse_count, default=samples_default)
-        p.add_argument("--tol", type=_parse_tol, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--out", default=None)
-        p.add_argument("--q", type=_parse_fraction, default=None)
-        p.add_argument("--F", type=_parse_fraction, default=None)
+    def flags(p, *names, samples_default=1000):
+        """Add the named shared flags: only those the handler reads."""
+        spec = {
+            "--tau": dict(type=_parse_tau,
+                          default=[Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
+                          help="time direction covector, four comma-separated rationals"),
+            "--samples": dict(type=_parse_count, default=samples_default),
+            "--tol": dict(type=_parse_tol, default=1e-9),
+            "--seed": dict(type=int, default=0),
+            "--json": dict(action="store_true"),
+            "--out": dict(default=None),
+            "--q": dict(type=_parse_fraction, default=None),
+            "--F": dict(type=_parse_fraction, default=None),
+        }
+        for name in names:
+            p.add_argument(name, **spec[name])
 
     p_an = sub.add_parser("analyze", help="analyze a system spec file")
     p_an.add_argument("input")
-    common(p_an)
+    flags(p_an, "--tau", "--samples", "--tol", "--seed", "--json", "--out", "--q", "--F")
     p_an.set_defaults(func=cmd_analyze)
 
     p_ens = sub.add_parser("ens", help="reference-instance commands")
     ens_sub = p_ens.add_subparsers(dest="ens_command", required=True)
     p_ver = ens_sub.add_parser("verify", help="verify the reference system end to end")
-    common(p_ver, samples_default=100)
+    flags(p_ver, "--samples", "--seed", "--json", "--out", "--q", "--F", samples_default=100)
     p_ver.add_argument("--n", type=_parse_count, default=10_000,
                        help="sphere directions for the sampled root check")
     p_ver.set_defaults(func=cmd_ens_verify)
@@ -428,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cone.add_argument("--factor", required=True,
                         help=f"one of: {', '.join(ens.FACTOR_NAMES)}")
     p_cone.add_argument("--n", type=_parse_count, default=100)
-    common(p_cone)
+    flags(p_cone, "--tau", "--tol", "--seed", "--json", "--out", "--q", "--F")
     p_cone.set_defaults(func=cmd_cones)
 
     p_lab = sub.add_parser("lab", help="finite-difference identity lab")
@@ -437,8 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0,
                        help="accepted for symmetry with the other commands; the lab "
                             "draws nothing at random")
-    p_run.add_argument("--json", action="store_true")
-    p_run.add_argument("--out", default=None)
+    flags(p_run, "--json", "--out")
     p_run.add_argument("--h", type=_parse_spacing, default=0.1)
     p_run.add_argument("--refine", type=_parse_count, default=1)
     p_run.set_defaults(func=cmd_lab)

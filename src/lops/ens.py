@@ -32,10 +32,6 @@ Fr = Fraction
 SYM_PAIRS = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 ANTISYM_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
-MULTIPLICITIES = (10, 1, 4, 6, 4)
-INDICES_M = (3, 2, 2, 1, 2)
-INDICES_N = (1, 0, 0, 0, 0)
-
 
 def _sym_slot(a: int, b: int) -> int:
     return SYM_PAIRS.index((a, b) if a <= b else (b, a))
@@ -106,8 +102,8 @@ def build_ens_system(metric: str = "specialized",
     else:
         cxi = _flow(CV)
 
-    gl = _metric_lower_polys(metric)
-    giu = _metric_upper_polys(metric)
+    gl = _metric_polys(metric, GL, GLM)
+    giu = _metric_polys(metric, GI, GM)
 
     unknowns = [
         UnknownBlock("g", 10, 3),
@@ -246,24 +242,17 @@ def build_ens_system(metric: str = "specialized",
     return LeraySystem(unknowns, equations, entries, deps, params, assigns, claim)
 
 
-def _metric_lower_polys(metric: str) -> List[List[Poly]]:
+def _metric_polys(metric: str, general: Sequence[Sequence[Atom]],
+                  spatial: Sequence[Atom]) -> List[List[Poly]]:
+    """A 4x4 metric of atoms: all of `general`, or diag(1, spatial) when
+    specialized."""
     if metric == "general":
-        return [[Poly.atom(GL[a][b]) for b in range(4)] for a in range(4)]
-    gl = [[Poly.zero()] * 4 for _ in range(4)]
-    gl[0][0] = Poly.one()
+        return [[Poly.atom(general[a][b]) for b in range(4)] for a in range(4)]
+    g = [[Poly.zero()] * 4 for _ in range(4)]
+    g[0][0] = Poly.one()
     for i in range(3):
-        gl[i + 1][i + 1] = Poly.atom(GLM[i])
-    return gl
-
-
-def _metric_upper_polys(metric: str) -> List[List[Poly]]:
-    if metric == "general":
-        return [[Poly.atom(GI[a][b]) for b in range(4)] for a in range(4)]
-    gi = [[Poly.zero()] * 4 for _ in range(4)]
-    gi[0][0] = Poly.one()
-    for i in range(3):
-        gi[i + 1][i + 1] = Poly.atom(GM[i])
-    return gi
+        g[i + 1][i + 1] = Poly.atom(spatial[i])
+    return g
 
 
 def _param_decls(metric: str, dynamic_velocity: str) -> List[ParamDecl]:
@@ -502,20 +491,45 @@ def validate_state(state: FluidState, eos: Optional[EquationOfState] = None) -> 
     return StateReport(checks)
 
 
-def _invert4(m: List[List[Fraction]]) -> Optional[List[List[Fraction]]]:
-    n = 4
-    a = [row[:] + [Fr(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _forward_eliminate(a: List[List[Fraction]], n: int) -> int:
+    """Gaussian elimination below the pivots of the first n columns, in place.
+
+    Rows may be wider than n; every column right of the pivot is updated.
+    Returns the sign of the row swaps, or 0 when the leading n x n block is
+    singular.
+    """
+    sign = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
         if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        inv = 1 / pivot_row[k]
+        for i in range(k + 1, n):
+            f = a[i][k] * inv
+            if f:
+                row = a[i]
+                for j in range(k, len(row)):
+                    row[j] -= f * pivot_row[j]
+    return sign
+
+
+def _invert4(m: List[List[Fraction]]) -> Optional[List[List[Fraction]]]:
+    """Exact inverse: forward elimination on [m | I], then back substitution."""
+    n = len(m)
+    a = [row[:] + [Fr(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
+    if not _forward_eliminate(a, n):
+        return None
+    for k in reversed(range(n)):
+        scale = a[k][k]
+        a[k] = pivot_row = [x / scale for x in a[k]]
+        for r in range(k):
+            f = a[r][k]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], pivot_row)]
     return [row[n:] for row in a]
 
 
@@ -606,22 +620,6 @@ def reference_factor_claim(metric: str = "specialized") -> FactorClaim:
 
 
 FACTOR_NAMES = ("light", "flow", "cubic", "P1", "P2")
-
-
-@dataclass(frozen=True)
-class EnsReferenceValues:
-    """Frozen reference constants for the instance."""
-
-    multiplicities: Tuple[int, ...] = MULTIPLICITIES
-    m_indices: Tuple[int, ...] = INDICES_M
-    n_indices: Tuple[int, ...] = INDICES_N
-    total_order: int = 44
-    factor_count: int = 24
-    sigma0: Fraction = Fr(24, 23)
-    factor_multiplicities: Tuple[int, ...] = (14, 6, 2, 1, 1)
-
-
-REFERENCE = EnsReferenceValues()
 
 
 # -- claimed (hand-derived) quartic coefficients --------------------------------
@@ -716,25 +714,11 @@ def reference_product(state: FluidState) -> Poly:
 
 
 def _numeric_det(rows: List[List[Fraction]]) -> Fraction:
-    n = len(rows)
     a = [r[:] for r in rows]
-    det = Fraction(1)
-    sign = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return det if sign > 0 else -det
+    det = Fraction(_forward_eliminate(a, len(a)))
+    for k, row in enumerate(a):
+        det *= row[k]
+    return det
 
 
 def _evaluate_matrix(mat, assign) -> List[List[Fraction]]:
@@ -757,15 +741,17 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     one of its factors, and the report carries it as `quartic`.
 
     Numeric path: at random rational states with fully general Lorentzian
-    metric, the whole 25 x 25 determinant and the 10 x 10 block (against
-    the independent cofactor oracle) are evaluated exactly.  One batched
-    evaluation gives, per state, every nonzero matrix entry, the wave cone,
-    u.xi and the reference factors.
+    metric, the whole 25 x 25 determinant (Gaussian elimination) is compared
+    with the reference product, and the 10 x 10 block with its closed form
+    through the cofactor oracle, `matrix.laplace_determinant` (no pivots, no
+    division).  All values are exact.  One batched evaluation gives, per
+    state, every nonzero matrix entry, the wave cone, u.xi and the reference
+    factors.  `threads` > 1 checks the states on that many worker threads;
+    the report does not depend on it.
     """
     from .matrix import (Factorization, block_order, build_symbol_matrix,
-                         cofactor_determinant_rational, determinant,
-                         determinant_factors, factored_xi_degree,
-                         verify_factorization_product)
+                         determinant, determinant_factors, factored_xi_degree,
+                         laplace_determinant, verify_factorization_product)
     from .system import total_order, validate_structure
 
     items: List[VerifyItem] = []
@@ -845,8 +831,7 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
         for (_, mult), v in zip(ref.factors, values):
             reference *= v ** mult
         full_ok = _numeric_det(full_rows) == reference
-        oracle = cofactor_determinant_rational([[full_rows[i][j] for j in idx10]
-                                                for i in idx10])
+        oracle = laplace_determinant([[full_rows[i][j] for j in idx10] for i in idx10])
         pval = (state.F + state.q) * lightv ** 2
         expected = state.F ** 3 * (state.F + state.q) ** 2 * uxiv ** 6 * lightv ** 2 * pval
         return full_ok, oracle == expected

@@ -16,6 +16,7 @@ is never cached beside the plain connection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
@@ -447,8 +448,20 @@ class EntropySignReport:
                 "pointwise_nonnegative_for": self.nonneg_convention}
 
 
+#: the entropy probe's finite-difference tolerance is this factor times h^2
+ENTROPY_BOUND_FACTOR = 10.0
+
+
+def entropy_bound(h: float, bound_factor: float = ENTROPY_BOUND_FACTOR) -> float:
+    """The tolerance bound_factor * h^2; inf when it overflows."""
+    try:
+        return bound_factor * h ** 2
+    except OverflowError:
+        return math.inf
+
+
 def check_entropy_sign(patch: FieldPatch, vtheta: float = -1.0,
-                       bound_factor: float = 10.0) -> EntropySignReport:
+                       bound_factor: float = ENTROPY_BOUND_FACTOR) -> EntropySignReport:
     """Entropy production density (vtheta/2F) Sigma^{ab}Sigma_{ab}: min over
     interior nodes against the FD tolerance bound_factor * h^2.
 
@@ -461,7 +474,7 @@ def check_entropy_sign(patch: FieldPatch, vtheta: float = -1.0,
     sl = (slice(1, -1),) * 4
     mn = float(np.min(produced[sl]))
     mx = float(np.max(produced[sl]))
-    bound = bound_factor * patch.h ** 2
+    bound = entropy_bound(patch.h, bound_factor)
     return EntropySignReport(mn, mx, bound, mn >= -bound, vtheta,
                              "vtheta >= 0")
 

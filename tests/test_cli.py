@@ -148,8 +148,9 @@ class TestCountFlags:
 
 class TestRealFlags:
     """A negative or non-finite tolerance fails every sampled factor with no
-    witness; a spacing that is not finite and positive breaks the lab's
-    differences: exit 2, naming the flag."""
+    witness; a spacing that is not finite and positive, or whose entropy bound
+    overflows, breaks the lab's checks; a flag the subcommand does not read
+    would do nothing: exit 2, naming the flag."""
 
     @pytest.mark.parametrize("argv, message", [
         (["analyze", "WAVE", "--tol", "-1"], "argument --tol: must be at least 0"),
@@ -157,8 +158,16 @@ class TestRealFlags:
         (["lab", "run", "--h", "0"], "argument --h: must be positive"),
         (["lab", "run", "--h", "nan"], "argument --h: must be finite"),
         (["lab", "run", "--h", "1e200"], "argument --h: its square overflows"),
+        (["lab", "run", "--h", "1e154"],
+         "argument --h: its square overflows the entropy bound 10*h^2"),
         (["lab", "run", "--tol", "-1"], "unrecognized arguments: --tol -1"),
-    ], ids=["tol-negative", "tol-nan", "lab-h-0", "lab-h-nan", "lab-h-huge", "lab-tol"])
+        (["ens", "verify", "--samples", "1", "--tau", "9,9,9,9"],
+         "unrecognized arguments: --tau 9,9,9,9"),
+        (["ens", "verify", "--samples", "1", "--tol", "5"], "unrecognized arguments: --tol 5"),
+        (["cones", "--factor", "light", "--samples", "7"], "unrecognized arguments: --samples 7"),
+    ], ids=["tol-negative", "tol-nan", "lab-h-0", "lab-h-nan", "lab-h-huge",
+            "lab-h-bound-overflows", "lab-tol", "ens-verify-tau", "ens-verify-tol",
+            "cones-samples"])
     def test_rejected(self, argv, message, capsys):
         argv = [wave_spec_path() if a == "WAVE" else a for a in argv]
         with pytest.raises(SystemExit) as exit_info:
