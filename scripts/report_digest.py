@@ -41,11 +41,15 @@ def runs(ens_spec, tmp):
     yield "analyze-ens.txt", ["analyze", ens_spec], None
     yield "ens-verify-20.json", ["ens", "verify", "--samples", "20", "--json"], None
     yield "ens-verify-q0.txt", ["ens", "verify", "--q", "0"], None
+    yield ("ens-verify-F2-q1_3.txt",
+           ["ens", "verify", "--samples", "2", "--n", "3000", "--F", "2", "--q", "1/3"], None)
     for factor in ("light", "flow", "cubic", "P1", "P2"):
         yield f"cones-{factor}.json", ["cones", "--factor", factor, "--n", "1000", "--json"], None
     yield ("cones-cubic.csv", ["cones", "--factor", "cubic", "--n", "1000"],
            os.path.join(tmp, "cones.csv"))
     yield "lab-run.json", ["lab", "run", "--json"], None
+    yield "lab-run-h0.2-refine2.json", ["lab", "run", "--h", "0.2", "--refine", "2", "--json"], None
+    yield "lab-run.csv", ["lab", "run"], os.path.join(tmp, "lab.csv")
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from specgen import write_batch
     for path, _ in write_batch(7, 50, os.path.join(tmp, "sweep")):

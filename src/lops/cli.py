@@ -35,14 +35,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def lo_threads() -> int:
-    """Worker cap from the LO_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("LO_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _parse_tau(text: str) -> List[Fraction]:
     parts = text.split(",")
     if len(parts) != 4:
@@ -245,27 +237,36 @@ def _render_analyze(report: Dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: defaults of the flags that only the full `ens verify` run reads; the q = 0
+#: degeneration report draws no samples and rejects each of them
+FULL_RUN_FLAGS = {"--F": Fraction(1), "--samples": 100, "--n": 10_000, "--seed": 0}
+
+
 def cmd_ens_verify(args) -> int:
     report: Dict = {}
-    q_override = args.q
-    if q_override is not None and q_override == 0:
+    given = {flag: getattr(args, flag[2:]) for flag in FULL_RUN_FLAGS}
+    if args.q == 0:
+        unread = [flag for flag, value in given.items() if value is not None]
+        if unread:
+            print(f"input error: {', '.join(unread)} not read with --q 0, which runs "
+                  "only the degeneration report", file=sys.stderr)
+            return EXIT_INPUT_ERROR
         deg = ens.degeneration_report()
         report["degeneration"] = deg.to_json()
         report["ok"] = deg.ok
         _emit(report, args, renderer=_render_checks)
         return EXIT_OK if deg.ok else EXIT_CHECK_FAILED
 
-    main = ens.verify_ens_determinant(state_samples=args.samples, seed=args.seed,
-                                      threads=lo_threads())
+    F, samples, n, seed = (default if given[flag] is None else given[flag]
+                           for flag, default in FULL_RUN_FLAGS.items())
+    main = ens.verify_ens_determinant(state_samples=samples, seed=seed)
     report["determinant"] = main.to_json()
     quartic = ens.quartic_comparison_report()
     report["quartic"] = quartic
     ineq = ens.minkowski_inequality_identities()
     report["minkowski_inequalities"] = ineq.to_json()
     sampled = ens.sampled_root_nonnegativity(
-        args.F if args.F is not None else Fraction(1),
-        q_override if q_override is not None else Fraction(1, 2),
-        n_dirs=args.n, seed=args.seed)
+        F, args.q if args.q is not None else Fraction(1, 2), n_dirs=n, seed=seed)
     report["sampled_root_nonnegativity"] = {
         "name": sampled.name, "ok": sampled.ok, "detail": sampled.detail}
     deg = ens.degeneration_report(main.quartic)
@@ -397,13 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
                                              "systems with per-block derivative indices")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def flags(p, *names, samples_default=1000):
+    def flags(p, *names):
         """Add the named shared flags: only those the handler reads."""
         spec = {
             "--tau": dict(type=_parse_tau,
                           default=[Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
                           help="time direction covector, four comma-separated rationals"),
-            "--samples": dict(type=_parse_count, default=samples_default),
+            "--samples": dict(type=_parse_count, default=1000),
             "--tol": dict(type=_parse_tol, default=1e-9),
             "--seed": dict(type=int, default=0),
             "--json": dict(action="store_true"),
@@ -422,10 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens = sub.add_parser("ens", help="reference-instance commands")
     ens_sub = p_ens.add_subparsers(dest="ens_command", required=True)
     p_ver = ens_sub.add_parser("verify", help="verify the reference system end to end")
-    flags(p_ver, "--samples", "--seed", "--json", "--out", "--q", "--F", samples_default=100)
-    p_ver.add_argument("--n", type=_parse_count, default=10_000,
+    flags(p_ver, "--samples", "--seed", "--json", "--out", "--q", "--F")
+    p_ver.add_argument("--n", type=_parse_count,
                        help="sphere directions for the sampled root check")
-    p_ver.set_defaults(func=cmd_ens_verify)
+    # unset flags stay None, so that --q 0 can reject the ones it does not read
+    p_ver.set_defaults(func=cmd_ens_verify, samples=None, seed=None)
 
     p_cone = sub.add_parser("cones", help="sample characteristic root sheets")
     p_cone.add_argument("--factor", required=True,

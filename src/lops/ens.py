@@ -33,10 +33,6 @@ SYM_PAIRS = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2,
 ANTISYM_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
-def _sym_slot(a: int, b: int) -> int:
-    return SYM_PAIRS.index((a, b) if a <= b else (b, a))
-
-
 # -- atoms --------------------------------------------------------------------
 
 U = [param(f"u{i}") for i in range(4)]          # contravariant velocity u^mu
@@ -356,10 +352,6 @@ class FluidState:
     def u_lo(self) -> List[Fraction]:
         return [sum(self.gl[a][b] * self.u_up[b] for b in range(4)) for a in range(4)]
 
-    @property
-    def c_up(self) -> List[Fraction]:
-        return [self.F * x for x in self.u_up]
-
     def assignment(self) -> Dict[Atom, Fraction]:
         """Values for every atom the system entries may mention."""
         out: Dict[Atom, Fraction] = {}
@@ -435,39 +427,18 @@ def random_boost(rng: random.Random, max_entry: int = 12) -> List[Fraction]:
     return [(1 + v2) / den] + [2 * x / den for x in v]
 
 
-@dataclass
-class StateCheck:
-    name: str
-    ok: bool
-    detail: str
-
-
-@dataclass
-class StateReport:
-    checks: List[StateCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok,
-                "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
-                           for c in self.checks]}
-
-
-def validate_state(state: FluidState, eos: Optional[EquationOfState] = None) -> StateReport:
+def validate_state(state: FluidState) -> EnsVerifyReport:
     """Unit normalization, positivity ranges, and the sound-speed bound
-    dr/dF >= r/F checked by exact central differences on the closure."""
-    eos = eos or state.eos
-    checks: List[StateCheck] = []
+    dr/dF >= r/F of the state's closure, checked by exact central differences."""
+    eos = state.eos
+    checks: List[VerifyItem] = []
     norm = sum(state.gl[a][b] * state.u_up[a] * state.u_up[b]
                for a in range(4) for b in range(4))
-    checks.append(StateCheck("unit-normalization", norm == 1,
+    checks.append(VerifyItem("unit-normalization", norm == 1,
                              f"u.u - 1 = {norm - 1}"))
-    checks.append(StateCheck("index-at-least-one", state.F >= 1, f"F = {state.F}"))
-    checks.append(StateCheck("coupling-positive", state.q > 0, f"q = {state.q}"))
-    checks.append(StateCheck("viscosity-nonzero", state.vtheta != 0,
+    checks.append(VerifyItem("index-at-least-one", state.F >= 1, f"F = {state.F}"))
+    checks.append(VerifyItem("coupling-positive", state.q > 0, f"q = {state.q}"))
+    checks.append(VerifyItem("viscosity-nonzero", state.vtheta != 0,
                              f"vtheta = {state.vtheta}"))
     ok_theta = True
     detail = []
@@ -476,7 +447,7 @@ def validate_state(state: FluidState, eos: Optional[EquationOfState] = None) -> 
         th = eos.theta_of_r_s(r, sv)
         ok_theta = ok_theta and th > 0 and r > 0
         detail.append(f"theta({Fv},{sv})={th}")
-    checks.append(StateCheck("temperature-positive", ok_theta, "; ".join(detail)))
+    checks.append(VerifyItem("temperature-positive", ok_theta, "; ".join(detail)))
     h = Fr(1, 64)
     ok_sound = True
     worst = None
@@ -486,9 +457,9 @@ def validate_state(state: FluidState, eos: Optional[EquationOfState] = None) -> 
         ok_sound = ok_sound and dr >= bound
         if worst is None or dr - bound < worst:
             worst = dr - bound
-    checks.append(StateCheck("sound-speed-bound", ok_sound,
+    checks.append(VerifyItem("sound-speed-bound", ok_sound,
                              f"min dr/dF - r/F = {worst}"))
-    return StateReport(checks)
+    return EnsVerifyReport(checks)
 
 
 def _forward_eliminate(a: List[List[Fraction]], n: int) -> int:
@@ -545,7 +516,7 @@ def default_state_assignment(metric: str, dynamic_velocity: str) -> Dict[str, Fr
 # -- reference factorization ----------------------------------------------------
 
 
-def quartic_coefficients(metric: str = "specialized") -> Tuple[Poly, Poly, Poly]:
+def quartic_coefficients() -> Tuple[Poly, Poly, Poly]:
     """A, B, C of the derived quartic factor P = A*xi0^4 + B*xi0^2 + C.
 
     Derived from the determinant identity for the vorticity/velocity block:
@@ -553,18 +524,18 @@ def quartic_coefficients(metric: str = "specialized") -> Tuple[Poly, Poly, Poly]
     expansions.  derive_quartic_from_block() recomputes P from the actual
     block determinant; tests pin the two to each other.
     """
-    light = _light_cone(metric)
+    light = _light_cone("specialized")
     spatial = light - XIP[0] * XIP[0]
     A = Poly.atom(F_ATOM) + Poly.atom(Q_ATOM)
     return A, Poly.constant(2) * A * spatial, A * spatial * spatial
 
 
-def vorticity_velocity_block(dynamic_velocity: str = "on_data"):
+def vorticity_velocity_block():
     """The trailing 10 x 10 symbol block (vorticity and dynamic-velocity
-    rows/columns) of the specialized system."""
+    rows/columns) of the specialized on-data system."""
     from .matrix import build_symbol_matrix
 
-    sys_ = build_ens_system(metric="specialized", dynamic_velocity=dynamic_velocity)
+    sys_ = build_ens_system(metric="specialized", dynamic_velocity="on_data")
     mat = build_symbol_matrix(sys_)
     idx = list(range(15, 25))
     return mat.submatrix(idx, idx)
@@ -576,7 +547,7 @@ def derive_quartic_from_block() -> Poly:
     (see `_quartic_from_block`)."""
     from .matrix import determinant
 
-    return _quartic_from_block(determinant(vorticity_velocity_block("on_data")))
+    return _quartic_from_block(determinant(vorticity_velocity_block()))
 
 
 def _quartic_from_block(det: Poly) -> Poly:
@@ -746,9 +717,10 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     through the cofactor oracle, `matrix.laplace_determinant` (no pivots, no
     division).  All values are exact.  One batched evaluation gives, per
     state, every nonzero matrix entry, the wave cone, u.xi and the reference
-    factors.  `threads` > 1 checks the states on that many worker threads;
-    the report does not depend on it.
+    factors.  `threads` > 1 checks the states on that many worker threads
+    (only the benchmark's probe does); the report does not depend on it.
     """
+    from .hyperbolic import quartic_from_coefficients
     from .matrix import (Factorization, block_order, build_symbol_matrix,
                          determinant, determinant_factors, factored_xi_degree,
                          laplace_determinant, verify_factorization_product)
@@ -792,7 +764,7 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     # P from this run's own vorticity/velocity block determinant
     P = _quartic_from_block(dets[block_order(mat).index(list(range(15, 25)))])
     A, B, C = quartic_coefficients()
-    closed = A * XIP[0] ** 4 + B * XIP[0] ** 2 + C
+    closed = quartic_from_coefficients(A, B, C)
     items.append(VerifyItem("vorticity-block-quartic", P == closed,
                             "block determinant / prefactor equals (F+q)*(light cone)^2"))
     disc = B * B - 4 * A * C
@@ -1019,15 +991,15 @@ CLAIMED_QUARTIC_REPAIRED: Tuple[Poly, Poly, Poly] = (
 def quartic_comparison_report() -> dict:
     """How the derived quartic relates to the claimed coefficient tables.
 
-    Returns exact verdicts: whether each claimed discriminant is a perfect
-    square, whether it matches the claimed closed form, and how claimed and
-    derived coefficients differ.  All statements are proved by exact
-    algebra; nothing is assumed from either side.
+    Returns exact verdicts: whether each discriminant, derived or claimed,
+    is a perfect square (with its root), whether a claimed one matches the
+    claimed closed form, and how claimed and derived coefficients differ.
+    All statements are proved by exact algebra; nothing is assumed from
+    either side.
     """
     from .poly import NotPerfectSquareError
 
     A_d, B_d, C_d = quartic_coefficients()
-    disc_d = B_d * B_d - 4 * A_d * C_d
 
     def disc_info(table):
         A, B, C = table
@@ -1040,6 +1012,7 @@ def quartic_comparison_report() -> dict:
             root_str = None
         return disc, square, root_str
 
+    disc_d, square_d, root_d = disc_info((A_d, B_d, C_d))
     disc_c, square_c, root_c = disc_info(CLAIMED_QUARTIC)
     disc_r, square_r, root_r = disc_info(CLAIMED_QUARTIC_REPAIRED)
     d_shift = CLAIMED_QUARTIC[1] - B_d  # expected: the claimed square root
@@ -1051,8 +1024,8 @@ def quartic_comparison_report() -> dict:
             "C": C_d.render(),
             "discriminant": disc_d.render(),
             "discriminant_is_zero": disc_d.is_zero(),
-            "discriminant_is_perfect_square": True,
-            "square_root": disc_d.sqrt().render(),
+            "discriminant_is_perfect_square": square_d,
+            "square_root": root_d,
         },
         "claimed_verbatim": {
             "matches_derived": (CLAIMED_QUARTIC[1] == B_d and CLAIMED_QUARTIC[2] == C_d),

@@ -344,6 +344,7 @@ def check_metric_compatibility(patch: FieldPatch) -> IdentityResidual:
 
 def _field_conformal_derivative(patch: FieldPatch,
                                 drop_trace_term: bool = False) -> np.ndarray:
+    """The test one-form's conformal derivative against its K-term expansion."""
     # the conformal side first: its transient connection then peaks before
     # the plain one is built and cached
     lhs = patch.dbar_one_form
@@ -357,17 +358,9 @@ def _field_conformal_derivative(patch: FieldPatch,
     return lhs - rhs
 
 
-def check_conformal_derivative(patch: FieldPatch,
-                               drop_trace_term: bool = False) -> IdentityResidual:
-    """Conformal covariant derivative of the test one-form against its
-    expansion in K-terms."""
-    name = "conformal-derivative" + ("-mutated" if drop_trace_term else "")
-    field = _field_conformal_derivative(patch, drop_trace_term)
-    return IdentityResidual(name, patch.interior_max(field), patch.h)
-
-
 def _field_first_shear_identity(patch: FieldPatch,
                                 drop_projection_term: bool = False) -> np.ndarray:
+    """Conformal shear = plain shear + 2 pi_{ab} u^r d_r F."""
     u_dF = np.einsum("...r,...r->...", patch.u_up, patch.dF)
     rhs = patch.sigma
     if not drop_projection_term:
@@ -375,30 +368,15 @@ def _field_first_shear_identity(patch: FieldPatch,
     return patch.sigma_bar - rhs
 
 
-def check_first_shear_identity(patch: FieldPatch,
-                                     drop_projection_term: bool = False) -> IdentityResidual:
-    """Conformal shear equals the plain shear plus the flow-derivative trace
-    term 2 pi_{ab} u^r d_r F."""
-    name = "shear-conformal-split" + ("-mutated" if drop_projection_term else "")
-    field = _field_first_shear_identity(patch, drop_projection_term)
-    return IdentityResidual(name, patch.interior_max(field), patch.h)
-
-
 def _field_second_shear_identity(patch: FieldPatch) -> np.ndarray:
+    """Conformal shear = 2 (nablabar_b C_a) + Theta_{ab}."""
     rhs = 2.0 * np.swapaxes(patch.dbarC, -1, -2) + patch.theta_tensor
     return patch.sigma_bar - rhs
 
 
-def check_second_shear_identity(patch: FieldPatch) -> IdentityResidual:
-    """Conformal shear equals twice the transposed conformal derivative of C
-    plus the vorticity projection Theta."""
-    return IdentityResidual("shear-vorticity-split",
-                            patch.interior_max(_field_second_shear_identity(patch)),
-                            patch.h)
-
-
 def _field_acceleration_identity(patch: FieldPatch,
                                  drop_vorticity_term: bool = False) -> np.ndarray:
+    """u^a nabla_a u_b = pi^a_b d_a F / F + u^a Omega_{ab} / F."""
     lhs = patch.acc
     rhs = np.einsum("...ab,...a->...b", patch.pi_mixed, patch.dF) / patch.F[..., None]
     if not drop_vorticity_term:
@@ -406,31 +384,15 @@ def _field_acceleration_identity(patch: FieldPatch,
     return lhs - rhs
 
 
-def check_acceleration_identity(patch: FieldPatch,
-                                drop_vorticity_term: bool = False) -> IdentityResidual:
-    """u^a nabla_a u_b = pi^a_b d_a F / F + u^a Omega_{ab} / F."""
-    name = "flow-acceleration" + ("-mutated" if drop_vorticity_term else "")
-    field = _field_acceleration_identity(patch, drop_vorticity_term)
-    return IdentityResidual(name, patch.interior_max(field), patch.h)
-
-
 def _field_shear_contraction(patch: FieldPatch,
                              drop_acceleration_term: bool = False) -> np.ndarray:
+    """Sigma^{ab} Sigma_{ab} = 2 F^2 (du_sq - acceleration square)."""
     lhs = patch.sigma_sq
     rhs = patch.du_sq
     if not drop_acceleration_term:
         rhs = rhs - np.einsum("...ab,...a,...b->...", patch.gi, patch.acc, patch.acc)
     rhs = 2.0 * patch.F ** 2 * rhs
     return lhs - rhs
-
-
-def check_shear_contraction(patch: FieldPatch,
-                            drop_acceleration_term: bool = False) -> IdentityResidual:
-    """Sigma^{ab} Sigma_{ab} = 2 F^2 (grad-square + grad-transpose-square
-    - acceleration-square)."""
-    name = "shear-contraction" + ("-mutated" if drop_acceleration_term else "")
-    field = _field_shear_contraction(patch, drop_acceleration_term)
-    return IdentityResidual(name, patch.interior_max(field), patch.h)
 
 
 @dataclass
@@ -452,18 +414,17 @@ class EntropySignReport:
 ENTROPY_BOUND_FACTOR = 10.0
 
 
-def entropy_bound(h: float, bound_factor: float = ENTROPY_BOUND_FACTOR) -> float:
-    """The tolerance bound_factor * h^2; inf when it overflows."""
+def entropy_bound(h: float) -> float:
+    """The tolerance ENTROPY_BOUND_FACTOR * h^2; inf when it overflows."""
     try:
-        return bound_factor * h ** 2
+        return ENTROPY_BOUND_FACTOR * h ** 2
     except OverflowError:
         return math.inf
 
 
-def check_entropy_sign(patch: FieldPatch, vtheta: float = -1.0,
-                       bound_factor: float = ENTROPY_BOUND_FACTOR) -> EntropySignReport:
+def check_entropy_sign(patch: FieldPatch, vtheta: float = -1.0) -> EntropySignReport:
     """Entropy production density (vtheta/2F) Sigma^{ab}Sigma_{ab}: min over
-    interior nodes against the FD tolerance bound_factor * h^2.
+    interior nodes against the FD tolerance `entropy_bound(h)`.
 
     The contraction Sigma^{ab}Sigma_{ab} is pointwise non-negative (see
     shear_square_range), so the production is pointwise non-negative exactly
@@ -474,7 +435,7 @@ def check_entropy_sign(patch: FieldPatch, vtheta: float = -1.0,
     sl = (slice(1, -1),) * 4
     mn = float(np.min(produced[sl]))
     mx = float(np.max(produced[sl]))
-    bound = entropy_bound(patch.h, bound_factor)
+    bound = entropy_bound(patch.h)
     return EntropySignReport(mn, mx, bound, mn >= -bound, vtheta,
                              "vtheta >= 0")
 
@@ -499,7 +460,8 @@ def _field_velocity_gradient_orthogonality(patch: FieldPatch) -> np.ndarray:
     return np.einsum("...a,...ba->...b", patch.u_up, patch.du)  # du is (..., b, a)
 
 
-#: Convergent identity checks: name -> residual-field function.
+#: Convergent identity checks, name -> residual field.  This table and
+#: NEGATIVE_CONTROLS are the lab's only interface to the identities.
 FIELD_CHECKS: Tuple[Tuple[str, Callable[[FieldPatch], np.ndarray]], ...] = (
     ("conformal-derivative", _field_conformal_derivative),
     ("shear-conformal-split", _field_first_shear_identity),
@@ -532,10 +494,9 @@ def _nested_max(field: np.ndarray, level: int, base_n: int) -> float:
 
 
 def refinement_table(h: float = 0.1, refine: int = 1, n: int = 9,
-                     include_controls: bool = True,
                      base: Optional[FieldPatch] = None) -> List[IdentityResidual]:
-    """Residuals across k halvings of the spacing, with convergence ratios
-    measured over the shared base-grid interior nodes.
+    """Residuals of every FIELD_CHECKS, then NEGATIVE_CONTROLS, entry across k
+    halvings of the spacing, with ratios over the shared base-grid nodes.
 
     The coarsest patch is `base` when given (its h and n then stand in for
     the arguments), else the standard patch; a caller that goes on to probe
@@ -548,8 +509,7 @@ def refinement_table(h: float = 0.1, refine: int = 1, n: int = 9,
     for k in range(1, refine + 1):
         patches.append(patches[0].refined(k))
     rows: List[IdentityResidual] = []
-    checks = list(FIELD_CHECKS) + (list(NEGATIVE_CONTROLS) if include_controls else [])
-    for name, fn in checks:
+    for name, fn in FIELD_CHECKS + NEGATIVE_CONTROLS:
         prev: Optional[float] = None
         for level, patch in enumerate(patches):
             field = fn(patch)

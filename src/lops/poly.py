@@ -142,7 +142,6 @@ def xi(i: int) -> Atom:
 
 
 XI = (xi(0), xi(1), xi(2), xi(3))
-XI_SET = frozenset(XI)
 for _a in XI:
     _offset(_a)  # the covector atoms own the lowest slots
 
@@ -303,10 +302,6 @@ class Poly:
     def atom(a: Atom) -> "Poly":
         return _new(_F1, {(1 << _offset(a)) + 1: 1}, 1)
 
-    @staticmethod
-    def linear(coeffs: Mapping[Atom, Scalar]) -> "Poly":
-        return _from_fractions({(1 << _offset(a)) + 1: Fraction(c) for a, c in coeffs.items()})
-
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> List[Tuple[Monomial, Fraction]]:
@@ -362,9 +357,6 @@ class Poly:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def xi_degree(self) -> Optional[int]:
-        return self.homogeneous_degree_in(XI)
 
     def leading(self) -> tuple:
         """(monomial, coefficient) of the graded-lex leading term."""
@@ -615,13 +607,6 @@ class Poly:
                 else:
                     r[mm] = old - qc * cr
         return _new(content, q, self.degree() - den.degree())
-
-    def divides(self, other: "Poly") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except NotDivisibleError:
-            return False
 
     def sqrt(self) -> "Poly":
         """Exact square root with positive graded-lex leading coefficient.

@@ -258,6 +258,16 @@ class TestEnsVerifyCommand:
         assert payload["ok"]
         assert set(payload) == {"degeneration", "ok"}
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--F", "5"), ("--samples", "3"), ("--n", "7"), ("--seed", "9"),
+    ], ids=["F", "samples", "n", "seed"])
+    def test_zero_coupling_rejects_full_run_flag(self, flag, value, capsys):
+        # the degeneration report reads none of these, so each would do nothing
+        assert main(["ens", "verify", "--q", "0", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} not read with --q 0" in captured.err
+
     def test_small_sample_run(self):
         r = run_cli(["ens", "verify", "--samples", "3", "--n", "200", "--json"])
         assert r.returncode == 0

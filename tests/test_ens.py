@@ -105,8 +105,18 @@ class TestStates:
         state.u_up = [Fr(1), Fr(1), Fr(0), Fr(0)]
         report = ens.validate_state(state)
         assert not report.ok
-        names = {c.name for c in report.checks if not c.ok}
+        names = {c.name for c in report.items if not c.ok}
         assert "unit-normalization" in names
+
+    def test_report_json_shape(self):
+        payload = ens.validate_state(ens.FluidState.minkowski()).to_json()
+        assert set(payload) == {"ok", "checks"} and payload["ok"] is True
+        assert [c["name"] for c in payload["checks"]] == [
+            "unit-normalization", "index-at-least-one", "coupling-positive",
+            "viscosity-nonzero", "temperature-positive", "sound-speed-bound"]
+        for check in payload["checks"]:
+            assert set(check) == {"name", "ok", "detail"}
+            assert check["ok"] is True and isinstance(check["detail"], str)
 
     def test_random_states_exactly_unit(self):
         rng = random.Random(4)
@@ -221,7 +231,7 @@ class TestFactorizationOps:
     def test_expanded_block_factorization_via_poly_verifier(self):
         # the Poly-level verifier on the expanded 10x10 block determinant
         from lops.matrix import Factorization, verify_factorization_product
-        det = determinant(ens.vorticity_velocity_block("on_data"))
+        det = determinant(ens.vorticity_velocity_block())
         F, q = Poly.atom(ens.F_ATOM), Poly.atom(ens.Q_ATOM)
         light = ens._light_cone("specialized")
         flow = ens._flow(ens.U)
