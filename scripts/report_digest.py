@@ -40,6 +40,8 @@ def runs(ens_spec, tmp):
     yield "analyze-ens.json", ["analyze", ens_spec, "--json"], None
     yield "analyze-ens.txt", ["analyze", ens_spec], None
     yield "ens-verify-20.json", ["ens", "verify", "--samples", "20", "--json"], None
+    yield ("ens-verify-100-seed3.json",
+           ["ens", "verify", "--samples", "100", "--seed", "3", "--json"], None)
     yield "ens-verify-q0.txt", ["ens", "verify", "--q", "0"], None
     yield ("ens-verify-F2-q1_3.txt",
            ["ens", "verify", "--samples", "2", "--n", "3000", "--F", "2", "--q", "1/3"], None)

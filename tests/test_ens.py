@@ -4,11 +4,78 @@ from fractions import Fraction as Fr
 import pytest
 
 from lops import ens
-from lops.matrix import build_symbol_matrix, determinant
+from lops.matrix import build_symbol_matrix, determinant, laplace_determinant
 from lops.poly import Poly, XI, xi
 from lops.system import validate_structure, total_order
 
 X = [Poly.atom(a) for a in XI]
+
+
+def _fraction_state(rng, max_entry):
+    """`ens.random_state` written over `Fraction`s from the same draws:
+    E = I + small entries, g = E^T eta E, g^{-1} = E^{-1} eta E^{-T} and
+    u = column 0 of E^{-1}, with E^{-1} by Gauss-Jordan elimination."""
+
+    def small():
+        return Fr(rng.randint(-max_entry, max_entry), rng.randint(1, max_entry) * 4)
+
+    while True:
+        e = [[Fr(int(a == b)) + small() for b in range(4)] for a in range(4)]
+        inv = _gauss_jordan_inverse(e)
+        if inv is not None:
+            break
+    eta = (1, -1, -1, -1)
+    gl = [[sum(eta[k] * e[k][a] * e[k][b] for k in range(4)) for b in range(4)]
+          for a in range(4)]
+    gi = [[sum(eta[k] * inv[a][k] * inv[b][k] for k in range(4)) for b in range(4)]
+          for a in range(4)]
+    F = 1 + abs(small())
+    q = abs(small()) + Fr(1, 8)
+    s = abs(small())
+    vtheta = -(abs(small()) + Fr(1, 4))
+    du_up = [[small() for _ in range(4)] for _ in range(4)]
+    du_lo = [[small() for _ in range(4)] for _ in range(4)]
+    return ens.FluidState(gl=gl, gi=gi, u_up=[inv[a][0] for a in range(4)], F=F, q=q,
+                          s=s, vtheta=vtheta, du_up=du_up, du_lo=du_lo)
+
+
+def _gauss_jordan_inverse(m):
+    n = len(m)
+    a = [list(row) + [Fr(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return None
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
+
+
+def _assert_same_state(state, want):
+    for name in ("gl", "gi", "u_up", "F", "q", "s", "vtheta", "du_up", "du_lo"):
+        assert getattr(state, name) == getattr(want, name), name
+
+
+def _assert_inverse_pair(gi, gl):
+    for a in range(4):
+        for b in range(4):
+            assert sum(gi[a][k] * gl[k][b] for k in range(4)) == int(a == b)
+
+
+class _Scripted:
+    """A `random.Random` stand-in: `randint` returns the scripted values,
+    then those of a seeded generator."""
+
+    def __init__(self, script, seed):
+        self.script = list(script)
+        self.rng = random.Random(seed)
+
+    def randint(self, lo, hi):
+        return self.script.pop(0) if self.script else self.rng.randint(lo, hi)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +193,24 @@ class TestStates:
                        for a in range(4) for b in range(4))
             assert norm == 1
 
+    @pytest.mark.parametrize("max_entry", [5, 8, 16])
+    def test_random_state_matches_fraction_construction(self, max_entry):
+        for seed in range(30):
+            rng, twin = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                state = ens.random_state(rng, max_entry=max_entry)
+                _assert_same_state(state, _fraction_state(twin, max_entry))
+                _assert_inverse_pair(state.gi, state.gl)
+
+    def test_singular_frame_drawn_again(self):
+        # a first frame whose row 0 is zero (1 - 4/4, then three 0/4 entries)
+        script = [-4, 1] + [0, 1] * 15
+        rng, twin = _Scripted(script, 3), _Scripted(script, 3)
+        state = ens.random_state(rng, max_entry=4)
+        assert not rng.script
+        _assert_same_state(state, _fraction_state(twin, 4))
+        _assert_inverse_pair(state.gi, state.gl)
+
     def test_stiff_toy_eos_boundary_case(self):
         eos = ens.EquationOfState.stiff_toy()
         # dr/dF equals r/F exactly for the stiff closure
@@ -180,6 +265,35 @@ class TestReferenceProduct:
         assert quotient.homogeneous_degree_in(XI) == 12
 
 
+class TestNumericDeterminant:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_integer_elimination_matches_laplace(self, n):
+        rng = random.Random(n)
+        kinds = set()
+        for trial in range(40):
+            rows = [[Fr(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.45
+                     else Fr(0) for _ in range(n)] for _ in range(n)]
+            if trial % 4 == 1:
+                rows[0][0] = Fr(0)  # the first pivot needs a row swap
+            elif trial % 4 == 2 and n > 1:
+                # singular: the last row is a rational combination of two others
+                c = Fr(rng.randint(-5, 5), rng.randint(1, 5))
+                rows[-1] = [x + c * y for x, y in zip(rows[0], rows[(n - 1) // 2])]
+            elif trial % 4 == 3:
+                rows[rng.randrange(n)] = [Fr(0)] * n
+            det = ens._numeric_det(rows)
+            assert det == laplace_determinant(rows)
+            nums = [[x.numerator for x in row] for row in rows]
+            assert ens._numeric_det(nums) == laplace_determinant(nums)
+            kinds.add(det == 0)
+        assert kinds == {True, False}
+
+    def test_known_values(self):
+        assert ens._numeric_det([[Fr(0), Fr(1)], [Fr(1), Fr(0)]]) == -1
+        assert ens._numeric_det([[Fr(1, 2), Fr(1, 3)], [Fr(1, 4), Fr(1, 5)]]) == Fr(1, 60)
+        assert ens._numeric_det([[Fr(2), Fr(4)], [Fr(3), Fr(6)]]) == 0
+
+
 class TestVerification:
     def test_full_report_passes(self):
         rep = ens.verify_ens_determinant(state_samples=25, seed=1)
@@ -189,6 +303,29 @@ class TestVerification:
         a = ens.verify_ens_determinant(state_samples=6, seed=2, threads=1)
         b = ens.verify_ens_determinant(state_samples=6, seed=2, threads=4)
         assert a.to_json() == b.to_json()
+
+    def test_numeric_checks_fail_on_a_perturbed_block(self, monkeypatch):
+        # negative control: one changed entry of the general matrix inside
+        # the vorticity/velocity block must show in both numeric checks at
+        # every sample, while the symbolic checks, which read the
+        # specialized matrix, still pass
+        from lops import matrix
+        build = matrix.build_symbol_matrix
+
+        def perturbed(system):
+            mat = build(system)
+            if any(p.name == "gi00" for p in system.params):
+                mat.entries[20][20] = mat.entries[20][20] + Poly.constant(1)
+            return mat
+
+        monkeypatch.setattr(matrix, "build_symbol_matrix", perturbed)
+        items = {i.name: i for i in ens.verify_ens_determinant(state_samples=5, seed=0).items}
+        assert items["numeric-full-determinant"].detail == (
+            "5 random rational states, 5 mismatches")
+        assert items["numeric-block-cofactor-oracle"].detail == (
+            "5 states vs independent cofactor expansion, 5 mismatches")
+        failed = [name for name, item in items.items() if not item.ok]
+        assert failed == ["numeric-full-determinant", "numeric-block-cofactor-oracle"]
 
     def test_degeneration(self):
         rep = ens.degeneration_report()
