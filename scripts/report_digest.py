@@ -9,7 +9,11 @@ and diff the outputs to see which reports a change moved:
 
 SRC_DIR is the `src` directory holding the `lops` package to exercise
 (default: the one beside this script).  The sweep specs come from this
-checkout's `perfbench/specgen.py`: the 50 specs of seed 7.
+checkout's `perfbench/specgen.py`: the 50 specs of seed 7.  Three edited
+specs follow: the wave spec claiming the Minkowski cone (a wrong claim
+compared by expansion), the reference spec with one coefficient of its first
+`factor 1` line changed (a wrong claim refuted at an evaluation point), and
+the light cone written with the opposite sign.
 """
 
 import contextlib
@@ -36,7 +40,35 @@ def digest(main, argv, out_path=None):
     return code, hashlib.sha256(data).hexdigest()
 
 
-def runs(ens_spec, tmp):
+CONE = "xi0^2 - xi1^2 - xi2^2 - xi3^2"
+
+
+def edited_specs(ens_spec, wave_spec, tmp):
+    """(name, path) of the three edited specs, written into `tmp`."""
+    with open(wave_spec) as fh:
+        wave = [line for line in fh if not line.startswith("factor ")]
+    with open(ens_spec) as fh:
+        ens = fh.read()
+    first = ens.index("\nfactor 1 := ") + 1
+    end = ens.index("\n", first)
+    specs = {
+        "wave-minkowski-claim": "".join(wave) + f"factor 1 := {CONE}\n",
+        "ens-wrong-factor": ens[:first] + ens[first:end].replace("2*xi0^2*F", "3*xi0^2*F", 1)
+                            + ens[end:],
+        "negated-cone": ("unknown u multiplicity 1 index 2\n"
+                         "equation e multiplicity 1 index 0\n"
+                         f"entry e[0] u[0] := {CONE}\n"
+                         "prefactor := -1\n"
+                         "factor 1 := -xi0^2 + xi1^2 + xi2^2 + xi3^2\n"),
+    }
+    for name, text in specs.items():
+        path = os.path.join(tmp, f"{name}.lops")
+        with open(path, "w") as fh:
+            fh.write(text)
+        yield name, path
+
+
+def runs(ens_spec, wave_spec, tmp):
     yield "analyze-ens.json", ["analyze", ens_spec, "--json"], None
     yield "analyze-ens.txt", ["analyze", ens_spec], None
     yield "ens-verify-20.json", ["ens", "verify", "--samples", "20", "--json"], None
@@ -56,16 +88,18 @@ def runs(ens_spec, tmp):
     from specgen import write_batch
     for path, _ in write_batch(7, 50, os.path.join(tmp, "sweep")):
         yield f"sweep/{os.path.basename(path)}", ["analyze", path, "--json"], None
+    for name, path in edited_specs(ens_spec, wave_spec, tmp):
+        yield f"{name}.json", ["analyze", path, "--json"], None
 
 
 def main():
     src = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else os.path.join(ROOT, "src"))
     sys.path.insert(0, src)
-    from lops import ens_spec_path
+    from lops import ens_spec_path, wave_spec_path
     from lops.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv, out_path in runs(ens_spec_path(), tmp):
+        for name, argv, out_path in runs(ens_spec_path(), wave_spec_path(), tmp):
             code, sha = digest(cli_main, argv, out_path)
             print(f"{sha}  exit={code}  {name}")
 

@@ -23,7 +23,7 @@ from .hyperbolic import (ConeSamples, HyperbolicityVerdict, biquadratic_split,
                          cone_sample, gevrey_sigma, hyperbolicity_linear,
                          hyperbolicity_quadratic, hyperbolicity_sampled,
                          rational_signature)
-from .ens import (EquationOfState, FluidState, build_ens_system,
+from .ens import (FluidState, build_ens_system,
                   derive_quartic_from_block, quartic_coefficients,
                   reference_factor_claim, validate_state,
                   verify_ens_determinant)

@@ -27,7 +27,7 @@ from .dsl import ParseError, parse_system
 from .hyperbolic import cone_sample, gevrey_sigma, hyperbolicity_auto, sigma_json
 from .matrix import (Factorization, build_symbol_matrix, determinant_factors,
                      factored_xi_degree, verify_factorization_product)
-from .poly import XI, DegreeOverflowError
+from .poly import DegreeOverflowError
 from .system import leray_condition, total_order, validate_structure
 
 EXIT_OK = 0
@@ -115,18 +115,6 @@ def _assignment_for(system, factor_polys, overrides: Dict[str, Fraction]):
     return assign, missing
 
 
-def _factor_problem(p) -> Optional[str]:
-    """Why a claimed factor cannot be tested for hyperbolicity, if it cannot."""
-    if p.is_zero():
-        return "is zero"
-    d = p.homogeneous_degree_in(XI)
-    if d is None:
-        return "is not homogeneous in xi0..xi3"
-    if d == 0:
-        return "does not involve xi0..xi3"
-    return None
-
-
 def cmd_analyze(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
@@ -142,13 +130,6 @@ def cmd_analyze(args) -> int:
     except ParseError as err:
         print(f"parse error: {args.input}: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if system.factor_claim is not None:
-        for k, (p, _) in enumerate(system.factor_claim.factors, start=1):
-            problem = _factor_problem(p)
-            if problem is not None:
-                print(f"input error: {args.input}: claimed factor {k} ({p.render()}) {problem}",
-                      file=sys.stderr)
-                return EXIT_INPUT_ERROR
     try:
         return _analyze(system, args)
     except DegreeOverflowError as err:  # e.g. a determinant of too high a degree

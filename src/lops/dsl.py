@@ -14,7 +14,10 @@ One declaration per line; `#` starts a comment.  Statements:
 Polynomial expressions use `+ - * ^` with parentheses; coefficients are
 exact rationals written `a` or `a/b`.  The covector atoms are spelled
 `xi0..xi3`; every other atom must have been declared with `param`.  Any
-trailing text after a complete statement is an error.
+trailing text after a complete statement is an error, and so is a spec whose
+equation and unknown totals differ, an entry index beyond its block's
+multiplicity, a claimed factor that is zero, free of xi or not xi-homogeneous,
+a factor multiplicity below 1, or a prefactor with no factor.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .poly import Atom, DegreeOverflowError, Poly, param, xi
+from .poly import XI, Atom, DegreeOverflowError, Poly, param, xi
 from .system import (DependencyDecl, EquationBlock, FactorClaim, LeraySystem,
                      ParamDecl, SymbolEntry, UnknownBlock)
 
@@ -191,11 +194,12 @@ def parse_system(text: str) -> LeraySystem:
     assigns: Dict[str, Fraction] = {}
     factors: List[Tuple[Poly, int]] = []
     prefactor: Optional[Poly] = None
+    prefactor_at = last_block_at = None  # (line, column) of the statement
 
     atoms: Dict[str, Atom] = dict(XI_NAMES)
     entry_keys = set()
-    # (statement, equation token, unknown token, line) of every reference to
-    # a block, checked once all blocks are declared
+    # (statement, equation token, unknown token, index tokens, line) of every
+    # reference to a block, checked once all blocks are declared
     block_refs: List[tuple] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -212,6 +216,7 @@ def parse_system(text: str) -> LeraySystem:
             toks.expect("name", "index")
             idx = int(toks.expect("num")[1])
             toks.done()
+            last_block_at = (line_no, head[2])
             if head[1] == "unknown":
                 if any(b.name == name for b in unknowns):
                     raise ParseError(f"duplicate unknown block {name!r}", line_no, head[2])
@@ -250,12 +255,14 @@ def parse_system(text: str) -> LeraySystem:
             eq_tok = toks.expect("name")
             eq_name = eq_tok[1]
             toks.expect("op", "[")
-            eq_idx = int(toks.expect("num")[1])
+            eq_idx_tok = toks.expect("num")
+            eq_idx = int(eq_idx_tok[1])
             toks.expect("op", "]")
             unk_tok = toks.expect("name")
             unk_name = unk_tok[1]
             toks.expect("op", "[")
-            unk_idx = int(toks.expect("num")[1])
+            unk_idx_tok = toks.expect("num")
+            unk_idx = int(unk_idx_tok[1])
             toks.expect("op", "]")
             toks.expect("op", ":=")
             symbol = _PolyParser(toks, atoms).parse()
@@ -266,7 +273,7 @@ def parse_system(text: str) -> LeraySystem:
                     f"duplicate entry {eq_name}[{eq_idx}] {unk_name}[{unk_idx}]",
                     line_no, head[2])
             entry_keys.add(key)
-            block_refs.append(("entry", eq_tok, unk_tok, line_no))
+            block_refs.append(("entry", eq_tok, unk_tok, (eq_idx_tok, unk_idx_tok), line_no))
             if not symbol.is_zero():
                 entries.append(SymbolEntry(eq_name, eq_idx, unk_name, unk_idx, symbol))
 
@@ -277,38 +284,63 @@ def parse_system(text: str) -> LeraySystem:
             toks.expect("name", "order")
             order = int(toks.expect("num")[1])
             toks.done()
-            block_refs.append(("dependency", eq_tok, unk_tok, line_no))
+            block_refs.append(("dependency", eq_tok, unk_tok, (), line_no))
             deps.append(DependencyDecl(eq_tok[1], unk_tok[1], order))
 
         elif head[1] == "factor":
-            mult = int(toks.expect("num")[1])
+            mult_tok = toks.expect("num")
+            mult = int(mult_tok[1])
+            if mult < 1:
+                raise ParseError("factor multiplicity must be at least 1", line_no, mult_tok[2])
             toks.expect("op", ":=")
+            start = toks.peek()
             p = _PolyParser(toks, atoms).parse()
             toks.done()
+            # each claimed factor is tested for hyperbolicity in xi0..xi3
+            d = p.homogeneous_degree_in(XI)
+            problem = ("is zero" if p.is_zero()
+                       else "is not homogeneous in xi0..xi3" if d is None
+                       else "does not involve xi0..xi3" if d == 0 else None)
+            if problem is not None:
+                raise ParseError(f"claimed factor {len(factors) + 1} ({p.render()}) {problem}",
+                                 line_no, start[2])
             factors.append((p, mult))
 
         elif head[1] == "prefactor":
             toks.expect("op", ":=")
             prefactor = _PolyParser(toks, atoms).parse()
             toks.done()
+            prefactor_at = (line_no, head[2])
 
         else:
             raise ParseError(f"unknown statement {head[1]!r}", line_no, head[2])
 
-    eq_names = {b.name for b in equations}
-    unk_names = {b.name for b in unknowns}
-    for what, (_, eq, eq_col), (_, unk, unk_col), line_no in block_refs:
-        if what == "entry":
-            if eq not in eq_names:
-                raise ParseError(f"entry references undeclared equation {eq!r}", line_no, eq_col)
-            if unk not in unk_names:
-                raise ParseError(f"entry references undeclared unknown {unk!r}", line_no, unk_col)
-        elif eq not in eq_names or unk not in unk_names:
-            raise ParseError(f"dependency references undeclared block {eq!r}/{unk!r}",
-                             line_no, eq_col if eq not in eq_names else unk_col)
+    eq_mult = {b.name: b.multiplicity for b in equations}
+    unk_mult = {b.name: b.multiplicity for b in unknowns}
+    for what, (_, eq, eq_col), (_, unk, unk_col), indices, line_no in block_refs:
+        if what == "dependency":
+            if eq not in eq_mult or unk not in unk_mult:
+                raise ParseError(f"dependency references undeclared block {eq!r}/{unk!r}",
+                                 line_no, eq_col if eq not in eq_mult else unk_col)
+            continue
+        if eq not in eq_mult:
+            raise ParseError(f"entry references undeclared equation {eq!r}", line_no, eq_col)
+        if unk not in unk_mult:
+            raise ParseError(f"entry references undeclared unknown {unk!r}", line_no, unk_col)
+        for (_, index, col), block, mult in zip(indices, (eq, unk), (eq_mult[eq], unk_mult[unk])):
+            if int(index) >= mult:
+                raise ParseError(f"index {index} out of range for block {block!r} of "
+                                 f"multiplicity {mult}", line_no, col)
+    n_eq, n_unk = sum(eq_mult.values()), sum(unk_mult.values())
+    if n_eq != n_unk:
+        raise ParseError(f"system is not square: equations total {n_eq}, unknowns total {n_unk}",
+                         *last_block_at)
+    if prefactor is not None and not factors:
+        raise ParseError("prefactor without a factor line: the claim has no factors",
+                         *prefactor_at)
 
     claim = None
-    if factors or prefactor is not None:
+    if factors:
         claim = FactorClaim(prefactor if prefactor is not None else Poly.one(),
                             tuple(factors))
 
@@ -326,7 +358,7 @@ def print_system(s: LeraySystem) -> str:
         suffix = f" constraint: {p.constraint}" if p.constraint else ""
         out.append(f"param {p.name}{suffix}")
     for name, val in s.assigns.items():
-        out.append(f"assign {name} := {_frac(val)}")
+        out.append(f"assign {name} := {val}")
     for e in s.entries:
         out.append(f"entry {e.eq_block}[{e.eq_index}] {e.unk_block}[{e.unk_index}] := {e.symbol.render()}")
     for d in s.deps:
@@ -346,7 +378,3 @@ def parse_poly(text: str, atom_names: Dict[str, Atom]) -> Poly:
     p = _PolyParser(toks, merged).parse()
     toks.done()
     return p
-
-
-def _frac(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .matrix import laplace_determinant
 from .poly import Atom, Poly, XI, eval_rows, param
@@ -275,45 +275,15 @@ def _param_decls(metric: str, dynamic_velocity: str) -> List[ParamDecl]:
 # -- fluid states --------------------------------------------------------------
 
 
-@dataclass
-class EquationOfState:
-    """Pluggable thermodynamic closure in the (F, s) variables.
+def r_of_F_s(F: Fraction, s: Fraction) -> Fraction:
+    """The stiff toy closure r = F * (1 + s), which sits exactly on the
+    boundary of the sound-speed condition dr/dF >= r/F."""
+    return F * (1 + s)
 
-    The default is the stiff toy closure r = F * h(s), h(s) = 1 + s, which
-    sits exactly on the boundary of the sound-speed condition dr/dF >= r/F.
-    Derived quantities keep the identity r*F = energy density + pressure.
-    """
 
-    r_of_F_s: Callable[[Fraction, Fraction], Fraction]
-    theta_of_r_s: Callable[[Fraction, Fraction], Fraction]
-
-    @staticmethod
-    def stiff_toy() -> "EquationOfState":
-        return EquationOfState(
-            r_of_F_s=lambda F, s: F * (1 + s),
-            theta_of_r_s=lambda r, s: 1 + r + s,
-        )
-
-    def epsilon(self, F: Fraction) -> Fraction:
-        return (F - 1) / 2
-
-    def pressure(self, F: Fraction, s: Fraction) -> Fraction:
-        return self.r_of_F_s(F, s) * (F - 1) / 2
-
-    def energy_density(self, F: Fraction, s: Fraction) -> Fraction:
-        r = self.r_of_F_s(F, s)
-        return r * (1 + self.epsilon(F))
-
-    def F_of_r_s(self, r: Fraction, s: Fraction, lo: Fraction = Fr(1, 1000),
-                 hi: Fraction = Fr(1000)) -> Fraction:
-        """Inverse view for monotone closures, by exact bisection to 1e-12."""
-        for _ in range(64):
-            mid = (lo + hi) / 2
-            if self.r_of_F_s(mid, s) < r:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
+def theta_of_r_s(r: Fraction, s: Fraction) -> Fraction:
+    """The temperature of the stiff toy closure."""
+    return 1 + r + s
 
 
 @dataclass
@@ -329,7 +299,6 @@ class FluidState:
     vtheta: Fraction = Fr(-1)
     du_up: Optional[List[List[Fraction]]] = None
     du_lo: Optional[List[List[Fraction]]] = None
-    eos: EquationOfState = field(default_factory=EquationOfState.stiff_toy)
 
     def __post_init__(self):
         if self.du_up is None:
@@ -353,8 +322,8 @@ class FluidState:
         out[Q_ATOM] = self.q
         out[INV_F] = 1 / self.F
         out[VTHETA] = self.vtheta
-        r = self.eos.r_of_F_s(self.F, self.s)
-        theta = self.eos.theta_of_r_s(r, self.s)
+        r = r_of_F_s(self.F, self.s)
+        theta = theta_of_r_s(r, self.s)
         out[INV_THR] = 1 / (theta * r)
         for a in range(4):
             for b in range(4):
@@ -430,8 +399,7 @@ def random_boost(rng: random.Random, max_entry: int = 12) -> List[Fraction]:
 
 def validate_state(state: FluidState) -> EnsVerifyReport:
     """Unit normalization, positivity ranges, and the sound-speed bound
-    dr/dF >= r/F of the state's closure, checked by exact central differences."""
-    eos = state.eos
+    dr/dF >= r/F of the stiff toy closure, checked by exact central differences."""
     checks: List[VerifyItem] = []
     norm = sum(state.gl[a][b] * state.u_up[a] * state.u_up[b]
                for a in range(4) for b in range(4))
@@ -444,8 +412,8 @@ def validate_state(state: FluidState) -> EnsVerifyReport:
     ok_theta = True
     detail = []
     for Fv, sv in [(state.F, state.s), (Fr(1), Fr(0)), (Fr(3, 2), Fr(2)), (Fr(5), Fr(1, 3))]:
-        r = eos.r_of_F_s(Fv, sv)
-        th = eos.theta_of_r_s(r, sv)
+        r = r_of_F_s(Fv, sv)
+        th = theta_of_r_s(r, sv)
         ok_theta = ok_theta and th > 0 and r > 0
         detail.append(f"theta({Fv},{sv})={th}")
     checks.append(VerifyItem("temperature-positive", ok_theta, "; ".join(detail)))
@@ -453,8 +421,8 @@ def validate_state(state: FluidState) -> EnsVerifyReport:
     ok_sound = True
     worst = None
     for Fv, sv in [(state.F, state.s), (Fr(2), Fr(1)), (Fr(3), Fr(1, 2))]:
-        dr = (eos.r_of_F_s(Fv + h, sv) - eos.r_of_F_s(Fv - h, sv)) / (2 * h)
-        bound = eos.r_of_F_s(Fv, sv) / Fv
+        dr = (r_of_F_s(Fv + h, sv) - r_of_F_s(Fv - h, sv)) / (2 * h)
+        bound = r_of_F_s(Fv, sv) / Fv
         ok_sound = ok_sound and dr >= bound
         if worst is None or dr - bound < worst:
             worst = dr - bound

@@ -52,7 +52,7 @@ class NotAllHyperbolicError(Exception):
 @dataclass
 class HyperbolicityVerdict:
     factor_id: str
-    method: str                  # linear-exact | quadratic-signature | biquadratic-closed-form | sampled
+    method: str                  # linear-exact | quadratic-signature | sampled
     verdict: str                 # hyperbolic | not-hyperbolic | inconclusive
     witness: Optional[str] = None
     sample_count: int = 0
@@ -171,8 +171,10 @@ def rational_signature(sym: List[List[Fraction]]) -> Tuple[int, int, int]:
 def hyperbolicity_quadratic(p: Poly, tau: Sequence[Fraction],
                             params: Optional[Mapping[Atom, Fraction]] = None,
                             factor_id: str = "") -> HyperbolicityVerdict:
-    """Exact signature test: hyperbolic iff the form restricted to its
-    support has inertia (1, dim-1) and is positive at tau."""
+    """Exact signature test: hyperbolic iff the form is nonzero at tau and,
+    signed to be positive there, has inertia (1, dim-1) on its support.
+    p and -p are hyperbolic together (Garding 1951), so the mostly-plus
+    convention -xi0^2 + xi1^2 + ... passes as well."""
     q = _specialize(p, params)
     if q.homogeneous_degree_in(XI) != 2:
         raise DegreeMismatchError(f"expected xi-degree 2, got {q.homogeneous_degree_in(XI)}")
@@ -184,7 +186,7 @@ def hyperbolicity_quadratic(p: Poly, tau: Sequence[Fraction],
         raise DegeneracyDetectedError(
             f"form is singular on its support (inertia {pos},{neg},{zero})")
     value = _eval_at_cov(q, tau)
-    if pos == 1 and neg == len(support) - 1 and value > 0:
+    if value != 0 and ((pos, neg) if value > 0 else (neg, pos)) == (1, len(support) - 1):
         return HyperbolicityVerdict(factor_id, "quadratic-signature", "hyperbolic")
     reason = (f"inertia ({pos},{neg})" if (pos, neg) != (1, len(support) - 1)
               else f"value at tau is {value}")

@@ -326,20 +326,14 @@ class IdentityResidual:
 
 
 def _field_metric_compatibility(patch: FieldPatch) -> np.ndarray:
+    """Pointwise exact (the discrete connection is built from the same
+    central differences), so the residual is machine precision, not O(h^2)."""
     dg = patch.grad(patch.gl)  # (..., a, r, n) = d_a g_{rn}
     gamma = patch.christoffel
     # nabla_a g_{bc} = d_a g_{bc} - Gamma^l_{ab} g_{lc} - Gamma^l_{ac} g_{bl}
     return (dg
             - np.einsum("...lab,...lc->...abc", gamma, patch.gl)
             - np.einsum("...lac,...bl->...abc", gamma, patch.gl))
-
-
-def check_metric_compatibility(patch: FieldPatch) -> IdentityResidual:
-    """Pointwise exact (the discrete connection is built from the same
-    central differences), so the residual is machine precision, not O(h^2)."""
-    return IdentityResidual("metric-compatibility",
-                            patch.interior_max(_field_metric_compatibility(patch)),
-                            patch.h)
 
 
 def _field_conformal_derivative(patch: FieldPatch,

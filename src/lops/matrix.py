@@ -308,8 +308,8 @@ class VerifyReport:
         out = {"ok": self.ok, "detail": self.detail}
         if self.witness_monomial is not None:
             out["witness_monomial"] = self.witness_monomial
-            out["determinant_coefficient"] = _frac(self.lhs_coefficient)
-            out["claimed_coefficient"] = _frac(self.rhs_coefficient)
+            out["determinant_coefficient"] = str(self.lhs_coefficient)
+            out["claimed_coefficient"] = str(self.rhs_coefficient)
         return out
 
 
@@ -341,46 +341,33 @@ def verify_factorization_product(det_factors: Sequence[Poly],
     if f.scalar_prefactor.degree_in(XI) > 0:
         return VerifyReport(False, "scalar prefactor contains covector atoms")
     num = [p for p in det_factors if not (p.is_constant() and p.as_constant() == 1)]
+    leftover_constant = f.scalar_prefactor
     claim_units: List[Poly] = []
     for p, mult in f.factors:
-        claim_units.extend([p] * mult)
+        if p.is_constant():
+            leftover_constant = leftover_constant * p ** mult
+        else:
+            claim_units.extend([p] * mult)
     claim_units.sort(key=lambda p: (-p.degree(), -len(p)))
-    leftover_constant = Poly.one() * f.scalar_prefactor
 
     remaining_units: List[Poly] = []
     for k, unit in enumerate(claim_units):
-        if unit.is_constant():
-            leftover_constant = leftover_constant * unit
-            continue
-        hit = None
         for i, d in enumerate(num):
             try:
                 num[i] = d.exact_div(unit)
-                hit = i
                 break
             except NotDivisibleError:
                 continue
-        if hit is None:
-            remaining_units = [u for u in claim_units[k:] if not u.is_constant()]
-            for u in claim_units[k:]:
-                if u.is_constant():
-                    leftover_constant = leftover_constant * u
+        else:
+            remaining_units = claim_units[k:]
             break
 
-    if not remaining_units:
-        # determinant / claimed-factors must now equal the claimed prefactor
-        lhs = Poly.one()
-        for d in num:
-            lhs = lhs * d
-        diff = lhs - leftover_constant
-        if diff.is_zero():
-            return VerifyReport(True, "claimed factorization matches the determinant exactly")
-        return _diff_report(lhs, leftover_constant)
-
-    # cancellation stuck (a claimed factor straddles block determinants, or
-    # the claim is wrong): compare the partially reduced sides, which are
-    # much smaller than the original product
-    if _size_estimate(num) <= 200_000 and _size_estimate(remaining_units) <= 200_000:
+    # with every claimed factor cancelled, the determinant's cofactor must
+    # equal the prefactor; a stuck cancellation (a claimed factor straddles
+    # block determinants, or the claim is wrong) compares the partially
+    # reduced sides, which are much smaller than the original product
+    if not remaining_units or (_size_estimate(num) <= 200_000
+                               and _size_estimate(remaining_units) <= 200_000):
         lhs = Poly.one()
         for d in num:
             lhs = lhs * d
@@ -439,9 +426,3 @@ def _evaluation_witness(det_factors: Sequence[Poly], f: Factorization) -> Verify
     return VerifyReport(False, "unverified: cancellation stuck with no "
                                "counterexample point; split the claimed factors "
                                "so each divides a single block determinant")
-
-
-def _frac(c: Optional[Fraction]) -> Optional[str]:
-    if c is None:
-        return None
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"

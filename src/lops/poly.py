@@ -157,15 +157,6 @@ def param(name: str, index: Optional[int] = None) -> Atom:
 Monomial = tuple
 
 
-def _pack(mono: Iterable[Tuple[Atom, int]]) -> int:
-    m = deg = 0
-    for a, e in mono:
-        m += e << _offset(a)
-        deg += e
-    _check_degree(deg)
-    return m + deg
-
-
 def _unpack(m: int) -> Monomial:
     out = []
     m >>= _BITS
@@ -248,15 +239,6 @@ def _normal(content: Fraction, terms: Dict[int, int]) -> "Poly":
     return _new(_F1 if content == 1 else content, terms)
 
 
-def _from_fractions(terms: Mapping[int, Fraction]) -> "Poly":
-    terms = {m: c for m, c in terms.items() if c}
-    if not terms:
-        return _ZERO
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return _normal(Fraction(1, den),
-                   {m: c.numerator * (den // c.denominator) for m, c in terms.items()})
-
-
 def _drop_zeros(terms: Dict[int, int]) -> Dict[int, int]:
     if 0 in terms.values():
         return {m: c for m, c in terms.items() if c}
@@ -269,17 +251,9 @@ class Poly:
 
     __slots__ = ("_c", "_t", "_deg", "_hash", "_plan")
 
-    def __init__(self, terms: Optional[Mapping[Monomial, Scalar]] = None):
-        """From a map of (Atom, exponent)-tuple monomials to coefficients."""
-        acc: Dict[int, Fraction] = {}
-        for mono, c in (terms.items() if terms else ()):
-            m = _pack(mono)
-            acc[m] = acc.get(m, 0) + Fraction(c)
-        p = _from_fractions(acc)
-        self._c, self._t = p._c, p._t
-        self._deg = None
-        self._hash = None
-        self._plan = None
+    def __init__(self):
+        """The zero polynomial; `constant` and `atom` build the rest."""
+        self._c, self._t, self._deg, self._hash, self._plan = _F1, {}, -1, None, None
 
     # -- constructors ------------------------------------------------------
 
@@ -676,11 +650,11 @@ class Poly:
             body = "*".join(a.name if e == 1 else f"{a.name}^{e}" for a, e in _unpack(m))
             mag = abs(c)
             if not body:
-                chunk = _frac_str(mag)
+                chunk = str(mag)
             elif mag == 1:
                 chunk = body
             else:
-                chunk = f"{_frac_str(mag)}*{body}"
+                chunk = f"{mag}*{body}"
             parts.append(("- " if c < 0 else "+ ") + chunk)
         out = " ".join(parts)
         return out[2:] if out.startswith("+ ") else ("-" + out[2:])
@@ -781,10 +755,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return Poly.constant(x)
     return NotImplemented
-
-
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _isqrt_exact(n: int) -> Optional[int]:

@@ -108,6 +108,48 @@ class TestBadInputExitTwo:
         assert "bad.lops" in err and "degree 40000" in err
 
 
+class TestSpecChecks:
+    """Each malformed spec exits 2 naming its line, with no traceback; the
+    light cone written with the opposite sign is hyperbolic."""
+
+    HEAD = ("unknown u multiplicity 1 index 2\n"
+            "equation e multiplicity 1 index 0\n")
+    CONE = "xi0^2 - xi1^2 - xi2^2 - xi3^2"
+
+    @pytest.mark.parametrize("body, where, message", [
+        ("entry e[0] u[0] := xi0*(xi0 + xi1)\nprefactor := 1\nfactor 1 := xi0\n"
+         f"factor 1 := xi0 + xi1\nfactor 0 := {CONE}\n", "line 7, column 8",
+         "multiplicity must be at least 1"),
+        ("entry e[0] u[0] := xi0^2\nprefactor := 1\n", "line 4, column 1", "no factors"),
+        ("entry e[0] u[0] := xi0^2\nprefactor := 1\nfactor 1 := xi1 - xi1\n",
+         "line 5, column 13", "claimed factor 1 (0) is zero"),
+        ("entry e[0] u[0] := xi0^2\nprefactor := 1\nfactor 2 := 3\n",
+         "line 5, column 13", "claimed factor 1 (3) does not involve xi0..xi3"),
+        ("entry e[0] u[0] := xi0^2\nprefactor := 1\nfactor 1 := xi0\nfactor 1 := xi0^2 + xi1\n",
+         "line 6, column 13", "claimed factor 2 (xi0^2 + xi1) is not homogeneous"),
+        ("entry e[3] u[0] := xi0^2\n", "line 3, column 9",
+         "index 3 out of range for block 'e' of multiplicity 1"),
+        ("entry e[0] u[0] := xi0^2\nunknown v multiplicity 2 index 1\n", "line 4, column 1",
+         "equations total 1, unknowns total 3"),
+    ], ids=["factor-multiplicity-zero", "prefactor-without-factor", "zero-factor",
+            "xi-free-factor", "inhomogeneous-factor", "index-out-of-range", "not-square"])
+    def test_malformed_spec_located(self, tmp_path, body, where, message):
+        spec = tmp_path / "bad.lops"
+        spec.write_text(self.HEAD + body)
+        r = run_cli(["analyze", str(spec)])
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert where in r.stderr and message in r.stderr
+
+    def test_negated_cone_is_hyperbolic(self, tmp_path):
+        spec = tmp_path / "negated.lops"
+        spec.write_text(self.HEAD + f"entry e[0] u[0] := {self.CONE}\nprefactor := -1\n"
+                        "factor 1 := -xi0^2 + xi1^2 + xi2^2 + xi3^2\n")
+        r = run_cli(["analyze", str(spec)])
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert "factor0(x1): hyperbolic (quadratic-signature)" in r.stdout
+
+
 class TestVanishingFactor:
     def test_cubic_factor_vanishing_at_tau_fails_without_traceback(self, tmp_path):
         spec = tmp_path / "cube.lops"

@@ -212,23 +212,11 @@ class TestStates:
         _assert_inverse_pair(state.gi, state.gl)
 
     def test_stiff_toy_eos_boundary_case(self):
-        eos = ens.EquationOfState.stiff_toy()
         # dr/dF equals r/F exactly for the stiff closure
         h = Fr(1, 32)
         for Fv, sv in ((Fr(1), Fr(1)), (Fr(3), Fr(2))):
-            dr = (eos.r_of_F_s(Fv + h, sv) - eos.r_of_F_s(Fv - h, sv)) / (2 * h)
-            assert dr == eos.r_of_F_s(Fv, sv) / Fv
-
-    def test_eos_consistency_identity(self):
-        eos = ens.EquationOfState.stiff_toy()
-        for Fv, sv in ((Fr(2), Fr(1)), (Fr(5, 2), Fr(3))):
-            r = eos.r_of_F_s(Fv, sv)
-            assert r * Fv == eos.energy_density(Fv, sv) + eos.pressure(Fv, sv)
-
-    def test_eos_inverse_view(self):
-        eos = ens.EquationOfState.stiff_toy()
-        F = eos.F_of_r_s(Fr(6), Fr(1))
-        assert abs(eos.r_of_F_s(F, Fr(1)) - 6) < Fr(1, 10 ** 9)
+            dr = (ens.r_of_F_s(Fv + h, sv) - ens.r_of_F_s(Fv - h, sv)) / (2 * h)
+            assert dr == ens.r_of_F_s(Fv, sv) / Fv
 
 
 class TestReferenceProduct:

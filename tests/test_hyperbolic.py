@@ -59,6 +59,15 @@ class TestQuadratic:
         v = hyperbolicity_quadratic(MINK, [Fr(0), Fr(1), Fr(0), Fr(0)])
         assert v.verdict == "not-hyperbolic"
 
+    def test_negated_cone_is_hyperbolic(self):
+        # p and -p are hyperbolic together: the mostly-plus signature
+        assert hyperbolicity_quadratic(-MINK, DT).verdict == "hyperbolic"
+        v = hyperbolicity_quadratic(-MINK, [Fr(0), Fr(1), Fr(0), Fr(0)])
+        assert v.verdict == "not-hyperbolic" and v.witness == "inertia (3,1)"
+        # tau on the cone: neither sign of the form is positive there
+        v = hyperbolicity_quadratic(-MINK, [Fr(1), Fr(1), Fr(0), Fr(0)])
+        assert v.verdict == "not-hyperbolic"
+
     def test_signature_function(self):
         assert rational_signature([[Fr(1), Fr(0)], [Fr(0), Fr(-1)]]) == (1, 1, 0)
         assert rational_signature([[Fr(0), Fr(1)], [Fr(1), Fr(0)]]) == (1, 1, 0)
