@@ -13,7 +13,11 @@ checkout's `perfbench/specgen.py`: the 50 specs of seed 7.  Three edited
 specs follow: the wave spec claiming the Minkowski cone (a wrong claim
 compared by expansion), the reference spec with one coefficient of its first
 `factor 1` line changed (a wrong claim refuted at an evaluation point), and
-the light cone written with the opposite sign.
+the light cone written with the opposite sign.  Three one-entry specs close
+the set, one per verdict that is neither hyperbolic nor a root screen: a
+singular quadratic (`inconclusive`), a cubic that vanishes at tau (1,0,0,0)
+(`not-hyperbolic`) and a factor whose parameter has no value
+(`inconclusive`).
 """
 
 import contextlib
@@ -43,8 +47,16 @@ def digest(main, argv, out_path=None):
 CONE = "xi0^2 - xi1^2 - xi2^2 - xi3^2"
 
 
+def one_entry(index, symbol, head=""):
+    """A 1x1 spec whose entry is `symbol`, claimed as its single factor."""
+    return (f"{head}unknown u multiplicity 1 index {index}\n"
+            "equation e multiplicity 1 index 0\n"
+            f"entry e[0] u[0] := {symbol}\n"
+            f"factor 1 := {symbol}\n")
+
+
 def edited_specs(ens_spec, wave_spec, tmp):
-    """(name, path) of the three edited specs, written into `tmp`."""
+    """(name, path) of the six edited specs, written into `tmp`."""
     with open(wave_spec) as fh:
         wave = [line for line in fh if not line.startswith("factor ")]
     with open(ens_spec) as fh:
@@ -60,6 +72,9 @@ def edited_specs(ens_spec, wave_spec, tmp):
                          f"entry e[0] u[0] := {CONE}\n"
                          "prefactor := -1\n"
                          "factor 1 := -xi0^2 + xi1^2 + xi2^2 + xi3^2\n"),
+        "singular-quadratic": one_entry(2, "(xi0 - xi1)^2"),
+        "cubic-vanishing-at-tau": one_entry(3, "xi1^3"),
+        "unassigned-parameter": one_entry(1, "xi0 + c*xi1", head="param c\n"),
     }
     for name, text in specs.items():
         path = os.path.join(tmp, f"{name}.lops")

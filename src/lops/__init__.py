@@ -16,9 +16,9 @@ from .system import (ConditionReport, DependencyDecl, EquationBlock,
                      SymbolEntry, UnknownBlock, leray_condition, total_order,
                      validate_structure)
 from .dsl import ParseError, parse_poly, parse_system, print_system
-from .matrix import (Factorization, SymbolMatrix, VerifyReport,
-                     build_symbol_matrix, determinant, determinant_factors,
-                     laplace_determinant, verify_factorization_product)
+from .matrix import (SymbolMatrix, VerifyReport, build_symbol_matrix,
+                     determinant, determinant_factors, laplace_determinant,
+                     verify_factorization_product)
 from .hyperbolic import (ConeSamples, HyperbolicityVerdict, biquadratic_split,
                          cone_sample, gevrey_sigma, hyperbolicity_linear,
                          hyperbolicity_quadratic, hyperbolicity_sampled,

@@ -14,8 +14,9 @@ One declaration per line; `#` starts a comment.  Statements:
 Polynomial expressions use `+ - * ^` with parentheses; coefficients are
 exact rationals written `a` or `a/b`.  The covector atoms are spelled
 `xi0..xi3`; every other atom must have been declared with `param`.  Any
-trailing text after a complete statement is an error, and so is a spec whose
-equation and unknown totals differ, an entry index beyond its block's
+trailing text after a complete statement is an error, and so is a spec with
+no unknown or no equation block (reported at the end of the input), one
+whose equation and unknown totals differ, an entry index beyond its block's
 multiplicity, a claimed factor that is zero, free of xi or not xi-homogeneous,
 a factor multiplicity below 1, or a prefactor with no factor.
 """
@@ -331,6 +332,10 @@ def parse_system(text: str) -> LeraySystem:
             if int(index) >= mult:
                 raise ParseError(f"index {index} out of range for block {block!r} of "
                                  f"multiplicity {mult}", line_no, col)
+    for kind, blocks in (("unknown", unknowns), ("equation", equations)):
+        if not blocks:
+            raise ParseError(f"no {kind} block: a system needs at least one unknown "
+                             "and one equation block", len(text.splitlines()) + 1, 1)
     n_eq, n_unk = sum(eq_mult.values()), sum(unk_mult.values())
     if n_eq != n_unk:
         raise ParseError(f"system is not square: equations total {n_eq}, unknowns total {n_unk}",

@@ -647,12 +647,6 @@ def _integer_det(a: List[List[int]]) -> int:
     return sign * stripped * math.prod(a[k][k] for k in range(n)) // gained
 
 
-def _numeric_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix, on its integer-scaled rows."""
-    ints, scale = _integer_rows([[(x.numerator, x.denominator) for x in row] for row in rows])
-    return Fraction(_integer_det(ints), scale)
-
-
 def _evaluate_matrix(mat, assign) -> List[List[Fraction]]:
     """Entry values of a symbol matrix under one assignment."""
     out = []
@@ -684,8 +678,8 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     does not depend on it.
     """
     from .hyperbolic import quartic_from_coefficients
-    from .matrix import (Factorization, block_order, build_symbol_matrix,
-                         determinant, determinant_factors, factored_xi_degree,
+    from .matrix import (block_order, build_symbol_matrix, determinant,
+                         determinant_factors, factored_xi_degree,
                          verify_factorization_product)
     from .system import total_order, validate_structure
 
@@ -702,8 +696,7 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     items.append(VerifyItem("determinant-degree", degree == ell == 44,
                             f"determinant degree {degree}, index sum {ell}"))
 
-    claim = Factorization.from_claim(reference_factor_claim("specialized"))
-    ver = verify_factorization_product(dets, claim)
+    ver = verify_factorization_product(dets, reference_factor_claim("specialized"))
     items.append(VerifyItem("reference-factorization", ver.ok, ver.detail))
 
     light = _light_cone("specialized")

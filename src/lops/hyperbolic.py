@@ -3,7 +3,11 @@
 Degree-1 and degree-2 factors get exact verdicts (nonvanishing at tau,
 rational signature of the coefficient form).  Higher degrees fall back to a
 sampled falsification screen: companion-matrix roots of the restriction to
-lines eta + s*tau over a deterministic sphere of directions.
+lines eta + s*tau over a deterministic sphere of directions.  Every verdict
+function returns a `HyperbolicityVerdict`, degenerate cases included (a
+quadratic form singular on its support is `inconclusive`, a factor that
+vanishes at tau `not-hyperbolic`); `hyperbolicity_auto` only dispatches on
+degree.
 
 The sampled screen, `cone_sample` and `ens.sampled_root_nonnegativity`
 share one batched path.  `rational_directions` gives a memoized table of
@@ -25,6 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .poly import Atom, Poly, XI, eval_rows, param, xi
+from .system import FactorClaim
 
 Fr = Fraction
 
@@ -33,19 +38,7 @@ class DegreeMismatchError(Exception):
     pass
 
 
-class DegeneracyDetectedError(Exception):
-    """The quadratic form is singular on its support."""
-
-
 class LeadingCoefficientZeroError(Exception):
-    pass
-
-
-class LeadingCoefficientVanishesError(Exception):
-    """p(tau) = 0: the line restriction drops degree at this direction."""
-
-
-class NotAllHyperbolicError(Exception):
     pass
 
 
@@ -174,7 +167,8 @@ def hyperbolicity_quadratic(p: Poly, tau: Sequence[Fraction],
     """Exact signature test: hyperbolic iff the form is nonzero at tau and,
     signed to be positive there, has inertia (1, dim-1) on its support.
     p and -p are hyperbolic together (Garding 1951), so the mostly-plus
-    convention -xi0^2 + xi1^2 + ... passes as well."""
+    convention -xi0^2 + xi1^2 + ... passes as well.  A form that is
+    singular on its support is inconclusive."""
     q = _specialize(p, params)
     if q.homogeneous_degree_in(XI) != 2:
         raise DegreeMismatchError(f"expected xi-degree 2, got {q.homogeneous_degree_in(XI)}")
@@ -183,8 +177,9 @@ def hyperbolicity_quadratic(p: Poly, tau: Sequence[Fraction],
     sub = [[m[i][j] for j in support] for i in support]
     pos, neg, zero = rational_signature(sub)
     if zero > 0:
-        raise DegeneracyDetectedError(
-            f"form is singular on its support (inertia {pos},{neg},{zero})")
+        return HyperbolicityVerdict(
+            factor_id, "quadratic-signature", "inconclusive",
+            witness=f"form is singular on its support (inertia {pos},{neg},{zero})")
     value = _eval_at_cov(q, tau)
     if value != 0 and ((pos, neg) if value > 0 else (neg, pos)) == (1, len(support) - 1):
         return HyperbolicityVerdict(factor_id, "quadratic-signature", "hyperbolic")
@@ -216,23 +211,26 @@ def sphere_directions(n: int, seed: int = 0) -> List[Tuple[float, float, float]]
 # (numerator, denominator) pairs in lowest terms, denominators positive
 DirectionTable = Tuple[Tuple[Tuple[int, int], ...], ...]
 
-_DIRECTION_TABLES: Dict[Tuple[int, int, int], DirectionTable] = {}
+# the largest denominator of a direction coordinate
+DIRECTION_MAX_DEN = 4096
+
+_DIRECTION_TABLES: Dict[Tuple[int, int], DirectionTable] = {}
 
 
-def rational_directions(n: int, seed: int = 0, max_den: int = 4096) -> DirectionTable:
+def rational_directions(n: int, seed: int = 0) -> DirectionTable:
     """sphere_directions(n, seed) with every coordinate replaced by
-    Fraction(x).limit_denominator(max_den), as integer pairs.
+    Fraction(x).limit_denominator(DIRECTION_MAX_DEN), as integer pairs.
 
-    Memoized per (n, seed, max_den): the sampled verdicts, `cone_sample`
-    and the root-nonnegativity check of one process share each table.
-    Raises ValueError for n < 1, on which every sampled check would pass.
+    Memoized per (n, seed): the sampled verdicts, `cone_sample` and the
+    root-nonnegativity check of one process share each table.  Raises
+    ValueError for n < 1, on which every sampled check would pass.
     """
     if n < 1:
         raise ValueError(f"need at least one direction, got {n}")
-    key = (n, seed, max_den)
+    key = (n, seed)
     table = _DIRECTION_TABLES.get(key)
     if table is None:
-        table = tuple(tuple(_limit_denominator(c, max_den) for c in d)
+        table = tuple(tuple(_limit_denominator(c, DIRECTION_MAX_DEN) for c in d)
                       for d in sphere_directions(n, seed))
         table = _DIRECTION_TABLES.setdefault(key, table)
     return table
@@ -349,14 +347,16 @@ def hyperbolicity_sampled(p: Poly, tau: Sequence[Fraction],
                           seed: int = 0, factor_id: str = "") -> HyperbolicityVerdict:
     """Companion-matrix roots along eta + s*tau for sampled directions eta;
     hyperbolic when every root is real within tol*(1+|Re|).  A falsification
-    screen, not a certificate."""
+    screen, not a certificate.  A polynomial that vanishes at tau is
+    not hyperbolic, with no sample drawn."""
     q = _specialize(p, params)
     d = q.homogeneous_degree_in(XI)
     if d is None or d < 1:
         raise DegreeMismatchError("sampled test needs a homogeneous xi-polynomial")
     lead = _eval_at_cov(q, tau)
     if lead == 0:
-        raise LeadingCoefficientVanishesError(f"polynomial vanishes at tau={_fmt_cov(tau)}")
+        return HyperbolicityVerdict(factor_id, "sampled", "not-hyperbolic",
+                                    witness=f"vanishes at tau={_fmt_cov(tau)}", tolerance=tol)
     frame = _orthogonal_frame(tau)
     table = rational_directions(n_samples, seed)
     rows, = _line_coefficients([_line_restriction(q, tau, frame)], table)
@@ -389,17 +389,8 @@ def hyperbolicity_auto(p: Poly, tau, params=None, n_samples: int = 1000,
     if d == 1:
         return hyperbolicity_linear(q, tau, None, factor_id)
     if d == 2:
-        try:
-            return hyperbolicity_quadratic(q, tau, None, factor_id)
-        except DegeneracyDetectedError as err:
-            return HyperbolicityVerdict(factor_id, "quadratic-signature", "inconclusive",
-                                        witness=str(err))
-    try:
-        return hyperbolicity_sampled(q, tau, None, n_samples, tol, seed, factor_id)
-    except LeadingCoefficientVanishesError:
-        return HyperbolicityVerdict(factor_id, "sampled", "not-hyperbolic",
-                                    witness=f"vanishes at tau={_fmt_cov(tau)}",
-                                    tolerance=tol)
+        return hyperbolicity_quadratic(q, tau, None, factor_id)
+    return hyperbolicity_sampled(q, tau, None, n_samples, tol, seed, factor_id)
 
 
 # -- biquadratic split ----------------------------------------------------------
@@ -438,16 +429,11 @@ def quartic_from_coefficients(A: Poly, B: Poly, C: Poly) -> Poly:
 # -- Gevrey exponent ------------------------------------------------------------
 
 
-def gevrey_sigma(factorization, verdicts: Optional[Sequence[HyperbolicityVerdict]] = None
-                 ) -> Optional[Fraction]:
+def gevrey_sigma(claim: FactorClaim) -> Optional[Fraction]:
     """sigma0 = q/(q-1) for q hyperbolic factors counted with multiplicity;
-    None encodes the infinite (Sobolev) case q = 1."""
-    if verdicts is not None:
-        bad = [v for v in verdicts if not v.hyperbolic]
-        if bad:
-            names = ", ".join(v.factor_id or v.method for v in bad)
-            raise NotAllHyperbolicError(f"factors without a hyperbolic verdict: {names}")
-    count = factorization.factor_count()
+    None encodes the infinite (Sobolev) case q = 1.  The caller has checked
+    that every factor is hyperbolic."""
+    count = claim.factor_count()
     if count < 1:
         raise ValueError("factorization has no factors")
     if count == 1:
@@ -470,13 +456,11 @@ class ConeSamples:
     tau: Tuple[float, ...]
     directions: List[Tuple[float, float, float]]
     roots: List[List[float]]                       # sorted real parts per direction
-    reference_roots: Optional[List[List[float]]] = None
-    within_reference: Optional[List[bool]] = None
+    reference_roots: List[List[float]]
+    within_reference: List[bool]
 
     @property
-    def all_within_reference(self) -> Optional[bool]:
-        if self.within_reference is None:
-            return None
+    def all_within_reference(self) -> bool:
         return all(self.within_reference)
 
     def csv_lines(self) -> List[str]:
@@ -491,26 +475,22 @@ class ConeSamples:
 def cone_sample(p: Poly, tau: Sequence[Fraction],
                 params: Optional[Mapping[Atom, Fraction]] = None,
                 n: int = 100, seed: int = 0, tol: float = 1e-9,
-                factor_id: str = "",
-                reference: Optional[Poly] = None) -> ConeSamples:
-    """Real root sheets of p(eta + s*tau) per sphere direction.
+                factor_id: str = "", *, reference: Poly) -> ConeSamples:
+    """Real root sheets of p(eta + s*tau) and of the reference polynomial
+    (the wave cone) per sphere direction.
 
-    When a reference polynomial is given (the wave cone), each direction is
-    flagged by whether the factor's outermost sheet stays inside the
-    reference's outermost sheet (propagation no faster than the reference).
+    Each direction is flagged by whether the factor's outermost sheet stays
+    inside the reference's outermost sheet (propagation no faster than the
+    reference).
     """
     frame = _orthogonal_frame(tau)
-    restrictions = [_line_restriction(_specialize(p, params), tau, frame)]
-    if reference is not None:
-        restrictions.append(_line_restriction(_specialize(reference, params), tau, frame))
+    restrictions = [_line_restriction(_specialize(poly, params), tau, frame)
+                    for poly in (p, reference)]
     table = rational_directions(n, seed)
-    sheets = [_real_sheets(rows, tol) for rows in _line_coefficients(restrictions, table)]
-    all_roots = sheets[0]
-    ref_roots = within = None
-    if reference is not None:
-        ref_roots = sheets[1]
-        within = [max(map(abs, roots), default=0.0) <= max(map(abs, rr), default=0.0) + 1e-7
-                  for roots, rr in zip(all_roots, ref_roots)]
+    all_roots, ref_roots = (_real_sheets(rows, tol)
+                            for rows in _line_coefficients(restrictions, table))
+    within = [max(map(abs, roots), default=0.0) <= max(map(abs, rr), default=0.0) + 1e-7
+              for roots, rr in zip(all_roots, ref_roots)]
     dirs_f = [tuple(num / den for num, den in row) for row in table]
     return ConeSamples(factor_id, tuple(float(t) for t in tau), dirs_f, all_roots,
                        ref_roots, within)

@@ -55,10 +55,23 @@ class ParamDecl:
 
 @dataclass(frozen=True)
 class FactorClaim:
-    """A claimed factorization: prefactor (parameters only) times factors."""
+    """A claimed factorization: prefactor (parameters only) times powers of
+    polynomial factors."""
 
     prefactor: Poly
     factors: Tuple[Tuple[Poly, int], ...]
+
+    @staticmethod
+    def from_claim(claim: "FactorClaim") -> "FactorClaim":
+        """The claim itself: tests/test_acceptance.py reads a claim through
+        `matrix.Factorization.from_claim`."""
+        return claim
+
+    def factor_count(self) -> int:
+        return sum(mult for _, mult in self.factors)
+
+    def degrees(self) -> List[int]:
+        return [p.degree_in(XI) for p, _ in self.factors]
 
 
 @dataclass

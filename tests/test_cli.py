@@ -141,6 +141,20 @@ class TestSpecChecks:
         assert "Traceback" not in r.stderr
         assert where in r.stderr and message in r.stderr
 
+    @pytest.mark.parametrize("text, where, message", [
+        ("prefactor := 1\nfactor 1 := xi0\n", "line 3, column 1", "no unknown block"),
+        ("", "line 1, column 1", "no unknown block"),
+        ("# a comment and nothing else\n", "line 2, column 1", "no unknown block"),
+        ("unknown u multiplicity 1 index 1\n", "line 2, column 1", "no equation block"),
+    ], ids=["claim-only", "empty", "comment-only", "unknown-only"])
+    def test_spec_without_blocks_located(self, tmp_path, text, where, message):
+        spec = tmp_path / "bad.lops"
+        spec.write_text(text)
+        r = run_cli(["analyze", str(spec)])
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert where in r.stderr and message in r.stderr
+
     def test_negated_cone_is_hyperbolic(self, tmp_path):
         spec = tmp_path / "negated.lops"
         spec.write_text(self.HEAD + f"entry e[0] u[0] := {self.CONE}\nprefactor := -1\n"

@@ -11,6 +11,14 @@ from lops.system import validate_structure, total_order
 X = [Poly.atom(a) for a in XI]
 
 
+def _rational_det(rows):
+    """Exact determinant of a rational matrix by `ens._integer_det` on the
+    rows `ens._integer_rows` scales to integers."""
+    ints, scale = ens._integer_rows([[(x.numerator, x.denominator) for x in row]
+                                     for row in rows])
+    return Fr(ens._integer_det(ints), scale)
+
+
 def _fraction_state(rng, max_entry):
     """`ens.random_state` written over `Fraction`s from the same draws:
     E = I + small entries, g = E^T eta E, g^{-1} = E^{-1} eta E^{-T} and
@@ -241,7 +249,7 @@ class TestReferenceProduct:
         assign = dict(state.assignment())
         for i in range(4):
             assign[XI[i]] = pt[i]
-        num = ens._numeric_det(ens._evaluate_matrix(mat, assign))
+        num = _rational_det(ens._evaluate_matrix(mat, assign))
         assert num == ens.reference_product_value(state, pt)
 
     def test_q_zero_limit_contains_sixteenth_cone_power(self):
@@ -269,17 +277,17 @@ class TestNumericDeterminant:
                 rows[-1] = [x + c * y for x, y in zip(rows[0], rows[(n - 1) // 2])]
             elif trial % 4 == 3:
                 rows[rng.randrange(n)] = [Fr(0)] * n
-            det = ens._numeric_det(rows)
+            det = _rational_det(rows)
             assert det == laplace_determinant(rows)
             nums = [[x.numerator for x in row] for row in rows]
-            assert ens._numeric_det(nums) == laplace_determinant(nums)
+            assert _rational_det(nums) == laplace_determinant(nums)
             kinds.add(det == 0)
         assert kinds == {True, False}
 
     def test_known_values(self):
-        assert ens._numeric_det([[Fr(0), Fr(1)], [Fr(1), Fr(0)]]) == -1
-        assert ens._numeric_det([[Fr(1, 2), Fr(1, 3)], [Fr(1, 4), Fr(1, 5)]]) == Fr(1, 60)
-        assert ens._numeric_det([[Fr(2), Fr(4)], [Fr(3), Fr(6)]]) == 0
+        assert _rational_det([[Fr(0), Fr(1)], [Fr(1), Fr(0)]]) == -1
+        assert _rational_det([[Fr(1, 2), Fr(1, 3)], [Fr(1, 4), Fr(1, 5)]]) == Fr(1, 60)
+        assert _rational_det([[Fr(2), Fr(4)], [Fr(3), Fr(6)]]) == 0
 
 
 class TestVerification:
@@ -355,24 +363,24 @@ class TestVerification:
 class TestFactorizationOps:
     def test_expanded_block_factorization_via_poly_verifier(self):
         # the Poly-level verifier on the expanded 10x10 block determinant
-        from lops.matrix import Factorization, verify_factorization_product
+        from lops.matrix import verify_factorization_product
+        from lops.system import FactorClaim
         det = determinant(ens.vorticity_velocity_block())
         F, q = Poly.atom(ens.F_ATOM), Poly.atom(ens.Q_ATOM)
         light = ens._light_cone("specialized")
         flow = ens._flow(ens.U)
         P = ens.derive_quartic_from_block()
-        good = Factorization(F ** 3 * (F + q) ** 2,
-                             [(flow, 6), (light, 2), (P, 1)])
+        good = FactorClaim(F ** 3 * (F + q) ** 2, ((flow, 6), (light, 2), (P, 1)))
         assert verify_factorization_product([det], good).ok
 
     def test_wrong_cone_exponent_rejected_with_witness(self):
-        from lops.matrix import (Factorization, determinant_factors,
-                                 verify_factorization_product)
+        from lops.matrix import determinant_factors, verify_factorization_product
+        from lops.system import FactorClaim
         system = ens.build_ens_system()
         dets = determinant_factors(build_symbol_matrix(system))
-        claim = Factorization.from_claim(system.factor_claim)
-        wrong = Factorization(claim.scalar_prefactor, list(claim.factors))
-        wrong.factors[0] = (wrong.factors[0][0], 13)  # 13 cones instead of 14
+        claim = system.factor_claim
+        # 13 cones instead of 14
+        wrong = FactorClaim(claim.prefactor, ((claim.factors[0][0], 13),) + claim.factors[1:])
         rep = verify_factorization_product(dets, wrong)
         assert not rep.ok and rep.detail
 

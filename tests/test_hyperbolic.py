@@ -6,9 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lops import ens
-from lops.hyperbolic import (DegeneracyDetectedError, DegreeMismatchError,
-                             LeadingCoefficientVanishesError,
-                             LeadingCoefficientZeroError, NotAllHyperbolicError,
+from lops.hyperbolic import (DegreeMismatchError, LeadingCoefficientZeroError,
                              _limit_denominator, _line_coefficients,
                              _line_restriction, _line_roots,
                              _orthogonal_frame, biquadratic_split, cone_sample,
@@ -16,8 +14,8 @@ from lops.hyperbolic import (DegeneracyDetectedError, DegreeMismatchError,
                              hyperbolicity_quadratic, hyperbolicity_sampled,
                              quartic_from_coefficients, rational_directions,
                              rational_signature, sigma_json, sphere_directions)
-from lops.matrix import Factorization
 from lops.poly import NotPerfectSquareError, Poly, XI, param, xi
+from lops.system import FactorClaim
 
 X = [Poly.atom(a) for a in XI]
 DT = [Fr(1), Fr(0), Fr(0), Fr(0)]
@@ -68,6 +66,11 @@ class TestQuadratic:
         v = hyperbolicity_quadratic(-MINK, [Fr(1), Fr(1), Fr(0), Fr(0)])
         assert v.verdict == "not-hyperbolic"
 
+    def test_singular_form_is_inconclusive(self):
+        v = hyperbolicity_quadratic((X[0] - X[1]) ** 2, DT)
+        assert v.method == "quadratic-signature" and v.verdict == "inconclusive"
+        assert v.witness == "form is singular on its support (inertia 1,0,1)"
+
     def test_signature_function(self):
         assert rational_signature([[Fr(1), Fr(0)], [Fr(0), Fr(-1)]]) == (1, 1, 0)
         assert rational_signature([[Fr(0), Fr(1)], [Fr(1), Fr(0)]]) == (1, 1, 0)
@@ -109,8 +112,10 @@ class TestSampled:
         assert v.verdict == "not-hyperbolic" and v.witness
 
     def test_vanishing_leading_coefficient(self):
-        with pytest.raises(LeadingCoefficientVanishesError):
-            hyperbolicity_sampled(X[1] * MINK, DT, n_samples=10)
+        v = hyperbolicity_sampled(X[1] * MINK, DT, n_samples=10, tol=1e-7, factor_id="f")
+        assert v.factor_id == "f" and v.method == "sampled" and v.verdict == "not-hyperbolic"
+        assert v.witness == "vanishes at tau=(1,0,0,0)"
+        assert v.sample_count == 0 and v.tolerance == 1e-7 and v.worst_imag_ratio == 0.0
 
     def test_auto_reports_vanishing_leading_coefficient(self):
         v = hyperbolicity_auto(X[1] * MINK, DT, n_samples=10)
@@ -160,10 +165,10 @@ class TestBiquadraticSplit:
 
 class TestGevrey:
     def _claim(self, count):
-        return Factorization(Poly.one(), [(MINK, count)])
+        return FactorClaim(Poly.one(), ((MINK, count),))
 
     def test_reference_count(self):
-        claim = Factorization.from_claim(ens.reference_factor_claim())
+        claim = ens.reference_factor_claim()
         assert claim.factor_count() == 24
         assert gevrey_sigma(claim) == Fr(24, 23)
 
@@ -179,25 +184,19 @@ class TestGevrey:
         base = [(MINK, 14), (FLOW_REST, 6), (FLOW_REST * MINK, 2), (MINK, 2)]
         for _ in range(10):
             rng.shuffle(base)
-            assert gevrey_sigma(Factorization(Poly.one(), list(base))) == Fr(24, 23)
-
-    def test_not_all_hyperbolic_raises(self):
-        from lops.hyperbolic import HyperbolicityVerdict
-        bad = HyperbolicityVerdict("f", "sampled", "not-hyperbolic")
-        with pytest.raises(NotAllHyperbolicError):
-            gevrey_sigma(self._claim(2), verdicts=[bad])
+            assert gevrey_sigma(FactorClaim(Poly.one(), tuple(base))) == Fr(24, 23)
 
 
 class TestConeSamples:
     def test_light_cone_roots_unit(self):
-        samples = cone_sample(MINK, DT, n=100, seed=0)
+        samples = cone_sample(MINK, DT, n=100, seed=0, reference=MINK)
         assert len(samples.roots) == 100
         for roots in samples.roots:
             assert len(roots) == 2
             assert abs(roots[0] + 1) < 1e-6 and abs(roots[1] - 1) < 1e-6
 
     def test_flow_factor_single_zero_root(self):
-        samples = cone_sample(FLOW_REST, DT, n=50, seed=0)
+        samples = cone_sample(FLOW_REST, DT, n=50, seed=0, reference=MINK)
         for roots in samples.roots:
             assert len(roots) == 1 and abs(roots[0]) < 1e-12
 
@@ -206,7 +205,7 @@ class TestConeSamples:
         assert samples.all_within_reference is True
 
     def test_csv_shape(self):
-        samples = cone_sample(MINK, DT, n=7, seed=0)
+        samples = cone_sample(MINK, DT, n=7, seed=0, reference=MINK)
         lines = samples.csv_lines()
         assert lines[0] == "dir_x,dir_y,dir_z,roots"
         assert len(lines) == 8

@@ -3,12 +3,13 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from lops.matrix import (Factorization, SymbolMatrix, block_order,
+from lops.matrix import (SymbolMatrix, block_order,
                          build_symbol_matrix, cofactor_determinant_rational,
                          determinant, determinant_factors, factored_xi_degree,
                          laplace_determinant, verify_factorization_product)
 from lops.poly import Poly, XI, param, xi
 from lops.matrix import _bareiss
+from lops.system import FactorClaim
 
 X = [Poly.atom(a) for a in XI]
 ATOMS = list(XI) + [param("F"), param("q")]
@@ -95,41 +96,41 @@ class TestBlockOrder:
 class TestFactorization:
     def test_exact_match(self):
         det = (X[0] + X[1]) ** 3 * (X[2] - X[3])
-        f = Factorization(Poly.one(), [(X[0] + X[1], 3), (X[2] - X[3], 1)])
+        f = FactorClaim(Poly.one(), ((X[0] + X[1], 3), (X[2] - X[3], 1)))
         assert verify_factorization_product([det], f).ok
 
     def test_wrong_exponent_reports_witness(self):
         det = (X[0] + X[1]) ** 3
-        f = Factorization(Poly.one(), [(X[0] + X[1], 2)])
+        f = FactorClaim(Poly.one(), ((X[0] + X[1], 2),))
         rep = verify_factorization_product([det], f)
         assert not rep.ok and rep.witness_monomial
 
     def test_prefactor_must_be_parameter_only(self):
-        f = Factorization(X[0], [(X[1], 1)])
+        f = FactorClaim(X[0], ((X[1], 1),))
         assert not verify_factorization_product([X[0] * X[1]], f).ok
 
     def test_product_form_verifier(self):
         factors = [X[0] + X[1], (X[0] - X[1]) ** 2, Poly.constant(3) * X[2]]
-        claim = Factorization(Poly.constant(3),
-                              [(X[0] + X[1], 1), (X[0] - X[1], 2), (X[2], 1)])
+        claim = FactorClaim(Poly.constant(3),
+                            ((X[0] + X[1], 1), (X[0] - X[1], 2), (X[2], 1)))
         assert verify_factorization_product(factors, claim).ok
 
     def test_product_form_detects_wrong_multiplicity(self):
         factors = [(X[0] + X[1]) ** 2]
-        claim = Factorization(Poly.one(), [(X[0] + X[1], 3)])
+        claim = FactorClaim(Poly.one(), ((X[0] + X[1], 3),))
         assert not verify_factorization_product(factors, claim).ok
 
     def test_product_form_accepts_straddling_grouping(self):
         # a correct claim whose factor spans two block determinants: the
         # cancellation gets stuck and the reduced-expansion fallback decides
         factors = [X[0] + X[1], X[2], (X[0] - X[1])]
-        claim = Factorization(Poly.one(),
-                              [((X[0] + X[1]) * (X[0] - X[1]), 1), (X[2], 1)])
+        claim = FactorClaim(Poly.one(),
+                            (((X[0] + X[1]) * (X[0] - X[1]), 1), (X[2], 1)))
         assert verify_factorization_product(factors, claim).ok
 
     def test_product_form_rejects_straddling_wrong_claim(self):
         factors = [X[0] + X[1], X[2]]
-        claim = Factorization(Poly.one(), [((X[0] + X[1]) * (X[0] - X[1]), 1)])
+        claim = FactorClaim(Poly.one(), (((X[0] + X[1]) * (X[0] - X[1]), 1),))
         assert not verify_factorization_product(factors, claim).ok
 
 
@@ -138,7 +139,6 @@ class TestEnsMatrixShape:
         from lops import build_ens_system
         m = build_symbol_matrix(build_ens_system())
         assert m.dimension == 25
-        assert m.row_labels[0] == "eq_g[0]" and m.col_labels[-1] == "c[3]"
 
     def test_factored_degree(self):
         from lops import build_ens_system
