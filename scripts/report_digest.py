@@ -91,7 +91,11 @@ def runs(ens_spec, wave_spec, tmp):
            ["ens", "verify", "--samples", "100", "--seed", "3", "--json"], None)
     yield "ens-verify-q0.txt", ["ens", "verify", "--q", "0"], None
     yield ("ens-verify-F2-q1_3.txt",
-           ["ens", "verify", "--samples", "2", "--n", "3000", "--F", "2", "--q", "1/3"], None)
+           ["ens", "verify", "--samples", "2", "--F", "2", "--q", "1/3"], None)
+    # on both sides of the claimed table's root threshold q^2 = 4F(F+q)
+    for q in ("5", "49/10", "24/5"):
+        yield (f"ens-verify-q{q.replace('/', '_')}.txt",
+               ["ens", "verify", "--samples", "2", "--q", q], None)
     for factor in ("light", "flow", "cubic", "P1", "P2"):
         yield f"cones-{factor}.json", ["cones", "--factor", factor, "--n", "1000", "--json"], None
     yield ("cones-cubic.csv", ["cones", "--factor", "cubic", "--n", "1000"],

@@ -24,7 +24,8 @@ from typing import Dict, List, Optional
 
 from . import ens, lab
 from .dsl import ParseError, parse_system
-from .hyperbolic import cone_sample, gevrey_sigma, hyperbolicity_auto, sigma_json
+from .hyperbolic import (HyperbolicityVerdict, cone_sample, gevrey_sigma,
+                         hyperbolicity_auto, sigma_json)
 from .matrix import (build_symbol_matrix, determinant_factors, factored_xi_degree,
                      verify_factorization_product)
 from .poly import DegreeOverflowError
@@ -35,15 +36,38 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational, got {text!r}") from None
+
+
 def _parse_tau(text: str) -> List[Fraction]:
+    """A time direction: the zero covector leaves no root to find."""
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("tau needs four comma-separated rationals")
-    return [Fraction(p.strip()) for p in parts]
+    tau = [_parse_fraction(p) for p in parts]
+    if not any(tau):
+        raise argparse.ArgumentTypeError("must be nonzero")
+    return tau
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+def _parse_positive(text: str) -> Fraction:
+    """The reference fluid's F: its states divide by F."""
+    value = _parse_fraction(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _parse_nonnegative(text: str) -> Fraction:
+    """The reference fluid's coupling q; 0 is the degeneration limit."""
+    value = _parse_fraction(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
 
 
 def _parse_count(text: str) -> int:
@@ -169,19 +193,18 @@ def _analyze(system, args) -> int:
             overrides["q"] = args.q
         assign, missing = _assignment_for(system, [p for p, _ in claim.factors], overrides)
         verdicts = []
-        factor_json = []
         for idx, (p, mult) in enumerate(claim.factors):
             fid = f"factor{idx}(x{mult})"
             if missing:
-                factor_json.append({"factor": fid, "verdict": "inconclusive",
-                                    "witness": f"unassigned parameters: {', '.join(missing)}"})
-                continue
-            v = hyperbolicity_auto(p, args.tau, assign, n_samples=args.samples,
-                                   tol=args.tol, seed=args.seed, factor_id=fid)
+                v = HyperbolicityVerdict(
+                    fid, "unassigned", "inconclusive",
+                    witness=f"unassigned parameters: {', '.join(missing)}")
+            else:
+                v = hyperbolicity_auto(p, args.tau, assign, n_samples=args.samples,
+                                       tol=args.tol, seed=args.seed, factor_id=fid)
             verdicts.append(v)
-            factor_json.append(v.to_json())
-        report["factors"] = factor_json
-        all_hyp = not missing and all(v.hyperbolic for v in verdicts)
+        report["factors"] = [v.to_json() for v in verdicts]
+        all_hyp = all(v.hyperbolic for v in verdicts)
         ok = ok and all_hyp
 
         sigma = gevrey_sigma(claim) if all_hyp else None
@@ -209,7 +232,7 @@ def _render_analyze(report: Dict) -> str:
                      f" ({report['factorization']['detail']})")
         for f in report.get("factors", []):
             w = f" [{f.get('witness')}]" if f.get("witness") else ""
-            lines.append(f"  {f['factor']}: {f['verdict']} ({f.get('method', '-')}){w}")
+            lines.append(f"  {f['factor']}: {f['verdict']} ({f['method']}){w}")
         if "sigma0" in report:
             lines.append(f"factor count: {report['factor_count']}; sigma0 = {report['sigma0']}")
         lc = report["leray_condition"]
@@ -220,7 +243,7 @@ def _render_analyze(report: Dict) -> str:
 
 #: defaults of the flags that only the full `ens verify` run reads; the q = 0
 #: degeneration report draws no samples and rejects each of them
-FULL_RUN_FLAGS = {"--F": Fraction(1), "--samples": 100, "--n": 10_000, "--seed": 0}
+FULL_RUN_FLAGS = {"--F": Fraction(1), "--samples": 100, "--seed": 0}
 
 
 def cmd_ens_verify(args) -> int:
@@ -238,30 +261,28 @@ def cmd_ens_verify(args) -> int:
         _emit(report, args, renderer=_render_checks)
         return EXIT_OK if deg.ok else EXIT_CHECK_FAILED
 
-    F, samples, n, seed = (default if given[flag] is None else given[flag]
-                           for flag, default in FULL_RUN_FLAGS.items())
+    F, samples, seed = (default if given[flag] is None else given[flag]
+                        for flag, default in FULL_RUN_FLAGS.items())
     main = ens.verify_ens_determinant(state_samples=samples, seed=seed)
     report["determinant"] = main.to_json()
     quartic = ens.quartic_comparison_report()
     report["quartic"] = quartic
     ineq = ens.minkowski_inequality_identities()
     report["minkowski_inequalities"] = ineq.to_json()
-    sampled = ens.sampled_root_nonnegativity(
-        F, args.q if args.q is not None else Fraction(1, 2), n_dirs=n, seed=seed)
-    report["sampled_root_nonnegativity"] = {
-        "name": sampled.name, "ok": sampled.ok, "detail": sampled.detail}
+    roots = ens.root_nonnegativity(F, args.q if args.q is not None else Fraction(1, 2))
+    report["root_nonnegativity"] = roots.to_json()
     deg = ens.degeneration_report(main.quartic)
     report["degeneration"] = deg.to_json()
 
     # the claimed-table mismatch is a reported finding, not a failure: the
     # analyzer's own derivation is the trusted side
-    ok = (main.ok and ineq.ok and sampled.ok and deg.ok
+    ok = (main.ok and ineq.ok and roots.ok and deg.ok
           and quartic["derived"]["discriminant_is_perfect_square"]
           and quartic["claimed_repaired"]["discriminant_matches_claimed_value"])
     report["ok"] = ok
     _emit(report, args, renderer=_render_checks)
     if not ok:
-        for section in (main, ineq, deg):
+        for section in (main, ineq, roots, deg):
             fail = section.first_failure()
             if fail is not None:
                 print(f"first failure: {fail.name}: {fail.detail}", file=sys.stderr)
@@ -390,23 +411,25 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed": dict(type=int, default=0),
             "--json": dict(action="store_true"),
             "--out": dict(default=None),
-            "--q": dict(type=_parse_fraction, default=None),
-            "--F": dict(type=_parse_fraction, default=None),
+            # the reference fluid's coupling and F; a spec declares its own
+            # constraints, so `analyze` takes any rational for them
+            "--q": dict(type=_parse_nonnegative, default=None),
+            "--F": dict(type=_parse_positive, default=None),
         }
         for name in names:
             p.add_argument(name, **spec[name])
 
     p_an = sub.add_parser("analyze", help="analyze a system spec file")
     p_an.add_argument("input")
-    flags(p_an, "--tau", "--samples", "--tol", "--seed", "--json", "--out", "--q", "--F")
+    flags(p_an, "--tau", "--samples", "--tol", "--seed", "--json", "--out")
+    for name in ("--q", "--F"):
+        p_an.add_argument(name, type=_parse_fraction, default=None)
     p_an.set_defaults(func=cmd_analyze)
 
     p_ens = sub.add_parser("ens", help="reference-instance commands")
     ens_sub = p_ens.add_subparsers(dest="ens_command", required=True)
     p_ver = ens_sub.add_parser("verify", help="verify the reference system end to end")
     flags(p_ver, "--samples", "--seed", "--json", "--out", "--q", "--F")
-    p_ver.add_argument("--n", type=_parse_count,
-                       help="sphere directions for the sampled root check")
     # unset flags stay None, so that --q 0 can reject the ones it does not read
     p_ver.set_defaults(func=cmd_ens_verify, samples=None, seed=None)
 

@@ -10,7 +10,9 @@ Two closed forms circulate for the quartic symbol factor P(xi) of the
 vorticity/velocity block: the one this module derives from the determinant
 itself, and a hand-derived coefficient table (``CLAIMED_QUARTIC``) kept here
 as a cross-check input.  The two disagree; reports carry a match/mismatch
-flag rather than assuming either.
+flag rather than assuming either.  Whether the table's split roots are
+nonnegative is decided exactly, by the inertia of two 3x3 quadratic forms
+(`root_nonnegativity`); in symbolic F, q that holds iff q^2 <= 4F(F+q).
 """
 
 from __future__ import annotations
@@ -839,66 +841,90 @@ def degeneration_report(P: Optional[Poly] = None) -> EnsVerifyReport:
     return EnsVerifyReport(items)
 
 
-def minkowski_inequality_identities() -> EnsVerifyReport:
-    """The two case reductions of the root-nonnegativity argument as exact
-    polynomial identities in symbolic F, q over the spatial covector atoms."""
-    items: List[VerifyItem] = []
-    F, q = Poly.atom(F_ATOM), Poly.atom(Q_ATOM)
-    x1, x2, x3 = XIP[1], XIP[2], XIP[3]
+def _root_forms(values: Optional[Dict[Atom, Fraction]] = None):
+    """(B, R, forms) of the claimed table at Minkowski with xi0 = 0.
+
+    B is the middle coefficient, R = sqrt(B^2 - 4AC) the claimed
+    discriminant's root, and `forms` holds the 3x3 coefficient matrices
+    over (xi1, xi2, xi3) of -B + R and -B - R, keyed "minus-B-plus-R" and
+    "minus-B-minus-R".  Since |R| = max(R, -R), the claim -B - |R| >= 0
+    holds at every spatial covector iff both forms are positive
+    semidefinite.  Entries are polynomials in F, q, or constants when
+    `values` assigns them.
+    """
     mink = {GM[i]: Poly.constant(-1) for i in range(3)}
+    mink[XI[0]] = Poly.zero()
     B = CLAIMED_QUARTIC[1].substitute(mink)
-    neg_b = -B
-    two = Poly.constant(2)
-    half = Poly.constant(Fr(1, 2))
-    A = F + q
+    R = CLAIMED_DISCRIMINANT.substitute(mink).sqrt()
+    if values:
+        consts = {a: Poly.constant(v) for a, v in values.items()}
+        B, R = B.substitute(consts), R.substitute(consts)
 
-    display = (two * A * (x1 * x1 + x2 * x2 + half * x3 * x3)
-               + F * x3 * x3 + q * x2 * x3)
-    items.append(VerifyItem("minus-B-display", neg_b == display,
-                            "-B matches its displayed regrouping"))
+    def matrix(form: Poly) -> List[List[Poly]]:
+        return [[form.coefficient_of(a, 2) if a == b
+                 else form.coefficient_of(a, 1).coefficient_of(b, 1) * Fr(1, 2)
+                 for b in XI[1:]] for a in XI[1:]]
 
-    # worst-sign branch: replace +q*x2*x3 by -q*x2*x3, assume x2, x3 >= 0
-    base = display - two * q * x2 * x3
-    root = q * x3 * (x2 - x3)   # |root| with x2 >= x3
-    lhs1 = base - root
-    mid1 = (two * A * (x1 * x1 + x2 * x2 + half * x3 * x3)
-            + A * x3 * x3 - two * q * x2 * x3)
-    items.append(VerifyItem("case-x2-ge-x3-regroup", lhs1 == mid1,
-                            "subtracting the root regroups exactly"))
-    final1 = mid1 + two * q * x2 * x3 - two * q * x2 * x2
-    target1 = two * A * x1 * x1 + two * F * x2 * x2 + two * A * x3 * x3
-    items.append(VerifyItem("case-x2-ge-x3-final", final1 == target1,
-                            "bound by -2q*x2^2 lands on the quoted sum of squares"))
-    items.append(VerifyItem("case-x2-ge-x3-manifest", _manifestly_nonneg(target1),
-                            "every term is a positive F,q combination times a square"))
+    return B, R, {"minus-B-plus-R": matrix(-B + R), "minus-B-minus-R": matrix(-B - R)}
 
-    root2 = q * x3 * (x3 - x2)  # |root| with x3 >= x2
-    lhs2 = base - root2
-    target2 = two * A * (x1 * x1 + x2 * x2) + two * F * x3 * x3
-    items.append(VerifyItem("case-x3-ge-x2-final", lhs2 == target2,
-                            "exact identity, no bounding step needed"))
-    items.append(VerifyItem("case-x3-ge-x2-manifest", _manifestly_nonneg(target2),
-                            "every term is a positive F,q combination times a square"))
+
+def minkowski_inequality_identities() -> EnsVerifyReport:
+    """The two quadratic forms behind root nonnegativity of the claimed
+    table, in symbolic F, q: -B - R is 2(F+q) times the spatial sum of
+    squares, and -B + R is positive semidefinite exactly when
+    q^2 <= 4F(F+q).  The report states that condition; `root_nonnegativity`
+    decides it at given F, q."""
+    B, R, forms = _root_forms()
+    F, q = Poly.atom(F_ATOM), Poly.atom(Q_ATOM)
+    two_a = Poly.constant(2) * (F + q)
+    x1, x2, x3 = XIP[1], XIP[2], XIP[3]
+    items = [VerifyItem(
+        "minus-B-minus-R", -B - R == two_a * (x1 * x1 + x2 * x2 + x3 * x3),
+        f"with R = {R.render()}, -B - R = ({two_a.render()})*(xi1^2 + xi2^2 + xi3^2): "
+        "positive semidefinite for F + q >= 0")]
+    m = forms["minus-B-plus-R"]
+    m1, m2 = m[0][0], laplace_determinant([row[:2] for row in m[:2]])
+    items.append(VerifyItem(
+        "minus-B-plus-R-leading-minors", m1 == two_a and m2 == two_a * two_a,
+        f"leading principal minors {m1.render()} and {m2.render()}: positive for F + q > 0"))
+    condition = laplace_determinant(m).exact_div(two_a)
+    items.append(VerifyItem(
+        "minus-B-plus-R-determinant", condition == 4 * F * F + 4 * F * q - q * q,
+        f"determinant ({two_a.render()})*({condition.render()}), so for F + q > 0 the "
+        f"form is positive semidefinite iff {condition.render()} >= 0, i.e. "
+        "q^2 <= 4F(F+q), q/F <= 2 + 2*sqrt(2) for F > 0"))
     return EnsVerifyReport(items)
 
 
-def _manifestly_nonneg(p: Poly) -> bool:
-    """Every term has even covector exponents and a positive coefficient, so
-    nonnegativity for F, q > 0 is visible term by term."""
-    for mono, c in p.terms():
-        if c <= 0:
-            return False
-        for a, e in mono:
-            if a in XI and e % 2:
-                return False
-    return True
+def root_nonnegativity(F_val: Fraction, q_val: Fraction) -> EnsVerifyReport:
+    """Exact decision of -B - |R| >= 0 at every spatial covector for the
+    claimed table at Minkowski with the given F > 0, q: the inertia of each
+    form of `_root_forms`, and for a form with a negative eigenvalue a
+    rational witness direction with its value of -B - |R|, evaluated."""
+    from .hyperbolic import rational_signature
+
+    B, R, forms = _root_forms({F_ATOM: F_val, Q_ATOM: q_val})
+    # the least value of -B + R on the line xi1 = 0, xi2 = 1
+    witness = (Fr(0), Fr(1), Fr(-q_val, 2 * F_val))
+    point = dict(zip(XI[1:], witness))
+    items = []
+    for name, m in forms.items():
+        pos, neg, zero = rational_signature([[e.as_constant() for e in row] for row in m])
+        detail = f"F = {F_val}, q = {q_val}: inertia ({pos},{neg},{zero})"
+        if neg:
+            value = -B.eval(point) - abs(R.eval(point))
+            detail += (f"; witness xi = (0, {', '.join(map(str, witness))}) gives "
+                       f"-B - |R| = {value}")
+        items.append(VerifyItem(f"{name}-positive-semidefinite", neg == 0, detail))
+    return EnsVerifyReport(items)
 
 
 def sampled_root_nonnegativity(F_val: Fraction, q_val: Fraction,
                                n_dirs: int = 10_000, seed: int = 0) -> VerifyItem:
-    """Exact-rational spot check of -B - sqrt(B^2-4AC) >= 0 at Minkowski over
-    a deterministic sphere of spatial directions, for the internally
-    consistent (repaired) claimed table."""
+    """Sampled cross-check of `root_nonnegativity`: -B - sqrt(B^2-4AC) >= 0
+    at Minkowski, in exact rationals, over a deterministic sphere of spatial
+    directions, for the internally consistent (repaired) claimed table.
+    The acceptance test calls it; `ens verify` does not."""
     from .hyperbolic import rational_directions
 
     mink = {GM[i]: Poly.constant(-1) for i in range(3)}

@@ -181,32 +181,35 @@ class TestVanishingFactor:
 
 
 class TestCountFlags:
-    """A count below 1 would let a check pass on nothing: exit 2, naming the flag."""
+    """A count below 1 would let a check pass on nothing: exit 2, naming the
+    flag.  `ens verify` decides root nonnegativity exactly and takes no
+    direction count at all."""
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["analyze", "WAVE", "--samples", "0"], "--samples"),
-        (["analyze", "WAVE", "--samples", "-5"], "--samples"),
-        (["ens", "verify", "--samples", "0"], "--samples"),
-        (["ens", "verify", "--n", "0"], "--n"),
-        (["cones", "--factor", "light", "--n", "0"], "--n"),
-        (["lab", "run", "--refine", "0"], "--refine"),
-        (["lab", "run", "--refine", "-1"], "--refine"),
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "WAVE", "--samples", "0"], "argument --samples: must be at least 1"),
+        (["analyze", "WAVE", "--samples", "-5"], "argument --samples: must be at least 1"),
+        (["ens", "verify", "--samples", "0"], "argument --samples: must be at least 1"),
+        (["ens", "verify", "--n", "10"], "unrecognized arguments: --n 10"),
+        (["cones", "--factor", "light", "--n", "0"], "argument --n: must be at least 1"),
+        (["lab", "run", "--refine", "0"], "argument --refine: must be at least 1"),
+        (["lab", "run", "--refine", "-1"], "argument --refine: must be at least 1"),
     ], ids=["analyze-samples-0", "analyze-samples-negative", "ens-verify-samples",
             "ens-verify-n", "cones-n", "lab-refine-0", "lab-refine-negative"])
-    def test_rejected(self, argv, flag, capsys):
+    def test_rejected(self, argv, message, capsys):
         argv = [wave_spec_path() if a == "WAVE" else a for a in argv]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert f"argument {flag}: must be at least 1" in err
+        assert message in capsys.readouterr().err
 
 
 class TestRealFlags:
     """A negative or non-finite tolerance fails every sampled factor with no
     witness; a spacing that is not finite and positive, or whose entropy bound
-    overflows, breaks the lab's checks; a flag the subcommand does not read
-    would do nothing: exit 2, naming the flag."""
+    overflows, breaks the lab's checks; a rational with a zero denominator, a
+    reference fluid with F <= 0 or q < 0, or a zero tau has no meaning; a flag
+    the subcommand does not read would do nothing: exit 2, naming the flag,
+    with no traceback."""
 
     @pytest.mark.parametrize("argv, message", [
         (["analyze", "WAVE", "--tol", "-1"], "argument --tol: must be at least 0"),
@@ -221,15 +224,42 @@ class TestRealFlags:
          "unrecognized arguments: --tau 9,9,9,9"),
         (["ens", "verify", "--samples", "1", "--tol", "5"], "unrecognized arguments: --tol 5"),
         (["cones", "--factor", "light", "--samples", "7"], "unrecognized arguments: --samples 7"),
+        (["analyze", "WAVE", "--F", "1/0"], "argument --F: expected a rational, got '1/0'"),
+        (["analyze", "WAVE", "--q", "x"], "argument --q: expected a rational, got 'x'"),
+        (["analyze", "WAVE", "--tau", "0,0,0,0"], "argument --tau: must be nonzero"),
+        (["cones", "--factor", "light", "--n", "5", "--tau", "1/0,0,0,0"],
+         "argument --tau: expected a rational, got '1/0'"),
+        (["cones", "--factor", "light", "--n", "5", "--tau", "0,0,0,0"],
+         "argument --tau: must be nonzero"),
+        (["cones", "--factor", "light", "--n", "5", "--F", "0"],
+         "argument --F: must be positive, got 0"),
+        (["cones", "--factor", "light", "--n", "5", "--q", "-1"],
+         "argument --q: must be at least 0, got -1"),
+        (["ens", "verify", "--samples", "1", "--F", "0"],
+         "argument --F: must be positive, got 0"),
+        (["ens", "verify", "--samples", "1", "--F", "-2"],
+         "argument --F: must be positive, got -2"),
+        (["ens", "verify", "--samples", "1", "--q", "-1"],
+         "argument --q: must be at least 0, got -1"),
     ], ids=["tol-negative", "tol-nan", "lab-h-0", "lab-h-nan", "lab-h-huge",
             "lab-h-bound-overflows", "lab-tol", "ens-verify-tau", "ens-verify-tol",
-            "cones-samples"])
+            "cones-samples", "analyze-F-zero-denominator", "analyze-q-not-rational",
+            "analyze-tau-zero", "cones-tau-zero-denominator", "cones-tau-zero",
+            "cones-F-zero", "cones-q-negative", "ens-verify-F-zero",
+            "ens-verify-F-negative", "ens-verify-q-negative"])
     def test_rejected(self, argv, message, capsys):
         argv = [wave_spec_path() if a == "WAVE" else a for a in argv]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_analyze_takes_any_finite_rational(self, capsys):
+        # a spec declares its own parameter constraints; the wave spec reads none
+        assert main(["analyze", wave_spec_path(), "--F=-3/2", "--q", "-1"]) == 0
+        assert "overall: pass" in capsys.readouterr().out
 
     def test_large_spacing_is_a_verdict(self, capsys):
         # a spacing far too coarse for the differences fails the checks
@@ -262,8 +292,10 @@ class TestAnalyzeEns:
             "factor 1 := a*xi0^2 - xi1^2\n")
         r = run_cli(["analyze", str(spec), "--json"])
         assert r.returncode == 1
-        payload = json.loads(r.stdout)
-        assert payload["factors"][0]["verdict"] == "inconclusive"
+        verdict = json.loads(r.stdout)["factors"][0]
+        assert verdict["verdict"] == "inconclusive"
+        assert verdict["method"] == "unassigned"
+        assert verdict["witness"] == "unassigned parameters: a"
 
 
 class TestDeterminism:
@@ -313,8 +345,8 @@ class TestEnsVerifyCommand:
         assert set(payload) == {"degeneration", "ok"}
 
     @pytest.mark.parametrize("flag, value", [
-        ("--F", "5"), ("--samples", "3"), ("--n", "7"), ("--seed", "9"),
-    ], ids=["F", "samples", "n", "seed"])
+        ("--F", "5"), ("--samples", "3"), ("--seed", "9"),
+    ], ids=["F", "samples", "seed"])
     def test_zero_coupling_rejects_full_run_flag(self, flag, value, capsys):
         # the degeneration report reads none of these, so each would do nothing
         assert main(["ens", "verify", "--q", "0", flag, value]) == 2
@@ -323,13 +355,41 @@ class TestEnsVerifyCommand:
         assert f"{flag} not read with --q 0" in captured.err
 
     def test_small_sample_run(self):
-        r = run_cli(["ens", "verify", "--samples", "3", "--n", "200", "--json"])
+        r = run_cli(["ens", "verify", "--samples", "3", "--json"])
         assert r.returncode == 0
         payload = json.loads(r.stdout)
         assert payload["ok"]
         assert payload["determinant"]["ok"]
         assert payload["minkowski_inequalities"]["ok"]
+        assert payload["root_nonnegativity"]["ok"]
         assert not payload["quartic"]["claimed_verbatim"]["matches_derived"]
+
+    def test_root_nonnegativity_fails_past_the_threshold(self, capsys):
+        # q^2 > 4F(F+q): the claimed table has a negative root at F = 1, q = 5
+        assert main(["ens", "verify", "--samples", "1", "--q", "5"]) == 1
+        captured = capsys.readouterr()
+        assert ("[FAIL] root_nonnegativity.minus-B-plus-R-positive-semidefinite: "
+                "F = 1, q = 5: inertia (2,1,0); witness xi = (0, 0, 1, -5/2) gives "
+                "-B - |R| = -1/2\n") in captured.out
+        assert captured.out.endswith("overall: FAIL\n")
+        assert captured.err.startswith(
+            "first failure: minus-B-plus-R-positive-semidefinite: F = 1, q = 5")
+
+    def test_root_nonnegativity_holds_at_the_threshold_side(self, capsys):
+        # q = 24/5 < (2 + 2*sqrt(2))F
+        assert main(["ens", "verify", "--samples", "1", "--q", "24/5"]) == 0
+        assert capsys.readouterr().out.endswith("overall: pass\n")
+
+    def test_no_direction_table(self, monkeypatch, capsys):
+        # the exact root decision draws no sphere directions
+        from lops import hyperbolic
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ens verify drew sphere directions")
+
+        monkeypatch.setattr(hyperbolic, "rational_directions", refuse)
+        assert main(["ens", "verify", "--samples", "1"]) == 0
+        assert capsys.readouterr().out.endswith("overall: pass\n")
 
 
 class TestLabCommand:

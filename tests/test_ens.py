@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction as Fr
 
 import pytest
@@ -347,7 +349,7 @@ class TestVerification:
 
         monkeypatch.setattr(matrix, "laplace_determinant", counted)
         ens.derive_quartic_from_block.cache_clear()  # as in a fresh process
-        assert main(["ens", "verify", "--samples", "1", "--n", "10"]) == 0
+        assert main(["ens", "verify", "--samples", "1"]) == 0
         assert calls == [10]
         assert capsys.readouterr().out.endswith("overall: pass\n")
 
@@ -358,6 +360,63 @@ class TestVerification:
     def test_sampled_root_nonnegativity_small(self):
         item = ens.sampled_root_nonnegativity(Fr(2), Fr(3), n_dirs=500, seed=0)
         assert item.ok
+
+
+# the acceptance (F, q) grid, then points on both sides of q^2 = 4F(F+q)
+ROOT_POINTS = [(Fr(F), Fr(q)) for F in (1, 2, 10) for q in (Fr(1, 10), Fr(1, 2), 3)] + [
+    (Fr(1), Fr(4)), (Fr(1), Fr(24, 5)), (Fr(1), Fr(49, 10)), (Fr(1), Fr(5)), (Fr(3), Fr(15))]
+WITNESS = re.compile(r"witness xi = \((.*)\) gives -B - \|R\| = (\S+)$")
+
+
+def _claimed_root_value(F, q, xi_point):
+    """-B - |R| of the claimed table at Minkowski, from its coefficient
+    polynomials by direct evaluation and an integer square root."""
+    assign = {ens.GM[i]: Fr(-1) for i in range(3)}
+    assign.update({ens.F_ATOM: F, ens.Q_ATOM: q})
+    assign.update(zip(XI, xi_point))
+    disc = ens.CLAIMED_DISCRIMINANT.eval(assign)
+    root = Fr(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
+    assert root * root == disc
+    return -ens.CLAIMED_QUARTIC[1].eval(assign) - root
+
+
+class TestRootNonnegativity:
+    @pytest.mark.parametrize("F, q", ROOT_POINTS, ids=str)
+    def test_exact_decision_is_the_threshold(self, F, q):
+        rep = ens.root_nonnegativity(F, q)
+        assert rep.ok == (4 * F * F + 4 * F * q - q * q >= 0), rep.to_json()
+
+    @pytest.mark.parametrize("F, q", ROOT_POINTS, ids=str)
+    def test_witness_is_negative_and_evaluated(self, F, q):
+        for item in ens.root_nonnegativity(F, q).items:
+            found = WITNESS.search(item.detail)
+            assert (found is not None) == (not item.ok), item.detail
+            if found:
+                point = [Fr(c) for c in found.group(1).split(", ")]
+                value = Fr(found.group(2))
+                assert value < 0
+                assert value == _claimed_root_value(F, q, point)
+
+    def test_witness_values_past_the_threshold(self):
+        for q, value in ((Fr(5), "-1/2"), (Fr(49, 10), "-41/200")):
+            failed = [i for i in ens.root_nonnegativity(Fr(1), q).items if not i.ok]
+            assert [i.name for i in failed] == ["minus-B-plus-R-positive-semidefinite"]
+            assert "inertia (2,1,0)" in failed[0].detail
+            assert failed[0].detail.endswith(f"-B - |R| = {value}")
+
+    def test_sampled_violation_implies_exact_failure(self):
+        violated = []
+        for F, q in ROOT_POINTS:
+            if not ens.sampled_root_nonnegativity(F, q, n_dirs=2000).ok:
+                violated.append((F, q))
+                assert not ens.root_nonnegativity(F, q).ok
+        assert (Fr(1), Fr(5)) in violated
+
+    def test_symbolic_report_states_the_condition(self):
+        rep = ens.minkowski_inequality_identities()
+        assert rep.ok, "\n".join(i.line() for i in rep.items)
+        assert any("4*F^2 + 4*F*q - q^2" in i.detail for i in rep.items)
+        assert not [i.name for i in rep.items if i.name.startswith("case-")]
 
 
 class TestFactorizationOps:
