@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Print one sha256 per report over a fixed set of `lops` runs.
 
-Runs `lops.cli.main` in-process on every surface and prints, per report,
-its exit code and the sha256 of its bytes.  Run it against two checkouts
-and diff the outputs to see which reports a change moved:
+Runs `python -m lops` in a fresh interpreter per report, on every surface,
+and prints, per report, its exit code and the sha256 of its bytes.  Each
+report gets its own process because that is how the `lops` command runs: a
+process's earlier work (which atoms took which packed-monomial slots, what
+is cached) must never show in a report, and an in-process run could not
+show what a fresh one prints.  Run it against two checkouts and diff the
+outputs to see which reports a change moved:
 
     python scripts/report_digest.py [SRC_DIR] > digests.txt
 
@@ -20,10 +24,9 @@ singular quadratic (`inconclusive`), a cubic that vanishes at tau (1,0,0,0)
 (`inconclusive`).
 """
 
-import contextlib
 import hashlib
-import io
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -31,17 +34,19 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 
-def digest(main, argv, out_path=None):
-    """(exit code, sha256) of one run's report: stdout, or the --out file."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(argv + (["--out", out_path] if out_path else []))
+def digest(src, argv, out_path=None):
+    """(exit code, sha256) of one fresh run's report: stdout, or the --out
+    file.  `src` is the directory holding the `lops` package."""
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "lops", *argv]
+                         + (["--out", out_path] if out_path else []),
+                         stdout=subprocess.PIPE, env=env, check=False)
     if out_path:
         with open(out_path, "rb") as fh:
             data = fh.read()
     else:
-        data = buf.getvalue().encode()
-    return code, hashlib.sha256(data).hexdigest()
+        data = run.stdout
+    return run.returncode, hashlib.sha256(data).hexdigest()
 
 
 CONE = "xi0^2 - xi1^2 - xi2^2 - xi3^2"
@@ -113,14 +118,12 @@ def runs(ens_spec, wave_spec, tmp):
 
 def main():
     src = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else os.path.join(ROOT, "src"))
-    sys.path.insert(0, src)
-    from lops import ens_spec_path, wave_spec_path
-    from lops.cli import main as cli_main
-
+    data = os.path.join(src, "lops", "data")
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv, out_path in runs(ens_spec_path(), wave_spec_path(), tmp):
-            code, sha = digest(cli_main, argv, out_path)
-            print(f"{sha}  exit={code}  {name}")
+        for name, argv, out_path in runs(os.path.join(data, "ens.lops"),
+                                         os.path.join(data, "wave.lops"), tmp):
+            code, sha = digest(src, argv, out_path)
+            print(f"{sha}  exit={code}  {name}", flush=True)
 
 
 if __name__ == "__main__":

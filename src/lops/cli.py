@@ -10,11 +10,18 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad input.
 Identical configuration and seed produce byte-identical output.
+
+`analyze` loads only the exact pipeline: `ens` and `lab` are bound here as
+lazy modules, executed on the first attribute access of `ens verify`,
+`cones` or `lab run`, and numpy comes in with the float helpers of
+`hyperbolic`.  `main` builds its argument parser once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib.util
 import json
 import math
 import os
@@ -22,14 +29,32 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from . import ens, lab
 from .dsl import ParseError, parse_system
 from .hyperbolic import (HyperbolicityVerdict, cone_sample, gevrey_sigma,
                          hyperbolicity_auto, sigma_json)
 from .matrix import (build_symbol_matrix, determinant_factors, factored_xi_degree,
                      verify_factorization_product)
 from .poly import DegreeOverflowError
-from .system import leray_condition, total_order, validate_structure
+from .system import FACTOR_NAMES, leray_condition, total_order, validate_structure
+
+
+def _lazy_module(name: str):
+    """The module `name`, entered in sys.modules and bound on its package now
+    but executed on its first attribute access (importlib.util.LazyLoader)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module
+
+
+ens = _lazy_module("lops.ens")
+lab = _lazy_module("lops.lab")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -318,16 +343,15 @@ def _render_checks(report: Dict) -> str:
 
 
 def cmd_cones(args) -> int:
-    names = ens.FACTOR_NAMES
-    if args.factor not in names:
-        print(f"unknown factor {args.factor!r}; choose from {', '.join(names)}",
+    if args.factor not in FACTOR_NAMES:
+        print(f"unknown factor {args.factor!r}; choose from {', '.join(FACTOR_NAMES)}",
               file=sys.stderr)
         return EXIT_INPUT_ERROR
     state = ens.FluidState.minkowski(
         F=args.F if args.F is not None else Fraction(1),
         q=args.q if args.q is not None else Fraction(1, 2))
     claim = ens.reference_factor_claim("specialized")
-    polys = {name: p for name, (p, _) in zip(names, claim.factors)}
+    polys = {name: p for name, (p, _) in zip(FACTOR_NAMES, claim.factors)}
     assign = state.assignment()
     samples = cone_sample(polys[args.factor], args.tau, assign, n=args.n,
                           seed=args.seed, tol=args.tol, factor_id=args.factor,
@@ -403,8 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     def flags(p, *names):
         """Add the named shared flags: only those the handler reads."""
         spec = {
+            # a tuple: one parser serves every main() call of a process
             "--tau": dict(type=_parse_tau,
-                          default=[Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
+                          default=(Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
                           help="time direction covector, four comma-separated rationals"),
             "--samples": dict(type=_parse_count, default=1000),
             "--tol": dict(type=_parse_tol, default=1e-9),
@@ -435,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cone = sub.add_parser("cones", help="sample characteristic root sheets")
     p_cone.add_argument("--factor", required=True,
-                        help=f"one of: {', '.join(ens.FACTOR_NAMES)}")
+                        help=f"one of: {', '.join(FACTOR_NAMES)}")
     p_cone.add_argument("--n", type=_parse_count, default=100)
     flags(p_cone, "--tau", "--tol", "--seed", "--json", "--out", "--q", "--F")
     p_cone.set_defaults(func=cmd_cones)
@@ -454,8 +479,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: flags whose value may start with "-": a negative rational or tau, which
+#: argparse would otherwise take for an option
+SIGNED_FLAGS = ("--F", "--q", "--tau")
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main() call of a process."""
+    return build_parser()
+
+
+def _join_signed(argv: List[str]) -> List[str]:
+    """Rewrite `--F -3/2` as `--F=-3/2`, and likewise for every SIGNED_FLAGS
+    value that starts with a single "-"."""
+    out: List[str] = []
+    for arg in argv:
+        if (out and out[-1] in SIGNED_FLAGS and arg.startswith("-")
+                and not arg.startswith("--")):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(_join_signed(sys.argv[1:] if argv is None else argv))
     return args.func(args)
 
 

@@ -27,15 +27,16 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .poly import XI, Atom, DegreeOverflowError, Poly, param, xi
+from .poly import MAX_DEGREE, XI, Atom, DegreeOverflowError, Poly, param, slot, xi
 from .system import (DependencyDecl, EquationBlock, FactorClaim, LeraySystem,
                      ParamDecl, SymbolEntry, UnknownBlock)
 
-XI_NAMES = {f"xi{i}": xi(i) for i in range(4)}
+XI_NAMES = {a.name: a for a in XI}
 
+# whitespace separates tokens; any other character no token starts with is `bad`
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>:=|[-+*^()\[\]:/]))"
+    r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>:=|[-+*^()\[\]:/])|(?P<bad>\S)"
 )
 
 
@@ -59,18 +60,14 @@ class _Tokens:
         self.text = text
         self.line_no = line_no
         self.toks: List[Tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            mo = _TOKEN_RE.match(text, pos)
-            if mo is None or mo.end() == pos:
-                rest = text[pos:].strip()
-                if not rest:
-                    break
-                raise ParseError(f"unexpected character {rest[0]!r}", line_no, pos + 1)
-            if mo.lastgroup is not None and mo.group(mo.lastgroup):
-                kind = mo.lastgroup
-                self.toks.append((kind, mo.group(kind), mo.start(kind) + 1))
-            pos = mo.end()
+        end = 0
+        for mo in _TOKEN_RE.finditer(text):
+            kind = mo.lastgroup
+            if kind == "bad":
+                # located just past the previous token
+                raise ParseError(f"unexpected character {mo.group()!r}", line_no, end + 1)
+            self.toks.append((kind, mo.group(), mo.start() + 1))
+            end = mo.end()
         self.i = 0
 
     def peek(self) -> Optional[Tuple[str, str, int]]:
@@ -128,33 +125,83 @@ class _PolyParser:
                 return acc
 
     def term(self) -> Poly:
-        acc = self.power()
+        """A product of powers.  A run of plain factors (a number or a/b, an
+        atom, either with an optional ^k) folds into one coefficient and one
+        list of atom powers, packed once; any other factor is a Poly
+        product.  So is an atom power that would lift the total degree past
+        MAX_DEGREE, which then raises the DegreeOverflowError of a
+        factor-by-factor product."""
+        toks = self.toks
+        acc = None                            # the factors before the run
+        num, den, powers, deg = 1, 1, [], 0   # the run
         while True:
-            t = self.toks.peek()
-            if t and t[0] == "op" and t[1] == "*":
-                self.toks.next()
-                acc = acc * self.power()
+            factor = None
+            plain = self.plain()
+            if plain is None:
+                factor = self.power()
             else:
-                return acc
+                n, d, a = plain
+                k = self.exponent()
+                if a is None:
+                    if k is not None:
+                        n, d = n ** k, d ** k
+                    num *= n
+                    den *= d
+                else:
+                    k = 1 if k is None else k
+                    before = deg + (max(acc.degree(), 0) if acc is not None else 0)
+                    if before + k <= MAX_DEGREE:
+                        powers.append((a, k))
+                        deg += k
+                    else:
+                        factor = Poly.atom(a) ** k
+            if factor is not None:
+                if num != den or powers:
+                    acc = _times(acc, Poly.monomial(Fraction(num, den), powers))
+                    num, den, powers, deg = 1, 1, [], 0
+                acc = _times(acc, factor)
+            t = toks.peek()
+            if not (t and t[0] == "op" and t[1] == "*"):
+                break
+            toks.next()
+        if acc is None or num != den or powers:
+            acc = _times(acc, Poly.monomial(Fraction(num, den), powers))
+        return acc
 
-    def power(self) -> Poly:
-        base = self.base()
+    def exponent(self) -> Optional[int]:
+        """The k of a `^k` suffix, if one follows."""
         t = self.toks.peek()
         if t and t[0] == "op" and t[1] == "^":
             self.toks.next()
-            n = self.toks.expect("num")
-            return base ** int(n[1])
-        return base
+            return int(self.toks.expect("num")[1])
+        return None
+
+    def power(self) -> Poly:
+        base = self.base()
+        k = self.exponent()
+        return base if k is None else base ** k
+
+    def plain(self) -> Optional[Tuple[int, int, Optional[Atom]]]:
+        """The next plain factor without its exponent, read: a number or
+        a/b as (a, b, None), a declared atom as (1, 1, atom).  None, with
+        nothing read, before any other token."""
+        t = self.toks.peek()
+        if t is None or t[0] not in ("num", "name"):
+            return None
+        self.toks.next()
+        if t[0] == "num":
+            return int(t[1]), _denominator(self.toks), None
+        a = self.atoms.get(t[1])
+        if a is None:
+            raise UnknownAtomError(f"undeclared atom {t[1]!r}", self.toks.line_no, t[2])
+        return 1, 1, a
 
     def base(self) -> Poly:
+        plain = self.plain()
+        if plain is not None:
+            n, d, a = plain
+            return Poly.constant(Fraction(n, d)) if a is None else Poly.atom(a)
         t = self.toks.next()
-        if t[0] == "num":
-            return Poly.constant(self.rational_tail(int(t[1])))
-        if t[0] == "name":
-            a = self.atoms.get(t[1])
-            if a is None:
-                raise UnknownAtomError(f"undeclared atom {t[1]!r}", self.toks.line_no, t[2])
-            return Poly.atom(a)
         if t[0] == "op" and t[1] == "(":
             p = self.expr()
             self.toks.expect("op", ")")
@@ -163,15 +210,21 @@ class _PolyParser:
             return -self.base()
         raise ParseError(f"expected a term, found {t[1]!r}", self.toks.line_no, t[2])
 
-    def rational_tail(self, numerator: int) -> Fraction:
-        t = self.toks.peek()
-        if t and t[0] == "op" and t[1] == "/":
-            self.toks.next()
-            den = self.toks.expect("num")
-            if int(den[1]) == 0:
-                raise ParseError("zero denominator", self.toks.line_no, den[2])
-            return Fraction(numerator, int(den[1]))
-        return Fraction(numerator)
+
+def _times(acc: Optional[Poly], p: Poly) -> Poly:
+    return p if acc is None else acc * p
+
+
+def _denominator(toks: _Tokens) -> int:
+    """The b of a `/b` suffix of a number, or 1."""
+    t = toks.peek()
+    if t and t[0] == "op" and t[1] == "/":
+        toks.next()
+        den = toks.expect("num")
+        if int(den[1]) == 0:
+            raise ParseError("zero denominator", toks.line_no, den[2])
+        return int(den[1])
+    return 1
 
 
 def _parse_rational(toks: _Tokens) -> Fraction:
@@ -181,7 +234,7 @@ def _parse_rational(toks: _Tokens) -> Fraction:
         toks.next()
         neg = True
     num = toks.expect("num")
-    val = _PolyParser(toks, {}).rational_tail(int(num[1]))
+    val = Fraction(int(num[1]), _denominator(toks))
     return -val if neg else val
 
 
@@ -242,6 +295,7 @@ def parse_system(text: str) -> LeraySystem:
                 constraint = c[1]
             toks.done()
             atoms[name] = param(name)
+            slot(atoms[name])  # packed in declaration order; see lops.poly
             params.append(ParamDecl(name, constraint))
 
         elif head[1] == "assign":

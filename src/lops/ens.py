@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .matrix import laplace_determinant
 from .poly import Atom, Poly, XI, eval_rows, param
-from .system import (DependencyDecl, EquationBlock, FactorClaim, LeraySystem,
-                     ParamDecl, SymbolEntry, UnknownBlock)
+from .system import (FACTOR_NAMES, DependencyDecl, EquationBlock, FactorClaim,  # noqa: F401
+                     LeraySystem, ParamDecl, SymbolEntry, UnknownBlock)
 
 Fr = Fraction
 
@@ -517,9 +517,6 @@ def reference_factor_claim(metric: str = "specialized") -> FactorClaim:
         (p_half, 1),
     )
     return FactorClaim(prefactor, factors)
-
-
-FACTOR_NAMES = ("light", "flow", "cubic", "P1", "P2")
 
 
 # -- claimed (hand-derived) quartic coefficients --------------------------------

@@ -16,7 +16,8 @@ substitution turns a factor into its line coefficients, polynomials in the
 direction coordinates; `poly.eval_rows` evaluates them at every direction
 on integers, sharing each direction's power tables.  The roots of all lines
 then come from one `np.linalg.eigvals` call per companion size, equal bit
-for bit to per-line `np.roots`.
+for bit to per-line `np.roots`.  numpy is imported by the float helpers on
+first use, so exact verdicts of degree 1 and 2 never load it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .poly import Atom, Poly, XI, eval_rows, param, xi
 from .system import FactorClaim
@@ -305,6 +304,7 @@ def _line_coefficients(restrictions: Sequence[List[Poly]],
     """Per restriction, a matrix with one row per direction: the float
     coefficients (descending) of s -> q(eta + s*tau), each rounded once
     from its exact value."""
+    import numpy as np
     flat = [c for r in restrictions for c in r]
     values = np.fromiter((num / den for row in eval_rows(flat, _LINE_XYZ, table)
                           for num, den in row),
@@ -324,6 +324,7 @@ def _line_roots(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     each group's companion matrices go to one `np.linalg.eigvals` call,
     which runs LAPACK on each stacked matrix as on a single one.
     """
+    import numpy as np
     width = rows.shape[1]
     nonzero = rows != 0
     some = nonzero.any(axis=1)
@@ -349,6 +350,7 @@ def hyperbolicity_sampled(p: Poly, tau: Sequence[Fraction],
     hyperbolic when every root is real within tol*(1+|Re|).  A falsification
     screen, not a certificate.  A polynomial that vanishes at tau is
     not hyperbolic, with no sample drawn."""
+    import numpy as np
     q = _specialize(p, params)
     d = q.homogeneous_degree_in(XI)
     if d is None or d < 1:
@@ -483,6 +485,7 @@ def cone_sample(p: Poly, tau: Sequence[Fraction],
     inside the reference's outermost sheet (propagation no faster than the
     reference).
     """
+    import numpy as np
     frame = _orthogonal_frame(tau)
     restrictions = [_line_restriction(_specialize(poly, params), tau, frame)
                     for poly in (p, reference)]
@@ -499,6 +502,7 @@ def cone_sample(p: Poly, tau: Sequence[Fraction],
 def _real_sheets(rows: np.ndarray, tol: float) -> List[List[float]]:
     """Per coefficient row, the sorted real parts of the roots that are
     real within tol*(1+|Re|)."""
+    import numpy as np
     roots, count = _line_roots(rows)
     keep = np.abs(roots.imag) <= tol * (1.0 + np.abs(roots.real))
     return [sorted(roots.real[k, :c][keep[k, :c]].tolist()) for k, c in enumerate(count)]

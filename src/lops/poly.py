@@ -12,6 +12,12 @@ monomials to ints.  A packed monomial is one Python int: the lowest
 the slot a process-wide registry gave it, so a monomial product is one
 integer addition and a term lookup hashes a plain int.  The top bit of each
 field is a guard that stays clear; a monomial quotient that borrows sets it.
+Slots are given out in the order atoms are first used or reserved with
+`slot`, xi0..xi3 first; a monomial is as wide as its highest slot, so the
+integer work of a product grows with the slots of its atoms.
+`dsl.parse_system` reserves a spec's parameters on their `param` lines, in
+declaration order, so a fresh `lops analyze` process lays a spec out in
+the spec's own order.
 By Gauss's lemma a product of primitive polynomials is primitive and an
 exact quotient of primitive polynomials is integral, so multiplication never
 reduces coefficients and exact division runs on integers only (Monagan and
@@ -133,6 +139,13 @@ def _offset(atom: Atom) -> int:
                 _ODDS |= 1 << off
                 _OFFSETS[atom] = off
     return off
+
+
+def slot(atom: Atom) -> int:
+    """The atom's slot in the packed-monomial registry, reserving the next
+    free one on first use.  Slot s owns exponent field s + 1; xi0..xi3 hold
+    slots 0..3."""
+    return _offset(atom) // _BITS - 1
 
 
 def xi(i: int) -> Atom:
@@ -267,14 +280,28 @@ class Poly:
 
     @staticmethod
     def constant(c: Scalar) -> "Poly":
-        if not c:
-            return _ZERO
-        c = Fraction(c)
-        return _new(_F1 if abs(c) == 1 else abs(c), {0: 1 if c > 0 else -1}, 0)
+        return Poly.monomial(c, ())
 
     @staticmethod
     def atom(a: Atom) -> "Poly":
         return _new(_F1, {(1 << _offset(a)) + 1: 1}, 1)
+
+    @staticmethod
+    def monomial(c: Scalar, powers: Iterable[Tuple[Atom, int]]) -> "Poly":
+        """c times the product of atom**exponent over the (atom, exponent)
+        pairs of `powers`, packed once; an atom may repeat."""
+        if not c:
+            return _ZERO
+        m = deg = 0
+        for a, e in powers:
+            if e < 0:
+                raise ValueError("monomial exponents are non-negative integers")
+            if e:
+                m += e << _offset(a)
+                deg += e
+        _check_degree(deg)
+        c = Fraction(c)
+        return _new(_F1 if abs(c) == 1 else abs(c), {m + deg: 1 if c > 0 else -1}, deg)
 
     # -- inspection --------------------------------------------------------
 

@@ -74,6 +74,12 @@ class FactorClaim:
         return [p.degree_in(XI) for p, _ in self.factors]
 
 
+#: the reference fluid's claimed factors in claim order, as
+#: `ens.reference_factor_claim` builds them; defined here, beside the claim
+#: class, so that the CLI can name them without importing `ens`
+FACTOR_NAMES = ("light", "flow", "cubic", "P1", "P2")
+
+
 @dataclass
 class LeraySystem:
     unknowns: List[UnknownBlock]

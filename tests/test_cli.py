@@ -13,11 +13,15 @@ from lops.cli import main
 LOPS_ROOT = os.path.dirname(os.path.dirname(lops.__file__))
 
 
-def run_cli(args):
+def run_python(*args):
+    """A fresh interpreter that imports the lops under test."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (LOPS_ROOT, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "lops", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(args):
+    return run_python("-m", "lops", *args)
 
 
 @pytest.fixture
@@ -241,12 +245,19 @@ class TestRealFlags:
          "argument --F: must be positive, got -2"),
         (["ens", "verify", "--samples", "1", "--q", "-1"],
          "argument --q: must be at least 0, got -1"),
+        (["ens", "verify", "--samples", "1", "--F", "-3/2"],
+         "argument --F: must be positive, got -3/2"),
+        (["ens", "verify", "--samples", "1", "--F=-3/2"],
+         "argument --F: must be positive, got -3/2"),
+        (["cones", "--factor", "light", "--n", "5", "--q", "-1/2"],
+         "argument --q: must be at least 0, got -1/2"),
     ], ids=["tol-negative", "tol-nan", "lab-h-0", "lab-h-nan", "lab-h-huge",
             "lab-h-bound-overflows", "lab-tol", "ens-verify-tau", "ens-verify-tol",
             "cones-samples", "analyze-F-zero-denominator", "analyze-q-not-rational",
             "analyze-tau-zero", "cones-tau-zero-denominator", "cones-tau-zero",
             "cones-F-zero", "cones-q-negative", "ens-verify-F-zero",
-            "ens-verify-F-negative", "ens-verify-q-negative"])
+            "ens-verify-F-negative", "ens-verify-q-negative", "ens-verify-F-negative-rational",
+            "ens-verify-F-negative-rational-joined", "cones-q-negative-rational"])
     def test_rejected(self, argv, message, capsys):
         argv = [wave_spec_path() if a == "WAVE" else a for a in argv]
         with pytest.raises(SystemExit) as exit_info:
@@ -260,6 +271,23 @@ class TestRealFlags:
         # a spec declares its own parameter constraints; the wave spec reads none
         assert main(["analyze", wave_spec_path(), "--F=-3/2", "--q", "-1"]) == 0
         assert "overall: pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ["--F", "-3/2", "--q", "-1/4"],
+        ["--q=-1/4", "--tau", "-1,0,0,0"],
+        ["--tau=-1,0,0,0", "--F", "-2"],
+    ], ids=["F-q", "tau", "tau-joined"])
+    def test_analyze_takes_signed_values_as_separate_arguments(self, flags, capsys):
+        # the wave spec's light cone is hyperbolic for -tau as for tau
+        assert main(["analyze", wave_spec_path(), *flags]) == 0
+        assert "overall: pass" in capsys.readouterr().out
+
+    def test_negative_tau_as_separate_value(self, capsys):
+        argv = ["cones", "--factor", "light", "--n", "3"]
+        assert main(argv + ["--tau", "-1,0,0,0"]) == 0
+        separate = capsys.readouterr().out
+        assert main(argv + ["--tau=-1,0,0,0"]) == 0
+        assert capsys.readouterr().out == separate
 
     def test_large_spacing_is_a_verdict(self, capsys):
         # a spacing far too coarse for the differences fails the checks
@@ -318,6 +346,79 @@ class TestDeterminism:
             assert r.returncode == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestLoading:
+    """`analyze` runs on the exact pipeline alone; reports never depend on
+    what the process imported or ran before."""
+
+    def test_analyze_loads_no_numpy_ens_or_lab(self):
+        # ens and lab are entered in sys.modules by `import lops.cli`, so
+        # every lops module is reachable there, but stay unexecuted (a
+        # LazyLoader module) until an attribute is read
+        code = (
+            "import sys, types\n"
+            "import lops.cli\n"
+            "def run():\n"
+            "    return sorted(n for n in ('numpy', 'lops.ens', 'lops.lab')\n"
+            "                  if type(sys.modules.get(n)) is types.ModuleType)\n"
+            "assert {'lops.ens', 'lops.lab'} <= set(sys.modules)\n"
+            "print(run())\n"
+            "assert lops.cli.main(['analyze', sys.argv[1]]) == 0\n"
+            "print(run())\n"
+            "from lops import ens\n"
+            "assert ens.FACTOR_NAMES == ('light', 'flow', 'cubic', 'P1', 'P2')\n"
+            "print(run())\n")
+        r = run_python("-c", code, wave_spec_path())
+        assert r.returncode == 0, r.stderr
+        lines = r.stdout.splitlines()
+        assert lines[0] == lines[-2] == "[]"
+        assert lines[-1] == "['lops.ens']"
+
+    def test_lazy_package_exports(self):
+        code = ("import sys, lops\n"
+                "assert not any(m.startswith('lops.') for m in sys.modules)\n"
+                "from lops import build_ens_system, Poly\n"
+                "assert 'lops.ens' in sys.modules and build_ens_system.__module__ == 'lops.ens'\n"
+                "assert all(hasattr(lops, name) for name in lops.__all__)\n"
+                "print(getattr(lops, 'no_such_name', 'missing'))\n")
+        r = run_python("-c", code)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "missing\n"
+
+    def test_ens_report_independent_of_import_order(self):
+        # importing ens first gives its atoms the low packed-monomial slots
+        code = ("import sys\n"
+                "if sys.argv[2] == 'ens-first':\n"
+                "    import lops.ens\n"
+                "from lops.cli import main\n"
+                "sys.exit(main(['analyze', sys.argv[1], '--json']))\n")
+        plain, ens_first = (run_python("-c", code, ens_spec_path(), order)
+                            for order in ("plain", "ens-first"))
+        assert plain.returncode == ens_first.returncode == 0
+        assert '"sigma0": "24/23"' in plain.stdout
+        assert plain.stdout == ens_first.stdout
+
+    def test_repeated_main_matches_fresh_runs(self, capsys):
+        from lops import cli
+
+        runs = [["analyze", wave_spec_path(), "--json"],
+                ["cones", "--factor", "light", "--n", "8", "--seed", "2"],
+                ["analyze", wave_spec_path(), "--tol", "-1"],
+                ["analyze", wave_spec_path(), "--tau", "-1,0,0,0"],
+                ["cones", "--factor", "light", "--n", "8", "--seed", "2"]]
+        parsers = set()
+        for argv in runs:
+            fresh = run_cli(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+            assert err == fresh.stderr
+            parsers.add(id(cli._parser()))
+        assert len(parsers) == 1
 
 
 class TestCones:

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from lops import build_ens_system, ens_spec_path, wave_spec_path
 from lops.dsl import (DuplicateEntryError, ParseError, UnknownAtomError,
-                      parse_system, print_system)
+                      parse_poly, parse_system, print_system)
 from lops.poly import Poly, param, xi
 from lops.system import (DependencyDecl, EquationBlock, LeraySystem, ParamDecl,
                          SymbolEntry, UnknownBlock, validate_structure)
@@ -163,6 +163,26 @@ class TestErrors:
         assert (err.value.line, err.value.col) == (3, 22)
         assert "degree" in str(err.value)
 
+    @pytest.mark.parametrize("symbol", ["xi0^2$xi1", "xi0^2 $ xi1"])
+    def test_unexpected_character_located(self, symbol):
+        # located just past the previous token
+        text = ("unknown w multiplicity 1 index 2\n"
+                "equation weq multiplicity 1 index 0\n"
+                f"entry weq[0] w[0] := {symbol}\n")
+        with pytest.raises(ParseError) as err:
+            parse_system(text)
+        assert (err.value.line, err.value.col) == (3, 27)
+        assert "unexpected character '$'" in str(err.value)
+
+    def test_undeclared_atom_in_product_located(self):
+        text = ("unknown w multiplicity 1 index 2\n"
+                "equation weq multiplicity 1 index 0\n"
+                "entry weq[0] w[0] := 2*xi0*mystery^2\n")
+        with pytest.raises(UnknownAtomError) as err:
+            parse_system(text)
+        assert (err.value.line, err.value.col) == (3, 28)
+        assert "undeclared atom 'mystery'" in str(err.value)
+
     def test_assign_requires_declared_param(self):
         with pytest.raises(UnknownAtomError):
             parse_system("assign nope := 3\n")
@@ -175,3 +195,47 @@ class TestErrors:
         p = s.entries[0].symbol
         from lops.poly import xi
         assert p.eval({xi(0): Fr(3), xi(1): Fr(0)}) == 2
+
+
+X0, X1, X2 = (Poly.atom(xi(i)) for i in range(3))
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("2^3*xi0", 8 * X0),
+    ("2*(xi0+xi1)*xi2", 2 * (X0 + X1) * X2),
+    ("1/2*xi0^2*xi1*xi0", Fr(1, 2) * X0 ** 3 * X1),
+    ("2/3^2*xi0*-xi1", -Fr(4, 9) * X0 * X1),
+    ("0*xi0^30000*xi1^30000", Poly.zero()),
+    ("xi0^0*3", Poly.constant(3)),
+])
+def test_products(text, expected):
+    assert parse_poly(text, {}) == expected
+
+
+@pytest.mark.parametrize("text, degree", [
+    ("xi0^40000", 32768),
+    ("xi0^20000*xi1^20000", 40000),
+    ("xi0^20000*(xi1+1)*xi1^20000", 40001),
+])
+def test_degree_overflow_names_the_running_degree(text, degree):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, {})
+    assert f"total degree {degree} exceeds" in str(err.value)
+    assert err.value.col == 1
+
+
+def test_fresh_parse_lays_parameters_out_in_declaration_order():
+    import subprocess
+    import sys
+
+    code = ("import sys\n"
+            "from lops import poly\n"
+            "from lops.dsl import parse_system\n"
+            "s = parse_system(open(sys.argv[1]).read())\n"
+            "assert poly._ATOMS[:4] == list(poly.XI)\n"
+            "assert poly._ATOMS[4:] == [poly.param(p.name) for p in s.params]\n"
+            "print(len(s.params))\n")
+    r = subprocess.run([sys.executable, "-c", code, ens_spec_path()],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "77\n"

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from lops.poly import (MAX_DEGREE, MissingAtomError, NotDivisibleError,
-                       NotPerfectSquareError, Poly, PolyError, XI, eval_rows,
-                       param, xi)
+from lops.poly import (MAX_DEGREE, DegreeOverflowError, MissingAtomError,
+                       NotDivisibleError, NotPerfectSquareError, Poly, PolyError, XI,
+                       eval_rows, param, slot, xi)
 from lops.dsl import parse_poly
 
 X0, X1, X2, X3 = (Poly.atom(a) for a in XI)
@@ -306,3 +306,22 @@ def test_atom_registry_is_thread_safe():
     assert len(set(offsets)) == len(atoms)
     assert all(poly._ATOMS[off // poly._BITS - 1] == a for a, off in zip(atoms, offsets))
     assert all(seen[t][500:] == seen[0][500:] for t in range(8))
+
+
+def test_monomial_packs_one_term():
+    m = Poly.monomial(Fr(-3, 2), [(xi(0), 2), (xi(1), 1), (xi(0), 1), (xi(2), 0)])
+    assert m == Fr(-3, 2) * X0 ** 3 * X1
+    assert m.degree() == 4 and len(m) == 1
+    assert Poly.monomial(0, [(xi(0), 5)]).is_zero()
+    assert Poly.monomial(7, []) == Poly.constant(7)
+    with pytest.raises(DegreeOverflowError):
+        Poly.monomial(1, [(xi(0), 20000), (xi(1), 20000)])
+    with pytest.raises(ValueError):
+        Poly.monomial(1, [(xi(0), -1)])
+
+
+def test_slot_reserves_once():
+    assert [slot(a) for a in XI] == [0, 1, 2, 3]
+    first = slot(param("_slot_probe"))
+    assert first > 3 and slot(param("_slot_probe")) == first
+    assert slot(param("_slot_probe_next")) == first + 1
