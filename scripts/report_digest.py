@@ -17,11 +17,13 @@ checkout's `perfbench/specgen.py`: the 50 specs of seed 7.  Three edited
 specs follow: the wave spec claiming the Minkowski cone (a wrong claim
 compared by expansion), the reference spec with one coefficient of its first
 `factor 1` line changed (a wrong claim refuted at an evaluation point), and
-the light cone written with the opposite sign.  Three one-entry specs close
-the set, one per verdict that is neither hyperbolic nor a root screen: a
+the light cone written with the opposite sign.  Three one-entry specs
+follow, one per verdict that is neither hyperbolic nor a root screen: a
 singular quadratic (`inconclusive`), a cubic that vanishes at tau (1,0,0,0)
 (`not-hyperbolic`) and a factor whose parameter has no value
-(`inconclusive`).
+(`inconclusive`).  A last one-entry spec writes a negated square inside a
+product, `1*-xi2^2`, which is `hyperbolic` only when a unary minus negates
+its whole factor, power included.  75 reports in all.
 """
 
 import hashlib
@@ -61,7 +63,7 @@ def one_entry(index, symbol, head=""):
 
 
 def edited_specs(ens_spec, wave_spec, tmp):
-    """(name, path) of the six edited specs, written into `tmp`."""
+    """(name, path) of the seven edited specs, written into `tmp`."""
     with open(wave_spec) as fh:
         wave = [line for line in fh if not line.startswith("factor ")]
     with open(ens_spec) as fh:
@@ -80,6 +82,7 @@ def edited_specs(ens_spec, wave_spec, tmp):
         "singular-quadratic": one_entry(2, "(xi0 - xi1)^2"),
         "cubic-vanishing-at-tau": one_entry(3, "xi1^3"),
         "unassigned-parameter": one_entry(1, "xi0 + c*xi1", head="param c\n"),
+        "unary-minus-in-product": one_entry(2, "xi0^2 - xi1^2 + 1*-xi2^2"),
     }
     for name, text in specs.items():
         path = os.path.join(tmp, f"{name}.lops")

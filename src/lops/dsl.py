@@ -109,12 +109,7 @@ class _PolyParser:
             raise ParseError(str(err), self.toks.line_no, col) from None
 
     def expr(self) -> Poly:
-        t = self.toks.peek()
-        if t and t[0] == "op" and t[1] == "-":
-            self.toks.next()
-            acc = -self.term()
-        else:
-            acc = self.term()
+        acc = self.term()
         while True:
             t = self.toks.peek()
             if t and t[0] == "op" and t[1] in "+-":
@@ -130,7 +125,8 @@ class _PolyParser:
         list of atom powers, packed once; any other factor is a Poly
         product.  So is an atom power that would lift the total degree past
         MAX_DEGREE, which then raises the DegreeOverflowError of a
-        factor-by-factor product."""
+        factor-by-factor product.  A unary minus before a factor negates the
+        run, so the whole factor, ^k included: 2*-xi1^2 is -2*xi1^2."""
         toks = self.toks
         acc = None                            # the factors before the run
         num, den, powers, deg = 1, 1, [], 0   # the run
@@ -138,6 +134,11 @@ class _PolyParser:
             factor = None
             plain = self.plain()
             if plain is None:
+                t = toks.peek()
+                if t and t[0] == "op" and t[1] == "-":
+                    toks.next()
+                    num = -num
+                    continue
                 factor = self.power()
             else:
                 n, d, a = plain
@@ -206,8 +207,6 @@ class _PolyParser:
             p = self.expr()
             self.toks.expect("op", ")")
             return p
-        if t[0] == "op" and t[1] == "-":
-            return -self.base()
         raise ParseError(f"expected a term, found {t[1]!r}", self.toks.line_no, t[2])
 
 

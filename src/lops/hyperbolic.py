@@ -9,14 +9,15 @@ quadratic form singular on its support is `inconclusive`, a factor that
 vanishes at tau `not-hyperbolic`); `hyperbolicity_auto` only dispatches on
 degree.
 
-The sampled screen, `cone_sample` and `ens.sampled_root_nonnegativity`
-share one batched path.  `rational_directions` gives a memoized table of
-sphere directions with exact rational coordinates.  One symbolic
-substitution turns a factor into its line coefficients, polynomials in the
-direction coordinates; `poly.eval_rows` evaluates them at every direction
-on integers, sharing each direction's power tables.  The roots of all lines
-then come from one `np.linalg.eigvals` call per companion size, equal bit
-for bit to per-line `np.roots`.  numpy is imported by the float helpers on
+The sampled screen and `cone_sample` share one batched path.
+`rational_directions` gives a memoized table of sphere directions with
+exact rational coordinates.  One symbolic substitution turns a factor into
+its line coefficients, polynomials in the direction coordinates;
+`poly.eval_rows` evaluates them at every direction on integers, sharing
+each direction's power tables.  The roots of all lines then come from one
+`np.linalg.eigvals` call per companion size, equal bit for bit to per-line
+`np.roots`.  `ens.sampled_root_nonnegativity` shares only the direction
+table and `eval_rows`.  numpy is imported by the float helpers on
 first use, so exact verdicts of degree 1 and 2 never load it.
 """
 
@@ -220,9 +221,9 @@ def rational_directions(n: int, seed: int = 0) -> DirectionTable:
     """sphere_directions(n, seed) with every coordinate replaced by
     Fraction(x).limit_denominator(DIRECTION_MAX_DEN), as integer pairs.
 
-    Memoized per (n, seed): the sampled verdicts, `cone_sample` and the
-    root-nonnegativity check of one process share each table.  Raises
-    ValueError for n < 1, on which every sampled check would pass.
+    Memoized per (n, seed): the sampled verdicts and `cone_sample` of one
+    process share each table.  Raises ValueError for n < 1, on which every
+    sampled check would pass.
     """
     if n < 1:
         raise ValueError(f"need at least one direction, got {n}")

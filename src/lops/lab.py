@@ -25,6 +25,7 @@ import numpy as np
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 EPS = 0.05  # amplitude of the analytic perturbations in the standard family
+_INTERIOR = (slice(1, -1),) * 4  # every node off the patch boundary
 
 
 class PatchTooSmallError(Exception):
@@ -278,8 +279,7 @@ class FieldPatch:
                 - np.einsum("...b,...a->...ab", contr, self.u_lo))
 
     def interior_max(self, arr: np.ndarray) -> float:
-        sl = (slice(1, -1),) * 4
-        return float(np.max(np.abs(arr[sl])))
+        return float(np.max(np.abs(arr[_INTERIOR])))
 
 
 def _gradient(f: np.ndarray, h: float) -> np.ndarray:
@@ -426,9 +426,8 @@ def check_entropy_sign(patch: FieldPatch, vtheta: float = -1.0) -> EntropySignRe
     requested vtheta.
     """
     produced = vtheta / (2.0 * patch.F) * patch.sigma_sq
-    sl = (slice(1, -1),) * 4
-    mn = float(np.min(produced[sl]))
-    mx = float(np.max(produced[sl]))
+    mn = float(np.min(produced[_INTERIOR]))
+    mx = float(np.max(produced[_INTERIOR]))
     bound = entropy_bound(patch.h)
     return EntropySignReport(mn, mx, bound, mn >= -bound, vtheta,
                              "vtheta >= 0")
@@ -523,6 +522,5 @@ def shear_square_range(patch: FieldPatch) -> Tuple[float, float]:
     signs, so the contraction is pointwise non-negative in any signature;
     the range makes the measured sign structure part of the report.
     """
-    sl = (slice(1, -1),) * 4
-    sq = patch.sigma_sq[sl]
+    sq = patch.sigma_sq[_INTERIOR]
     return float(np.min(sq)), float(np.max(sq))

@@ -367,8 +367,7 @@ def _diff_report(lhs: Poly, rhs: Poly) -> VerifyReport:
     mono, _ = diff.leading()
     lc = dict(lhs.terms()).get(mono, Fraction(0))
     rc = dict(rhs.terms()).get(mono, Fraction(0))
-    mono_str = "*".join(f"{a.name}^{e}" if e > 1 else a.name for a, e in mono) or "1"
-    return VerifyReport(False, "difference is nonzero", mono_str, lc, rc)
+    return VerifyReport(False, "difference is nonzero", Poly.monomial(1, mono).render(), lc, rc)
 
 
 def _evaluation_witness(det_factors: Sequence[Poly], claim: FactorClaim) -> VerifyReport:

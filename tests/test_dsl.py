@@ -207,9 +207,32 @@ X0, X1, X2 = (Poly.atom(xi(i)) for i in range(3))
     ("2/3^2*xi0*-xi1", -Fr(4, 9) * X0 * X1),
     ("0*xi0^30000*xi1^30000", Poly.zero()),
     ("xi0^0*3", Poly.constant(3)),
+    # a unary minus negates the whole factor after it, ^k included
+    ("2*-xi1^2", -2 * X1 ** 2),
+    ("3*-2^2", Poly.constant(-12)),
+    ("-xi1^2", -X1 ** 2),
+    ("2*(-xi1)^2", 2 * X1 ** 2),
+    ("--xi0", X0),
+    ("--xi0^2", X0 ** 2),
+    ("xi0 + -xi1^2", X0 - X1 ** 2),
+    ("xi0*-1/2", -Fr(1, 2) * X0),
+    ("-(xi0+xi1)*2", -2 * (X0 + X1)),
 ])
 def test_products(text, expected):
     assert parse_poly(text, {}) == expected
+
+
+# errors around a unary minus keep their messages and columns
+@pytest.mark.parametrize("text, col, message", [
+    ("-xi0^2^3", 7, "trailing input '^'"),
+    ("xi0*-", 6, "unexpected end of line"),
+    ("- + xi0", 3, "expected a term, found '+'"),
+    ("-*xi0", 2, "expected a term, found '*'"),
+])
+def test_unary_minus_errors(text, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, {})
+    assert str(err.value) == f"line 1, column {col}: {message}"
 
 
 @pytest.mark.parametrize("text, degree", [

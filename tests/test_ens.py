@@ -325,6 +325,30 @@ class TestVerification:
         failed = [name for name, item in items.items() if not item.ok]
         assert failed == ["numeric-full-determinant", "numeric-block-cofactor-oracle"]
 
+    def test_block_division_failure_is_reported(self, monkeypatch):
+        # a diagonal block that its claimed power does not divide fails its
+        # item; the other checks still run
+        from lops import matrix
+        real = matrix.determinant
+        monkeypatch.setattr(matrix, "determinant", lambda sub: real(sub) + Poly.one())
+        items = {i.name: i for i in ens.verify_ens_determinant(state_samples=0).items}
+        for name in ("metric-block-determinant", "entropy-block-determinant",
+                     "velocity-block-determinant"):
+            assert not items[name].ok
+            assert items[name].detail.startswith("division failed: ")
+        assert items["vorticity-block-quartic"].ok
+
+    def test_block_division_bug_is_not_reported_as_a_failed_division(self, monkeypatch):
+        from lops import matrix
+
+        class Broken:
+            def exact_div(self, other):
+                raise RuntimeError("kernel bug")
+
+        monkeypatch.setattr(matrix, "determinant", lambda sub: Broken())
+        with pytest.raises(RuntimeError, match="kernel bug"):
+            ens.verify_ens_determinant(state_samples=0)
+
     def test_degeneration(self):
         rep = ens.degeneration_report()
         assert rep.ok, "\n".join(i.line() for i in rep.items)
@@ -411,6 +435,19 @@ class TestRootNonnegativity:
                 violated.append((F, q))
                 assert not ens.root_nonnegativity(F, q).ok
         assert (Fr(1), Fr(5)) in violated
+
+    @pytest.mark.parametrize("F, q", [(Fr(1), Fr(1, 2)), (Fr(1), Fr(49, 10)), (Fr(1), Fr(5))],
+                             ids=str)
+    def test_sampled_check_matches_the_direct_oracle(self, F, q):
+        from lops.hyperbolic import rational_directions
+
+        values = [_claimed_root_value(F, q, [Fr(0)] + [Fr(n, d) for n, d in direction])
+                  for direction in rational_directions(200, 0)]
+        violations = sum(1 for v in values if v < 0)
+        item = ens.sampled_root_nonnegativity(F, q, n_dirs=200)
+        assert item.detail == (f"200 directions, {violations} violations, "
+                               f"min value {min(values)}")
+        assert item.ok == (violations == 0)
 
     def test_symbolic_report_states_the_condition(self):
         rep = ens.minkowski_inequality_identities()
