@@ -12,7 +12,8 @@ One declaration per line; `#` starts a comment.  Statements:
     factor <multiplicity> := <polynomial>
 
 Polynomial expressions use `+ - * ^` with parentheses; coefficients are
-exact rationals written `a` or `a/b`.  The covector atoms are spelled
+exact rationals written `a` or `a/b`.  A number `a/b` is read whole before
+an exponent, so `a/b^k` is `(a/b)^k`: `3/2^2` is 9/4.  The covector atoms are spelled
 `xi0..xi3`; every other atom must have been declared with `param`.  Any
 trailing text after a complete statement is an error, and so is a spec with
 no unknown or no equation block (reported at the end of the input), one
@@ -60,14 +61,12 @@ class _Tokens:
         self.text = text
         self.line_no = line_no
         self.toks: List[Tuple[str, str, int]] = []
-        end = 0
         for mo in _TOKEN_RE.finditer(text):
             kind = mo.lastgroup
             if kind == "bad":
-                # located just past the previous token
-                raise ParseError(f"unexpected character {mo.group()!r}", line_no, end + 1)
+                raise ParseError(f"unexpected character {mo.group()!r}", line_no,
+                                 mo.start() + 1)
             self.toks.append((kind, mo.group(), mo.start() + 1))
-            end = mo.end()
         self.i = 0
 
     def peek(self) -> Optional[Tuple[str, str, int]]:

@@ -163,15 +163,16 @@ class TestErrors:
         assert (err.value.line, err.value.col) == (3, 22)
         assert "degree" in str(err.value)
 
-    @pytest.mark.parametrize("symbol", ["xi0^2$xi1", "xi0^2 $ xi1"])
-    def test_unexpected_character_located(self, symbol):
-        # located just past the previous token
+    @pytest.mark.parametrize("symbol, col", [pytest.param("xi0^2$xi1", 27, id="xi0^2$xi1"),
+                                             pytest.param("xi0^2 $ xi1", 28, id="xi0^2 $ xi1")])
+    def test_unexpected_character_located(self, symbol, col):
+        # located at the character itself
         text = ("unknown w multiplicity 1 index 2\n"
                 "equation weq multiplicity 1 index 0\n"
                 f"entry weq[0] w[0] := {symbol}\n")
         with pytest.raises(ParseError) as err:
             parse_system(text)
-        assert (err.value.line, err.value.col) == (3, 27)
+        assert (err.value.line, err.value.col) == (3, col)
         assert "unexpected character '$'" in str(err.value)
 
     def test_undeclared_atom_in_product_located(self):
@@ -217,6 +218,8 @@ X0, X1, X2 = (Poly.atom(xi(i)) for i in range(3))
     ("xi0 + -xi1^2", X0 - X1 ** 2),
     ("xi0*-1/2", -Fr(1, 2) * X0),
     ("-(xi0+xi1)*2", -2 * (X0 + X1)),
+    # a number a/b is read whole before ^k: (3/2)^2, not 3/(2^2)
+    ("3/2^2*xi0", Fr(9, 4) * X0),
 ])
 def test_products(text, expected):
     assert parse_poly(text, {}) == expected

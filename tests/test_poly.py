@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from lops.poly import (MAX_DEGREE, DegreeOverflowError, MissingAtomError,
                        NotDivisibleError, NotPerfectSquareError, Poly, PolyError, XI,
-                       eval_rows, param, slot, xi)
+                       COLUMN_CHUNK, eval_columns, eval_rows, param, slot, xi)
 from lops.dsl import parse_poly
 
 X0, X1, X2, X3 = (Poly.atom(a) for a in XI)
@@ -131,6 +131,37 @@ class TestEval:
     def test_eval_rows_missing_atom(self):
         with pytest.raises(MissingAtomError):
             eval_rows([X0, X0 + F], [xi(0)], [[(1, 2)]])
+
+    @given(st.lists(polys(), max_size=4),
+           st.sampled_from([1, 7, COLUMN_CHUNK - 1, COLUMN_CHUNK, COLUMN_CHUNK + 1,
+                            2 * COLUMN_CHUNK + 13]),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_eval_columns_equals_eval_rows(self, ps, count, rng):
+        # zero, constant and inhomogeneous polynomials (several degree
+        # groups) beside random ones, each with only some of the atoms
+        ps = ps + [Poly.zero(), Poly.constant(Fr(-7, 3)),
+                   X0 ** 3 * F - Fr(2, 5) * X1 + Poly.constant(4), Q ** 2 * X2 + X3]
+        atoms = list(ATOM_POOL)
+        rng.shuffle(atoms)
+        points = [[(rng.randint(-9, 9), rng.randint(1, 12)) for _ in atoms]
+                  for _ in range(count)]
+        chunks = list(eval_columns(ps, atoms, points))
+        sizes = [len(chunk[0][0]) for chunk in chunks]
+        assert sum(sizes) == count and all(size == COLUMN_CHUNK for size in sizes[:-1])
+        rows = [list(row) for chunk in chunks
+                for row in zip(*(zip(nums, dens) for nums, dens in chunk))]
+        assert rows == list(eval_rows(ps, atoms, points))
+
+    @pytest.mark.parametrize("points", [[], [[(1, 2)]] * (COLUMN_CHUNK + 1)])
+    def test_eval_columns_missing_atom(self, points):
+        # raised at the call, before any chunk is drawn, as by eval_rows
+        for evaluate in (eval_rows, eval_columns):
+            with pytest.raises(MissingAtomError, match="no value for atom F"):
+                evaluate([X0, X0 + F], [xi(0)], points)
+
+    def test_eval_columns_without_points(self):
+        assert list(eval_columns([X0, Poly.zero()], [xi(0)], [])) == []
 
 
 class TestDivision:
