@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .matrix import laplace_determinant
-from .poly import Atom, NotDivisibleError, Poly, XI, eval_columns, eval_rows, param
+from .poly import Atom, NotDivisibleError, Poly, XI, eval_rows, param
 from .system import (FACTOR_NAMES, DependencyDecl, EquationBlock, FactorClaim,  # noqa: F401
                      LeraySystem, ParamDecl, SymbolEntry, UnknownBlock)
 
@@ -655,28 +655,6 @@ def _evaluate_matrix(mat, assign) -> List[List[Fraction]]:
     return out
 
 
-@lru_cache(maxsize=1)
-def _general_sample_plan():
-    """(dimension, cells, polynomials, atoms, factor multiplicities) of the
-    numeric sample path, built once per process: the nonzero cells of the
-    general on-data symbol matrix, and the polynomials each state is
-    evaluated at (those cells' entries, the wave cone, u.xi, the general
-    reference prefactor and factors) over their atoms in sort order.
-    Keeping the same polynomials keeps their evaluation plans, so a later
-    `verify_ens_determinant` call in the process builds neither again."""
-    from .matrix import build_symbol_matrix
-
-    mat = build_symbol_matrix(build_ens_system("general", "on_data"))
-    n = mat.dimension
-    cells = tuple((i, j) for i in range(n) for j in range(n) if mat.entries[i][j])
-    ref = reference_factor_claim("general")
-    polys = tuple([mat.entries[i][j] for i, j in cells]
-                  + [_light_cone("general"), _flow(U), ref.prefactor]
-                  + [p for p, _ in ref.factors])
-    atoms = tuple(sorted(set().union(*(p.atoms() for p in polys)), key=lambda a: a.sort_key))
-    return n, cells, polys, atoms, tuple(m for _, m in ref.factors)
-
-
 def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
                            threads: int = 1) -> EnsVerifyReport:
     """Symbolic and numeric determinant verification.
@@ -694,11 +672,10 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     closed form through the cofactor oracle, `matrix.laplace_determinant`
     (no pivots, no division).  One batched evaluation gives, per state,
     every nonzero matrix entry, the wave cone, u.xi and the reference
-    factors as exact (numerator, denominator) pairs, from polynomials and
-    evaluation plans built once per process (`_general_sample_plan`); both
-    determinants run on the rows scaled to integers.  `threads` > 1 checks
-    the states on that many worker threads (only the benchmark's probe
-    does); the report does not depend on it.
+    factors as exact (numerator, denominator) pairs; both determinants run
+    on the rows scaled to integers.  `threads` > 1 checks the states on
+    that many worker threads (only the benchmark's probe does); the report
+    does not depend on it.
     """
     from .hyperbolic import quartic_from_coefficients
     from .matrix import (block_order, build_symbol_matrix, determinant,
@@ -753,7 +730,13 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     # numeric path: draw all samples first (sequential RNG keeps reports
     # byte-identical for a fixed seed no matter the worker count)
     rng = random.Random(seed)
-    n, cells, polys, atoms, mults = _general_sample_plan()
+    mat_gen = build_symbol_matrix(build_ens_system("general", "on_data"))
+    n = mat_gen.dimension
+    cells = [(i, j) for i in range(n) for j in range(n) if mat_gen.entries[i][j]]
+    ref = reference_factor_claim("general")
+    polys = ([mat_gen.entries[i][j] for i, j in cells]
+             + [_light_cone("general"), uxi, ref.prefactor] + [p for p, _ in ref.factors])
+    atoms = sorted(set().union(*(p.atoms() for p in polys)), key=lambda a: a.sort_key)
     states = []
     points = []
     for _ in range(state_samples):
@@ -773,7 +756,7 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
         for (i, j), v in zip(cells, values):
             full_rows[i][j] = v
         (ln, ld), (un, ud), (rn, rd) = next(values), next(values), next(values)
-        for mult, (fn, fd) in zip(mults, values):
+        for (_, mult), (fn, fd) in zip(ref.factors, values):
             rn *= fn ** mult
             rd *= fd ** mult
         block, block_scale = _integer_rows([[full_rows[i][j] for j in idx10] for i in idx10])
@@ -944,15 +927,13 @@ def sampled_root_nonnegativity(F_val: Fraction, q_val: Fraction,
     B, R, _ = _root_forms({F_ATOM: F_val, Q_ATOM: q_val})
     worst = None  # (numerator, denominator) of the least value so far
     violations = 0
-    for (bns, bds), (rns, rds) in eval_columns([B, R], XI[1:],
-                                               rational_directions(n_dirs, seed)):
-        for bn, bd, rn, rd in zip(bns, bds, rns, rds):
-            # -bn/bd - |rn|/rd over the positive denominator bd * rd
-            vn, vd = -(bn * rd + abs(rn) * bd), bd * rd
-            if worst is None or vn * worst[1] < worst[0] * vd:
-                worst = (vn, vd)
-            if vn < 0:
-                violations += 1
+    for (bn, bd), (rn, rd) in eval_rows([B, R], XI[1:], rational_directions(n_dirs, seed)):
+        # -bn/bd - |rn|/rd over the positive denominator bd * rd
+        vn, vd = -(bn * rd + abs(rn) * bd), bd * rd
+        if worst is None or vn * worst[1] < worst[0] * vd:
+            worst = (vn, vd)
+        if vn < 0:
+            violations += 1
     ok = violations == 0
     return VerifyItem(f"sampled-root-nonnegativity-F{F_val}-q{q_val}", ok,
                       f"{n_dirs} directions, {violations} violations, "

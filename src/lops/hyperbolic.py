@@ -17,12 +17,12 @@ its line coefficients, polynomials in the direction coordinates;
 integer column per coefficient over a chunk of directions, and each exact
 value is rounded once into the coefficient matrix.  Over the 50 specs of
 the analyze-sweep benchmark this evaluation took 0.26 s point by point
-(`poly.eval_rows`) and takes 0.15 s in columns, with the same floats.  The
-roots of all lines then come from one `np.linalg.eigvals` call per
-companion size, equal bit for bit to per-line `np.roots`.
-`ens.sampled_root_nonnegativity` shares only the direction table and
-`eval_columns`.  numpy is imported by the float helpers on first use, so
-exact verdicts of degree 1 and 2 never load it.
+and takes 0.15 s in columns, with the same floats.  The roots of all lines
+then come from one `np.linalg.eigvals` call per companion size, equal bit
+for bit to per-line `np.roots`.  `ens.sampled_root_nonnegativity` shares
+only the direction table and the evaluator, read as rows.  numpy is
+imported by the float helpers on first use, so exact verdicts of degree 1
+and 2 never load it.
 """
 
 from __future__ import annotations

@@ -505,7 +505,7 @@ class Poly:
 
     def eval(self, assignment: Mapping[Atom, Scalar]) -> Fraction:
         """Exact value under a total assignment of the polynomial's atoms;
-        the one-point, one-polynomial case of `eval_rows`."""
+        the one-point, one-polynomial case of `eval_columns`."""
         if not self._t:
             return Fraction(0)
         atoms = self._eval_plan()[0]
@@ -518,7 +518,7 @@ class Poly:
             if not isinstance(v, (int, Fraction)):
                 v = Fraction(v)
             point.append((v.numerator, v.denominator))
-        (num, den), = next(eval_rows((self,), atoms, (point,)))
+        ((num,), (den,)), = _column_values(*_plan((self,), atoms), (point,))
         return Fraction(num, den)
 
     def substitute(self, bindings: Mapping[Atom, "Poly"]) -> "Poly":
@@ -697,28 +697,21 @@ class Poly:
 def eval_rows(polys: Sequence["Poly"], atoms: Sequence[Atom],
               points: Iterable[Sequence[Tuple[int, int]]]) -> Iterator[List[Tuple[int, int]]]:
     """Exact values of several polynomials at many points, on integers,
-    point by point.
+    point by point: the rows of `eval_columns`.
 
     Each point gives its coordinates as (numerator, denominator) pairs in
     the order of `atoms`, denominators positive.  Yields one row per point,
-    lazily, so callers that reduce the rows hold one at a time: one
-    (numerator, denominator) pair per polynomial, its value at the point.
-    The denominator is positive and the pair is not reduced, so test it for
+    lazily, a chunk of COLUMN_CHUNK points at a time: one (numerator,
+    denominator) pair per polynomial, its value at the point.  The
+    denominator is positive and the pair is not reduced, so test it for
     zero by its numerator and take its float as numerator / denominator
-    (correctly rounded, like `float(Fraction)`).  Each point's coordinates
-    go over one common denominator, their power tables are built once and
-    shared by every polynomial, and each polynomial sums its terms with
-    integer multiplications only (see `_point_values`).
-
-    This is the evaluator for many polynomials at a few points: the 141
-    entries and factors of `ens verify`'s state samples, and `Poly.eval`.
-    A direction table, few polynomials at many points, goes to
-    `eval_columns` instead, which gives the same pairs; on the state
-    samples the column form measured slower (0.089 s -> 0.102 s of process
-    time for the 141 polynomials at 20 states).
+    (correctly rounded, like `float(Fraction)`).  Raises MissingAtomError,
+    at the call, for an atom of a polynomial that `atoms` lacks.
     """
-    plans, used, tops, top_degree = _plan(polys, atoms)
-    return (_point_values(plans, used, tops, top_degree, point) for point in points)
+    if not polys:
+        return ([] for _ in points)
+    return (list(row) for columns in eval_columns(polys, atoms, points)
+            for row in zip(*[zip(nums, dens) for nums, dens in columns]))
 
 
 # points per chunk of `eval_columns`: bounds the integer columns held at once
@@ -728,7 +721,7 @@ COLUMN_CHUNK = 100
 def eval_columns(polys: Sequence["Poly"], atoms: Sequence[Atom],
                  points: Iterable[Sequence[Tuple[int, int]]]
                  ) -> Iterator[List[Tuple[List[int], List[int]]]]:
-    """`eval_rows` direction-major: the same (numerator, denominator) pairs,
+    """Exact values of several polynomials at many points, on integers,
     one column per polynomial over a chunk of points.
 
     Takes the arguments of `eval_rows` and yields, per chunk of up to
@@ -736,11 +729,12 @@ def eval_columns(polys: Sequence["Poly"], atoms: Sequence[Atom],
     lists per polynomial, its values at the chunk's points in order.  Every
     integer operation runs over a whole column through `map` (see
     `_column_values`), so the interpreter's per-term cost is paid once per
-    chunk instead of once per point.  This is the evaluator for a few
-    polynomials at many points: the line restrictions of the sampled
-    hyperbolicity screen and `cones`, and the sampled root check of the
-    claimed quartic table, over a direction table.  The lists are shared
-    between outputs; read them, do not change them.
+    chunk instead of once per point; the chunk bounds the integer columns
+    held at once.  The line restrictions of the sampled hyperbolicity
+    screen and `cones` read the columns; `ens verify`'s state samples and
+    the sampled root check of the claimed quartic table read them as rows
+    through `eval_rows`, and `Poly.eval` is the one-point case.  The lists
+    are shared between outputs; read them, do not change them.
     """
     plans, used, tops, top_degree = _plan(polys, atoms)
     rest = iter(points)
@@ -749,7 +743,7 @@ def eval_columns(polys: Sequence["Poly"], atoms: Sequence[Atom],
 
 
 def _plan(polys: Sequence["Poly"], atoms: Sequence[Atom]):
-    """(plans, used, tops, top_degree) shared by both evaluators.
+    """(plans, used, tops, top_degree) of `eval_columns`.
 
     `used` lists the numbers of the atoms that some polynomial has, `tops`
     each atom's largest exponent.  A point's power table is flat: N**1..N**E
@@ -786,52 +780,21 @@ def _plan(polys: Sequence["Poly"], atoms: Sequence[Atom]):
     return plans, used, tops, top_degree
 
 
-def _point_values(plans, used: Sequence[int], tops: Sequence[int], top_degree: int,
-                  point: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """(numerator, denominator) of each planned polynomial at one point.
-
-    The coordinates in use go over their common denominator L, the lcm of
-    their denominators: a = n_a/d_a = N_a/L with N_a = n_a * (L/d_a).  A
-    term of total degree k is then c * prod N_a**e over L**k, so each degree
-    group of a polynomial sums to an integer S_k with multiplications only,
-    and a polynomial of top degree K has the value sum_k S_k * L**(K-k) over
-    L**K (accumulated by Horner's rule in L), times its content.
-    """
-    L = math.lcm(*[point[k][1] for k in used])
-    table = []
-    for k in used:
-        n, d = point[k]
-        v = x = n * (L // d)
-        table.append(x)
-        for _ in range(tops[k] - 1):
-            x *= v
-            table.append(x)
-    lpow = [1]
-    for _ in range(top_degree):
-        lpow.append(lpow[-1] * L)
-    out = []
-    for content, groups in plans:
-        total = prev = 0
-        for deg, rows in groups:
-            s = 0
-            for c, idx in rows:
-                for i in idx:
-                    c *= table[i]
-                s += c
-            total = total * lpow[deg - prev] + s
-            prev = deg
-        out.append((total * content.numerator, lpow[prev] * content.denominator))
-    return out
-
-
 def _column_values(plans, used: Sequence[int], tops: Sequence[int], top_degree: int,
                    chunk: Sequence[Sequence[Tuple[int, int]]]
                    ) -> List[Tuple[List[int], List[int]]]:
-    """`_point_values` over a chunk of points at once, one integer list per
-    quantity: the common denominators L, each power N**e and each degree
-    group's sum S_k are columns with one entry per point, built by `map`
-    over whole columns, so every pair equals `_point_values`' at that
-    point."""
+    """(numerators, denominators) of each planned polynomial at a chunk of
+    points, one integer list per quantity with one entry per point.
+
+    The coordinates in use at a point go over their common denominator L,
+    the lcm of their denominators: a = n_a/d_a = N_a/L with N_a = n_a *
+    (L/d_a).  A term of total degree k is then c * prod N_a**e over L**k,
+    so each degree group of a polynomial sums to an integer S_k with
+    multiplications only, and a polynomial of top degree K has the value
+    sum_k S_k * L**(K-k) over L**K (accumulated by Horner's rule in L),
+    times its content.  L, each power N**e and each S_k are columns over
+    the chunk, built by `map` over whole columns.
+    """
     m = len(chunk)
     coords = list(zip(*chunk))
     pairs = {k: tuple(zip(*coords[k])) for k in used}

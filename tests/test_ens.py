@@ -317,9 +317,6 @@ class TestVerification:
             return mat
 
         monkeypatch.setattr(matrix, "build_symbol_matrix", perturbed)
-        # build the sample plan from the perturbed matrix, bypassing (and
-        # leaving untouched) the process's memoized one
-        monkeypatch.setattr(ens, "_general_sample_plan", ens._general_sample_plan.__wrapped__)
         items = {i.name: i for i in ens.verify_ens_determinant(state_samples=5, seed=0).items}
         assert items["numeric-full-determinant"].detail == (
             "5 random rational states, 5 mismatches")

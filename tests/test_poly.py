@@ -137,7 +137,7 @@ class TestEval:
                             2 * COLUMN_CHUNK + 13]),
            st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
-    def test_eval_columns_equals_eval_rows(self, ps, count, rng):
+    def test_eval_columns_matches_substitution(self, ps, count, rng):
         # zero, constant and inhomogeneous polynomials (several degree
         # groups) beside random ones, each with only some of the atoms
         ps = ps + [Poly.zero(), Poly.constant(Fr(-7, 3)),
@@ -151,6 +151,10 @@ class TestEval:
         assert sum(sizes) == count and all(size == COLUMN_CHUNK for size in sizes[:-1])
         rows = [list(row) for chunk in chunks
                 for row in zip(*(zip(nums, dens) for nums, dens in chunk))]
+        for point, row in zip(points, rows):
+            consts = {a: Poly.constant(Fr(n, d)) for a, (n, d) in zip(atoms, point)}
+            assert [Fr(n, d) for n, d in row] == [p.substitute(consts).as_constant() for p in ps]
+            assert all(d > 0 for _, d in row)
         assert rows == list(eval_rows(ps, atoms, points))
 
     @pytest.mark.parametrize("points", [[], [[(1, 2)]] * (COLUMN_CHUNK + 1)])
@@ -162,6 +166,9 @@ class TestEval:
 
     def test_eval_columns_without_points(self):
         assert list(eval_columns([X0, Poly.zero()], [xi(0)], [])) == []
+
+    def test_eval_rows_without_polynomials(self):
+        assert list(eval_rows([], [xi(0)], [[(1, 2)]] * 3)) == [[], [], []]
 
 
 class TestDivision:
