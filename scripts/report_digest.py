@@ -23,7 +23,10 @@ singular quadratic (`inconclusive`), a cubic that vanishes at tau (1,0,0,0)
 (`not-hyperbolic`) and a factor whose parameter has no value
 (`inconclusive`).  A last one-entry spec writes a negated square inside a
 product, `1*-xi2^2`, which is `hyperbolic` only when a unary minus negates
-its whole factor, power included.  75 reports in all.
+its whole factor, power included.  Two one-block specs close the set: a dense
+6x6 symbol with a parameter in every entry, and a coupled 2x2 one, so that
+blocks of more than one row other than the reference's 10x10 are expanded
+too.  77 reports in all.
 """
 
 import hashlib
@@ -62,8 +65,19 @@ def one_entry(index, symbol, head=""):
             f"factor 1 := {symbol}\n")
 
 
+def one_block(rows, factors, head=""):
+    """A spec of one unknown and one equation block whose square symbol is
+    `rows`, with the claimed `factors` lines."""
+    n = len(rows)
+    return (f"{head}unknown u multiplicity {n} index 1\n"
+            f"equation e multiplicity {n} index 0\n"
+            + "".join(f"entry e[{i}] u[{j}] := {symbol}\n"
+                      for i, row in enumerate(rows) for j, symbol in enumerate(row))
+            + "".join(f"factor {f}\n" for f in factors))
+
+
 def edited_specs(ens_spec, wave_spec, tmp):
-    """(name, path) of the seven edited specs, written into `tmp`."""
+    """(name, path) of the nine edited specs, written into `tmp`."""
     with open(wave_spec) as fh:
         wave = [line for line in fh if not line.startswith("factor ")]
     with open(ens_spec) as fh:
@@ -83,6 +97,13 @@ def edited_specs(ens_spec, wave_spec, tmp):
         "cubic-vanishing-at-tau": one_entry(3, "xi1^3"),
         "unassigned-parameter": one_entry(1, "xi0 + c*xi1", head="param c\n"),
         "unary-minus-in-product": one_entry(2, "xi0^2 - xi1^2 + 1*-xi2^2"),
+        "dense-6x6-block": one_block(
+            [[f"{'xi0 + ' if i == j else ''}{(i + 1) * (j + 1)}*c*xi1" for j in range(6)]
+             for i in range(6)],
+            ["5 := xi0", "1 := xi0 + 91*c*xi1"], head="param c\nassign c := 1/3\n"),
+        "coupled-2x2-block": one_block([["xi0", "c*xi1"], ["xi1", "xi0"]],
+                                       ["1 := xi0^2 - c*xi1^2"],
+                                       head="param c\nassign c := 4\n"),
     }
     for name, text in specs.items():
         path = os.path.join(tmp, f"{name}.lops")

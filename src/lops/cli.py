@@ -32,8 +32,8 @@ from typing import Dict, List, Optional
 from .dsl import ParseError, parse_system
 from .hyperbolic import (HyperbolicityVerdict, cone_sample, gevrey_sigma,
                          hyperbolicity_auto, sigma_json)
-from .matrix import (build_symbol_matrix, determinant_factors, factored_xi_degree,
-                     verify_factorization_product)
+from .matrix import (ExpansionDepthError, build_symbol_matrix, determinant_factors,
+                     factored_xi_degree, verify_factorization_product)
 from .poly import DegreeOverflowError
 from .system import FACTOR_NAMES, leray_condition, total_order, validate_structure
 
@@ -204,7 +204,7 @@ def cmd_analyze(args) -> int:
         return EXIT_INPUT_ERROR
     try:
         return _analyze(system, args)
-    except DegreeOverflowError as err:  # e.g. a determinant of too high a degree
+    except (DegreeOverflowError, ExpansionDepthError) as err:  # too high a degree, too deep a block
         print(f"input error: {args.input}: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
@@ -528,6 +528,9 @@ def _join_signed(argv: List[str]) -> List[str]:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(_join_signed(sys.argv[1:] if argv is None else argv))
     try:
+        # a missing directory is found before any work; _emit opens the file
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise UnwritableOutput(f"cannot write {args.out}: No such file or directory")
         return args.func(args)
     except UnwritableOutput as err:
         print(err, file=sys.stderr)

@@ -1,28 +1,22 @@
 """Principal symbol matrices and exact determinants.
 
 The determinant pipeline permutes a matrix to block upper-triangular form
-(strongly connected components of its sparsity digraph) and then runs
-fraction-free Bareiss elimination on each diagonal block, switching to a
-memoized Laplace expansion when a block is sparse enough that
-elimination fill-in would dominate.  That one expansion, generic over the
-ring, is also the numeric cofactor oracle.  A factorization claim is checked
-by one product-form verifier that cancels the claimed factors against the
-block determinants.
+(strongly connected components of its sparsity digraph) and expands each
+diagonal block of more than one row by one memoized Laplace expansion.  That
+expansion, generic over the ring, is also the numeric cofactor oracle.  A
+factorization claim is checked by one product-form verifier that cancels the
+claimed factors against the block determinants.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .poly import NotDivisibleError, Poly, XI
 from .system import FactorClaim, LeraySystem
-
-# sparse-expansion threshold: fraction of nonzero entries below which a
-# block is expanded instead of eliminated
-_SPARSE_FILL = 0.45
-_SPARSE_MIN_DIM = 5
 
 
 @dataclass
@@ -36,9 +30,6 @@ class SymbolMatrix:
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "SymbolMatrix":
         return SymbolMatrix(len(rows), [[self.entries[i][j] for j in cols] for i in rows])
-
-    def nnz(self) -> int:
-        return sum(1 for row in self.entries for e in row if not e.is_zero())
 
 
 def build_symbol_matrix(s: LeraySystem) -> SymbolMatrix:
@@ -77,20 +68,18 @@ def block_order(m: SymbolMatrix) -> List[List[int]]:
     index = [0] * n
     low = [0] * n
     on_stack = [False] * n
-    visited = [False] * n
     stack: List[int] = []
     comp_of = [-1] * n
     comps: List[List[int]] = []
     counter = [1]
 
     for root in range(n):
-        if visited[root]:
+        if index[root]:
             continue
         work = [(root, 0)]
         while work:
             v, pi = work[-1]
             if pi == 0:
-                visited[v] = True
                 index[v] = low[v] = counter[0]
                 counter[0] += 1
                 stack.append(v)
@@ -99,7 +88,7 @@ def block_order(m: SymbolMatrix) -> List[List[int]]:
             while pi < len(adj[v]):
                 w = adj[v][pi]
                 pi += 1
-                if not visited[w]:
+                if not index[w]:
                     work[-1] = (v, pi)
                     work.append((w, 0))
                     advanced = True
@@ -147,36 +136,11 @@ def block_order(m: SymbolMatrix) -> List[List[int]]:
     return [comps[c] for c in order]
 
 
-# -- determinant algorithms ---------------------------------------------------
+# -- determinant -----------------------------------------------------------
 
 
-def _bareiss(entries: List[List[Poly]]) -> Poly:
-    n = len(entries)
-    a = [row[:] for row in entries]
-    sign = 1
-    prev = Poly.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot_row = None
-            best = None
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    if best is None or len(a[i][k]) < best:
-                        best = len(a[i][k])
-                        pivot_row = i
-            if pivot_row is None:
-                return Poly.zero()
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pivot * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = Poly.zero()
-        prev = pivot
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+class ExpansionDepthError(ValueError):
+    """A block has more rows than the recursion limit leaves frames for."""
 
 
 def laplace_determinant(rows: Sequence[Sequence]):
@@ -185,10 +149,18 @@ def laplace_determinant(rows: Sequence[Sequence]):
     Expands along rows taken sparsest first, memoizes each minor on its
     column set and applies the sign of that row permutation.  No pivoting
     and no division, so it works for `Poly`, `Fraction` and `int` entries
-    alike: the sparse-block path of `determinant_factors` and the numeric
-    oracle.  Exponential in the worst case.
+    alike: every block of `determinant_factors` and the numeric oracle.
+    Exponential in the worst case.  It nests one frame per row, and raises
+    `ExpansionDepthError` up front if the recursion limit leaves too few.
     """
     n = len(rows)
+    # frames left for one per row, after the stack and the ring's arithmetic
+    frame, room = sys._getframe(), sys.getrecursionlimit() - 16
+    while frame is not None:
+        frame, room = frame.f_back, room - 1
+    if n > room:
+        raise ExpansionDepthError(f"a {n}x{n} block is too deep to expand: the recursion limit "
+                                  f"{sys.getrecursionlimit()} leaves room for {max(room, 0)} rows")
     order = sorted(range(n), key=lambda i: sum(1 for e in rows[i] if e))
     last = rows[order[-1]]
     zero = type(last[0])()  # Poly(), Fraction() and int() are each their ring's zero
@@ -236,15 +208,7 @@ def determinant_factors(m: SymbolMatrix) -> List[Poly]:
     out: List[Poly] = []
     for blk in block_order(m):
         sub = m.submatrix(blk, blk)
-        if sub.dimension == 1:
-            d = sub.entries[0][0]
-        elif sub.dimension == 2:
-            d = sub.entries[0][0] * sub.entries[1][1] - sub.entries[0][1] * sub.entries[1][0]
-        elif (sub.dimension >= _SPARSE_MIN_DIM
-              and sub.nnz() <= _SPARSE_FILL * sub.dimension ** 2):
-            d = laplace_determinant(sub.entries)
-        else:
-            d = _bareiss(sub.entries)
+        d = sub.entries[0][0] if sub.dimension == 1 else laplace_determinant(sub.entries)
         if d.is_zero():
             return [Poly.zero()]
         out.append(d)
@@ -252,9 +216,7 @@ def determinant_factors(m: SymbolMatrix) -> List[Poly]:
 
 
 def determinant(m: SymbolMatrix) -> Poly:
-    """Exact expanded determinant: block-triangular preprocessing, then
-    per-block Bareiss elimination (sparse blocks switch to the memoized
-    Laplace expansion)."""
+    """Exact expanded determinant: the product of `determinant_factors`."""
     det = Poly.one()
     for d in determinant_factors(m):
         det = det * d

@@ -111,6 +111,20 @@ class TestBadInputExitTwo:
         assert code == 2
         assert "bad.lops" in err and "degree 40000" in err
 
+    def test_block_too_deep_to_expand(self, tmp_path):
+        # one cyclic block with more rows than the recursion limit leaves
+        # frames for its Laplace expansion
+        n = 1200
+        spec = tmp_path / "cycle.lops"
+        spec.write_text(f"unknown u multiplicity {n} index 1\n"
+                        f"equation e multiplicity {n} index 0\n"
+                        + "".join(f"entry e[{i}] u[{i}] := xi0\n"
+                                  f"entry e[{i}] u[{(i + 1) % n}] := xi1\n" for i in range(n)))
+        r = run_cli(["analyze", str(spec)])
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"input error: {spec}: a 1200x1200 block is too deep")
+        assert "Traceback" not in r.stderr
+
 
 class TestSpecChecks:
     """Each malformed spec exits 2 naming its line, with no traceback; the
@@ -536,6 +550,18 @@ class TestUnwritableOut:
         argv = [wave_spec_path() if a == "WAVE" else a for a in argv]
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"cannot write {out}: {reason}\n")
+
+    def test_checked_before_the_computation(self, tmp_path, monkeypatch, capsys):
+        from lops import cli
+
+        def refuse(**_):
+            raise AssertionError("computed before the --out check")
+
+        monkeypatch.setattr(cli.lab, "refinement_table", refuse)
+        out = tmp_path / "missing" / "x.json"
+        assert main(["lab", "run", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"cannot write {out}: No such file or directory\n")
+        assert not out.parent.exists()
 
 
 def test_main_callable_in_process(capsys):

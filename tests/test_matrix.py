@@ -1,14 +1,16 @@
+import inspect
+import itertools
 import random
+import sys
 from fractions import Fraction as Fr
 
 import pytest
 
-from lops.matrix import (SymbolMatrix, block_order,
+from lops.matrix import (ExpansionDepthError, SymbolMatrix, block_order,
                          build_symbol_matrix, cofactor_determinant_rational,
                          determinant, determinant_factors, factored_xi_degree,
                          laplace_determinant, verify_factorization_product)
 from lops.poly import Poly, XI, param, xi
-from lops.matrix import _bareiss
 from lops.system import FactorClaim
 
 X = [Poly.atom(a) for a in XI]
@@ -25,6 +27,26 @@ def random_poly(rng, max_terms=2, max_exp=1):
             term = term * Poly.atom(rng.choice(ATOMS)) ** rng.randint(1, max_exp)
         p = p + term
     return p
+
+
+def leibniz_determinant(rows):
+    """Sum over permutations of the signed entry products."""
+    n = len(rows)
+    det = Poly.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        term = Poly.constant(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        det = det + term
+    return det
+
+
+def cycle_matrix(n):
+    """xi0 on the diagonal and xi1 on the cyclic superdiagonal: one block,
+    determinant xi0^n - (-xi1)^n."""
+    return SymbolMatrix(n, [[X[0] if j == i else X[1] if j == (i + 1) % n else Poly.zero()
+                             for j in range(n)] for i in range(n)])
 
 
 def random_matrix(rng, n, density=1.0):
@@ -51,12 +73,35 @@ class TestDeterminant:
             m = random_matrix(rng, n, density=rng.choice([0.4, 0.7, 1.0]))
             assert determinant(m) == laplace_determinant(m.entries), f"trial {trial}"
 
-    def test_bareiss_and_sparse_expansion_agree(self):
+    def test_agrees_with_leibniz_sum_on_random_matrices(self):
+        # an oracle that shares nothing with the expansion: the signed sum
+        # over all permutations, on singular and zero-row matrices too
         rng = random.Random(5)
-        for _ in range(40):
-            n = rng.randint(3, 6)
-            m = random_matrix(rng, n, density=0.5)
-            assert _bareiss(m.entries) == laplace_determinant(m.entries)
+        for trial in range(120):
+            n = rng.randint(1, 6)
+            m = random_matrix(rng, n, density=rng.choice([0.3, 0.6, 1.0]))
+            if trial % 4 == 1 and n > 1:  # repeated row: singular
+                m.entries[rng.randrange(1, n)] = list(m.entries[0])
+            elif trial % 4 == 2:
+                m.entries[rng.randrange(n)] = [Poly.zero()] * n
+            assert determinant(m) == leibniz_determinant(m.entries), f"trial {trial}"
+
+    def test_cycle_block(self):
+        assert determinant_factors(cycle_matrix(40)) == [X[0] ** 40 - X[1] ** 40]
+
+    def test_block_deeper_than_recursion_limit(self):
+        # with 30 frames to spare a 30-row expansion would overflow the stack;
+        # it is refused before it starts
+        m = cycle_matrix(30)
+        limit, message = sys.getrecursionlimit(), ""
+        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+        try:
+            determinant_factors(m)
+        except ExpansionDepthError as err:
+            message = str(err)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert message.startswith("a 30x30 block is too deep to expand")
 
     def test_singular_matrix(self):
         m = SymbolMatrix(2, [[X[0], X[0]], [X[0], X[0]]])
