@@ -13,7 +13,9 @@ One declaration per line; `#` starts a comment.  Statements:
 
 Polynomial expressions use `+ - * ^` with parentheses; coefficients are
 exact rationals written `a` or `a/b`.  A number `a/b` is read whole before
-an exponent, so `a/b^k` is `(a/b)^k`: `3/2^2` is 9/4.  The covector atoms are spelled
+an exponent, so `a/b^k` is `(a/b)^k`: `3/2^2` is 9/4.  An exponent is at
+most MAX_DEGREE, a number has at most MAX_DIGITS digits and parentheses
+nest at most MAX_NESTING deep.  The covector atoms are spelled
 `xi0..xi3`; every other atom must have been declared with `param`.  Any
 trailing text after a complete statement is an error, and so is a spec with
 no unknown or no equation block (reported at the end of the input), one
@@ -41,6 +43,14 @@ _TOKEN_RE = re.compile(
 )
 
 
+# the deepest parenthesis nesting read: each level takes four frames of the
+# recursive descent, so this stays well inside the interpreter's recursion limit
+MAX_NESTING = 100
+# the longest number read: int() may be configured to refuse any longer
+# decimal string (sys.set_int_max_str_digits takes no limit below 640)
+MAX_DIGITS = 640
+
+
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         self.line = line
@@ -66,6 +76,9 @@ class _Tokens:
             if kind == "bad":
                 raise ParseError(f"unexpected character {mo.group()!r}", line_no,
                                  mo.start() + 1)
+            if kind == "num" and len(mo.group()) > MAX_DIGITS:
+                raise ParseError(f"number of {len(mo.group())} digits, more than {MAX_DIGITS}",
+                                 line_no, mo.start() + 1)
             self.toks.append((kind, mo.group(), mo.start() + 1))
         self.i = 0
 
@@ -98,6 +111,7 @@ class _PolyParser:
     def __init__(self, toks: _Tokens, atoms: Dict[str, Atom]):
         self.toks = toks
         self.atoms = atoms
+        self.depth = 0  # parentheses open around the current token
 
     def parse(self) -> Poly:
         t = self.toks.peek()
@@ -169,11 +183,18 @@ class _PolyParser:
         return acc
 
     def exponent(self) -> Optional[int]:
-        """The k of a `^k` suffix, if one follows."""
+        """The k of a `^k` suffix, if one follows.  No base may be raised
+        past MAX_DEGREE: a constant would be a huge integer and a
+        polynomial would overflow its degree."""
         t = self.toks.peek()
         if t and t[0] == "op" and t[1] == "^":
             self.toks.next()
-            return int(self.toks.expect("num")[1])
+            t = self.toks.expect("num")
+            k = int(t[1])
+            if k > MAX_DEGREE:
+                raise ParseError(f"exponent {k} exceeds the supported maximum degree "
+                                 f"{MAX_DEGREE}", self.toks.line_no, t[2])
+            return k
         return None
 
     def power(self) -> Poly:
@@ -203,8 +224,13 @@ class _PolyParser:
             return Poly.constant(Fraction(n, d)) if a is None else Poly.atom(a)
         t = self.toks.next()
         if t[0] == "op" and t[1] == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 self.toks.line_no, t[2])
+            self.depth += 1
             p = self.expr()
             self.toks.expect("op", ")")
+            self.depth -= 1
             return p
         raise ParseError(f"expected a term, found {t[1]!r}", self.toks.line_no, t[2])
 

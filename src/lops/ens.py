@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .matrix import laplace_determinant
-from .poly import Atom, NotDivisibleError, Poly, XI, eval_rows, param
+from .poly import Atom, NotDivisibleError, Poly, XI, eval_columns, param
 from .system import (FACTOR_NAMES, DependencyDecl, EquationBlock, FactorClaim,  # noqa: F401
                      LeraySystem, ParamDecl, SymbolEntry, UnknownBlock)
 
@@ -746,7 +746,8 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
         assign.update(zip(XI, xi_pt))
         states.append(state)
         points.append([(assign[a].numerator, assign[a].denominator) for a in atoms])
-    rows = eval_rows(polys, atoms, points)
+    rows = (row for columns in eval_columns(polys, atoms, points)
+            for row in zip(*[zip(nums, dens) for nums, dens in columns]))
     idx10 = range(15, 25)
 
     def check_sample(pair) -> Tuple[bool, bool]:
@@ -927,13 +928,15 @@ def sampled_root_nonnegativity(F_val: Fraction, q_val: Fraction,
     B, R, _ = _root_forms({F_ATOM: F_val, Q_ATOM: q_val})
     worst = None  # (numerator, denominator) of the least value so far
     violations = 0
-    for (bn, bd), (rn, rd) in eval_rows([B, R], XI[1:], rational_directions(n_dirs, seed)):
-        # -bn/bd - |rn|/rd over the positive denominator bd * rd
-        vn, vd = -(bn * rd + abs(rn) * bd), bd * rd
-        if worst is None or vn * worst[1] < worst[0] * vd:
-            worst = (vn, vd)
-        if vn < 0:
-            violations += 1
+    for (bns, bds), (rns, rds) in eval_columns([B, R], XI[1:],
+                                               rational_directions(n_dirs, seed)):
+        for bn, bd, rn, rd in zip(bns, bds, rns, rds):
+            # -bn/bd - |rn|/rd over the positive denominator bd * rd
+            vn, vd = -(bn * rd + abs(rn) * bd), bd * rd
+            if worst is None or vn * worst[1] < worst[0] * vd:
+                worst = (vn, vd)
+            if vn < 0:
+                violations += 1
     ok = violations == 0
     return VerifyItem(f"sampled-root-nonnegativity-F{F_val}-q{q_val}", ok,
                       f"{n_dirs} directions, {violations} violations, "

@@ -18,7 +18,7 @@ integer column per coefficient over a chunk of directions, and each exact
 value is rounded once into the coefficient matrix.  The roots of all lines
 then come from one `np.linalg.eigvals` call per companion size, equal bit
 for bit to per-line `np.roots`.  `ens.sampled_root_nonnegativity` shares
-only the direction table and the evaluator, read as rows.  numpy is
+only the direction table and the evaluator.  numpy is
 imported by the float helpers on first use, so exact verdicts of degree 1
 and 2 never load it.
 """

@@ -18,9 +18,7 @@ lattice: the differences read its boundary nodes, and the projector algebra
 checks every node.  Derivatives, connections and identity residuals hold the
 interior (n-2)^4 nodes only, the only ones any report reads; a pointwise
 factor meets them as the view `x[_INTERIOR]`.  On the refined default patch
-(17^4 nodes) that is 15^4 = 50,625 of 83,521 nodes, and a default `lops lab
-run` peaks at 186 MB resident (257 MB with derivatives on every node);
-`--h 0.2 --refine 2` peaks at about 2.6 GB.
+(17^4 nodes) that is 15^4 = 50,625 of 83,521 nodes.
 """
 
 from __future__ import annotations

@@ -236,7 +236,6 @@ def _new(content: Fraction, terms: Dict[int, int], deg: Optional[int] = None) ->
     p._t = terms
     p._deg = deg
     p._hash = None
-    p._plan = None
     return p
 
 
@@ -263,11 +262,11 @@ class Poly:
     """Immutable sparse polynomial: rational content times a primitive
     integer polynomial over packed monomials."""
 
-    __slots__ = ("_c", "_t", "_deg", "_hash", "_plan")
+    __slots__ = ("_c", "_t", "_deg", "_hash")
 
     def __init__(self):
         """The zero polynomial; `constant` and `atom` build the rest."""
-        self._c, self._t, self._deg, self._hash, self._plan = _F1, {}, -1, None, None
+        self._c, self._t, self._deg, self._hash = _F1, {}, -1, None
 
     # -- constructors ------------------------------------------------------
 
@@ -464,6 +463,7 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers are non-negative integers")
+        _check_degree(self.degree() * n)  # before any multiplication
         result = _ONE
         base = self
         while n:
@@ -476,39 +476,12 @@ class Poly:
 
     # -- evaluation and substitution ----------------------------------------
 
-    def _eval_plan(self):
-        """(atoms, largest exponent per atom, degree groups), built once per
-        polynomial: state samples evaluate the same entries at many points.
-        The groups are (total degree, rows) in ascending degree, one row
-        (coefficient, ((atom number, exponent), ...)) per term; the packed
-        monomial's lowest field is the total degree."""
-        if self._plan is None:
-            atoms = sorted(self.atoms(), key=lambda a: _OFFSETS[a])
-            number = {_OFFSETS[a]: k for k, a in enumerate(atoms)}
-            groups: Dict[int, list] = {}
-            tops = [0] * len(atoms)
-            for m, c in self._t.items():
-                pairs = []
-                rest, off = m >> _BITS, _BITS
-                while rest:  # visit the nonzero exponent fields only
-                    skip = ((rest & -rest).bit_length() - 1) // _BITS * _BITS
-                    rest >>= skip
-                    off += skip
-                    k, e = number[off], rest & _MASK
-                    pairs.append((k, e))
-                    tops[k] = max(tops[k], e)
-                    rest >>= _BITS
-                    off += _BITS
-                groups.setdefault(m & _MASK, []).append((c, tuple(pairs)))
-            self._plan = (atoms, tops, sorted(groups.items()))
-        return self._plan
-
     def eval(self, assignment: Mapping[Atom, Scalar]) -> Fraction:
         """Exact value under a total assignment of the polynomial's atoms;
         the one-point, one-polynomial case of `eval_columns`."""
         if not self._t:
             return Fraction(0)
-        atoms = self._eval_plan()[0]
+        atoms = [a for a, _ in _unpack(reduce(or_, self._t, 0))]
         point = []
         for a in atoms:
             try:
@@ -694,26 +667,6 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-def eval_rows(polys: Sequence["Poly"], atoms: Sequence[Atom],
-              points: Iterable[Sequence[Tuple[int, int]]]) -> Iterator[List[Tuple[int, int]]]:
-    """Exact values of several polynomials at many points, on integers,
-    point by point: the rows of `eval_columns`.
-
-    Each point gives its coordinates as (numerator, denominator) pairs in
-    the order of `atoms`, denominators positive.  Yields one row per point,
-    lazily, a chunk of COLUMN_CHUNK points at a time: one (numerator,
-    denominator) pair per polynomial, its value at the point.  The
-    denominator is positive and the pair is not reduced, so test it for
-    zero by its numerator and take its float as numerator / denominator
-    (correctly rounded, like `float(Fraction)`).  Raises MissingAtomError,
-    at the call, for an atom of a polynomial that `atoms` lacks.
-    """
-    if not polys:
-        return ([] for _ in points)
-    return (list(row) for columns in eval_columns(polys, atoms, points)
-            for row in zip(*[zip(nums, dens) for nums, dens in columns]))
-
-
 # points per chunk of `eval_columns`: bounds the integer columns held at once
 COLUMN_CHUNK = 100
 
@@ -721,20 +674,27 @@ COLUMN_CHUNK = 100
 def eval_columns(polys: Sequence["Poly"], atoms: Sequence[Atom],
                  points: Iterable[Sequence[Tuple[int, int]]]
                  ) -> Iterator[List[Tuple[List[int], List[int]]]]:
-    """Exact values of several polynomials at many points, on integers,
-    one column per polynomial over a chunk of points.
+    """Exact values of several polynomials at many points, on integers.
 
-    Takes the arguments of `eval_rows` and yields, per chunk of up to
-    COLUMN_CHUNK consecutive points, one (numerators, denominators) pair of
-    lists per polynomial, its values at the chunk's points in order.  Every
-    integer operation runs over a whole column through `map` (see
+    Each point gives its coordinates as (numerator, denominator) pairs in
+    the order of `atoms`, denominators positive.  Yields, lazily, per chunk
+    of up to COLUMN_CHUNK consecutive points, one (numerators, denominators)
+    pair of lists per polynomial: its values at the chunk's points in
+    order.  A value's denominator is positive and the pair is not reduced,
+    so test it for zero by its numerator and take its float as numerator /
+    denominator (correctly rounded, like `float(Fraction)`).  Raises
+    MissingAtomError, at the call, for an atom of a polynomial that `atoms`
+    lacks.
+
+    The polynomials are planned once per call (`_plan`); every integer
+    operation then runs over a whole column through `map` (see
     `_column_values`), so the interpreter's per-term cost is paid once per
-    chunk instead of once per point; the chunk bounds the integer columns
-    held at once.  The line restrictions of the sampled hyperbolicity
-    screen and `cones` read the columns; `ens verify`'s state samples and
-    the sampled root check of the claimed quartic table read them as rows
-    through `eval_rows`, and `Poly.eval` is the one-point case.  The lists
-    are shared between outputs; read them, do not change them.
+    chunk instead of once per point, and the chunk bounds the integer
+    columns held at once.  Every exact evaluation goes through here: the
+    line restrictions of the sampled hyperbolicity screen and `cones`,
+    `ens verify`'s state samples, the sampled root check of the claimed
+    quartic table, and `Poly.eval` as the one-point case.  The lists are
+    shared between outputs; read them, do not change them.
     """
     plans, used, tops, top_degree = _plan(polys, atoms)
     rest = iter(points)
@@ -743,39 +703,40 @@ def eval_columns(polys: Sequence["Poly"], atoms: Sequence[Atom],
 
 
 def _plan(polys: Sequence["Poly"], atoms: Sequence[Atom]):
-    """(plans, used, tops, top_degree) of `eval_columns`.
+    """(plans, used, tops, top_degree) of `eval_columns`, read straight off
+    the packed terms.
 
-    `used` lists the numbers of the atoms that some polynomial has, `tops`
-    each atom's largest exponent.  A point's power table is flat: N**1..N**E
-    of each used atom in turn, so that N**e of atom k sits at start[k] + e,
-    and each plan is (content, degree groups) with every term's atom powers
-    given as positions in that table.  Raises MissingAtomError for an atom
-    of a polynomial that `atoms` lacks.
+    Each plan is (content, degree groups) in ascending total degree (the
+    packed monomial's lowest field), one row (coefficient, ((k, e), ...))
+    per term for its nonzero exponent fields: atom k of `atoms` to the
+    power e, which `_column_values` keeps at table[k][e].  `tops` holds
+    each atom's largest exponent and `used` the atoms with one.  Raises
+    MissingAtomError for an atom of a polynomial that `atoms` lacks.
     """
-    slots = {a: k for k, a in enumerate(atoms)}
+    number = {_OFFSETS[a]: k for k, a in enumerate(atoms) if a in _OFFSETS}
     tops = [0] * len(atoms)
-    placed = []
-    for p in polys:
-        p_atoms, p_tops, groups = p._eval_plan()
-        try:
-            where = [slots[a] for a in p_atoms]
-        except KeyError as err:
-            raise MissingAtomError(f"no value for atom {err.args[0].name}") from None
-        for k, top in zip(where, p_tops):
-            tops[k] = max(tops[k], top)
-        placed.append((p._c, where, groups))
-    used = [k for k, top in enumerate(tops) if top]
-    start = [0] * len(atoms)
-    size = 0
-    for k in used:
-        start[k] = size - 1
-        size += tops[k]
     plans = []
-    for content, where, groups in placed:
-        at = [start[k] for k in where]
-        plans.append((content, [(deg, [(c, tuple([at[k] + e for k, e in pairs]))
-                                       for c, pairs in rows])
-                                for deg, rows in groups]))
+    for p in polys:
+        groups: Dict[int, list] = {}
+        for m, c in p._t.items():
+            pairs = []
+            rest, off = m >> _BITS, _BITS
+            while rest:  # visit the nonzero exponent fields only
+                skip = ((rest & -rest).bit_length() - 1) // _BITS * _BITS
+                rest >>= skip
+                off += skip
+                k = number.get(off)
+                if k is None:
+                    raise MissingAtomError(f"no value for atom {_ATOMS[off // _BITS - 1].name}")
+                e = rest & _MASK
+                pairs.append((k, e))
+                if e > tops[k]:
+                    tops[k] = e
+                rest >>= _BITS
+                off += _BITS
+            groups.setdefault(m & _MASK, []).append((c, tuple(pairs)))
+        plans.append((p._c, sorted(groups.items())))
+    used = [k for k, top in enumerate(tops) if top]
     top_degree = max((groups[-1][0] for _, groups in plans if groups), default=0)
     return plans, used, tops, top_degree
 
@@ -799,14 +760,14 @@ def _column_values(plans, used: Sequence[int], tops: Sequence[int], top_degree: 
     coords = list(zip(*chunk))
     pairs = {k: tuple(zip(*coords[k])) for k in used}
     L = list(map(math.lcm, *[pairs[k][1] for k in used])) if used else [1] * m
-    table = []
+    table: List[Optional[list]] = [None] * len(tops)  # table[k][e]: N_k**e
     for k in used:
         nums, dens = pairs[k]
         v = x = list(map(mul, nums, map(floordiv, L, dens)))
-        table.append(x)
+        table[k] = powers = [None, x]
         for _ in range(tops[k] - 1):
             x = list(map(mul, x, v))
-            table.append(x)
+            powers.append(x)
     lpow = [[1] * m, L]
     for _ in range(top_degree - 1):
         lpow.append(list(map(mul, lpow[-1], L)))
@@ -820,9 +781,10 @@ def _column_values(plans, used: Sequence[int], tops: Sequence[int], top_degree: 
                 if not idx:
                     terms.append(repeat(c, m))
                     continue
-                col = table[idx[0]]
-                for i in idx[1:]:
-                    col = map(mul, col, table[i])
+                k, e = idx[0]
+                col = table[k][e]
+                for k, e in idx[1:]:
+                    col = map(mul, col, table[k][e])
                 terms.append(col if c == 1 else map(mul, col, repeat(c)))
             s = list(terms[0]) if len(terms) == 1 else list(map(sum, zip(*terms)))
             total = s if total is None else list(map(add, map(mul, total, lpow[deg - prev]), s))

@@ -111,6 +111,22 @@ class TestBadInputExitTwo:
         assert code == 2
         assert "bad.lops" in err and "degree 40000" in err
 
+    @pytest.mark.parametrize("symbol, col", [
+        ("(" * 250 + "xi0" + ")" * 250, 120),
+        ("3^40000000*xi0", 22),
+        ("(xi0+xi1)^33000", 30),
+    ], ids=["nested-250", "number-power", "sum-power"])
+    def test_hostile_entry(self, tmp_path, symbol, col):
+        # refused while parsing: no RecursionError, no hour-long power
+        spec = tmp_path / "hostile.lops"
+        spec.write_text("unknown u multiplicity 1 index 1\n"
+                        "equation e multiplicity 1 index 0\n"
+                        f"entry e[0] u[0] := {symbol}\n")
+        r = run_cli(["analyze", str(spec)])
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"parse error: {spec}: line 3, column {col}: ")
+        assert "Traceback" not in r.stderr
+
     def test_block_too_deep_to_expand(self, tmp_path):
         # one cyclic block with more rows than the recursion limit leaves
         # frames for its Laplace expansion

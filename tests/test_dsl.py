@@ -5,9 +5,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from lops import build_ens_system, ens_spec_path, wave_spec_path
-from lops.dsl import (DuplicateEntryError, ParseError, UnknownAtomError,
-                      parse_poly, parse_system, print_system)
-from lops.poly import Poly, param, xi
+from lops.dsl import (MAX_DIGITS, MAX_NESTING, DuplicateEntryError, ParseError,
+                      UnknownAtomError, parse_poly, parse_system, print_system)
+from lops.poly import MAX_DEGREE, Poly, param, xi
 from lops.system import (DependencyDecl, EquationBlock, LeraySystem, ParamDecl,
                          SymbolEntry, UnknownBlock, validate_structure)
 
@@ -155,12 +155,13 @@ class TestErrors:
         assert message in str(err.value)
 
     def test_exponent_overflow_located(self):
+        # at the exponent, before any power is taken
         text = ("unknown w multiplicity 1 index 2\n"
                 "equation weq multiplicity 1 index 0\n"
                 "entry weq[0] w[0] := xi0^40000\n")
         with pytest.raises(ParseError) as err:
             parse_system(text)
-        assert (err.value.line, err.value.col) == (3, 22)
+        assert (err.value.line, err.value.col) == (3, 26)
         assert "degree" in str(err.value)
 
     @pytest.mark.parametrize("symbol, col", [pytest.param("xi0^2$xi1", 27, id="xi0^2$xi1"),
@@ -239,7 +240,7 @@ def test_unary_minus_errors(text, col, message):
 
 
 @pytest.mark.parametrize("text, degree", [
-    ("xi0^40000", 32768),
+    ("(xi0^2+xi1)^20000", 40000),
     ("xi0^20000*xi1^20000", 40000),
     ("xi0^20000*(xi1+1)*xi1^20000", 40001),
 ])
@@ -248,6 +249,36 @@ def test_degree_overflow_names_the_running_degree(text, degree):
         parse_poly(text, {})
     assert f"total degree {degree} exceeds" in str(err.value)
     assert err.value.col == 1
+
+
+@pytest.mark.parametrize("text, col, k", [
+    ("xi0^40000", 5, 40000),
+    ("3^40000000*xi0", 3, 40000000),
+    ("(xi0+xi1)^33000", 11, 33000),
+    ("2/3^32768", 5, 32768),
+])
+def test_exponent_beyond_max_degree_refused(text, col, k):
+    # whatever the base: a number's power would be a huge integer
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, {})
+    assert str(err.value) == (f"line 1, column {col}: exponent {k} "
+                              f"exceeds the supported maximum degree {MAX_DEGREE}")
+
+
+def test_nesting_beyond_bound_refused():
+    ok = "(" * MAX_NESTING + "xi0" + ")" * MAX_NESTING
+    assert parse_poly(ok, {}) == parse_poly("xi0", {})
+    with pytest.raises(ParseError) as err:
+        parse_poly("xi1*(" + ok + ")", {})
+    assert str(err.value) == (f"line 1, column {MAX_NESTING + 5}: "
+                              f"parentheses nested deeper than {MAX_NESTING}")
+
+
+def test_overlong_number_refused():
+    with pytest.raises(ParseError) as err:
+        parse_poly("xi0 + 1/" + "7" * (MAX_DIGITS + 1), {})
+    assert str(err.value) == (f"line 1, column 9: number of {MAX_DIGITS + 1} digits, "
+                              f"more than {MAX_DIGITS}")
 
 
 def test_fresh_parse_lays_parameters_out_in_declaration_order():

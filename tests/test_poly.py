@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from lops.poly import (MAX_DEGREE, DegreeOverflowError, MissingAtomError,
                        NotDivisibleError, NotPerfectSquareError, Poly, PolyError, XI,
-                       COLUMN_CHUNK, eval_columns, eval_rows, param, slot, xi)
+                       COLUMN_CHUNK, eval_columns, param, slot, xi)
 from lops.dsl import parse_poly
 
 X0, X1, X2, X3 = (Poly.atom(a) for a in XI)
@@ -97,19 +97,6 @@ class TestEval:
             assert (a + b).eval(sigma) == a.eval(sigma) + b.eval(sigma)
 
 
-    @given(st.lists(polys(), min_size=1, max_size=4), st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
-    def test_eval_rows_matches_substitution(self, ps, rng):
-        atoms = list(ATOM_POOL)
-        rng.shuffle(atoms)  # an atom order unrelated to the registry's
-        points = [assignments(rng, atoms) for _ in range(3)]
-        rows = eval_rows(ps, atoms, [[(pt[a].numerator, pt[a].denominator) for a in atoms]
-                                     for pt in points])
-        for pt, row in zip(points, rows):
-            consts = {a: Poly.constant(v) for a, v in pt.items()}
-            assert [Fr(n, d) for n, d in row] == [p.substitute(consts).as_constant() for p in ps]
-            assert all(d > 0 for _, d in row)
-
     @given(st.lists(polys(max_exp=4), max_size=3),
            st.permutations([1, 2, 3, 5, 7, 11, 13, 17]),
            st.lists(st.integers(-9, 9), min_size=len(ATOM_POOL), max_size=len(ATOM_POOL)))
@@ -122,15 +109,12 @@ class TestEval:
         expected = [sum((c * math.prod(point[a] ** e for a, e in mono) for mono, c in p.terms()),
                         Fr(0))
                     for p in ps]
-        row, = eval_rows(ps, ATOM_POOL, [list(zip(nums, dens))])
+        (columns,) = eval_columns(ps, ATOM_POOL, [list(zip(nums, dens))])
+        row = [(num, den) for (num,), (den,) in columns]
         assert all(den > 0 for _, den in row)
         assert [Fr(num, den) for num, den in row] == expected
         assert [num / den for num, den in row] == [float(v) for v in expected]
         assert [p.eval(point) for p in ps] == expected
-
-    def test_eval_rows_missing_atom(self):
-        with pytest.raises(MissingAtomError):
-            eval_rows([X0, X0 + F], [xi(0)], [[(1, 2)]])
 
     @given(st.lists(polys(), max_size=4),
            st.sampled_from([1, 7, COLUMN_CHUNK - 1, COLUMN_CHUNK, COLUMN_CHUNK + 1,
@@ -139,36 +123,35 @@ class TestEval:
     @settings(max_examples=60, deadline=None)
     def test_eval_columns_matches_substitution(self, ps, count, rng):
         # zero, constant and inhomogeneous polynomials (several degree
-        # groups) beside random ones, each with only some of the atoms
-        ps = ps + [Poly.zero(), Poly.constant(Fr(-7, 3)),
-                   X0 ** 3 * F - Fr(2, 5) * X1 + Poly.constant(4), Q ** 2 * X2 + X3]
-        atoms = list(ATOM_POOL)
-        rng.shuffle(atoms)
-        points = [[(rng.randint(-9, 9), rng.randint(1, 12)) for _ in atoms]
-                  for _ in range(count)]
-        chunks = list(eval_columns(ps, atoms, points))
-        sizes = [len(chunk[0][0]) for chunk in chunks]
-        assert sum(sizes) == count and all(size == COLUMN_CHUNK for size in sizes[:-1])
-        rows = [list(row) for chunk in chunks
-                for row in zip(*(zip(nums, dens) for nums, dens in chunk))]
-        for point, row in zip(points, rows):
-            consts = {a: Poly.constant(Fr(n, d)) for a, (n, d) in zip(atoms, point)}
-            assert [Fr(n, d) for n, d in row] == [p.substitute(consts).as_constant() for p in ps]
-            assert all(d > 0 for _, d in row)
-        assert rows == list(eval_rows(ps, atoms, points))
+        # groups) beside random ones, each with only some of the atoms; one
+        # object listed twice, and the same list again under another atom
+        # order, since every call plans its polynomials afresh
+        twice = X0 ** 3 * F - Fr(2, 5) * X1 + Poly.constant(4)
+        ps = ps + [Poly.zero(), Poly.constant(Fr(-7, 3)), twice, Q ** 2 * X2 + X3, twice]
+        for _ in range(2):
+            atoms = list(ATOM_POOL)
+            rng.shuffle(atoms)
+            points = [[(rng.randint(-9, 9), rng.randint(1, 12)) for _ in atoms]
+                      for _ in range(count)]
+            chunks = list(eval_columns(ps, atoms, points))
+            sizes = [len(chunk[0][0]) for chunk in chunks]
+            assert sum(sizes) == count and all(size == COLUMN_CHUNK for size in sizes[:-1])
+            rows = [list(row) for chunk in chunks
+                    for row in zip(*(zip(nums, dens) for nums, dens in chunk))]
+            for point, row in zip(points, rows):
+                consts = {a: Poly.constant(Fr(n, d)) for a, (n, d) in zip(atoms, point)}
+                assert ([Fr(n, d) for n, d in row]
+                        == [p.substitute(consts).as_constant() for p in ps])
+                assert all(d > 0 for _, d in row)
 
     @pytest.mark.parametrize("points", [[], [[(1, 2)]] * (COLUMN_CHUNK + 1)])
     def test_eval_columns_missing_atom(self, points):
-        # raised at the call, before any chunk is drawn, as by eval_rows
-        for evaluate in (eval_rows, eval_columns):
-            with pytest.raises(MissingAtomError, match="no value for atom F"):
-                evaluate([X0, X0 + F], [xi(0)], points)
+        # raised at the call, before any chunk is drawn
+        with pytest.raises(MissingAtomError, match="no value for atom F"):
+            eval_columns([X0, X0 + F], [xi(0)], points)
 
     def test_eval_columns_without_points(self):
         assert list(eval_columns([X0, Poly.zero()], [xi(0)], [])) == []
-
-    def test_eval_rows_without_polynomials(self):
-        assert list(eval_rows([], [xi(0)], [[(1, 2)]] * 3)) == [[], [], []]
 
 
 class TestDivision:
@@ -269,6 +252,13 @@ class TestContent:
         with pytest.raises(PolyError):
             X1 ** (MAX_DEGREE + 1)
         assert (X2 ** MAX_DEGREE).degree() == MAX_DEGREE
+
+    def test_power_degree_checked_before_multiplying(self):
+        # a 20001-term expansion would take minutes; the check takes none
+        with pytest.raises(DegreeOverflowError, match="total degree 40000 exceeds"):
+            (X0 ** 2 + X1) ** 20000
+        assert Poly.zero() ** (MAX_DEGREE + 1) == Poly.zero()
+        assert Poly.constant(2) ** (MAX_DEGREE + 1) == Poly.constant(2 ** (MAX_DEGREE + 1))
 
 
 class TestSympyOracle:
