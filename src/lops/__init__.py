@@ -8,8 +8,9 @@ finite-difference lab for its tensor identities.
 
 The names below are exported lazily (PEP 562): `from lops import
 build_ens_system` imports `lops.ens` on first access, so `import lops` alone
-loads no submodule.  `lops analyze` never executes `ens` or `lab`, and loads
-numpy only for the sampled verdict of a factor of degree 3 or more.
+loads no submodule.  `lops analyze` never executes `ens` or `lab`; it splits
+factors of degree 3 or more exactly and loads numpy only for the sampled
+screen of a factor that splits no further.
 """
 
 import importlib
@@ -17,8 +18,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "poly": ("Atom", "MissingAtomError", "NotDivisibleError", "NotPerfectSquareError",
-             "Poly", "XI", "param", "xi"),
+    "poly": ("Atom", "MissingAtomError", "NotDivisibleError", "NotPerfectPowerError",
+             "NotPerfectSquareError", "Poly", "XI", "param", "xi"),
     "system": ("ConditionReport", "DependencyDecl", "EquationBlock", "FactorClaim",
                "LeraySystem", "ParamDecl", "StructureReport", "SymbolEntry",
                "UnknownBlock", "leray_condition", "total_order", "validate_structure"),

@@ -13,8 +13,9 @@ Identical configuration and seed produce byte-identical output.
 
 `analyze` loads only the exact pipeline: `ens` and `lab` are bound here as
 lazy modules, executed on the first attribute access of `ens verify`,
-`cones` or `lab run`, and numpy comes in with the float helpers of
-`hyperbolic`.  `main` builds its argument parser once per process.
+`cones` or `lab run`, and numpy comes in only with the float helpers of
+`hyperbolic`: for `cones`, and for the sampled screen of a factor that no
+exact split reaches.  `main` builds its argument parser once per process.
 """
 
 from __future__ import annotations
@@ -279,14 +280,25 @@ def _render_analyze(report: Dict) -> str:
         lines.append(f"factorization: {'pass' if report['factorization']['ok'] else 'FAIL'}"
                      f" ({report['factorization']['detail']})")
         for f in report.get("factors", []):
-            w = f" [{f.get('witness')}]" if f.get("witness") else ""
-            lines.append(f"  {f['factor']}: {f['verdict']} ({f['method']}){w}")
+            lines.extend(_verdict_lines(f, "  "))
         if "sigma0" in report:
             lines.append(f"factor count: {report['factor_count']}; sigma0 = {report['sigma0']}")
         lc = report["leray_condition"]
         lines.append(f"index condition: {'pass' if lc['ok'] else 'FAIL'} ({lc['statement']})")
     lines.append(f"overall: {'pass' if report['ok'] else 'FAIL'}")
     return "\n".join(lines) + "\n"
+
+
+def _verdict_lines(verdict: Dict, indent: str) -> List[str]:
+    """One line per verdict, then its parts' lines indented below it."""
+    w = f" [{verdict.get('witness')}]" if verdict.get("witness") else ""
+    how = verdict["method"]
+    if "exponent" in verdict:
+        how += f", exponent {verdict['exponent']}"
+    lines = [f"{indent}{verdict['factor']}: {verdict['verdict']} ({how}){w}"]
+    for part in verdict.get("parts", ()):
+        lines.extend(_verdict_lines(part, indent + "  "))
+    return lines
 
 
 #: defaults of the flags that only the full `ens verify` run reads; the q = 0

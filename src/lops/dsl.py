@@ -14,8 +14,9 @@ One declaration per line; `#` starts a comment.  Statements:
 Polynomial expressions use `+ - * ^` with parentheses; coefficients are
 exact rationals written `a` or `a/b`.  A number `a/b` is read whole before
 an exponent, so `a/b^k` is `(a/b)^k`: `3/2^2` is 9/4.  An exponent is at
-most MAX_DEGREE, a number has at most MAX_DIGITS digits and parentheses
-nest at most MAX_NESTING deep.  The covector atoms are spelled
+most MAX_DEGREE, a number has at most MAX_DIGITS digits, a power of a
+number at most MAX_POWER_BITS bits, and parentheses nest at most
+MAX_NESTING deep.  The covector atoms are spelled
 `xi0..xi3`; every other atom must have been declared with `param`.  Any
 trailing text after a complete statement is an error, and so is a spec with
 no unknown or no equation block (reported at the end of the input), one
@@ -49,6 +50,9 @@ MAX_NESTING = 100
 # the longest number read: int() may be configured to refuse any longer
 # decimal string (sys.set_int_max_str_digits takes no limit below 640)
 MAX_DIGITS = 640
+# the largest bit length of a number's power: 2^MAX_DEGREE fits, and so does
+# any power a real spec writes, while no power takes long to compute
+MAX_POWER_BITS = 2 * MAX_DEGREE + 2
 
 
 class ParseError(Exception):
@@ -155,7 +159,7 @@ class _PolyParser:
                 factor = self.power()
             else:
                 n, d, a = plain
-                k = self.exponent()
+                k = self.exponent(_bits(n, d) if a is None else 0)
                 if a is None:
                     if k is not None:
                         n, d = n ** k, d ** k
@@ -182,10 +186,12 @@ class _PolyParser:
             acc = _times(acc, Poly.monomial(Fraction(num, den), powers))
         return acc
 
-    def exponent(self) -> Optional[int]:
+    def exponent(self, bits: int = 0) -> Optional[int]:
         """The k of a `^k` suffix, if one follows.  No base may be raised
         past MAX_DEGREE: a constant would be a huge integer and a
-        polynomial would overflow its degree."""
+        polynomial would overflow its degree.  A number whose numerator or
+        denominator has `bits` bits may be raised only while k * bits stays
+        within MAX_POWER_BITS."""
         t = self.toks.peek()
         if t and t[0] == "op" and t[1] == "^":
             self.toks.next()
@@ -194,12 +200,20 @@ class _PolyParser:
             if k > MAX_DEGREE:
                 raise ParseError(f"exponent {k} exceeds the supported maximum degree "
                                  f"{MAX_DEGREE}", self.toks.line_no, t[2])
+            if k * bits > MAX_POWER_BITS:
+                raise ParseError(f"a number of {bits} bits to the power {k} would have "
+                                 f"about {k * bits} bits, more than {MAX_POWER_BITS}",
+                                 self.toks.line_no, t[2])
             return k
         return None
 
     def power(self) -> Poly:
         base = self.base()
-        k = self.exponent()
+        bits = 0
+        if base.is_constant():
+            c = base.as_constant()
+            bits = _bits(c.numerator, c.denominator)
+        k = self.exponent(bits)
         return base if k is None else base ** k
 
     def plain(self) -> Optional[Tuple[int, int, Optional[Atom]]]:
@@ -233,6 +247,11 @@ class _PolyParser:
             self.depth -= 1
             return p
         raise ParseError(f"expected a term, found {t[1]!r}", self.toks.line_no, t[2])
+
+
+def _bits(num: int, den: int) -> int:
+    """The bit length of the larger of a number's numerator and denominator."""
+    return max(abs(num).bit_length(), den.bit_length())
 
 
 def _times(acc: Optional[Poly], p: Poly) -> Poly:

@@ -1,13 +1,24 @@
 """Hyperbolicity tests, biquadratic splitting, and the Gevrey exponent.
 
 Degree-1 and degree-2 factors get exact verdicts (nonvanishing at tau,
-rational signature of the coefficient form).  Higher degrees fall back to a
-sampled falsification screen: companion-matrix roots of the restriction to
-lines eta + s*tau over a deterministic sphere of directions.  Every verdict
-function returns a `HyperbolicityVerdict`, degenerate cases included (a
-quadratic form singular on its support is `inconclusive`, a factor that
-vanishes at tau `not-hyperbolic`); `hyperbolicity_auto` only dispatches on
-degree.
+rational signature of the coefficient form).  A factor of degree 3 or more
+that does not vanish at tau is split exactly and certified from its parts,
+by Garding's product rule (Acta Math. 85, 1951): a product is hyperbolic at
+tau exactly when every factor is.  `hyperbolicity_auto` tries, in order, a
+perfect power (`Poly.root`, method `power`) and a rational linear factor
+(method `product`), and recurses on the parts.  The linear factor is
+proposed from the rational roots of the factor's restrictions to the lines
+s*tau + e through tau's orthogonal frame, exact integer polynomials whose
+real roots are bracketed by bisection between critical points on exact
+signs; a candidate is kept only when `Poly.exact_div` accepts it, so the
+proposer never decides a verdict and uses no floating point.  A factor that
+splits no further falls back to the sampled falsification screen:
+companion-matrix roots of the restriction to lines eta + s*tau over a
+deterministic sphere of directions.  Every verdict function returns a
+`HyperbolicityVerdict`, degenerate cases included (a quadratic form
+singular on its support is `inconclusive`, a factor that vanishes at tau
+`not-hyperbolic`), and a `power` or `product` verdict lists each part with
+its own verdict.
 
 The sampled screen and `cone_sample` share one batched path.
 `rational_directions` gives a memoized table of sphere directions with
@@ -18,9 +29,8 @@ integer column per coefficient over a chunk of directions, and each exact
 value is rounded once into the coefficient matrix.  The roots of all lines
 then come from one `np.linalg.eigvals` call per companion size, equal bit
 for bit to per-line `np.roots`.  `ens.sampled_root_nonnegativity` shares
-only the direction table and the evaluator.  numpy is
-imported by the float helpers on first use, so exact verdicts of degree 1
-and 2 never load it.
+only the direction table and the evaluator.  numpy is imported by the float
+helpers on first use, so no exact verdict loads it.
 """
 
 from __future__ import annotations
@@ -31,7 +41,8 @@ from fractions import Fraction
 from operator import truediv
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import Atom, Poly, XI, eval_columns, param, xi
+from .poly import (Atom, NotDivisibleError, NotPerfectPowerError, Poly, XI, eval_columns,
+                   param, xi)
 from .system import FactorClaim
 
 Fr = Fraction
@@ -48,12 +59,17 @@ class LeadingCoefficientZeroError(Exception):
 @dataclass
 class HyperbolicityVerdict:
     factor_id: str
-    method: str                  # linear-exact | quadratic-signature | sampled
+    # linear-exact | quadratic-signature | power | product | sampled
+    method: str
     verdict: str                 # hyperbolic | not-hyperbolic | inconclusive
     witness: Optional[str] = None
     sample_count: int = 0
     tolerance: float = 0.0
     worst_imag_ratio: float = 0.0
+    # power: the factor is a constant times parts[0] ** exponent;
+    # product: the factor is the product of the parts
+    exponent: int = 0
+    parts: Tuple["HyperbolicityVerdict", ...] = ()
 
     @property
     def hyperbolic(self) -> bool:
@@ -67,6 +83,10 @@ class HyperbolicityVerdict:
             out["samples"] = self.sample_count
             out["tolerance"] = self.tolerance
             out["worst_imag_ratio"] = self.worst_imag_ratio
+        if self.method == "power":
+            out["exponent"] = self.exponent
+        if self.parts:
+            out["parts"] = [part.to_json() for part in self.parts]
         return out
 
 
@@ -266,31 +286,45 @@ def _limit_denominator(x: float, max_den: int) -> Tuple[int, int]:
     return p2, q2
 
 
-def _orthogonal_frame(tau: Sequence[Fraction]) -> List[List[Fraction]]:
-    """Three exact vectors spanning the Euclidean complement of tau."""
-    t = [Fr(x) for x in tau]
-    basis: List[List[Fraction]] = []
+Frame = Tuple[Tuple[Fraction, ...], ...]
+
+_FRAMES: Dict[Tuple[Fraction, ...], Frame] = {}
+
+
+def _orthogonal_frame(tau: Sequence[Fraction]) -> Frame:
+    """Three exact, mutually orthogonal vectors spanning the Euclidean
+    complement of tau, by Gram-Schmidt on the unit vectors.  Memoized per
+    tau, like `rational_directions`: every factor of a report shares one
+    frame."""
+    t = tuple(Fr(x) for x in tau)
+    frame = _FRAMES.get(t)
+    if frame is None:
+        frame = _FRAMES.setdefault(t, _gram_schmidt(t))
+    return frame
+
+
+def _gram_schmidt(t: Tuple[Fraction, ...]) -> Tuple[Tuple[Fraction, ...], ...]:
+    basis: List[Tuple[Fraction, ...]] = []
     for k in range(4):
-        v = [Fr(1) if i == k else Fr(0) for i in range(4)]
+        v = tuple(Fr(1) if i == k else Fr(0) for i in range(4))
         for b in [t] + basis:
             nn = sum(x * x for x in b)
             if nn == 0:
                 continue
             proj = sum(x * y for x, y in zip(v, b)) / nn
-            v = [x - proj * y for x, y in zip(v, b)]
+            v = tuple(x - proj * y for x, y in zip(v, b))
         if any(x != 0 for x in v):
             basis.append(v)
         if len(basis) == 3:
             break
-    return basis
+    return tuple(basis)
 
 
 _LINE_XYZ = (param("_line_x"), param("_line_y"), param("_line_z"))
 _LINE_S = param("_line_s")
 
 
-def _line_restriction(q: Poly, tau: Sequence[Fraction],
-                      frame: List[List[Fraction]]) -> List[Poly]:
+def _line_restriction(q: Poly, tau: Sequence[Fraction], frame: Frame) -> List[Poly]:
     """Coefficients (descending in s) of q(x*f0 + y*f1 + z*f2 + s*tau) as
     polynomials in the direction atoms x, y, z: one substitution serves
     every direction of a sample."""
@@ -392,14 +426,211 @@ def hyperbolicity_sampled(p: Poly, tau: Sequence[Fraction],
 def hyperbolicity_auto(p: Poly, tau, params=None, n_samples: int = 1000,
                        tol: float = 1e-9, seed: int = 0,
                        factor_id: str = "") -> HyperbolicityVerdict:
-    """Dispatch on degree: exact methods for degree 1 and 2, sampling above."""
-    q = _specialize(p, params)
-    d = q.homogeneous_degree_in(XI)
-    if d == 1:
-        return hyperbolicity_linear(q, tau, None, factor_id)
-    if d == 2:
-        return hyperbolicity_quadratic(q, tau, None, factor_id)
-    return hyperbolicity_sampled(q, tau, None, n_samples, tol, seed, factor_id)
+    """Exact verdicts: `hyperbolicity_linear` and `hyperbolicity_quadratic`
+    for degree 1 and 2.  A factor of degree 3 or more that does not vanish
+    at tau is split exactly, as a perfect power (`power`) or by a rational
+    linear factor (`product`), and the parts get their own verdicts: the
+    factor is hyperbolic exactly when every part is (Garding 1951).  Only a
+    factor that splits no further gets the sampled screen."""
+
+    def verdict(q: Poly, fid: str) -> HyperbolicityVerdict:
+        d = q.homogeneous_degree_in(XI)
+        if d == 1:
+            return hyperbolicity_linear(q, tau, None, fid)
+        if d == 2:
+            return hyperbolicity_quadratic(q, tau, None, fid)
+        if d is not None and d > 2:
+            value = _eval_at_cov(q, tau)
+            if value == 0:
+                return HyperbolicityVerdict(fid, "sampled", "not-hyperbolic",
+                                            witness=f"vanishes at tau={_fmt_cov(tau)}",
+                                            tolerance=tol)
+            split = _split(q, tau, d, value)
+            if split is not None:
+                method, exponent, polys = split
+                parts = tuple(verdict(part, part.render()) for part in polys)
+                return HyperbolicityVerdict(fid, method, _conjunction(parts),
+                                            exponent=exponent, parts=parts)
+        return hyperbolicity_sampled(q, tau, None, n_samples, tol, seed, fid)
+
+    return verdict(_specialize(p, params), factor_id)
+
+
+def _conjunction(parts: Sequence[HyperbolicityVerdict]) -> str:
+    """The verdict of a product from its parts' verdicts."""
+    if any(v.verdict == "not-hyperbolic" for v in parts):
+        return "not-hyperbolic"
+    return "hyperbolic" if all(v.hyperbolic for v in parts) else "inconclusive"
+
+
+# -- exact splitting -------------------------------------------------------------
+
+
+def _split(q: Poly, tau: Sequence[Fraction], d: int,
+           value: Fraction) -> Optional[Tuple[str, int, List[Poly]]]:
+    """(method, exponent, parts) of an exact split of a xi-form q of degree
+    d >= 3 with q(tau) = value != 0, or None.
+
+    `power`: q / value is the k-th power of its `Poly.root(k)`, for the
+    least k > 1 dividing d that works.  `product`: q = l * (q / l) for a
+    rational linear form l that `_linear_factor` finds.  Both are verified
+    exactly, by the root's own residue and by `Poly.exact_div`.
+    """
+    base = q * (1 / value)
+    for k in range(2, d + 1):
+        if d % k == 0:
+            try:
+                return "power", k, [base.root(k)]
+            except NotPerfectPowerError:
+                pass
+    split = _linear_factor(q, tau)
+    return None if split is None else ("product", 0, list(split))
+
+
+# the lines of `_linear_factor`: through e0, e1, e2, e0 + e1 and e0 + e2 of
+# the orthogonal frame, as a direction table
+_SPLIT_LINES = tuple(tuple((c, 1) for c in v)
+                     for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)))
+
+
+def _linear_factor(q: Poly, tau: Sequence[Fraction]) -> Optional[Tuple[Poly, Poly]]:
+    """(l, q / l) for a rational linear form l dividing q, or None.
+
+    A linear factor l of q with l(tau) = 1 vanishes on the line s*tau + e
+    at s = -l(e), a rational root of the restriction of q to that line.  So
+    l is found from one rational root s_k per line through each vector e_k
+    of `_orthogonal_frame(tau)`: l(xi) = w.xi with w = tau/|tau|^2 -
+    sum_k s_k e_k/|e_k|^2.  The same l vanishes at s_0 + s_1 on the line
+    through e_0 + e_1 and at s_0 + s_2 on the line through e_0 + e_2, which
+    prunes the choices of roots to about one per linear factor.  The roots
+    only propose; each candidate, made primitive with l(tau) > 0, is kept
+    only if `Poly.exact_div` accepts it.
+    """
+    t = [Fr(x) for x in tau]
+    frame = _orthogonal_frame(t)
+    columns, = eval_columns(_line_restriction(q, t, frame), _LINE_XYZ, _SPLIT_LINES)
+    *lines, g01, g02 = ([_primitive([Fr(nums[j], dens[j]) for nums, dens in columns])
+                         for j in range(len(_SPLIT_LINES))])
+    roots = []
+    for line in lines:
+        found = _rational_roots(line)
+        if not found:
+            return None
+        roots.append(found)
+    r0, r1, r2 = roots
+    base, *dual = ([x / sum(y * y for y in v) for x in v] for v in [t, *frame])
+    for combo in ((s0, s1, s2) for s0 in r0 for s1 in r1 if _vanishes(g01, s0 + s1)
+                  for s2 in r2 if _vanishes(g02, s0 + s2)):
+        w = list(base)
+        for s, u in zip(combo, dual):
+            if s:
+                w = [x - s * y if y else x for x, y in zip(w, u)]
+        ell = sum((Poly.atom(xi(i)) * c for i, c in enumerate(_primitive(w)) if c),
+                  Poly.zero())
+        try:
+            return ell, q.exact_div(ell)
+        except NotDivisibleError:
+            continue
+    return None
+
+
+def _primitive(coeffs: Sequence[Fraction]) -> List[int]:
+    """The integers proportional to `coeffs` with gcd 1 and the same signs."""
+    scale = math.lcm(*(Fr(c).denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    g = math.gcd(*ints) or 1
+    return [c // g for c in ints]
+
+
+def _rational_roots(c: List[int]) -> List[Fraction]:
+    """The distinct rational roots, ascending, of the integer polynomial c
+    (descending coefficients, c[0] != 0).
+
+    A rational root of the primitive part of c, with leading coefficient a,
+    has a denominator dividing a, so two of them lie at least 1/a^2 apart.
+    Each real root of c and of its derivatives (where the repeated roots of
+    c lie) is bracketed to a width below 1/(2 a^2) by `_root_brackets`; the
+    fraction of denominator at most |a| closest to the bracket's midpoint
+    is then the only candidate, and it is kept when c vanishes there.
+    """
+    lead = abs(c[0])
+    K = 2 * lead.bit_length() + 1
+    out = set()
+    for lo, hi in _root_brackets(c, K):
+        r = Fr(lo + hi, 2 << K).limit_denominator(lead)
+        if _vanishes(c, r):
+            out.add(r)
+    return sorted(out)
+
+
+def _vanishes(c: Sequence[int], r: Fraction) -> bool:
+    """Whether the integer polynomial c (descending) vanishes at r."""
+    h, scale = c[0], 1
+    for x in c[1:]:
+        scale *= r.denominator
+        h = h * r.numerator + x * scale
+    return h == 0
+
+
+def _root_brackets(c: List[int], K: int) -> List[Tuple[int, int]]:
+    """Brackets (lo, hi), integers with hi - lo <= 1, each holding a real
+    root of the integer polynomial c or of one of its derivatives in
+    [lo, hi] / 2**K.
+
+    The derivatives are bracketed from the linear one up: each one's roots
+    are found by bisection, on exact signs, between the brackets of its
+    derivative's roots (its critical points) and the Cauchy bound.  A root
+    within one grid step of a critical point may be missed, so the brackets
+    only propose roots.
+    """
+    chain = [c]
+    while len(chain[-1]) > 2:
+        p = chain[-1]
+        chain.append([x * (len(p) - 1 - j) for j, x in enumerate(p[:-1])])
+    if len(chain[-1]) < 2:
+        return []
+    D = 1 << K
+    lo, rem = divmod(-chain[-1][1] * D, chain[-1][0])
+    level = [(lo, lo + (rem != 0))]
+    out = list(level)
+    for p in reversed(chain[:-1]):
+        level = _bisect(p, D, [lo for lo, _ in level])
+        out += level
+    return out
+
+
+def _bisect(c: List[int], D: int, cuts: List[int]) -> List[Tuple[int, int]]:
+    """The brackets of the roots of c between consecutive `cuts` (ascending
+    grid points, the critical points of c) and the Cauchy bound."""
+    head, rest = c[0], list(zip(c[1:], [D ** j for j in range(1, len(c))]))
+
+    def sign(a: int) -> int:  # of D**deg * c(a / D)
+        h = head
+        for x, scale in rest:
+            h = h * a + x * scale
+        return (h > 0) - (h < 0)
+
+    bound = (max(map(abs, c[1:])) // abs(head) + 2) * D
+    cuts = [-bound] + cuts + [bound]
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        s_lo, s_hi = sign(lo), sign(hi)
+        if s_lo == 0:
+            out.append((lo, lo))
+            continue
+        if s_lo * s_hi >= 0:
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            s = sign(mid)
+            if s == 0:
+                lo = hi = mid
+            elif s == s_lo:
+                lo = mid
+            else:
+                hi = mid
+        out.append((lo, hi))
+    return out
 
 
 # -- biquadratic split ----------------------------------------------------------

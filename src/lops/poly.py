@@ -77,12 +77,20 @@ class NotDivisibleError(PolyError):
         return f"not exactly divisible, remainder {self.remainder}"
 
 
-class NotPerfectSquareError(PolyError):
-    """Square-root extraction failed; `remainder` witnesses the obstruction."""
+class NotPerfectPowerError(PolyError):
+    """k-th root extraction failed; `remainder` witnesses the obstruction."""
 
-    def __init__(self, remainder: "Poly"):
+    def __init__(self, remainder: "Poly", k: int):
         self.remainder = remainder
+        self.k = k
         super().__init__()
+
+    def __str__(self):
+        return f"not a perfect power of order {self.k}, obstruction {self.remainder}"
+
+
+class NotPerfectSquareError(NotPerfectPowerError):
+    """Square-root extraction failed; `remainder` witnesses the obstruction."""
 
     def __str__(self):
         return f"not a perfect square, obstruction {self.remainder}"
@@ -122,7 +130,6 @@ class Atom:
 _ATOMS: List[Atom] = []          # slot -> atom; slot s owns field s + 1
 _OFFSETS: Dict[Atom, int] = {}   # atom -> bit offset of its field
 _GUARDS = _GUARD                 # guard bits of every field in use
-_ODDS = 1                        # lowest bits of every field in use
 _LOCK = threading.Lock()
 
 
@@ -130,14 +137,13 @@ def _offset(atom: Atom) -> int:
     """Bit offset of the atom's exponent field, registering it on first use."""
     off = _OFFSETS.get(atom)
     if off is None:
-        global _GUARDS, _ODDS
+        global _GUARDS
         with _LOCK:
             off = _OFFSETS.get(atom)
             if off is None:
                 off = (len(_ATOMS) + 1) * _BITS
                 _ATOMS.append(atom)
                 _GUARDS |= _GUARD << off
-                _ODDS |= 1 << off
                 _OFFSETS[atom] = off
     return off
 
@@ -584,60 +590,85 @@ class Poly:
         return _new(content, q, self.degree() - den.degree())
 
     def sqrt(self) -> "Poly":
-        """Exact square root with positive graded-lex leading coefficient.
+        """`root(2)`: the exact square root with positive graded-lex leading
+        coefficient; raises NotPerfectSquareError."""
+        return self.root(2)
 
-        The content of a square is a rational square and its primitive part
-        the square of an integer polynomial (Gauss's lemma).  Root terms are
-        solved largest first in packed order against the running residue
-        self - root**2, each bounded by half the largest exponents, which
-        ends the search; raises NotPerfectSquareError with the residue when
-        no root exists.
+    def root(self, k: int) -> "Poly":
+        """Exact k-th root, k >= 1; for even k the one with positive
+        graded-lex leading coefficient.
+
+        The content of a k-th power is a rational k-th power and its
+        primitive part the k-th power of an integer polynomial (Gauss's
+        lemma).  Root terms are solved largest first in packed order: the
+        largest term of the residue self - R**k, with R the root so far, is
+        k * lead(R)**(k-1) times the next root term.  Each root term is
+        bounded by the largest exponents divided by k, which ends the search;
+        raises NotPerfectPowerError (NotPerfectSquareError for k = 2) with
+        the residue when no root exists.  The powers R**1 .. R**(k-1) are
+        kept and updated by the binomial theorem, so a step costs about
+        k**2 / 2 monomial-times-polynomial products.
         """
+        if not isinstance(k, int) or k < 1:
+            raise ValueError("roots are taken of positive integer order")
         t = self._t
-        if not t:
-            return _ZERO
+        if not t or k == 1:
+            return self
         c = self._c
-        rn, rd = _isqrt_exact(c.numerator), _isqrt_exact(c.denominator)
+        fail = NotPerfectSquareError if k == 2 else NotPerfectPowerError
+        rn, rd = _iroot_exact(c.numerator, k), _iroot_exact(c.denominator, k)
         if rn is None or rd is None:
-            raise NotPerfectSquareError(self)
-        # every root exponent is at most half the matching largest exponent
+            raise fail(self, k)
+        # every root exponent is at most the matching largest exponent over k
         bound = 0
         for a in self.atoms():
             off = _OFFSETS[a]
-            bound += max((m >> off) & _MASK for m in t) // 2 << off
-        bound += self.degree() // 2
+            bound += max((m >> off) & _MASK for m in t) // k << off
+        bound += self.degree() // k
         lm = max(t)
-        if lm & _ODDS or t[lm] < 0:
-            raise NotPerfectSquareError(self)
-        root_m, root_c = lm >> 1, _isqrt_exact(t[lm])
-        if root_c is None:
-            raise NotPerfectSquareError(self)
-        root = {root_m: root_c}
-        # residue = self - root**2, as integers over the primitive part
+        root_m, rem = divmod(lm, k)
+        lc = t[lm]
+        root_c = _iroot_exact(abs(lc), k)
+        if rem or not _divides(bound, root_m) or root_c is None or (lc < 0 and not k & 1):
+            raise fail(self, k)
+        if lc < 0:
+            root_c = -root_c
+        step = k * root_c ** (k - 1)           # k * lead(R)**(k-1)
+        shift = (k - 1) * root_m                # its monomial
+        binom = [[math.comb(i, j) for j in range(i + 1)] for i in range(k + 1)]
+        powers = [{0: 1}, {root_m: root_c}]     # R**0 .. R**(k-1)
+        for _ in range(k - 2):
+            powers.append({m * len(powers): v ** len(powers) for m, v in powers[1].items()})
         res = dict(t)
         del res[lm]
         while res:
             m = max(res)
-            v = res.pop(m)
-            new_m = m - root_m
-            if not _divides(bound, new_m) or not _divides(m, root_m) or v % (2 * root_c):
-                res[m] = v
-                raise NotPerfectSquareError(_normal(c, res))
-            new_c = v // (2 * root_c)
-            # residue -= 2*new*(root - lead) + new**2; 2*new*lead cancelled m
-            updates = [(new_m + rm, 2 * new_c * rc) for rm, rc in root.items() if rm != root_m]
-            updates.append((2 * new_m, new_c * new_c))
-            for mm, cc in updates:
-                left = res.get(mm, 0) - cc
-                if left:
-                    res[mm] = left
-                else:
-                    del res[mm]
-            root[new_m] = new_c
-        if root[min(root, key=_glex_key)] < 0:
+            v = res[m]
+            new_m = m - shift
+            if not _divides(m, shift) or not _divides(bound, new_m) or v % step:
+                raise fail(_normal(c, res), k)
+            new_c = v // step
+            # R**i + new term -> sum over j of C(i, j) R**(i-j) new**j; the
+            # j = 1 term of R**k cancels m in the residue
+            tj = [(j * new_m, new_c ** j) for j in range(k + 1)]
+            for i in range(k, 0, -1):
+                out = res if i == k else powers[i]
+                sign = -1 if i == k else 1
+                for j in range(1, i + 1):
+                    mj, cj = tj[j]
+                    cj *= sign * binom[i][j]
+                    for mr, cr in powers[i - j].items():
+                        mm = mr + mj
+                        left = out.get(mm, 0) + cj * cr
+                        if left:
+                            out[mm] = left
+                        else:
+                            del out[mm]
+        root = powers[1]
+        if not k & 1 and root[min(root, key=_glex_key)] < 0:
             root = {m: -v for m, v in root.items()}
         content = Fraction(rn, rd)
-        return _new(_F1 if content == 1 else content, root, self.degree() // 2)
+        return _new(_F1 if content == 1 else content, root, self.degree() // k)
 
     # -- rendering -----------------------------------------------------------
 
@@ -807,11 +838,20 @@ def _coerce(x):
     return NotImplemented
 
 
-def _isqrt_exact(n: int) -> Optional[int]:
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
+def _iroot_exact(n: int, k: int) -> Optional[int]:
+    """The integer r >= 0 with r**k == n, or None."""
+    if n < 2:
+        return n if n >= 0 else None
+    if k == 2:
+        r = math.isqrt(n)
+    else:  # Newton's iteration from above on integers
+        r = 1 << -(-n.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+    return r if r ** k == n else None
 
 
 _ZERO = _new(_F1, {}, -1)

@@ -115,7 +115,8 @@ class TestBadInputExitTwo:
         ("(" * 250 + "xi0" + ")" * 250, 120),
         ("3^40000000*xi0", 22),
         ("(xi0+xi1)^33000", 30),
-    ], ids=["nested-250", "number-power", "sum-power"])
+        ("7" * 640 + "^32767*xi0", 661),
+    ], ids=["nested-250", "number-power", "sum-power", "long-number-power"])
     def test_hostile_entry(self, tmp_path, symbol, col):
         # refused while parsing: no RecursionError, no hour-long power
         spec = tmp_path / "hostile.lops"
@@ -350,7 +351,31 @@ class TestAnalyzeEns:
         assert payload["determinant"]["xi_degree"] == 44
         assert payload["leray_condition"]["ok"]
         methods = {f["method"] for f in payload["factors"]}
-        assert {"quadratic-signature", "linear-exact", "sampled"} <= methods
+        assert {"quadratic-signature", "linear-exact", "product"} <= methods
+        assert "sampled" not in methods
+        # the cubic is u.xi times the light cone, split and certified exactly
+        cubic = payload["factors"][2]
+        assert cubic["factor"] == "factor2(x2)" and cubic["verdict"] == "hyperbolic"
+        assert cubic["method"] == "product"
+        assert [(p["method"], p["verdict"]) for p in cubic["parts"]] == [
+            ("linear-exact", "hyperbolic"), ("quadratic-signature", "hyperbolic")]
+
+    def test_text_report_lists_the_parts(self, tmp_path, capsys):
+        assert main(["analyze", ens_spec_path()]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("  factor2(x2): hyperbolic (product)")
+        assert lines[at + 1:at + 3] == [
+            "    xi0: hyperbolic (linear-exact)",
+            "    xi0^2 - xi1^2 - xi2^2 - xi3^2: hyperbolic (quadratic-signature)"]
+        cone = "xi0^2 - xi1^2 - xi2^2 - xi3^2"
+        spec = tmp_path / "light2.lops"
+        spec.write_text("unknown u multiplicity 1 index 4\n"
+                        "equation e multiplicity 1 index 0\n"
+                        f"entry e[0] u[0] := ({cone})^2\n"
+                        f"factor 1 := ({cone})^2\n")
+        assert main(["analyze", str(spec)]) == 0
+        assert (f"  factor0(x1): hyperbolic (power, exponent 2)\n"
+                f"    {cone}: hyperbolic (quadratic-signature)\n") in capsys.readouterr().out
 
     def test_unassigned_parameters_reported(self, tmp_path):
         spec = tmp_path / "na.lops"
@@ -417,6 +442,33 @@ class TestLoading:
         lines = r.stdout.splitlines()
         assert lines[0] == lines[-2] == "[]"
         assert lines[-1] == "['lops.ens']"
+
+    def test_factors_of_degree_three_and_more_load_no_numpy(self, tmp_path):
+        # the reference cubic and a cubed light cone under a rational frame
+        # are split exactly, with no float screen
+        light = ("(3/2*xi0 + 1/8*xi1)^2 - (-1/8*xi0 + xi1)^2 - (3/2*xi2 + xi3)^2"
+                 " - (3/2*xi3)^2")
+        spec = tmp_path / "light3.lops"
+        spec.write_text("unknown u multiplicity 1 index 6\n"
+                        "equation e multiplicity 1 index 0\n"
+                        f"entry e[0] u[0] := -2/3*({light})^3\n"
+                        "prefactor := -2/3\n"
+                        f"factor 1 := ({light})^3\n")
+        code = ("import json, sys\n"
+                "import lops.cli\n"
+                "methods = []\n"
+                "for i, spec in enumerate(sys.argv[1:3]):\n"
+                "    out = f'{sys.argv[3]}/{i}.json'\n"
+                "    assert lops.cli.main(['analyze', spec, '--json', '--out', out]) == 0\n"
+                "    with open(out) as fh:\n"
+                "        methods += [f['method'] for f in json.load(fh)['factors']]\n"
+                "print(methods)\n"
+                "print('numpy' in sys.modules)\n")
+        r = run_python("-c", code, ens_spec_path(), str(spec), str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == [
+            "['quadratic-signature', 'linear-exact', 'product', 'quadratic-signature', "
+            "'quadratic-signature', 'power']", "False"]
 
     def test_lazy_package_exports(self):
         code = ("import sys, lops\n"

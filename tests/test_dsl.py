@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from lops import build_ens_system, ens_spec_path, wave_spec_path
-from lops.dsl import (MAX_DIGITS, MAX_NESTING, DuplicateEntryError, ParseError,
+from lops.dsl import (MAX_DIGITS, MAX_NESTING, MAX_POWER_BITS, DuplicateEntryError, ParseError,
                       UnknownAtomError, parse_poly, parse_system, print_system)
 from lops.poly import MAX_DEGREE, Poly, param, xi
 from lops.system import (DependencyDecl, EquationBlock, LeraySystem, ParamDecl,
@@ -279,6 +279,25 @@ def test_overlong_number_refused():
         parse_poly("xi0 + 1/" + "7" * (MAX_DIGITS + 1), {})
     assert str(err.value) == (f"line 1, column 9: number of {MAX_DIGITS + 1} digits, "
                               f"more than {MAX_DIGITS}")
+
+
+@pytest.mark.parametrize("text, col", [
+    ("7" * MAX_DIGITS + "^32767*xi0", MAX_DIGITS + 2),
+    ("xi0 + (1/" + "7" * MAX_DIGITS + ")^32767", MAX_DIGITS + 12),
+    ("3^20000*7/5^30000", 13),
+], ids=["long-number", "parenthesized-fraction", "second-of-a-run"])
+def test_power_of_a_long_number_refused(text, col):
+    # refused at its exponent, before any multiplication
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, {})
+    assert err.value.col == col
+    assert f"bits, more than {MAX_POWER_BITS}" in str(err.value)
+
+
+def test_power_within_the_bit_bound_read():
+    x0 = Poly.atom(xi(0))
+    assert parse_poly(f"2^{MAX_DEGREE}*xi0", {}) == Poly.constant(2 ** MAX_DEGREE) * x0
+    assert parse_poly("(2/3)^3*xi0", {}) == Poly.constant(Fr(8, 27)) * x0
 
 
 def test_fresh_parse_lays_parameters_out_in_declaration_order():

@@ -9,7 +9,7 @@ from lops import ens
 from lops.hyperbolic import (DegreeMismatchError, LeadingCoefficientZeroError,
                              _limit_denominator, _line_coefficients,
                              _line_restriction, _line_roots,
-                             _orthogonal_frame, biquadratic_split, cone_sample,
+                             _orthogonal_frame, _rational_roots, biquadratic_split, cone_sample,
                              gevrey_sigma, hyperbolicity_auto, hyperbolicity_linear,
                              hyperbolicity_quadratic, hyperbolicity_sampled,
                              quartic_from_coefficients, rational_directions,
@@ -132,6 +132,73 @@ class TestSampled:
     def test_deterministic_directions(self):
         assert sphere_directions(64, seed=5) == sphere_directions(64, seed=5)
         assert sphere_directions(64, seed=5) != sphere_directions(64, seed=6)
+
+
+class TestExactSplit:
+    """hyperbolicity_auto splits a factor of degree >= 3 exactly and
+    certifies it from its parts' verdicts, with no sample drawn."""
+
+    def test_flow_times_cone_is_a_product(self):
+        v = hyperbolicity_auto(FLOW_REST * MINK, DT, factor_id="f")
+        assert (v.factor_id, v.method, v.verdict) == ("f", "product", "hyperbolic")
+        assert [(p.factor_id, p.method, p.verdict) for p in v.parts] == [
+            ("xi0", "linear-exact", "hyperbolic"),
+            ("xi0^2 - xi1^2 - xi2^2 - xi3^2", "quadratic-signature", "hyperbolic")]
+        assert v.sample_count == 0
+        assert v.to_json()["parts"][0] == {"factor": "xi0", "method": "linear-exact",
+                                           "verdict": "hyperbolic"}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_repeated_cone_is_a_power(self, k):
+        # the float screen split these double and triple roots into complex pairs
+        v = hyperbolicity_auto(Poly.constant(Fr(-3, 2)) * MINK ** k, DT)
+        assert (v.method, v.exponent, v.verdict) == ("power", k, "hyperbolic")
+        part, = v.parts
+        assert (part.method, part.verdict) == ("quadratic-signature", "hyperbolic")
+        assert v.to_json()["exponent"] == k
+
+    def test_boosted_product_under_a_boosted_tau(self):
+        v = hyperbolicity_auto(FLOW_BOOSTED * MINK, BOOST)
+        assert v.method == "product" and v.hyperbolic
+        assert [p.method for p in v.parts] == ["linear-exact", "quadratic-signature"]
+
+    def test_repeated_linear_factor_recurses(self):
+        v = hyperbolicity_auto(FLOW_BOOSTED ** 2 * MINK, DT)
+        assert v.method == "product" and v.hyperbolic
+        assert [p.method for p in v.parts] == ["linear-exact", "product"]
+
+    def test_product_with_a_definite_part_is_not_hyperbolic(self):
+        sq = X[0] ** 2 + 2 * X[1] ** 2 + Poly.constant(Fr(1, 2)) * X[3] ** 2
+        v = hyperbolicity_auto((X[0] - 3 * X[2]) * sq, DT)
+        assert v.method == "product" and v.verdict == "not-hyperbolic"
+        lin, quad = v.parts
+        assert lin.hyperbolic
+        assert quad.verdict == "not-hyperbolic" and quad.witness == "inertia (3,0)"
+
+    def test_product_with_an_inconclusive_part_is_inconclusive(self):
+        # (xi0 - xi1)^2 + xi2^2 has no rational linear factor and is singular
+        v = hyperbolicity_auto(X[0] * ((X[0] - X[1]) ** 2 + X[2] ** 2), DT)
+        assert v.method == "product" and v.verdict == "inconclusive"
+        assert [p.verdict for p in v.parts] == ["hyperbolic", "inconclusive"]
+
+    def test_unsplittable_factor_falls_back_to_the_screen(self):
+        # t^3 - 3t - 1 is irreducible with three real roots: no power and no
+        # rational linear factor, but hyperbolic
+        p = X[0] ** 3 - 3 * X[0] * X[1] ** 2 - X[1] ** 3
+        v = hyperbolicity_auto(p, DT, n_samples=200)
+        assert v.method == "sampled" and v.hyperbolic and v.sample_count == 200
+        v = hyperbolicity_auto(LINE_CASES["non-hyperbolic-cubic"], DT, n_samples=200)
+        assert v.method == "sampled" and v.verdict == "not-hyperbolic"
+
+    def test_rational_roots_are_exact_and_distinct(self):
+        # (2s - 1)^2 (3s + 4) (s^2 - 2): a double root, a simple one and two irrational
+        c = [1]
+        for factor in ([2, -1], [2, -1], [3, 4], [1, 0, -2]):
+            c = [sum(c[i] * factor[j - i] for i in range(len(c)) if 0 <= j - i < len(factor))
+                 for j in range(len(c) + len(factor) - 1)]
+        assert _rational_roots(c) == [Fr(-4, 3), Fr(1, 2)]
+        assert _rational_roots([1, 0, 1]) == []
+        assert _rational_roots([5, 0]) == [Fr(0)]
 
 
 class TestBiquadraticSplit:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from lops.poly import (MAX_DEGREE, DegreeOverflowError, MissingAtomError,
-                       NotDivisibleError, NotPerfectSquareError, Poly, PolyError, XI,
-                       COLUMN_CHUNK, eval_columns, param, slot, xi)
+                       NotDivisibleError, NotPerfectPowerError, NotPerfectSquareError, Poly,
+                       PolyError, XI, COLUMN_CHUNK, eval_columns, param, slot, xi)
 from lops.dsl import parse_poly
 
 X0, X1, X2, X3 = (Poly.atom(a) for a in XI)
@@ -188,6 +188,36 @@ class TestSqrt:
         with pytest.raises(NotPerfectSquareError) as err:
             (X0 ** 2 + X1).sqrt()
         assert not err.value.remainder.is_zero()
+
+
+class TestRoot:
+    @given(polys(max_terms=4, max_exp=2), st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip(self, a, k):
+        root = (a ** k).root(k)
+        assert root ** k == a ** k
+        assert root == a or (k % 2 == 0 and root == -a)
+
+    @given(polys(max_terms=3, max_exp=2), st.integers(2, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_non_power_refused(self, a, k):
+        # a^k * (xi0 + 2 xi1) is a k-th power only if xi0 + 2 xi1 were one
+        if a.is_zero():
+            return
+        with pytest.raises(NotPerfectPowerError) as err:
+            (a ** k * (X0 + 2 * X1)).root(k)
+        assert err.value.k == k
+        assert isinstance(err.value, NotPerfectSquareError) == (k == 2)
+
+    def test_odd_root_keeps_the_sign(self):
+        assert (-8 * X0 ** 3 * F ** 6).root(3) == -2 * X0 * F ** 2
+        assert Poly.constant(Fr(-27, 64)).root(3) == Poly.constant(Fr(-3, 4))
+        with pytest.raises(NotPerfectPowerError):
+            Poly.constant(-16).root(4)
+
+    def test_order_must_be_positive(self):
+        with pytest.raises(ValueError):
+            X0.root(0)
 
 
 class TestDegrees:
