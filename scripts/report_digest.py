@@ -17,16 +17,16 @@ checkout's `perfbench/specgen.py`: the 50 specs of seed 7.  Three edited
 specs follow: the wave spec claiming the Minkowski cone (a wrong claim
 compared by expansion), the reference spec with one coefficient of its first
 `factor 1` line changed (a wrong claim refuted at an evaluation point), and
-the light cone written with the opposite sign.  Three one-entry specs
-follow, one per verdict that is neither hyperbolic nor a root screen: a
-singular quadratic (`inconclusive`), a cubic that vanishes at tau (1,0,0,0)
-(`not-hyperbolic`) and a factor whose parameter has no value
-(`inconclusive`).  A last one-entry spec writes a negated square inside a
-product, `1*-xi2^2`, which is `hyperbolic` only when a unary minus negates
-its whole factor, power included.  Two one-block specs close the set: a dense
-6x6 symbol with a parameter in every entry, and a coupled 2x2 one, so that
-blocks of more than one row other than the reference's 10x10 are expanded
-too.  77 reports in all.
+the light cone written with the opposite sign.  Five one-entry specs
+follow: two quadratics singular on their support, `(xi0 - xi1)^2`, which
+splits over Q (`power`, `hyperbolic`), and `(xi0 - xi2)^2 - 2*(xi1 - xi2)^2`,
+which does not (`inconclusive`); a cubic that vanishes at tau (1,0,0,0)
+(`not-hyperbolic`); a factor whose parameter has no value (`inconclusive`);
+and a negated square inside a product, `1*-xi2^2`, which is `hyperbolic`
+only when a unary minus negates its whole factor, power included.  Two
+one-block specs close the set: a dense 6x6 symbol with a parameter in every
+entry, and a coupled 2x2 one, so that blocks of more than one row other than
+the reference's 10x10 are expanded too.  78 reports in all.
 """
 
 import hashlib
@@ -77,7 +77,7 @@ def one_block(rows, factors, head=""):
 
 
 def edited_specs(ens_spec, wave_spec, tmp):
-    """(name, path) of the nine edited specs, written into `tmp`."""
+    """(name, path) of the ten edited specs, written into `tmp`."""
     with open(wave_spec) as fh:
         wave = [line for line in fh if not line.startswith("factor ")]
     with open(ens_spec) as fh:
@@ -94,6 +94,7 @@ def edited_specs(ens_spec, wave_spec, tmp):
                          "prefactor := -1\n"
                          "factor 1 := -xi0^2 + xi1^2 + xi2^2 + xi3^2\n"),
         "singular-quadratic": one_entry(2, "(xi0 - xi1)^2"),
+        "singular-quadratic-unsplit": one_entry(2, "(xi0 - xi2)^2 - 2*(xi1 - xi2)^2"),
         "cubic-vanishing-at-tau": one_entry(3, "xi1^3"),
         "unassigned-parameter": one_entry(1, "xi0 + c*xi1", head="param c\n"),
         "unary-minus-in-product": one_entry(2, "xi0^2 - xi1^2 + 1*-xi2^2"),

@@ -13,16 +13,21 @@ One declaration per line; `#` starts a comment.  Statements:
 
 Polynomial expressions use `+ - * ^` with parentheses; coefficients are
 exact rationals written `a` or `a/b`.  A number `a/b` is read whole before
-an exponent, so `a/b^k` is `(a/b)^k`: `3/2^2` is 9/4.  An exponent is at
-most MAX_DEGREE, a number has at most MAX_DIGITS digits, a power of a
-number at most MAX_POWER_BITS bits, and parentheses nest at most
-MAX_NESTING deep.  The covector atoms are spelled
-`xi0..xi3`; every other atom must have been declared with `param`.  Any
-trailing text after a complete statement is an error, and so is a spec with
-no unknown or no equation block (reported at the end of the input), one
-whose equation and unknown totals differ, an entry index beyond its block's
-multiplicity, a claimed factor that is zero, free of xi or not xi-homogeneous,
-a factor multiplicity below 1, or a prefactor with no factor.
+an exponent, so `a/b^k` is `(a/b)^k`: `3/2^2` is 9/4.  A unary minus
+negates the whole factor after it, `^k` included.  A sum is read in one
+pass: a term of numbers and atoms, each with an optional `^k`, stays a
+numerator, a denominator and a list of atom powers, and `Poly.from_monomials`
+packs a run of such terms into one Poly at once; only a parenthesized factor
+is multiplied, and added, as a Poly.  An exponent is at most MAX_DEGREE, a
+number has at most MAX_DIGITS digits, a power of a number at most
+MAX_POWER_BITS bits, and parentheses nest at most MAX_NESTING deep.  The
+covector atoms are spelled `xi0..xi3`; every other atom must have been
+declared with `param`.  Any trailing text after a complete statement is an
+error, and so is a spec with no unknown or no equation block (reported at
+the end of the input), one whose equation and unknown totals differ, an
+entry index beyond its block's multiplicity, a claimed factor that is zero,
+free of xi or not xi-homogeneous, a factor multiplicity below 1, or a
+prefactor with no factor.
 """
 
 from __future__ import annotations
@@ -37,14 +42,17 @@ from .system import (DependencyDecl, EquationBlock, FactorClaim, LeraySystem,
 
 XI_NAMES = {a.name: a for a in XI}
 
-# whitespace separates tokens; any other character no token starts with is `bad`
-_TOKEN_RE = re.compile(
-    r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>:=|[-+*^()\[\]:/])|(?P<bad>\S)"
-)
+# whitespace separates tokens; any other character no token starts with is a
+# token of its own, refused as unexpected
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|:=|[-+*^()\[\]:/]|\S")
+_OPS = frozenset([":=", "-", "+", "*", "^", "(", ")", "[", "]", ":", "/"])
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# the tokens of `<eq>[i] <unk>[j] :=` after `entry`
+_ENTRY_HEAD = (("name",), ("op", "["), ("num",), ("op", "]"),
+               ("name",), ("op", "["), ("num",), ("op", "]"), ("op", ":="))
 
 
-# the deepest parenthesis nesting read: each level takes four frames of the
+# the deepest parenthesis nesting read: each level takes three frames of the
 # recursive descent, so this stays well inside the interpreter's recursion limit
 MAX_NESTING = 100
 # the longest number read: int() may be configured to refuse any longer
@@ -53,6 +61,10 @@ MAX_DIGITS = 640
 # the largest bit length of a number's power: 2^MAX_DEGREE fits, and so does
 # any power a real spec writes, while no power takes long to compute
 MAX_POWER_BITS = 2 * MAX_DEGREE + 2
+
+# a character no token starts with (an = not after a :), or a digit run too
+# long to be a number
+_SUSPECT_RE = re.compile(r"[^\s\dA-Za-z_\-+*^()\[\]:/=]|(?<!:)=|\d{%d}" % (MAX_DIGITS + 1))
 
 
 class ParseError(Exception):
@@ -70,43 +82,67 @@ class UnknownAtomError(ParseError):
     pass
 
 
+def _kind(t: str) -> str:
+    return ("op" if t in _OPS else "num" if t.isdecimal()
+            else "name" if t[0] in _NAME_START else "bad")
+
+
 class _Tokens:
+    """The tokens of one line as strings, read by index from `i`.  A
+    token's column is found only when a message or a statement needs it."""
+
     def __init__(self, text: str, line_no: int):
         self.text = text
         self.line_no = line_no
-        self.toks: List[Tuple[str, str, int]] = []
-        for mo in _TOKEN_RE.finditer(text):
-            kind = mo.lastgroup
-            if kind == "bad":
-                raise ParseError(f"unexpected character {mo.group()!r}", line_no,
-                                 mo.start() + 1)
-            if kind == "num" and len(mo.group()) > MAX_DIGITS:
-                raise ParseError(f"number of {len(mo.group())} digits, more than {MAX_DIGITS}",
-                                 line_no, mo.start() + 1)
-            self.toks.append((kind, mo.group(), mo.start() + 1))
+        self.toks: List[str] = _TOKEN_RE.findall(text)
         self.i = 0
+        self._starts: List[int] = []
+        self._matches = _TOKEN_RE.finditer(text)
+        if _SUSPECT_RE.search(text):
+            for i, t in enumerate(self.toks):
+                if _kind(t) == "bad":
+                    raise ParseError(f"unexpected character {t!r}", line_no, self.col(i))
+                if len(t) > MAX_DIGITS and t.isdecimal():
+                    raise ParseError(f"number of {len(t)} digits, more than {MAX_DIGITS}",
+                                     line_no, self.col(i))
 
-    def peek(self) -> Optional[Tuple[str, str, int]]:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def col(self, i: int) -> int:
+        """The column of token i; past the last token, that of the line's end."""
+        if i >= len(self.toks):
+            return len(self.text) + 1
+        starts = self._starts
+        while len(starts) <= i:
+            starts.append(next(self._matches).start() + 1)
+        return starts[i]
 
-    def next(self) -> Tuple[str, str, int]:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of line", self.line_no, len(self.text) + 1)
-        self.i += 1
+    def check(self, i: int, kind: str, value: Optional[str] = None) -> str:
+        """Token i, which must be of `kind`, and `value` if one is given."""
+        if i >= len(self.toks):
+            raise ParseError("unexpected end of line", self.line_no, self.col(i))
+        t = self.toks[i]
+        if _kind(t) != kind or value not in (None, t):
+            raise ParseError(f"expected {value or kind!r}, found {t!r}", self.line_no, self.col(i))
         return t
+
+    def number(self, i: int) -> Tuple[int, int, int]:
+        """The a and b of a number `a` or `a/b` at token i, and the index after it."""
+        n = int(self.check(i, "num"))
+        if i + 1 < len(self.toks) and self.toks[i + 1] == "/":
+            d = int(self.check(i + 2, "num"))
+            if not d:
+                raise ParseError("zero denominator", self.line_no, self.col(i + 2))
+            return n, d, i + 3
+        return n, 1, i + 1
 
     def expect(self, kind: str, value: Optional[str] = None) -> Tuple[str, str, int]:
-        t = self.next()
-        if t[0] != kind or (value is not None and t[1] != value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {t[1]!r}", self.line_no, t[2])
-        return t
+        i = self.i
+        self.i += 1
+        return kind, self.check(i, kind, value), self.col(i)
 
     def done(self):
-        t = self.peek()
-        if t is not None:
-            raise ParseError(f"trailing input {t[1]!r}", self.line_no, t[2])
+        if self.i < len(self.toks):
+            raise ParseError(f"trailing input {self.toks[self.i]!r}", self.line_no,
+                             self.col(self.i))
 
 
 class _PolyParser:
@@ -118,167 +154,138 @@ class _PolyParser:
         self.depth = 0  # parentheses open around the current token
 
     def parse(self) -> Poly:
-        t = self.toks.peek()
+        start = self.toks.i
         try:
             return self.expr()
         except DegreeOverflowError as err:
-            col = t[2] if t else len(self.toks.text) + 1
-            raise ParseError(str(err), self.toks.line_no, col) from None
+            raise ParseError(str(err), self.toks.line_no, self.toks.col(start)) from None
 
     def expr(self) -> Poly:
-        acc = self.term()
+        """A sum, read in one pass as the module docstring says."""
+        toks, t = self.toks, self.toks.toks
+        acc, run, sign = Poly.zero(), [], 1
         while True:
-            t = self.toks.peek()
-            if t and t[0] == "op" and t[1] in "+-":
-                self.toks.next()
-                rhs = self.term()
-                acc = acc + rhs if t[1] == "+" else acc - rhs
+            term = self.term(sign)
+            if type(term) is tuple:
+                run.append(term)
             else:
-                return acc
+                acc, run = acc + Poly.from_monomials(run) + term, []
+            i = toks.i
+            if i < len(t) and (t[i] == "+" or t[i] == "-"):
+                sign = 1 if t[i] == "+" else -1
+                toks.i = i + 1
+            else:
+                return acc + Poly.from_monomials(run)
 
-    def term(self) -> Poly:
-        """A product of powers.  A run of plain factors (a number or a/b, an
-        atom, either with an optional ^k) folds into one coefficient and one
-        list of atom powers, packed once; any other factor is a Poly
-        product.  So is an atom power that would lift the total degree past
-        MAX_DEGREE, which then raises the DegreeOverflowError of a
-        factor-by-factor product.  A unary minus before a factor negates the
-        run, so the whole factor, ^k included: 2*-xi1^2 is -2*xi1^2."""
-        toks = self.toks
-        acc = None                            # the factors before the run
-        num, den, powers, deg = 1, 1, [], 0   # the run
+    def term(self, sign: int):
+        """A product of powers, times `sign`.  A run of plain factors (a
+        number or a/b, an atom, either with an optional ^k) folds into one
+        numerator, denominator and list of atom powers; a term of nothing
+        else comes back as that (num, den, powers) triple.  Any other factor
+        is a Poly product, and so is an atom power that would lift the total
+        degree past MAX_DEGREE, which then raises the DegreeOverflowError of
+        a factor-by-factor product.  A unary minus before a factor negates
+        the run, so the whole factor, ^k included: 2*-xi1^2 is -2*xi1^2."""
+        toks, t, atoms = self.toks, self.toks.toks, self.atoms
+        end = len(t)
+        acc = None                               # the factors before the run
+        num, den, powers, deg = sign, 1, [], 0   # the run
+        i = toks.i
         while True:
+            s = t[i] if i < end else ""
             factor = None
-            plain = self.plain()
-            if plain is None:
-                t = toks.peek()
-                if t and t[0] == "op" and t[1] == "-":
-                    toks.next()
-                    num = -num
-                    continue
-                factor = self.power()
-            else:
-                n, d, a = plain
-                k = self.exponent(_bits(n, d) if a is None else 0)
-                if a is None:
-                    if k is not None:
-                        n, d = n ** k, d ** k
-                    num *= n
-                    den *= d
+            if s.isdecimal():
+                n, d, i = toks.number(i)
+                if i < end and t[i] == "^":
+                    k = self.exponent(i + 1, max(n.bit_length(), d.bit_length()))
+                    n, d = n ** k, d ** k
+                    i += 2
+                num *= n
+                den *= d
+            elif s in atoms:
+                a, k = atoms[s], 1
+                i += 1
+                if i < end and t[i] == "^":
+                    k = self.exponent(i + 1)
+                    i += 2
+                before = deg + (max(acc.degree(), 0) if acc is not None else 0)
+                if before + k <= MAX_DEGREE:
+                    powers.append((a, k))
+                    deg += k
                 else:
-                    k = 1 if k is None else k
-                    before = deg + (max(acc.degree(), 0) if acc is not None else 0)
-                    if before + k <= MAX_DEGREE:
-                        powers.append((a, k))
-                        deg += k
-                    else:
-                        factor = Poly.atom(a) ** k
+                    factor = Poly.atom(a) ** k
+            elif s == "-":
+                num = -num
+                i += 1
+                continue
+            elif s and _kind(s) == "name":
+                raise UnknownAtomError(f"undeclared atom {s!r}", toks.line_no, toks.col(i))
+            else:
+                toks.i = i
+                factor = self.power()
+                i = toks.i
             if factor is not None:
                 if num != den or powers:
-                    acc = _times(acc, Poly.monomial(Fraction(num, den), powers))
+                    mono = Poly.from_monomials([(num, den, powers)])
+                    acc = mono if acc is None else acc * mono
                     num, den, powers, deg = 1, 1, [], 0
-                acc = _times(acc, factor)
-            t = toks.peek()
-            if not (t and t[0] == "op" and t[1] == "*"):
-                break
-            toks.next()
-        if acc is None or num != den or powers:
-            acc = _times(acc, Poly.monomial(Fraction(num, den), powers))
-        return acc
+                acc = factor if acc is None else acc * factor
+            if i < end and t[i] == "*":
+                i += 1
+            else:
+                toks.i = i
+                if acc is not None and (num != den or powers):
+                    acc = acc * Poly.from_monomials([(num, den, powers)])
+                return (num, den, powers) if acc is None else acc
 
-    def exponent(self, bits: int = 0) -> Optional[int]:
-        """The k of a `^k` suffix, if one follows.  No base may be raised
+    def exponent(self, i: int, bits: int = 0) -> int:
+        """The k of a `^k` whose number is token i.  No base may be raised
         past MAX_DEGREE: a constant would be a huge integer and a
         polynomial would overflow its degree.  A number whose numerator or
         denominator has `bits` bits may be raised only while k * bits stays
         within MAX_POWER_BITS."""
-        t = self.toks.peek()
-        if t and t[0] == "op" and t[1] == "^":
-            self.toks.next()
-            t = self.toks.expect("num")
-            k = int(t[1])
-            if k > MAX_DEGREE:
-                raise ParseError(f"exponent {k} exceeds the supported maximum degree "
-                                 f"{MAX_DEGREE}", self.toks.line_no, t[2])
-            if k * bits > MAX_POWER_BITS:
-                raise ParseError(f"a number of {bits} bits to the power {k} would have "
-                                 f"about {k * bits} bits, more than {MAX_POWER_BITS}",
-                                 self.toks.line_no, t[2])
-            return k
-        return None
+        toks = self.toks
+        k = int(toks.check(i, "num"))
+        if k > MAX_DEGREE:
+            raise ParseError(f"exponent {k} exceeds the supported maximum degree "
+                             f"{MAX_DEGREE}", toks.line_no, toks.col(i))
+        if k * bits > MAX_POWER_BITS:
+            raise ParseError(f"a number of {bits} bits to the power {k} would have "
+                             f"about {k * bits} bits, more than {MAX_POWER_BITS}",
+                             toks.line_no, toks.col(i))
+        return k
 
     def power(self) -> Poly:
-        base = self.base()
-        bits = 0
-        if base.is_constant():
-            c = base.as_constant()
-            bits = _bits(c.numerator, c.denominator)
-        k = self.exponent(bits)
-        return base if k is None else base ** k
-
-    def plain(self) -> Optional[Tuple[int, int, Optional[Atom]]]:
-        """The next plain factor without its exponent, read: a number or
-        a/b as (a, b, None), a declared atom as (1, 1, atom).  None, with
-        nothing read, before any other token."""
-        t = self.toks.peek()
-        if t is None or t[0] not in ("num", "name"):
-            return None
-        self.toks.next()
-        if t[0] == "num":
-            return int(t[1]), _denominator(self.toks), None
-        a = self.atoms.get(t[1])
-        if a is None:
-            raise UnknownAtomError(f"undeclared atom {t[1]!r}", self.toks.line_no, t[2])
-        return 1, 1, a
-
-    def base(self) -> Poly:
-        plain = self.plain()
-        if plain is not None:
-            n, d, a = plain
-            return Poly.constant(Fraction(n, d)) if a is None else Poly.atom(a)
-        t = self.toks.next()
-        if t[0] == "op" and t[1] == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
-                                 self.toks.line_no, t[2])
-            self.depth += 1
-            p = self.expr()
-            self.toks.expect("op", ")")
-            self.depth -= 1
-            return p
-        raise ParseError(f"expected a term, found {t[1]!r}", self.toks.line_no, t[2])
-
-
-def _bits(num: int, den: int) -> int:
-    """The bit length of the larger of a number's numerator and denominator."""
-    return max(abs(num).bit_length(), den.bit_length())
-
-
-def _times(acc: Optional[Poly], p: Poly) -> Poly:
-    return p if acc is None else acc * p
-
-
-def _denominator(toks: _Tokens) -> int:
-    """The b of a `/b` suffix of a number, or 1."""
-    t = toks.peek()
-    if t and t[0] == "op" and t[1] == "/":
-        toks.next()
-        den = toks.expect("num")
-        if int(den[1]) == 0:
-            raise ParseError("zero denominator", toks.line_no, den[2])
-        return int(den[1])
-    return 1
+        """A parenthesized sum with an optional ^k."""
+        toks = self.toks
+        i = toks.i
+        # term leaves only an operator or the end of the line to this point
+        if toks.check(i, "op") != "(":
+            raise ParseError(f"expected a term, found {toks.toks[i]!r}", toks.line_no,
+                             toks.col(i))
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                             toks.line_no, toks.col(i))
+        self.depth += 1
+        toks.i = i + 1
+        base = self.expr()
+        toks.check(toks.i, "op", ")")
+        self.depth -= 1
+        i = toks.i = toks.i + 1
+        if i < len(toks.toks) and toks.toks[i] == "^":
+            bits = 0
+            if base.is_constant():
+                c = base.as_constant()
+                bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+            toks.i = i + 2
+            return base ** self.exponent(i + 1, bits)
+        return base
 
 
 def _parse_rational(toks: _Tokens) -> Fraction:
-    neg = False
-    t = toks.peek()
-    if t and t[0] == "op" and t[1] == "-":
-        toks.next()
-        neg = True
-    num = toks.expect("num")
-    val = Fraction(int(num[1]), _denominator(toks))
-    return -val if neg else val
+    neg = toks.toks[toks.i:toks.i + 1] == ["-"]
+    num, den, toks.i = toks.number(toks.i + neg)
+    return Fraction(-num if neg else num, den)
 
 
 def parse_system(text: str) -> LeraySystem:
@@ -314,22 +321,18 @@ def parse_system(text: str) -> LeraySystem:
             idx = int(toks.expect("num")[1])
             toks.done()
             last_block_at = (line_no, head[2])
-            if head[1] == "unknown":
-                if any(b.name == name for b in unknowns):
-                    raise ParseError(f"duplicate unknown block {name!r}", line_no, head[2])
-                unknowns.append(UnknownBlock(name, mult, idx))
-            else:
-                if any(b.name == name for b in equations):
-                    raise ParseError(f"duplicate equation block {name!r}", line_no, head[2])
-                equations.append(EquationBlock(name, mult, idx))
+            blocks, block = ((unknowns, UnknownBlock) if head[1] == "unknown"
+                             else (equations, EquationBlock))
+            if any(b.name == name for b in blocks):
+                raise ParseError(f"duplicate {head[1]} block {name!r}", line_no, head[2])
+            blocks.append(block(name, mult, idx))
 
         elif head[1] == "param":
             name = toks.expect("name")[1]
             if name in atoms:
                 raise ParseError(f"atom {name!r} already declared", line_no, head[2])
             constraint = None
-            t = toks.peek()
-            if t is not None:
+            if toks.i < len(toks.toks):
                 toks.expect("name", "constraint")
                 toks.expect("op", ":")
                 c = toks.expect("name")
@@ -350,19 +353,10 @@ def parse_system(text: str) -> LeraySystem:
             toks.done()
 
         elif head[1] == "entry":
-            eq_tok = toks.expect("name")
-            eq_name = eq_tok[1]
-            toks.expect("op", "[")
-            eq_idx_tok = toks.expect("num")
-            eq_idx = int(eq_idx_tok[1])
-            toks.expect("op", "]")
-            unk_tok = toks.expect("name")
-            unk_name = unk_tok[1]
-            toks.expect("op", "[")
-            unk_idx_tok = toks.expect("num")
-            unk_idx = int(unk_idx_tok[1])
-            toks.expect("op", "]")
-            toks.expect("op", ":=")
+            eq_tok, _, eq_idx_tok, _, unk_tok, _, unk_idx_tok, _, _ = (
+                toks.expect(*want) for want in _ENTRY_HEAD)
+            eq_name, eq_idx = eq_tok[1], int(eq_idx_tok[1])
+            unk_name, unk_idx = unk_tok[1], int(unk_idx_tok[1])
             symbol = _PolyParser(toks, atoms).parse()
             toks.done()
             key = (eq_name, eq_idx, unk_name, unk_idx)
@@ -391,7 +385,7 @@ def parse_system(text: str) -> LeraySystem:
             if mult < 1:
                 raise ParseError("factor multiplicity must be at least 1", line_no, mult_tok[2])
             toks.expect("op", ":=")
-            start = toks.peek()
+            start = toks.col(toks.i)
             p = _PolyParser(toks, atoms).parse()
             toks.done()
             # each claimed factor is tested for hyperbolicity in xi0..xi3
@@ -401,7 +395,7 @@ def parse_system(text: str) -> LeraySystem:
                        else "does not involve xi0..xi3" if d == 0 else None)
             if problem is not None:
                 raise ParseError(f"claimed factor {len(factors) + 1} ({p.render()}) {problem}",
-                                 line_no, start[2])
+                                 line_no, start)
             factors.append((p, mult))
 
         elif head[1] == "prefactor":
@@ -441,10 +435,8 @@ def parse_system(text: str) -> LeraySystem:
         raise ParseError("prefactor without a factor line: the claim has no factors",
                          *prefactor_at)
 
-    claim = None
-    if factors:
-        claim = FactorClaim(prefactor if prefactor is not None else Poly.one(),
-                            tuple(factors))
+    claim = FactorClaim(prefactor if prefactor is not None else Poly.one(),
+                        tuple(factors)) if factors else None
 
     return LeraySystem(unknowns, equations, entries, deps, params, assigns, claim)
 
@@ -474,9 +466,7 @@ def print_system(s: LeraySystem) -> str:
 
 def parse_poly(text: str, atom_names: Dict[str, Atom]) -> Poly:
     """Parse a standalone polynomial expression using the given atom table."""
-    merged = dict(XI_NAMES)
-    merged.update(atom_names)
     toks = _Tokens(text, 1)
-    p = _PolyParser(toks, merged).parse()
+    p = _PolyParser(toks, {**XI_NAMES, **atom_names}).parse()
     toks.done()
     return p

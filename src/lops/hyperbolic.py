@@ -16,9 +16,10 @@ splits no further falls back to the sampled falsification screen:
 companion-matrix roots of the restriction to lines eta + s*tau over a
 deterministic sphere of directions.  Every verdict function returns a
 `HyperbolicityVerdict`, degenerate cases included (a quadratic form
-singular on its support is `inconclusive`, a factor that vanishes at tau
-`not-hyperbolic`), and a `power` or `product` verdict lists each part with
-its own verdict.
+singular on its support is split the same way first, and is `inconclusive`
+only when it does not split; a factor of degree 3 or more that vanishes at
+tau is `not-hyperbolic`), and a `power` or `product` verdict lists each part
+with its own verdict.
 
 The sampled screen and `cone_sample` share one batched path.
 `rational_directions` gives a memoized table of sphere directions with
@@ -428,30 +429,33 @@ def hyperbolicity_auto(p: Poly, tau, params=None, n_samples: int = 1000,
                        factor_id: str = "") -> HyperbolicityVerdict:
     """Exact verdicts: `hyperbolicity_linear` and `hyperbolicity_quadratic`
     for degree 1 and 2.  A factor of degree 3 or more that does not vanish
-    at tau is split exactly, as a perfect power (`power`) or by a rational
-    linear factor (`product`), and the parts get their own verdicts: the
-    factor is hyperbolic exactly when every part is (Garding 1951).  Only a
-    factor that splits no further gets the sampled screen."""
+    at tau, or a quadratic form singular on its support that does not, is
+    split exactly, as a perfect power (`power`) or by a rational linear
+    factor (`product`), and the parts get their own verdicts: the factor is
+    hyperbolic exactly when every part is (Garding 1951).  A singular form
+    that splits no further keeps its `inconclusive` quadratic-signature
+    verdict; only a factor of degree 3 or more gets the sampled screen."""
 
     def verdict(q: Poly, fid: str) -> HyperbolicityVerdict:
         d = q.homogeneous_degree_in(XI)
         if d == 1:
             return hyperbolicity_linear(q, tau, None, fid)
-        if d == 2:
-            return hyperbolicity_quadratic(q, tau, None, fid)
-        if d is not None and d > 2:
+        quadratic = hyperbolicity_quadratic(q, tau, None, fid) if d == 2 else None
+        if quadratic is not None and quadratic.verdict != "inconclusive":
+            return quadratic
+        if d is not None and d > 1:
             value = _eval_at_cov(q, tau)
-            if value == 0:
+            if value == 0 and d > 2:
                 return HyperbolicityVerdict(fid, "sampled", "not-hyperbolic",
                                             witness=f"vanishes at tau={_fmt_cov(tau)}",
                                             tolerance=tol)
-            split = _split(q, tau, d, value)
+            split = _split(q, tau, d, value) if value else None
             if split is not None:
                 method, exponent, polys = split
                 parts = tuple(verdict(part, part.render()) for part in polys)
                 return HyperbolicityVerdict(fid, method, _conjunction(parts),
                                             exponent=exponent, parts=parts)
-        return hyperbolicity_sampled(q, tau, None, n_samples, tol, seed, fid)
+        return quadratic or hyperbolicity_sampled(q, tau, None, n_samples, tol, seed, fid)
 
     return verdict(_specialize(p, params), factor_id)
 

@@ -295,19 +295,29 @@ class Poly:
     @staticmethod
     def monomial(c: Scalar, powers: Iterable[Tuple[Atom, int]]) -> "Poly":
         """c times the product of atom**exponent over the (atom, exponent)
-        pairs of `powers`, packed once; an atom may repeat."""
-        if not c:
-            return _ZERO
-        m = deg = 0
-        for a, e in powers:
-            if e < 0:
-                raise ValueError("monomial exponents are non-negative integers")
-            if e:
-                m += e << _offset(a)
-                deg += e
-        _check_degree(deg)
+        pairs of `powers`; an atom may repeat."""
         c = Fraction(c)
-        return _new(_F1 if abs(c) == 1 else abs(c), {m + deg: 1 if c > 0 else -1}, deg)
+        return Poly.from_monomials([(c.numerator, c.denominator, powers)])
+
+    @staticmethod
+    def from_monomials(terms: Iterable[Tuple[int, int, Iterable[Tuple[Atom, int]]]]) -> "Poly":
+        """The sum of num/den times the product of atom**exponent over the
+        (num, den, powers) triples of `terms`, den > 0, as `monomial` reads
+        (c, powers): one common denominator, each monomial packed once."""
+        terms = [t for t in terms if t[0]]
+        lcm = math.lcm(*[d for _, d, _ in terms])
+        out: Dict[int, int] = {}
+        for num, den, powers in terms:
+            m = deg = 0
+            for a, e in powers:
+                if e < 0:
+                    raise ValueError("monomial exponents are non-negative integers")
+                if e:
+                    m += e << (_OFFSETS.get(a) or _offset(a))
+                    deg += e
+            _check_degree(deg)
+            out[m + deg] = out.get(m + deg, 0) + num * (lcm // den)
+        return _normal(Fraction(1, lcm), _drop_zeros(out))
 
     # -- inspection --------------------------------------------------------
 

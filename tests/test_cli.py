@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lops
 from lops import ens_spec_path, wave_spec_path
@@ -141,6 +145,70 @@ class TestBadInputExitTwo:
         assert r.returncode == 2
         assert r.stderr.startswith(f"input error: {spec}: a 1200x1200 block is too deep")
         assert "Traceback" not in r.stderr
+
+
+# two valid specs and loose tokens to edit them with; every name is from this
+# fixed pool, so however the specs are edited they declare only a few atoms
+SOUP_SPECS = [
+    ["unknown u multiplicity 1 index 2", "equation e multiplicity 1 index 0",
+     "param a constraint: positive", "assign a := 3/2",
+     "entry e[0] u[0] := a*xi0^2 - xi1^2 - xi2^2 - xi3^2", "depends e on u order 1",
+     "prefactor := 1", "factor 1 := a*xi0^2 - xi1^2 - xi2^2 - xi3^2"],
+    ["unknown v multiplicity 2 index 1", "equation f multiplicity 2 index 0",
+     "param b constraint: nonzero", "assign b := -1", "entry f[0] v[0] := xi0 - xi1",
+     "entry f[1] v[1] := (xi0 + b*xi2)^2", "entry f[0] v[1] := -xi3*(xi0 - xi1)",
+     "prefactor := 1", "factor 1 := xi0 - xi1", "factor 2 := xi0 + b*xi2"],
+]
+SOUP_TOKENS = ["unknown", "equation", "param", "assign", "entry", "depends", "factor",
+               "prefactor", "multiplicity", "index", "order", "on", "constraint",
+               "positive", "u", "e", "a", "b", "xi0", "xi1", "xi3", "0", "1", "2",
+               "3/2", ":=", ":", "[", "]", "+", "-", "*", "^", "/", "(", ")", "#", "$", " "]
+
+
+@st.composite
+def soup_specs(draw):
+    """A valid spec after up to three random edits: a loose token inserted
+    into a line, a line dropped, or a line of loose tokens added."""
+    lines = list(draw(st.sampled_from(SOUP_SPECS)))
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["token", "drop", "line"]))
+        if edit == "token":
+            at = draw(st.integers(0, len(lines[j])))
+            lines[j] = lines[j][:at] + draw(st.sampled_from(SOUP_TOKENS)) + lines[j][at:]
+        elif edit == "drop" and len(lines) > 1:
+            del lines[j]
+        elif edit == "line":
+            lines.insert(j, " ".join(draw(st.lists(st.sampled_from(SOUP_TOKENS), max_size=8))))
+    return "\n".join(lines) + "\n"
+
+
+def analyze_in_process(content: bytes):
+    """(exit code, stderr) of `lops analyze --json` on a spec of these bytes."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "fuzz.lops")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["analyze", path, "--json"])
+    return code, err.getvalue()
+
+
+class TestNoTraceback:
+    """Any input gives exit 0, 1 or 2 and a message, never a traceback."""
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_random_bytes(self, content):
+        code, err = analyze_in_process(content)
+        assert code in (0, 1, 2) and "Traceback" not in err
+
+    @given(soup_specs())
+    @settings(max_examples=500, deadline=None)
+    def test_token_soup(self, text):
+        code, err = analyze_in_process(text.encode())
+        assert code in (0, 1, 2) and "Traceback" not in err
 
 
 class TestSpecChecks:

@@ -226,6 +226,70 @@ def test_products(text, expected):
     assert parse_poly(text, {}) == expected
 
 
+TREE_ATOMS = {"a": param("a"), "b": param("b")}
+TREE_NAMES = ["xi0", "xi1", "xi2", "xi3", "a", "b"]
+
+
+def _atom(name):
+    return Poly.atom(TREE_ATOMS[name] if name in TREE_ATOMS else xi(int(name[2])))
+
+
+@st.composite
+def trees(draw, depth=0):
+    """(tokens, value) of a random sum: a tree over xi0..xi3, a and b of
+    small rationals, a/b, ^k with k <= 3, unary minus, parentheses and
+    + - *, nested at most 3 deep, and its value by Poly arithmetic under
+    the module docstring's rules."""
+    tokens, value = [], Poly.zero()
+    for j in range(draw(st.integers(1, 3))):
+        sign = 1
+        if j:
+            tokens.append(draw(st.sampled_from("+-")))
+            sign = -1 if tokens[-1] == "-" else 1
+        term = Poly.one()
+        for f in range(draw(st.integers(1, 3))):
+            if f:
+                tokens.append("*")
+            minus = draw(st.integers(0, 2))
+            tokens += ["-"] * minus
+            kind = draw(st.sampled_from(["num", "ratio", "atom", "paren"][:4 if depth < 3 else 3]))
+            if kind == "num":
+                n = draw(st.integers(0, 9))
+                tokens.append(str(n))
+                v = Poly.constant(n)
+            elif kind == "ratio":
+                n, d = draw(st.integers(0, 9)), draw(st.integers(1, 9))
+                tokens += [str(n), "/", str(d)]
+                v = Poly.constant(Fr(n, d))   # a/b^k is (a/b)^k
+            elif kind == "atom":
+                name = draw(st.sampled_from(TREE_NAMES))
+                tokens.append(name)
+                v = _atom(name)
+            else:
+                inner, v = draw(trees(depth + 1))
+                tokens += ["(", *inner, ")"]
+            # exponents only while the expansion stays small
+            k = draw(st.none() | st.integers(0, 3))
+            if k is not None and len(v) ** k <= 64:
+                tokens += ["^", str(k)]
+                v = v ** k
+            term = term * (-1) ** minus * v   # a unary minus negates its whole factor
+            if len(term) > 64:
+                break
+        value = value + sign * term
+    return tokens, value
+
+
+@given(trees(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_parse_equals_the_tree_built_by_poly_arithmetic(tree, data):
+    tokens, value = tree
+    gaps = data.draw(st.lists(st.sampled_from(["", " ", "  "]), min_size=len(tokens),
+                              max_size=len(tokens)))
+    text = "".join(g + t for g, t in zip(gaps, tokens))
+    assert parse_poly(text, TREE_ATOMS) == value
+
+
 # errors around a unary minus keep their messages and columns
 @pytest.mark.parametrize("text, col, message", [
     ("-xi0^2^3", 7, "trailing input '^'"),

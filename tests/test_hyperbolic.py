@@ -134,6 +134,13 @@ class TestSampled:
         assert sphere_directions(64, seed=5) != sphere_directions(64, seed=6)
 
 
+def _leaves(v):
+    """The (method, verdict) pairs of a verdict tree's unsplit parts."""
+    if not v.parts:
+        return {(v.method, v.verdict)}
+    return set().union(*(_leaves(p) for p in v.parts))
+
+
 class TestExactSplit:
     """hyperbolicity_auto splits a factor of degree >= 3 exactly and
     certifies it from its parts' verdicts, with no sample drawn."""
@@ -180,6 +187,35 @@ class TestExactSplit:
         v = hyperbolicity_auto(X[0] * ((X[0] - X[1]) ** 2 + X[2] ** 2), DT)
         assert v.method == "product" and v.verdict == "inconclusive"
         assert [p.verdict for p in v.parts] == ["hyperbolic", "inconclusive"]
+
+    @pytest.mark.parametrize("form, method", [
+        pytest.param((X[0] - X[1]) ** 2, "power", id="square"),
+        pytest.param((X[0] - X[1]) * (X[0] - X[2]), "product", id="two-forms"),
+        pytest.param(X[0] * (X[0] - X[1]) ** 2, "product", id="form-times-square"),
+    ])
+    def test_singular_quadratic_is_split(self, form, method):
+        # each quadratic here is singular on its support, which the signature
+        # test alone reads as inconclusive
+        v = hyperbolicity_auto(form, DT)
+        assert (v.method, v.verdict) == (method, "hyperbolic")
+        assert _leaves(v) == {("linear-exact", "hyperbolic")}
+
+    def test_product_of_twelve_rational_forms_is_hyperbolic(self):
+        # the last quotient is a product of two linear forms, singular on its
+        # four-dimensional support
+        p = Poly.one()
+        for k in range(1, 13):
+            p = p * (X[0] + k * X[1] - Fr(k * k % 7, k + 1) * X[2] + (k % 3) * X[3])
+        v = hyperbolicity_auto(p, DT)
+        assert (v.method, v.verdict) == ("product", "hyperbolic")
+        assert _leaves(v) == {("linear-exact", "hyperbolic")}
+
+    def test_singular_quadratic_without_a_rational_split_stays_inconclusive(self):
+        # (xi0 - xi2)^2 - 2*(xi1 - xi2)^2 splits only over Q(sqrt 2)
+        v = hyperbolicity_auto((X[0] - X[2]) ** 2 - 2 * (X[1] - X[2]) ** 2, DT)
+        assert (v.method, v.verdict) == ("quadratic-signature", "inconclusive")
+        assert v.witness == "form is singular on its support (inertia 1,1,1)"
+        assert v.parts == ()
 
     def test_unsplittable_factor_falls_back_to_the_screen(self):
         # t^3 - 3t - 1 is irreducible with three real roots: no power and no
