@@ -23,10 +23,13 @@ splits over Q (`power`, `hyperbolic`), and `(xi0 - xi2)^2 - 2*(xi1 - xi2)^2`,
 which does not (`inconclusive`); a cubic that vanishes at tau (1,0,0,0)
 (`not-hyperbolic`); a factor whose parameter has no value (`inconclusive`);
 and a negated square inside a product, `1*-xi2^2`, which is `hyperbolic`
-only when a unary minus negates its whole factor, power included.  Two
+only when a unary minus negates its whole factor, power included.  Three
 one-block specs close the set: a dense 6x6 symbol with a parameter in every
-entry, and a coupled 2x2 one, so that blocks of more than one row other than
-the reference's 10x10 are expanded too.  78 reports in all.
+entry, a coupled 2x2 one, so that blocks of more than one row other than
+the reference's 10x10 are expanded too, and a 6x6 one with three scalar rows
+(xi0 on the diagonal, zeros between them), a 2-row complement and a fourth
+xi0 row that couples to nothing, so that a block other than the reference's
+takes the Schur step.  79 reports in all.
 """
 
 import hashlib
@@ -67,17 +70,18 @@ def one_entry(index, symbol, head=""):
 
 def one_block(rows, factors, head=""):
     """A spec of one unknown and one equation block whose square symbol is
-    `rows`, with the claimed `factors` lines."""
+    `rows` (no entry line for a "0"), with the claimed `factors` lines."""
     n = len(rows)
     return (f"{head}unknown u multiplicity {n} index 1\n"
             f"equation e multiplicity {n} index 0\n"
             + "".join(f"entry e[{i}] u[{j}] := {symbol}\n"
-                      for i, row in enumerate(rows) for j, symbol in enumerate(row))
+                      for i, row in enumerate(rows) for j, symbol in enumerate(row)
+                      if symbol != "0")
             + "".join(f"factor {f}\n" for f in factors))
 
 
 def edited_specs(ens_spec, wave_spec, tmp):
-    """(name, path) of the ten edited specs, written into `tmp`."""
+    """(name, path) of the eleven edited specs, written into `tmp`."""
     with open(wave_spec) as fh:
         wave = [line for line in fh if not line.startswith("factor ")]
     with open(ens_spec) as fh:
@@ -105,6 +109,14 @@ def edited_specs(ens_spec, wave_spec, tmp):
         "coupled-2x2-block": one_block([["xi0", "c*xi1"], ["xi1", "xi0"]],
                                        ["1 := xi0^2 - c*xi1^2"],
                                        head="param c\nassign c := 4\n"),
+        "schur-6x6-block": one_block(
+            [["xi0", "0", "0", "0", "xi1", "0"],
+             ["0", "xi0", "0", "0", "xi2", "0"],
+             ["0", "0", "xi0", "0", "xi3", "0"],
+             ["0", "0", "0", "xi0", "0", "0"],
+             ["xi1", "xi2", "xi3", "0", "2*xi0", "xi1"],
+             ["0", "0", "0", "xi2", "xi1", "2*xi0"]],
+            ["4 := xi0", "1 := 4*xi0^2 - 3*xi1^2 - 2*xi2^2 - 2*xi3^2"]),
     }
     for name, text in specs.items():
         path = os.path.join(tmp, f"{name}.lops")

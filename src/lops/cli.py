@@ -33,9 +33,9 @@ from typing import Dict, List, Optional
 from .dsl import ParseError, parse_system
 from .hyperbolic import (HyperbolicityVerdict, cone_sample, gevrey_sigma,
                          hyperbolicity_auto, sigma_json)
-from .matrix import (ExpansionDepthError, build_symbol_matrix, determinant_factors,
+from .matrix import (ExpansionDepthError, block_factors, build_symbol_matrix,
                      factored_xi_degree, verify_factorization_product)
-from .poly import DegreeOverflowError
+from .poly import DegreeOverflowError, Poly
 from .system import FACTOR_NAMES, leray_condition, total_order, validate_structure
 
 
@@ -219,12 +219,14 @@ def _analyze(system, args) -> int:
     ell = total_order(system)
     report["total_order"] = ell
     matrix = build_symbol_matrix(system)
-    dets = determinant_factors(matrix)
+    groups = block_factors(matrix)
+    dets = [d for g in groups for d in g]
     degree = factored_xi_degree(dets)
     report["determinant"] = {
         "xi_degree": degree,
-        "block_count": len(dets),
-        "block_term_counts": [len(d) for d in dets],
+        "block_count": len(groups),
+        # a block of several factors is multiplied out here for its count only
+        "block_term_counts": [len(functools.reduce(Poly.__mul__, g)) for g in groups],
         "degree_equals_total_order": degree == ell,
     }
     ok = ok and degree == ell

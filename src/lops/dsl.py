@@ -20,7 +20,9 @@ numerator, a denominator and a list of atom powers, and `Poly.from_monomials`
 packs a run of such terms into one Poly at once; only a parenthesized factor
 is multiplied, and added, as a Poly.  An exponent is at most MAX_DEGREE, a
 number has at most MAX_DIGITS digits, a power of a number at most
-MAX_POWER_BITS bits, and parentheses nest at most MAX_NESTING deep.  The
+MAX_POWER_BITS bits, a power of a parenthesized sum at most MAX_POWER_SIZE
+coefficient bits (estimated before expanding), and parentheses nest at most
+MAX_NESTING deep.  The
 covector atoms are spelled `xi0..xi3`; every other atom must have been
 declared with `param`.  Any trailing text after a complete statement is an
 error, and so is a spec with no unknown or no equation block (reported at
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .poly import MAX_DEGREE, XI, Atom, DegreeOverflowError, Poly, param, slot, xi
@@ -61,6 +64,12 @@ MAX_DIGITS = 640
 # the largest bit length of a number's power: 2^MAX_DEGREE fits, and so does
 # any power a real spec writes, while no power takes long to compute
 MAX_POWER_BITS = 2 * MAX_DEGREE + 2
+# the most coefficient bits a power of a parenthesized sum may expand to,
+# estimated before expanding: a base of t terms whose widest coefficient has
+# `bits` bits, to the power k, has at most C(k + t - 1, t - 1) terms of about
+# k * (bits + log2 t) bits.  Powers at the bound, such as (xi0+xi1+xi2+xi3)^33,
+# (xi0+xi1+xi2)^86 or (xi0+xi1)^576, each expand in under 0.3 s (2-vCPU Xeon)
+MAX_POWER_SIZE = 1_000_000
 
 # a character no token starts with (an = not after a :), or a digit run too
 # long to be a number
@@ -273,12 +282,17 @@ class _PolyParser:
         self.depth -= 1
         i = toks.i = toks.i + 1
         if i < len(toks.toks) and toks.toks[i] == "^":
-            bits = 0
-            if base.is_constant():
-                c = base.as_constant()
-                bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+            bits = base.coefficient_bits()
+            k = self.exponent(i + 1, bits if base.is_constant() else 0)
+            t = len(base)
+            # past MAX_DEGREE, ** raises the DegreeOverflowError that parse reports
+            if (t and k > 1 and base.degree() * k <= MAX_DEGREE
+                    and comb(k + t - 1, t - 1) * k * (bits + t.bit_length()) > MAX_POWER_SIZE):
+                raise ParseError(f"a {t}-term base to the power {k} could expand to more "
+                                 f"than {MAX_POWER_SIZE} coefficient bits", toks.line_no,
+                                 toks.col(i + 1))
             toks.i = i + 2
-            return base ** self.exponent(i + 1, bits)
+            return base ** k
         return base
 
 

@@ -475,24 +475,26 @@ def vorticity_velocity_block():
 def derive_quartic_from_block() -> Poly:
     """P(xi) extracted from the 10 x 10 block determinant by exact division
     (see `_quartic_from_block`)."""
-    from .matrix import determinant
+    from .matrix import determinant_factors
 
-    return _quartic_from_block(determinant(vorticity_velocity_block()))
+    return _quartic_from_block(determinant_factors(vorticity_velocity_block()))
 
 
-def _quartic_from_block(det: Poly) -> Poly:
-    """P(xi) = det / (F^3 (F+q)^2 (u.xi)^6 (light)^2) for the determinant
-    of the specialized on-data vorticity/velocity block.
+def _quartic_from_block(factors: Sequence[Poly]) -> Poly:
+    """P(xi) = det / (F^3 (F+q)^2 (u.xi)^6 (light)^2) for the specialized
+    on-data vorticity/velocity block, from its `determinant_factors`: the
+    powers of F u.xi divide the prefactor, and the rest the complement's det.
 
-    The block determinant equals that prefactor times P on data;
-    divisibility failure (NotDivisibleError) would falsify the reference
-    factorization, so the division is the verification.
+    The block determinant equals that prefactor times P on data; every
+    division is exact or raises NotDivisibleError, so the division is the
+    verification.
     """
     uxi = _flow(U)
     light = _light_cone("specialized")
     F = Poly.atom(F_ATOM)
     A = F + Poly.atom(Q_ATOM)
-    return det.exact_div(F ** 3 * A ** 2 * uxi ** 6 * light ** 2)
+    *scalars, det = factors
+    return det.exact_div((F ** 3 * A ** 2 * uxi ** 6 * light ** 2).exact_div(math.prod(scalars)))
 
 
 def reference_factor_claim(metric: str = "specialized") -> FactorClaim:
@@ -663,8 +665,8 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     against the reference factor table by exact-division cancellation and
     the three simple diagonal blocks against their closed forms.  The
     quartic factor P comes from the same factored determinant: it is
-    divided out of the vorticity/velocity block's determinant, which is
-    one of its factors, and the report carries it as `quartic`.
+    divided out of the vorticity/velocity block's factors (`block_factors`),
+    and the report carries it as `quartic`.
 
     Numeric path: at random rational states with fully general Lorentzian
     metric, the whole 25 x 25 determinant (integer Gaussian elimination) is
@@ -678,9 +680,8 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     does not depend on it.
     """
     from .hyperbolic import quartic_from_coefficients
-    from .matrix import (block_order, build_symbol_matrix, determinant,
-                         determinant_factors, factored_xi_degree,
-                         verify_factorization_product)
+    from .matrix import (block_factors, block_order, build_symbol_matrix, determinant,
+                         factored_xi_degree, verify_factorization_product)
     from .system import total_order, validate_structure
 
     items: List[VerifyItem] = []
@@ -690,7 +691,8 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     items.append(VerifyItem("structure", struct.ok,
                             f"{len(struct.items)} structural checks"))
     mat = build_symbol_matrix(sys_spec)
-    dets = determinant_factors(mat)
+    groups = block_factors(mat)
+    dets = [d for g in groups for d in g]
     degree = factored_xi_degree(dets)
     ell = total_order(sys_spec)
     items.append(VerifyItem("determinant-degree", degree == ell == 44,
@@ -718,7 +720,7 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
         items.append(VerifyItem(name, ok, detail))
 
     # P from this run's own vorticity/velocity block determinant
-    P = _quartic_from_block(dets[block_order(mat).index(list(range(15, 25)))])
+    P = _quartic_from_block(groups[block_order(mat).index(list(range(15, 25)))])
     A, B, C = quartic_coefficients()
     closed = quartic_from_coefficients(A, B, C)
     items.append(VerifyItem("vorticity-block-quartic", P == closed,

@@ -2,10 +2,13 @@
 
 The determinant pipeline permutes a matrix to block upper-triangular form
 (strongly connected components of its sparsity digraph) and expands each
-diagonal block of more than one row by one memoized Laplace expansion.  That
-expansion, generic over the ring, is also the numeric cofactor oracle.  A
-factorization claim is checked by one product-form verifier that cancels the
-claimed factors against the block determinants.
+diagonal block of more than one row by one memoized Laplace expansion, the
+numeric cofactor oracle too.  A block with a scalar set of k >= 2 rows (one
+nonzero diagonal entry a, zeros between them) and m <= k other rows expands
+only a*D - C*B: det[[a*I_k, B], [C, D]] = a^(k-m) * det(a*D - C*B) for
+k >= m (Silvester, "Determinants of block matrices", Math. Gazette 84, 2000),
+a^(k-m) kept as separate factors.  A factorization claim is checked by one
+product-form verifier that cancels the claimed factors against them.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import List, Optional, Sequence
 
 from .poly import NotDivisibleError, Poly, XI
@@ -149,7 +153,7 @@ def laplace_determinant(rows: Sequence[Sequence]):
     Expands along rows taken sparsest first, memoizes each minor on its
     column set and applies the sign of that row permutation.  No pivoting
     and no division, so it works for `Poly`, `Fraction` and `int` entries
-    alike: every block of `determinant_factors` and the numeric oracle.
+    alike: every block and Schur complement expanded, and the numeric oracle.
     Exponential in the worst case.  It nests one frame per row, and raises
     `ExpansionDepthError` up front if the recursion limit leaves too few.
     """
@@ -198,21 +202,52 @@ def laplace_determinant(rows: Sequence[Sequence]):
 cofactor_determinant_rational = laplace_determinant
 
 
-def determinant_factors(m: SymbolMatrix) -> List[Poly]:
-    """Exact determinant as an unexpanded list of diagonal-block determinants.
+def _schur_factors(rows: Sequence[Sequence[Poly]]) -> Optional[List[Poly]]:
+    """a^(k-m) and det(a*D - C*B) for the largest greedy scalar set when
+    k >= 2 and k >= m, else None (plain Laplace)."""
+    n = len(rows)
+    sets = {}  # one greedy scalar set per distinct diagonal entry
+    for i in range(n):
+        members = sets.setdefault(rows[i][i], [])
+        if rows[i][i] and all(not rows[i][j] and not rows[j][i] for j in members):
+            members.append(i)
+    a, best = max(sets.items(), key=lambda item: len(item[1]))
+    k, m = len(best), n - len(best)
+    if k < 2 or k < m:
+        return None
+    rest = sorted(set(range(n)) - set(best))
+    comp = [[a * rows[i][j] for j in rest] for i in rest]
+    for s in best:  # C*B only over the nonzero C[i][s] and B[s][j]
+        cs = [(p, rows[i][s]) for p, i in enumerate(rest) if rows[i][s]]
+        bs = [(q, rows[s][j]) for q, j in enumerate(rest) if rows[s][j]]
+        for (p, c), (q, b) in product(cs, bs):
+            comp[p][q] -= c * b
+    return [a] * (k - m) + [laplace_determinant(comp)]
 
-    The product of the returned polynomials is det(m); keeping the factored
-    form avoids materializing determinants whose expansion is enormous while
-    every factor stays exact.
+
+def determinant_factors(m: SymbolMatrix) -> List[Poly]:
+    """Exact determinant as an unexpanded list of diagonal-block factors.
+
+    The product of the returned polynomials is det(m) ([0] when it is zero);
+    keeping the factored form avoids materializing determinants whose
+    expansion is enormous while every factor stays exact.
     """
+    if m.dimension == 1:
+        return [m.entries[0][0]]
     out: List[Poly] = []
     for blk in block_order(m):
-        sub = m.submatrix(blk, blk)
-        d = sub.entries[0][0] if sub.dimension == 1 else laplace_determinant(sub.entries)
-        if d.is_zero():
+        rows = m.submatrix(blk, blk).entries
+        d = [rows[0][0]] if len(blk) == 1 else _schur_factors(rows) or [laplace_determinant(rows)]
+        if d[-1].is_zero():
             return [Poly.zero()]
-        out.append(d)
+        out.extend(d)
     return out
+
+
+def block_factors(m: SymbolMatrix) -> List[List[Poly]]:
+    """`determinant_factors` per diagonal block; [[0]] when det(m) is zero."""
+    groups = [determinant_factors(m.submatrix(b, b)) for b in block_order(m)]
+    return [[Poly.zero()]] if any(g[-1].is_zero() for g in groups) else groups
 
 
 def determinant(m: SymbolMatrix) -> Poly:

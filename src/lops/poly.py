@@ -346,6 +346,12 @@ class Poly:
             return self._c * self._t[0]
         raise PolyError(f"not a constant polynomial: {self}")
 
+    def coefficient_bits(self) -> int:
+        """The widest numerator or denominator bit length of a coefficient:
+        exact for a constant, an upper bound otherwise."""
+        top = max(map(abs, self._t.values()), default=0)
+        return max((top * self._c.numerator).bit_length(), self._c.denominator.bit_length())
+
     def is_constant(self) -> bool:
         return not self._t or (len(self._t) == 1 and 0 in self._t)
 

@@ -120,7 +120,9 @@ class TestBadInputExitTwo:
         ("3^40000000*xi0", 22),
         ("(xi0+xi1)^33000", 30),
         ("7" * 640 + "^32767*xi0", 661),
-    ], ids=["nested-250", "number-power", "sum-power", "long-number-power"])
+        ("(xi0 + xi1 + xi2 + xi3)^3000", 44),
+    ], ids=["nested-250", "number-power", "sum-power", "long-number-power",
+            "many-term-sum-power"])
     def test_hostile_entry(self, tmp_path, symbol, col):
         # refused while parsing: no RecursionError, no hour-long power
         spec = tmp_path / "hostile.lops"
@@ -134,8 +136,8 @@ class TestBadInputExitTwo:
 
     def test_block_too_deep_to_expand(self, tmp_path):
         # one cyclic block with more rows than the recursion limit leaves
-        # frames for its Laplace expansion
-        n = 1200
+        # frames for its Laplace expansion (odd, so it takes no Schur step)
+        n = 1201
         spec = tmp_path / "cycle.lops"
         spec.write_text(f"unknown u multiplicity {n} index 1\n"
                         f"equation e multiplicity {n} index 0\n"
@@ -143,7 +145,7 @@ class TestBadInputExitTwo:
                                   f"entry e[{i}] u[{(i + 1) % n}] := xi1\n" for i in range(n)))
         r = run_cli(["analyze", str(spec)])
         assert r.returncode == 2
-        assert r.stderr.startswith(f"input error: {spec}: a 1200x1200 block is too deep")
+        assert r.stderr.startswith(f"input error: {spec}: a 1201x1201 block is too deep")
         assert "Traceback" not in r.stderr
 
 

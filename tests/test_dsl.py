@@ -5,8 +5,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from lops import build_ens_system, ens_spec_path, wave_spec_path
-from lops.dsl import (MAX_DIGITS, MAX_NESTING, MAX_POWER_BITS, DuplicateEntryError, ParseError,
-                      UnknownAtomError, parse_poly, parse_system, print_system)
+from lops.dsl import (MAX_DIGITS, MAX_NESTING, MAX_POWER_BITS, MAX_POWER_SIZE,
+                      DuplicateEntryError, ParseError, UnknownAtomError, parse_poly,
+                      parse_system, print_system)
 from lops.poly import MAX_DEGREE, Poly, param, xi
 from lops.system import (DependencyDecl, EquationBlock, LeraySystem, ParamDecl,
                          SymbolEntry, UnknownBlock, validate_structure)
@@ -343,6 +344,16 @@ def test_overlong_number_refused():
         parse_poly("xi0 + 1/" + "7" * (MAX_DIGITS + 1), {})
     assert str(err.value) == (f"line 1, column 9: number of {MAX_DIGITS + 1} digits, "
                               f"more than {MAX_DIGITS}")
+
+
+def test_power_of_a_sum_bounded_before_expanding():
+    # C(36, 3) = 7140 terms of about 33 * (1 + 3) bits fit MAX_POWER_SIZE;
+    # the next power does not, and is refused at its exponent
+    assert len(parse_poly("(xi0+xi1+xi2+xi3)^33", {})) == 7140
+    with pytest.raises(ParseError) as err:
+        parse_poly("(xi0+xi1+xi2+xi3)^34", {})
+    assert err.value.col == 19
+    assert f"more than {MAX_POWER_SIZE} coefficient bits" in str(err.value)
 
 
 @pytest.mark.parametrize("text, col", [

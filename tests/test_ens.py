@@ -374,7 +374,7 @@ class TestVerification:
         monkeypatch.setattr(matrix, "laplace_determinant", counted)
         ens.derive_quartic_from_block.cache_clear()  # as in a fresh process
         assert main(["ens", "verify", "--samples", "1"]) == 0
-        assert calls == [10]
+        assert calls == [4]  # the Schur complement of the 10 x 10 block
         assert capsys.readouterr().out.endswith("overall: pass\n")
 
     def test_minkowski_inequality_identities(self):

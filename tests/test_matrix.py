@@ -5,9 +5,10 @@ import sys
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lops.matrix import (ExpansionDepthError, SymbolMatrix, block_order,
-                         build_symbol_matrix, cofactor_determinant_rational,
+from lops.matrix import (ExpansionDepthError, SymbolMatrix, _schur_factors, block_factors,
+                         block_order, build_symbol_matrix, cofactor_determinant_rational,
                          determinant, determinant_factors, factored_xi_degree,
                          laplace_determinant, verify_factorization_product)
 from lops.poly import Poly, XI, param, xi
@@ -87,21 +88,27 @@ class TestDeterminant:
             assert determinant(m) == leibniz_determinant(m.entries), f"trial {trial}"
 
     def test_cycle_block(self):
+        # an even cycle: its 20 even rows are a scalar set, so only the
+        # 20 x 20 Schur complement is expanded
         assert determinant_factors(cycle_matrix(40)) == [X[0] ** 40 - X[1] ** 40]
 
+    def test_odd_cycle_block(self):
+        # 20 scalar rows against 21 others: plain Laplace
+        assert determinant_factors(cycle_matrix(41)) == [X[0] ** 41 + X[1] ** 41]
+
     def test_block_deeper_than_recursion_limit(self):
-        # with 30 frames to spare a 30-row expansion would overflow the stack;
-        # it is refused before it starts
-        m = cycle_matrix(30)
+        # with 31 frames to spare a 31-row expansion would overflow the stack;
+        # it is refused before it starts (an odd cycle takes no Schur step)
+        m = cycle_matrix(31)
         limit, message = sys.getrecursionlimit(), ""
-        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+        sys.setrecursionlimit(len(inspect.stack(0)) + 31)
         try:
             determinant_factors(m)
         except ExpansionDepthError as err:
             message = str(err)
         finally:
             sys.setrecursionlimit(limit)
-        assert message.startswith("a 30x30 block is too deep to expand")
+        assert message.startswith("a 31x31 block is too deep to expand")
 
     def test_singular_matrix(self):
         m = SymbolMatrix(2, [[X[0], X[0]], [X[0], X[0]]])
@@ -113,6 +120,76 @@ class TestDeterminant:
                 for _ in range(5)]
         wrapped = SymbolMatrix(5, [[Poly.constant(v) for v in row] for row in rows])
         assert cofactor_determinant_rational(rows) == determinant(wrapped).as_constant()
+
+
+SCALARS = [X[0], X[0] + X[1], Poly.atom(param("F")) * X[0], X[0] - 2 * X[2]]
+# entries free of xi0, so that no entry outside the scalar set equals a
+ENTRIES = st.builds(lambda c, atom, d: c * Poly.atom(atom) + d, st.integers(-3, 3),
+                    st.sampled_from([XI[1], XI[2], param("F")]), st.integers(-2, 2))
+
+
+@st.composite
+def scalar_set_blocks(draw, k, m, shape):
+    """[[a*I_k, B], [C, D]] under a random symmetric permutation, with D's
+    diagonal entries distinct; B or C zero, or S broken by one entry."""
+    a = draw(st.sampled_from(SCALARS))
+    n = k + m
+
+    def entry():
+        return draw(ENTRIES) if draw(st.booleans()) else Poly.zero()
+
+    grid = [[Poly.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i < k and j < k:
+                grid[i][j] = a if i == j else Poly.zero()
+            elif i < k:
+                grid[i][j] = Poly.zero() if shape == "B=0" else entry()
+            elif j < k:
+                grid[i][j] = Poly.zero() if shape == "C=0" else entry()
+            else:
+                grid[i][j] = entry() + (j * X[3] if i == j else 0)
+    if shape == "broken":
+        grid[0][1] = draw(ENTRIES.filter(bool))
+    perm = draw(st.permutations(range(n)))
+    return [[grid[i][j] for j in perm] for i in perm]
+
+
+class TestSchurComplement:
+    @pytest.mark.parametrize("k, m", [(4, 1), (5, 2), (3, 3), (2, 2), (2, 3), (1, 2)],
+                             ids=["k>m", "k>m+2", "k=m", "k=m=2", "k<m", "k=1"])
+    @pytest.mark.parametrize("shape", ["dense", "B=0", "C=0", "broken"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_agrees_with_laplace(self, k, m, shape, data):
+        rows = data.draw(scalar_set_blocks(k, m, shape))
+        oracle = laplace_determinant(rows)
+        assert determinant(SymbolMatrix(k + m, rows)) == oracle
+        if shape == "broken" and k > 1:
+            k -= 1  # one member of the broken pair drops out
+        m = len(rows) - k
+        factors = _schur_factors(rows)
+        if k >= 2 and k >= m:
+            assert len(factors) == k - m + 1
+            product = Poly.one()
+            for f in factors:
+                product = product * f
+            assert product == oracle
+        else:
+            assert factors is None
+
+    def test_block_factors_group_per_block(self):
+        # a 1-row block, then a 3-row block whose two scalar rows leave one
+        z, a = Poly.zero(), X[0]
+        m = SymbolMatrix(4, [[X[2], X[1], z, z],
+                             [z, a, z, X[1]],
+                             [z, z, a, X[2]],
+                             [z, X[3], X[1], X[0] + X[3]]])
+        groups = block_factors(m)
+        assert groups[0] == [X[2]] and len(groups[1]) == 2 and groups[1][0] == a
+        assert determinant_factors(m) == groups[0] + groups[1]
+        assert groups[1][0] * groups[1][1] == laplace_determinant(
+            [row[1:] for row in m.entries[1:]])
 
 
 class TestBlockOrder:
