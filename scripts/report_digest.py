@@ -23,13 +23,16 @@ splits over Q (`power`, `hyperbolic`), and `(xi0 - xi2)^2 - 2*(xi1 - xi2)^2`,
 which does not (`inconclusive`); a cubic that vanishes at tau (1,0,0,0)
 (`not-hyperbolic`); a factor whose parameter has no value (`inconclusive`);
 and a negated square inside a product, `1*-xi2^2`, which is `hyperbolic`
-only when a unary minus negates its whole factor, power included.  Three
+only when a unary minus negates its whole factor, power included.  Four
 one-block specs close the set: a dense 6x6 symbol with a parameter in every
 entry, a coupled 2x2 one, so that blocks of more than one row other than
-the reference's 10x10 are expanded too, and a 6x6 one with three scalar rows
+the reference's 10x10 are expanded too, a 6x6 one with three scalar rows
 (xi0 on the diagonal, zeros between them), a 2-row complement and a fourth
 xi0 row that couples to nothing, so that a block other than the reference's
-takes the Schur step.  79 reports in all.
+takes the Schur step, and a 5x5 one that takes the common-factor step: three
+scalar rows c*(xi0 + xi1), every entry of their rows outside the scalar set
+a multiple of xi0 + xi1, and a claimed factor that straddles that common
+factor and the complement's determinant.  80 reports in all.
 """
 
 import hashlib
@@ -81,7 +84,7 @@ def one_block(rows, factors, head=""):
 
 
 def edited_specs(ens_spec, wave_spec, tmp):
-    """(name, path) of the eleven edited specs, written into `tmp`."""
+    """(name, path) of the twelve edited specs, written into `tmp`."""
     with open(wave_spec) as fh:
         wave = [line for line in fh if not line.startswith("factor ")]
     with open(ens_spec) as fh:
@@ -117,6 +120,14 @@ def edited_specs(ens_spec, wave_spec, tmp):
              ["xi1", "xi2", "xi3", "0", "2*xi0", "xi1"],
              ["0", "0", "0", "xi2", "xi1", "2*xi0"]],
             ["4 := xi0", "1 := 4*xi0^2 - 3*xi1^2 - 2*xi2^2 - 2*xi3^2"]),
+        "schur-common-factor-5x5-block": one_block(
+            [["c*(xi0 + xi1)", "0", "0", "xi0 + xi1", "0"],
+             ["0", "c*(xi0 + xi1)", "0", "0", "2*(xi0 + xi1)"],
+             ["0", "0", "c*(xi0 + xi1)", "xi0 + xi1", "0"],
+             ["0", "xi1", "0", "xi0", "xi1"],
+             ["xi1", "0", "xi1", "xi1", "xi0"]],
+            ["2 := xi0 + xi1", "1 := (xi0 + xi1)*(c^2*xi0^2 - (c - 2)^2*xi1^2)"],
+            head="param c\nassign c := 4\nprefactor := c\n"),
     }
     for name, text in specs.items():
         path = os.path.join(tmp, f"{name}.lops")

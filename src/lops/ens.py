@@ -483,7 +483,9 @@ def derive_quartic_from_block() -> Poly:
 def _quartic_from_block(factors: Sequence[Poly]) -> Poly:
     """P(xi) = det / (F^3 (F+q)^2 (u.xi)^6 (light)^2) for the specialized
     on-data vorticity/velocity block, from its `determinant_factors`: the
-    powers of F u.xi divide the prefactor, and the rest the complement's det.
+    powers of F u.xi and of u.xi divide the prefactor, and the rest divides
+    the last factor, the determinant of the Schur complement with u.xi taken
+    out, F (F+q)^3 (light)^4.
 
     The block determinant equals that prefactor times P on data; every
     division is exact or raises NotDivisibleError, so the division is the

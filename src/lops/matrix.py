@@ -7,8 +7,10 @@ numeric cofactor oracle too.  A block with a scalar set of k >= 2 rows (one
 nonzero diagonal entry a, zeros between them) and m <= k other rows expands
 only a*D - C*B: det[[a*I_k, B], [C, D]] = a^(k-m) * det(a*D - C*B) for
 k >= m (Silvester, "Determinants of block matrices", Math. Gazette 84, 2000),
-a^(k-m) kept as separate factors.  A factorization claim is checked by one
-product-form verifier that cancels the claimed factors against them.
+a^(k-m) kept as separate factors, and takes a's non-monomial part g out of
+the complement too when g divides every entry of B or of C.  A factorization
+claim is checked by one product-form verifier that cancels the claimed
+factors against them.
 """
 
 from __future__ import annotations
@@ -204,7 +206,13 @@ cofactor_determinant_rational = laplace_determinant
 
 def _schur_factors(rows: Sequence[Sequence[Poly]]) -> Optional[List[Poly]]:
     """a^(k-m) and det(a*D - C*B) for the largest greedy scalar set when
-    k >= 2 and k >= m, else None (plain Laplace)."""
+    k >= 2 and k >= m, else None (plain Laplace).
+
+    Let g be a over the gcd of its monomials.  When g is not constant and
+    divides every entry of B (or of C), a*D - C*B = g*((a/g)*D - C*(B/g)),
+    so the factors are a^(k-m), g repeated m times and the smaller
+    det((a/g)*D - C*(B/g)), the determinant always last.
+    """
     n = len(rows)
     sets = {}  # one greedy scalar set per distinct diagonal entry
     for i in range(n):
@@ -216,13 +224,30 @@ def _schur_factors(rows: Sequence[Sequence[Poly]]) -> Optional[List[Poly]]:
     if k < 2 or k < m:
         return None
     rest = sorted(set(range(n)) - set(best))
+    # the nonzero C[i][s] and B[s][j] per s, so that C*B is built sparsely
+    cs = {s: [(p, rows[i][s]) for p, i in enumerate(rest) if rows[i][s]] for s in best}
+    bs = {s: [(q, rows[s][j]) for q, j in enumerate(rest) if rows[s][j]] for s in best}
+    out = [a] * (k - m)
+    mono = a.monomial_gcd()
+    g = a.exact_div(mono)
+    if not g.is_constant() and (_divide_all(bs, g) or _divide_all(cs, g)):
+        a = mono
+        out += [g] * m
     comp = [[a * rows[i][j] for j in rest] for i in rest]
-    for s in best:  # C*B only over the nonzero C[i][s] and B[s][j]
-        cs = [(p, rows[i][s]) for p, i in enumerate(rest) if rows[i][s]]
-        bs = [(q, rows[s][j]) for q, j in enumerate(rest) if rows[s][j]]
-        for (p, c), (q, b) in product(cs, bs):
+    for s in best:
+        for (p, c), (q, b) in product(cs[s], bs[s]):
             comp[p][q] -= c * b
-    return [a] * (k - m) + [laplace_determinant(comp)]
+    return out + [laplace_determinant(comp)]
+
+
+def _divide_all(side: dict, g: Poly) -> bool:
+    """Divide every entry of `side` by g in place when g divides them all."""
+    try:
+        quotients = {s: [(p, e.exact_div(g)) for p, e in es] for s, es in side.items()}
+    except NotDivisibleError:
+        return False
+    side.update(quotients)
+    return True
 
 
 def determinant_factors(m: SymbolMatrix) -> List[Poly]:
@@ -301,11 +326,14 @@ def verify_factorization_product(det_factors: Sequence[Poly],
                                  claim: FactorClaim) -> VerifyReport:
     """Check product(det_factors) == claim without a full expansion.
 
-    Claimed factors are cancelled against the block determinants by exact
-    division (a completed cancellation is an exact proof of equality).  If
-    the greedy cancellation gets stuck the comparison falls back to full
-    expansion when small enough, otherwise to an exact rational evaluation
-    witness: a single differing point proves the products unequal.
+    Claimed factors are cancelled against the determinant factors by exact
+    division (a completed cancellation is an exact proof of equality); a
+    claimed factor that divides no single one, such as u.xi * light against
+    the reference block's u.xi and its complement's determinant, has whole
+    factors divided out of it first (`_cancel`).  If the greedy cancellation
+    gets stuck the comparison falls back to full expansion when small
+    enough, otherwise to an exact rational evaluation witness: a single
+    differing point proves the products unequal.
     """
     if claim.prefactor.degree_in(XI) > 0:
         return VerifyReport(False, "scalar prefactor contains covector atoms")
@@ -321,20 +349,17 @@ def verify_factorization_product(det_factors: Sequence[Poly],
 
     remaining_units: List[Poly] = []
     for k, unit in enumerate(claim_units):
-        for i, d in enumerate(num):
-            try:
-                num[i] = d.exact_div(unit)
-                break
-            except NotDivisibleError:
-                continue
-        else:
-            remaining_units = claim_units[k:]
+        rest = _cancel(num, unit)
+        if not rest.is_constant():
+            remaining_units = [rest] + claim_units[k + 1:]
             break
+        leftover_constant = leftover_constant * rest
 
     # with every claimed factor cancelled, the determinant's cofactor must
-    # equal the prefactor; a stuck cancellation (a claimed factor straddles
-    # block determinants, or the claim is wrong) compares the partially
-    # reduced sides, which are much smaller than the original product
+    # equal the prefactor; a stuck cancellation (the claim is wrong, or a
+    # claimed factor takes part of several determinant factors but none of
+    # them whole) compares the partially reduced sides, which are much
+    # smaller than the original product
     if not remaining_units or (_size_estimate(num) <= 200_000
                                and _size_estimate(remaining_units) <= 200_000):
         lhs = Poly.one()
@@ -348,6 +373,35 @@ def verify_factorization_product(det_factors: Sequence[Poly],
         return _diff_report(lhs, rhs)
     return _evaluation_witness(num, FactorClaim(
         leftover_constant, tuple((u, 1) for u in remaining_units)))
+
+
+def _cancel(num: List[Poly], unit: Poly) -> Poly:
+    """Divide `unit` out of the factors `num` in place; returns what is left
+    of it, a constant when it cancelled.
+
+    A unit that divides no single factor straddles several: whole factors
+    are divided out of it until the rest divides one or is constant.  Each
+    step divides both sides of det == claim by one polynomial, so it is exact.
+    """
+    while not unit.is_constant():
+        for i, d in enumerate(num):
+            try:
+                num[i] = d.exact_div(unit)
+                return Poly.one()
+            except NotDivisibleError:
+                continue
+        for i, d in enumerate(num):
+            if d.is_constant():  # divides every unit and cancels nothing
+                continue
+            try:
+                unit = unit.exact_div(d)
+            except NotDivisibleError:
+                continue
+            num[i] = Poly.one()
+            break
+        else:
+            break
+    return unit
 
 
 def _size_estimate(polys: Sequence[Poly]) -> int:

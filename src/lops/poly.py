@@ -388,6 +388,16 @@ class Poly:
         m = min(self._t, key=_glex_key)
         return _unpack(m), self._c * self._t[m]
 
+    def monomial_gcd(self) -> "Poly":
+        """The greatest common divisor of the monomials, coefficient 1; 1 for zero."""
+        m = deg = 0
+        for a in self.atoms():
+            off = _OFFSETS[a]
+            e = min((n >> off) & _MASK for n in self._t)
+            m += e << off
+            deg += e
+        return _new(_F1, {m + deg: 1}, deg)
+
     def coefficient_of(self, atom: Atom, power: int) -> "Poly":
         """Collect the coefficient of atom**power (a polynomial in the rest)."""
         off = _OFFSETS.get(atom)

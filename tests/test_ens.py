@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -360,22 +361,30 @@ class TestVerification:
         assert ens.degeneration_report(rep.quartic).to_json() == ens.degeneration_report().to_json()
 
     def test_block_determinant_expanded_once_per_cli_run(self, monkeypatch, capsys):
-        from lops import matrix
+        from lops import ens_spec_path, matrix
         from lops.cli import main
         calls = []
         expand = matrix.laplace_determinant
 
         def counted(rows):
             # the numeric oracle shares the expansion; count symbolic blocks
+            det = expand(rows)
             if isinstance(rows[0][0], Poly):
-                calls.append(len(rows))
-            return expand(rows)
+                calls.append((len(rows), len(det)))
+            return det
 
         monkeypatch.setattr(matrix, "laplace_determinant", counted)
         ens.derive_quartic_from_block.cache_clear()  # as in a fresh process
         assert main(["ens", "verify", "--samples", "1"]) == 0
-        assert calls == [4]  # the Schur complement of the 10 x 10 block
+        # the Schur complement of the 10 x 10 block with u.xi taken out:
+        # F (F+q)^3 light^4 in 140 terms, not the 4,900 of det(a*D - C*B)
+        assert calls == [(4, 140)]
         assert capsys.readouterr().out.endswith("overall: pass\n")
+        calls.clear()
+        assert main(["analyze", ens_spec_path(), "--json"]) == 0
+        assert calls == [(4, 140)]
+        report = json.loads(capsys.readouterr().out)
+        assert 11760 in report["determinant"]["block_term_counts"]
 
     def test_minkowski_inequality_identities(self):
         rep = ens.minkowski_inequality_identities()

@@ -7,11 +7,12 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lops import matrix
 from lops.matrix import (ExpansionDepthError, SymbolMatrix, _schur_factors, block_factors,
                          block_order, build_symbol_matrix, cofactor_determinant_rational,
                          determinant, determinant_factors, factored_xi_degree,
                          laplace_determinant, verify_factorization_product)
-from lops.poly import Poly, XI, param, xi
+from lops.poly import NotDivisibleError, Poly, XI, param, xi
 from lops.system import FactorClaim
 
 X = [Poly.atom(a) for a in XI]
@@ -122,7 +123,11 @@ class TestDeterminant:
         assert cofactor_determinant_rational(rows) == determinant(wrapped).as_constant()
 
 
-SCALARS = [X[0], X[0] + X[1], Poly.atom(param("F")) * X[0], X[0] - 2 * X[2]]
+F = Poly.atom(param("F"))
+# (a, g): g is a over the gcd of its monomials, constant for a monomial a
+SCALARS = [(X[0], Poly.one()), (F * X[0], Poly.one()), (X[0] + X[1], X[0] + X[1]),
+           (X[0] - 2 * X[2], X[0] - 2 * X[2]),
+           (Fr(3, 2) * F * X[2] * (X[0] + X[1]), Fr(3, 2) * (X[0] + X[1]))]
 # entries free of xi0, so that no entry outside the scalar set equals a
 ENTRIES = st.builds(lambda c, atom, d: c * Poly.atom(atom) + d, st.integers(-3, 3),
                     st.sampled_from([XI[1], XI[2], param("F")]), st.integers(-2, 2))
@@ -130,13 +135,14 @@ ENTRIES = st.builds(lambda c, atom, d: c * Poly.atom(atom) + d, st.integers(-3, 
 
 @st.composite
 def scalar_set_blocks(draw, k, m, shape):
-    """[[a*I_k, B], [C, D]] under a random symmetric permutation, with D's
-    diagonal entries distinct; B or C zero, or S broken by one entry."""
-    a = draw(st.sampled_from(SCALARS))
+    """(rows, a, g): [[a*I_k, B], [C, D]] under a random symmetric
+    permutation, with D's diagonal entries distinct; B or C zero, every B or
+    every C entry a multiple of g ("gB", "gC"), or S broken by one entry."""
+    a, g = draw(st.sampled_from(SCALARS))
     n = k + m
 
-    def entry():
-        return draw(ENTRIES) if draw(st.booleans()) else Poly.zero()
+    def entry(times=1):
+        return times * draw(ENTRIES) if draw(st.booleans()) else Poly.zero()
 
     grid = [[Poly.zero()] * n for _ in range(n)]
     for i in range(n):
@@ -144,33 +150,54 @@ def scalar_set_blocks(draw, k, m, shape):
             if i < k and j < k:
                 grid[i][j] = a if i == j else Poly.zero()
             elif i < k:
-                grid[i][j] = Poly.zero() if shape == "B=0" else entry()
+                grid[i][j] = Poly.zero() if shape == "B=0" else entry(g if shape == "gB" else 1)
             elif j < k:
-                grid[i][j] = Poly.zero() if shape == "C=0" else entry()
+                grid[i][j] = Poly.zero() if shape == "C=0" else entry(g if shape == "gC" else 1)
             else:
                 grid[i][j] = entry() + (j * X[3] if i == j else 0)
     if shape == "broken":
         grid[0][1] = draw(ENTRIES.filter(bool))
     perm = draw(st.permutations(range(n)))
-    return [[grid[i][j] for j in perm] for i in perm]
+    return [[grid[i][j] for j in perm] for i in perm], a, g
+
+
+def divides(g, p):
+    try:
+        p.exact_div(g)
+    except NotDivisibleError:
+        return False
+    return True
 
 
 class TestSchurComplement:
     @pytest.mark.parametrize("k, m", [(4, 1), (5, 2), (3, 3), (2, 2), (2, 3), (1, 2)],
                              ids=["k>m", "k>m+2", "k=m", "k=m=2", "k<m", "k=1"])
-    @pytest.mark.parametrize("shape", ["dense", "B=0", "C=0", "broken"])
+    @pytest.mark.parametrize("shape", ["dense", "B=0", "C=0", "gB", "gC", "broken"])
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_agrees_with_laplace(self, k, m, shape, data):
-        rows = data.draw(scalar_set_blocks(k, m, shape))
+        rows, a, g = data.draw(scalar_set_blocks(k, m, shape))
         oracle = laplace_determinant(rows)
         assert determinant(SymbolMatrix(k + m, rows)) == oracle
-        if shape == "broken" and k > 1:
-            k -= 1  # one member of the broken pair drops out
-        m = len(rows) - k
+        assert a.exact_div(a.monomial_gcd()) == g
+        # the scalar set, greedily in row order: one of a broken pair drops out
+        scalar_set = []
+        for i, row in enumerate(rows):
+            if row[i] == a and not any(row[j] or rows[j][i] for j in scalar_set):
+                scalar_set.append(i)
+        rest = [i for i in range(len(rows)) if i not in scalar_set]
+        k, m = len(scalar_set), len(rest)
         factors = _schur_factors(rows)
         if k >= 2 and k >= m:
-            assert len(factors) == k - m + 1
+            # g is taken out when it divides every entry of B, or of C
+            taken = not g.is_constant() and (
+                all(divides(g, rows[s][j]) for s in scalar_set for j in rest)
+                or all(divides(g, rows[i][s]) for i in rest for s in scalar_set))
+            if shape in ("gB", "gC"):
+                assert taken == (not g.is_constant())
+            assert len(factors) == k - m + 1 + (m if taken else 0)
+            assert factors[:k - m] == [a] * (k - m)
+            assert factors[k - m:-1] == [g] * (m if taken else 0)
             product = Poly.one()
             for f in factors:
                 product = product * f
@@ -242,9 +269,11 @@ class TestFactorization:
         claim = FactorClaim(Poly.one(), ((X[0] + X[1], 3),))
         assert not verify_factorization_product(factors, claim).ok
 
-    def test_product_form_accepts_straddling_grouping(self):
-        # a correct claim whose factor spans two block determinants: the
-        # cancellation gets stuck and the reduced-expansion fallback decides
+    def test_product_form_accepts_straddling_grouping(self, monkeypatch):
+        # a correct claim whose factor spans two block determinants: whole
+        # factors are divided out of it and the rest cancels, with no
+        # fallback (a size too large to expand would leave it unverified)
+        monkeypatch.setattr(matrix, "_size_estimate", lambda polys: 10 ** 9)
         factors = [X[0] + X[1], X[2], (X[0] - X[1])]
         claim = FactorClaim(Poly.one(),
                             (((X[0] + X[1]) * (X[0] - X[1]), 1), (X[2], 1)))
@@ -254,6 +283,32 @@ class TestFactorization:
         factors = [X[0] + X[1], X[2]]
         claim = FactorClaim(Poly.one(), (((X[0] + X[1]) * (X[0] - X[1]), 1),))
         assert not verify_factorization_product(factors, claim).ok
+
+    @pytest.mark.parametrize("factors, claim", [
+        # the straddling unit cancels up to a constant the prefactor lacks
+        ([X[0] + X[1], X[0] - X[1]],
+         FactorClaim(Poly.one(), ((2 * (X[0] + X[1]) * (X[0] - X[1]), 1),))),
+        # the straddling unit cancels, and what is left disagrees
+        ([X[0] + X[1], X[2] * (X[0] - X[1])],
+         FactorClaim(Poly.one(), (((X[0] + X[1]) * (X[0] - X[1]), 1), (X[2], 2)))),
+    ], ids=["constant-left", "cofactor-differs"])
+    def test_product_form_rejects_cancelled_straddling_unit(self, factors, claim):
+        assert not verify_factorization_product(factors, claim).ok
+
+    @pytest.mark.parametrize("mutate", ["flow", "cone"])
+    def test_reference_claim_with_a_mutated_straddling_unit_fails(self, mutate):
+        # flow * light straddles u.xi and the complement's determinant of
+        # the vorticity/velocity block; one changed copy must be refused
+        from lops import build_ens_system, ens
+        dets = determinant_factors(build_symbol_matrix(build_ens_system()))
+        claim = ens.reference_factor_claim()
+        assert verify_factorization_product(dets, claim).ok
+        uxi, light = ens._flow(ens.U), ens._light_cone("specialized")
+        wrong = (uxi + X[0]) * light if mutate == "flow" else uxi * (light + X[1] * X[2])
+        assert claim.factors[2] == (uxi * light, 2)
+        factors = claim.factors[:2] + ((uxi * light, 1), (wrong, 1)) + claim.factors[3:]
+        rep = verify_factorization_product(dets, FactorClaim(claim.prefactor, factors))
+        assert not rep.ok
 
 
 class TestEnsMatrixShape:
