@@ -140,7 +140,7 @@ def _parse_spacing(text: str) -> float:
 
 
 #: the most refinements `lab run` takes: the finest of K has (8*2^K + 1)^4
-#: nodes and the peak grows about 16x per level, from 2.6 GB at K = 2
+#: nodes; run by slabs, K = 2 peaks at 0.71 GB, growing ~8x per level
 MAX_REFINE = 2
 
 

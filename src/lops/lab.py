@@ -9,30 +9,33 @@ variants must not converge.
 
 Each derived field is computed once per patch, as a cached property that
 every check and mutated control reads, and the index contractions run as
-batched matmuls.  The conformal connection is transient: it is built,
-applied to the dynamic velocity and to the test one-form, and dropped, so it
-is never cached beside the plain connection.
+batched matmuls.  Each field is differenced once.  The conformal connection
+is transient: it is built, applied to the dynamic velocity and to the test
+one-form, and dropped, so it is never cached beside the plain connection.
 
-Pointwise fields (metric, velocities, F, projectors) span the whole n^4
-lattice: the differences read its boundary nodes, and the projector algebra
-checks every node.  Derivatives, connections and identity residuals hold the
-interior (n-2)^4 nodes only, the only ones any report reads; a pointwise
-factor meets them as the view `x[_INTERIOR]`.  On the refined default patch
-(17^4 nodes) that is 15^4 = 50,625 of 83,521 nodes.
+Pointwise fields (metric, velocities, F, projectors) span every node of a
+patch, whose boundary the differences read.  Derivatives, connections and
+identity residuals hold its interior nodes only, which a pointwise factor
+meets as the view `x[_INTERIOR]`.  `refinement_table` runs the checks slab
+by slab: a slab is a patch cut to a range of axis-0 nodes with a one-node
+halo, all of its fields computed there, and one slab's fields are dropped
+before the next slab's are built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 EPS = 0.05  # amplitude of the analytic perturbations in the standard family
 _INTERIOR = (slice(1, -1),) * 4  # every node off the patch boundary
+#: the most interior axis-0 planes in a slab; 7 keeps the 9^4 base patch whole
+SLAB_PLANES = 7
 
 
 class PatchTooSmallError(Exception):
@@ -97,12 +100,15 @@ def constant_velocity(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldPatch:
-    """Sampled fields on a uniform 4-D lattice of n^4 nodes, spacing h."""
+    """Sampled fields on a uniform 4-D lattice of n^4 nodes, spacing h, cut
+    to the axis-0 nodes [lo, hi), hi None meaning n."""
 
     h: float
     n: int
     metric_fn: Callable[[np.ndarray], np.ndarray]
     velocity_fn: Callable[[np.ndarray], np.ndarray]
+    lo: int = 0
+    hi: Optional[int] = None
 
     def __post_init__(self):
         if self.n < 5:
@@ -117,11 +123,22 @@ class FieldPatch:
         return FieldPatch(self.h / 2 ** k, (self.n - 1) * 2 ** k + 1,
                           self.metric_fn, self.velocity_fn)
 
+    def slabs(self) -> Iterator["FieldPatch"]:
+        """The patch cut into axis-0 slabs of near-equal thickness, at most
+        SLAB_PLANES interior planes each plus a one-node halo; their
+        interiors tile the patch's interior once.  A patch that fits one
+        slab is its own slab, so a caller keeps the fields computed on it."""
+        planes = self.n - 2
+        count = -(-planes // SLAB_PLANES)
+        cuts = [1 + planes * i // count for i in range(count + 1)]
+        for start, stop in zip(cuts, cuts[1:]):
+            yield self if count == 1 else replace(self, lo=start - 1, hi=stop + 1)
+
     @cached_property
     def coords(self) -> np.ndarray:
         half = (self.n - 1) / 2.0
         axis = (np.arange(self.n) - half) * self.h
-        grids = np.meshgrid(axis, axis, axis, axis, indexing="ij")
+        grids = np.meshgrid(axis[self.lo:self.hi], axis, axis, axis, indexing="ij")
         return np.stack(grids, axis=-1)
 
     @cached_property
@@ -182,15 +199,26 @@ class FieldPatch:
         differences of the metric."""
         return christoffel_from(self.gl, self.gi, self.h)
 
-    def cov_deriv_covector(self, v: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def cov_deriv_covector(dv: np.ndarray, v: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         """(nabla_a v_b) = d_a v_b - Gamma^l_{ab} v_l with shape (..., 4a, 4b), at
-        the interior nodes: v spans the whole lattice, gamma the interior."""
-        return self.grad(v) - np.einsum("...lab,...l->...ab", gamma, v[_INTERIOR])
+        the interior nodes: dv = d_a v_b and gamma hold the interior, v every node."""
+        return dv - np.einsum("...lab,...l->...ab", gamma, v[_INTERIOR])
 
     @cached_property
     def one_form(self) -> np.ndarray:
         """The unrelated analytic one-form of the conformal-derivative check."""
         return standard_one_form(self.coords)
+
+    @cached_property
+    def dC(self) -> np.ndarray:
+        """d_a C_b, read by the vorticity, the shear and the conformal derivative."""
+        return self.grad(self.C_lo)
+
+    @cached_property
+    def d_one_form(self) -> np.ndarray:
+        """d_a v_b of the test one-form, read by both of its derivatives."""
+        return self.grad(self.one_form)
 
     @cached_property
     def _conformal_derivatives(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -201,8 +229,8 @@ class FieldPatch:
         """
         f2 = self.F[..., None, None] ** 2
         gamma = christoffel_from(f2 * self.gl, self.gi / f2, self.h)
-        return (self.cov_deriv_covector(self.C_lo, gamma),
-                self.cov_deriv_covector(self.one_form, gamma))
+        return (self.cov_deriv_covector(self.dC, self.C_lo, gamma),
+                self.cov_deriv_covector(self.d_one_form, self.one_form, gamma))
 
     @property
     def dbarC(self) -> np.ndarray:
@@ -217,12 +245,12 @@ class FieldPatch:
     @cached_property
     def dv(self) -> np.ndarray:
         """nabla_a v_b of the test one-form."""
-        return self.cov_deriv_covector(self.one_form, self.christoffel)
+        return self.cov_deriv_covector(self.d_one_form, self.one_form, self.christoffel)
 
     @cached_property
     def du(self) -> np.ndarray:
         """nabla_a u_b."""
-        return self.cov_deriv_covector(self.u_lo, self.christoffel)
+        return self.cov_deriv_covector(self.grad(self.u_lo), self.u_lo, self.christoffel)
 
     @cached_property
     def du_sq(self) -> np.ndarray:
@@ -244,8 +272,7 @@ class FieldPatch:
     @cached_property
     def omega(self) -> np.ndarray:
         """Vorticity Omega_{ab} = d_a C_b - d_b C_a (connection-free)."""
-        dC = self.grad(self.C_lo)
-        return dC - np.swapaxes(dC, -1, -2)
+        return self.dC - np.swapaxes(self.dC, -1, -2)
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -255,7 +282,7 @@ class FieldPatch:
     @cached_property
     def sigma(self) -> np.ndarray:
         """Shear Sigma_{ab}: doubly projected symmetrized gradient of C."""
-        dC = self.cov_deriv_covector(self.C_lo, self.christoffel)
+        dC = self.cov_deriv_covector(self.dC, self.C_lo, self.christoffel)
         return project(self.pi_mixed_T[_INTERIOR], dC + np.swapaxes(dC, -1, -2))
 
     @cached_property
@@ -277,9 +304,8 @@ class FieldPatch:
         c_lo = self.C_lo[_INTERIOR]
         cbar_up = self.u_up[_INTERIOR] / self.F[_INTERIOR][..., None]
         drift = np.einsum("...l,...la->...a", cbar_up, dbarC)  # Cbar^l nablabar_l C_a
-        correction = (np.einsum("...a,...b->...ab", drift, c_lo)
-                      + np.einsum("...b,...a->...ab", drift, c_lo))
-        return sym - correction
+        correction = np.einsum("...a,...b->...ab", drift, c_lo)
+        return sym - (correction + np.swapaxes(correction, -1, -2))
 
     @property
     def theta_tensor(self) -> np.ndarray:
@@ -287,9 +313,8 @@ class FieldPatch:
         check reads it, so it is not kept."""
         u_lo = self.u_lo[_INTERIOR]
         contr = np.einsum("...l,...la->...a", self.u_up[_INTERIOR], self.omega)
-        return (self.omega
-                - np.einsum("...a,...b->...ab", contr, u_lo)
-                - np.einsum("...b,...a->...ab", contr, u_lo))
+        cu = np.einsum("...a,...b->...ab", contr, u_lo)
+        return self.omega - cu - np.swapaxes(cu, -1, -2)
 
     def interior_max(self, arr: np.ndarray) -> float:
         """Max |arr| over a field held at the interior nodes."""
@@ -366,9 +391,8 @@ def _field_conformal_derivative(patch: FieldPatch,
     # the plain one is built and cached
     lhs = patch.dbar_one_form
     v, K = patch.one_form[_INTERIOR], patch.K
-    rhs = (patch.dv
-           - np.einsum("...a,...b->...ab", K, v)
-           - np.einsum("...b,...a->...ab", K, v))
+    kv = np.einsum("...a,...b->...ab", K, v)
+    rhs = patch.dv - kv - np.swapaxes(kv, -1, -2)
     if not drop_trace_term:
         k_up = np.einsum("...ab,...b->...a", patch.gi[_INTERIOR], K)
         rhs = rhs + np.einsum("...r,...r,...ab->...ab", k_up, v, patch.gl[_INTERIOR])
@@ -502,14 +526,16 @@ NEGATIVE_CONTROLS: Tuple[Tuple[str, Callable[[FieldPatch], np.ndarray]], ...] = 
 )
 
 
-def _nested_max(field: np.ndarray, level: int, base_n: int) -> float:
+def _nested_max(field: np.ndarray, level: int, base_n: int, lo: int = 0) -> float:
     """Max |residual| over the base grid's interior nodes, which are shared
     by every refinement (spacing halves, extent fixed); comparing the same
     physical points gives clean pointwise convergence ratios.  `field` holds
-    the interior nodes only, so lattice node i sits at index i - 1."""
+    the interior nodes of a slab from axis-0 node lo (0.0 if none is shared),
+    so lattice node i sits at index i - 1, on axis 0 at i - lo - 1."""
     stride = 2 ** level
-    sl = (slice(stride - 1, (base_n - 1) * stride - 1, stride),) * 4
-    return float(np.max(np.abs(field[sl])))
+    sl = (slice(stride - 1, (base_n - 1) * stride - 1, stride),) * 3
+    first = -(lo + 1) % stride  # the first axis-0 index of a shared node
+    return float(np.max(np.abs(field[(slice(first, None, stride),) + sl]), initial=0.0))
 
 
 def refinement_table(h: float = 0.1, refine: int = 1, n: int = 9,
@@ -518,26 +544,29 @@ def refinement_table(h: float = 0.1, refine: int = 1, n: int = 9,
     halvings of the spacing, with ratios over the shared base-grid nodes.
 
     The coarsest patch is `base` when given (its h and n then stand in for
-    the arguments), else the standard patch; a caller that goes on to probe
-    that patch passes it in, so its fields are computed once.
+    the arguments), else the standard patch.  Each check's maxima are taken
+    over the slabs of each level, finest first, so that the fields of a
+    `base` that fits one slab are computed last and kept for the caller.
     """
     if base is None:
         base = FieldPatch.standard(h, n)
-    n = base.n
-    patches = [base]
-    for k in range(1, refine + 1):
-        patches.append(patches[0].refined(k))
+    patches = [base] + [base.refined(k) for k in range(1, refine + 1)]
+    checks = FIELD_CHECKS + NEGATIVE_CONTROLS
+    top = np.zeros((len(checks), len(patches), 2))  # (interior, shared-node) max
+    for level in reversed(range(len(patches))):
+        for slab in patches[level].slabs():
+            for i, (_, fn) in enumerate(checks):
+                field = fn(slab)
+                top[i, level] = np.maximum(top[i, level], (
+                    slab.interior_max(field), _nested_max(field, level, base.n, slab.lo)))
     rows: List[IdentityResidual] = []
-    for name, fn in FIELD_CHECKS + NEGATIVE_CONTROLS:
-        prev: Optional[float] = None
+    for i, (name, _) in enumerate(checks):
         for level, patch in enumerate(patches):
-            field = fn(patch)
-            shared = _nested_max(field, level, n)
-            res = IdentityResidual(name, patch.interior_max(field), patch.h)
-            if prev is not None and shared > 0:
-                res.ratio = prev / shared
+            res = IdentityResidual(name, float(top[i, level, 0]), patch.h)
+            shared = float(top[i, level, 1])
+            if level and shared > 0:
+                res.ratio = float(top[i, level - 1, 1]) / shared
             rows.append(res)
-            prev = shared
     return rows
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,18 +59,115 @@ class TestContractionKernels:
 
     def test_two_connections_per_patch(self, monkeypatch, capsys):
         """The plain connection once and the transient conformal one once per
-        patch: a default run (base patch plus one refinement) builds four."""
-        calls = []
-        original = lab.christoffel_from
+        slab, and the slabs' axis-0 interiors tile each patch's interior once."""
+        calls, slabs = [], []
+        original, original_slabs = lab.christoffel_from, lab.FieldPatch.slabs
 
         def counted(gl, gi, h):
             calls.append(gl.shape[0])
             return original(gl, gi, h)
 
+        def recorded(patch):
+            for slab in original_slabs(patch):
+                slabs.append(slab)
+                yield slab
+
         monkeypatch.setattr(lab, "christoffel_from", counted)
+        monkeypatch.setattr(lab.FieldPatch, "slabs", recorded)
         assert main(["lab", "run", "--json"]) == 0
         capsys.readouterr()
-        assert sorted(calls) == [9, 9, 17, 17]
+        assert sorted(calls) == sorted(2 * [len(axis0(s)) for s in slabs])
+        for n in (9, 17):
+            interiors = [p for s in slabs if s.n == n for p in axis0(s)[1:-1]]
+            assert sorted(interiors) == list(range(1, n - 1)), n
+        assert {s.n for s in slabs} == {9, 17}
+
+    def test_one_difference_per_differentiated_field(self, monkeypatch):
+        """Six differences per slab: the metric, the conformal metric, C, the
+        test one-form, u and F, each taken once."""
+        calls = []
+        original = lab._gradient
+
+        def counted(f, h):
+            calls.append(f.shape[4:])
+            return original(f, h)
+
+        monkeypatch.setattr(lab, "_gradient", counted)
+        patch = lab.FieldPatch.standard(h=0.1, n=5)  # one slab
+        for _, fn in lab.FIELD_CHECKS + lab.NEGATIVE_CONTROLS:
+            fn(patch)
+        assert sorted(calls) == sorted([(4, 4), (4, 4), (4,), (4,), (4,), ()])
+
+
+def axis0(patch):
+    """The lattice's axis-0 nodes that a patch or slab holds."""
+    return range(patch.n)[patch.lo:patch.hi]
+
+
+def whole_patch_table(h, refine, n):
+    """The residual rows as one pass over each whole patch computes them,
+    check by check."""
+    patches = [lab.FieldPatch.standard(h, n)]
+    patches += [patches[0].refined(k) for k in range(1, refine + 1)]
+    rows = []
+    for name, fn in lab.FIELD_CHECKS + lab.NEGATIVE_CONTROLS:
+        prev = None
+        for level, patch in enumerate(patches):
+            field = fn(patch)
+            stride = 2 ** level
+            shared = float(np.max(np.abs(
+                field[(slice(stride - 1, (n - 1) * stride - 1, stride),) * 4])))
+            res = lab.IdentityResidual(name, patch.interior_max(field), patch.h)
+            if prev is not None and shared > 0:
+                res.ratio = prev / shared
+            rows.append(res.to_json())
+            prev = shared
+    return rows
+
+
+class TestSlabs:
+    """refinement_table runs the checks over axis-0 slabs of each patch."""
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_rows_equal_the_whole_patch_pass(self, refine):
+        rows = [r.to_json() for r in lab.refinement_table(h=0.1, refine=refine, n=5)]
+        assert rows == whole_patch_table(0.1, refine, 5)
+
+    @pytest.mark.parametrize("n", [5, 9, 17, 33])
+    def test_slab_interiors_tile_the_patch_interior(self, n):
+        patch = lab.FieldPatch.standard(h=0.1, n=n)
+        slabs = list(patch.slabs())
+        interiors = [p for slab in slabs for p in axis0(slab)[1:-1]]
+        assert interiors == list(range(1, n - 1))  # each interior plane once
+        for slab in slabs:
+            assert (slab.h, slab.n) == (patch.h, patch.n)
+            assert len(axis0(slab)) - 2 <= lab.SLAB_PLANES
+        # a patch that fits one slab is its own slab
+        assert (len(slabs) == 1) == (n - 2 <= lab.SLAB_PLANES)
+        assert len(slabs) > 1 or slabs[0] is patch
+
+    @pytest.mark.parametrize("n", [5, 9, 17])
+    def test_slab_fields_are_slices_of_the_patch_fields(self, n):
+        patch = lab.FieldPatch.standard(h=0.1, n=n)
+        for slab in patch.slabs():
+            nodes = axis0(slab)
+            rows = slice(nodes.start, nodes.stop)
+            assert np.array_equal(slab.coords, patch.coords[rows])
+            assert np.array_equal(slab.gi, patch.gi[rows])
+            inner = slice(nodes.start, nodes.stop - 2)  # interior fields start at node 1
+            assert np.array_equal(slab.christoffel, patch.christoffel[inner])
+            assert np.array_equal(slab.sigma_bar, patch.sigma_bar[inner])
+
+    def test_refinement_peak_allocation(self):
+        """tracemalloc peak of the default table: 58.6 MB measured with
+        slabs (150.8 MB with whole patches); the bound is 1.25x that."""
+        tracemalloc.start()
+        try:
+            lab.refinement_table(h=0.1, refine=1, n=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 58.6 * 2 ** 20, peak / 2 ** 20
 
 
 class TestInteriorDifferences:
@@ -90,20 +189,24 @@ class TestInteriorDifferences:
     @pytest.mark.parametrize("level", [1, 2])
     def test_nested_max_reads_the_base_interior_nodes(self, level):
         """_nested_max reads exactly the refined interior nodes whose
-        coordinates equal a base interior node's."""
+        coordinates equal a base interior node's, of the whole patch and of
+        each slab, told the slab's first axis-0 node."""
         base = lab.FieldPatch.standard(h=0.1, n=9)
         fine = base.refined(level)
         shared = np.isin(fine.coords[lab._INTERIOR],
                          np.unique(base.coords[lab._INTERIOR])).all(axis=-1)
         assert shared.sum() == (base.n - 2) ** 4
-        # no other node is read ...
-        assert lab._nested_max(np.where(shared, 0.0, 1.0), level, base.n) == 0.0
-        # ... and every shared one is
-        field = np.zeros(shared.shape)
-        for node in map(tuple, np.argwhere(shared)):
-            field[node] = -1.0
-            assert lab._nested_max(field, level, base.n) == 1.0, node
-            field[node] = 0.0
+        pieces = [(shared, 0)] + [(shared[s.lo:s.hi - 2], s.lo) for s in fine.slabs()]
+        assert len(pieces) > 2
+        for part, lo in pieces:
+            # no other node is read ...
+            assert lab._nested_max(np.where(part, 0.0, 1.0), level, base.n, lo) == 0.0
+            # ... and every shared one is
+            field = np.zeros(part.shape)
+            for node in map(tuple, np.argwhere(part)):
+                field[node] = -1.0
+                assert lab._nested_max(field, level, base.n, lo) == 1.0, node
+                field[node] = 0.0
 
 
 class TestPointwiseAlgebra:
