@@ -21,18 +21,19 @@ the light cone written with the opposite sign.  Five one-entry specs
 follow: two quadratics singular on their support, `(xi0 - xi1)^2`, which
 splits over Q (`power`, `hyperbolic`), and `(xi0 - xi2)^2 - 2*(xi1 - xi2)^2`,
 which does not (`inconclusive`); a cubic that vanishes at tau (1,0,0,0)
-(`not-hyperbolic`); a factor whose parameter has no value (`inconclusive`);
-and a negated square inside a product, `1*-xi2^2`, which is `hyperbolic`
-only when a unary minus negates its whole factor, power included.  Four
-one-block specs close the set: a dense 6x6 symbol with a parameter in every
-entry, a coupled 2x2 one, so that blocks of more than one row other than
-the reference's 10x10 are expanded too, a 6x6 one with three scalar rows
-(xi0 on the diagonal, zeros between them), a 2-row complement and a fourth
-xi0 row that couples to nothing, so that a block other than the reference's
-takes the Schur step, and a 5x5 one that takes the common-factor step: three
-scalar rows c*(xi0 + xi1), every entry of their rows outside the scalar set
-a multiple of xi0 + xi1, and a claimed factor that straddles that common
-factor and the complement's determinant.  80 reports in all.
+(`not-hyperbolic`, method `vanishes-at-tau`); a factor whose parameter has
+no value (`inconclusive`); and a negated square inside a product,
+`1*-xi2^2`, which is `hyperbolic` only when a unary minus negates its whole
+factor, power included.  Four one-block specs close the set: a dense 6x6
+symbol with a parameter in every entry, a coupled 2x2 one, so that blocks
+of more than one row other than the reference's 10x10 are expanded too, a
+6x6 one with three scalar rows (xi0 on the diagonal, zeros between them), a
+2-row complement and a fourth xi0 row that couples to nothing, so that a
+block other than the reference's takes the Schur step, and a 5x5 one that
+takes the common-factor step: three scalar rows c*(xi0 + xi1), every entry
+of their rows outside the scalar set a multiple of xi0 + xi1, and a claimed
+factor that straddles that common factor and the complement's determinant.
+80 reports in all.
 """
 
 import hashlib

@@ -607,7 +607,7 @@ def reference_product_value(state: FluidState, xi_point: Sequence[Fraction]) -> 
 def reference_product(state: FluidState) -> Poly:
     """The reference factorization at a state, expanded as an exact
     polynomial in the covector atoms only."""
-    bind = {a: Poly.constant(v) for a, v in state.assignment().items()}
+    bind = state.assignment()
     claim = reference_factor_claim("general")
     out = claim.prefactor.substitute(bind)
     for p, mult in claim.factors:
@@ -858,8 +858,7 @@ def _root_forms(values: Optional[Dict[Atom, Fraction]] = None):
     B = CLAIMED_QUARTIC[1].substitute(mink)
     R = CLAIMED_DISCRIMINANT.substitute(mink).sqrt()
     if values:
-        consts = {a: Poly.constant(v) for a, v in values.items()}
-        B, R = B.substitute(consts), R.substitute(consts)
+        B, R = B.substitute(values), R.substitute(values)
 
     def matrix(form: Poly) -> List[List[Poly]]:
         return [[form.coefficient_of(a, 2) if a == b

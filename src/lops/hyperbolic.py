@@ -18,8 +18,9 @@ deterministic sphere of directions.  Every verdict function returns a
 `HyperbolicityVerdict`, degenerate cases included (a quadratic form
 singular on its support is split the same way first, and is `inconclusive`
 only when it does not split; a factor of degree 3 or more that vanishes at
-tau is `not-hyperbolic`), and a `power` or `product` verdict lists each part
-with its own verdict.
+tau is `not-hyperbolic` by its own exact method, `vanishes-at-tau`, with no
+sample drawn), and a `power` or `product` verdict lists each part with its
+own verdict.
 
 The sampled screen and `cone_sample` share one batched path.
 `rational_directions` gives a memoized table of sphere directions with
@@ -60,7 +61,7 @@ class LeadingCoefficientZeroError(Exception):
 @dataclass
 class HyperbolicityVerdict:
     factor_id: str
-    # linear-exact | quadratic-signature | power | product | sampled
+    # linear-exact | quadratic-signature | power | product | vanishes-at-tau | sampled
     method: str
     verdict: str                 # hyperbolic | not-hyperbolic | inconclusive
     witness: Optional[str] = None
@@ -91,14 +92,8 @@ class HyperbolicityVerdict:
         return out
 
 
-def _bind(params: Optional[Mapping[Atom, Fraction]]) -> Dict[Atom, Poly]:
-    if not params:
-        return {}
-    return {a: Poly.constant(v) for a, v in params.items()}
-
-
 def _specialize(p: Poly, params) -> Poly:
-    q = p.substitute(_bind(params))
+    q = p.substitute(params or {})
     extra = [a for a in q.atoms() if a not in XI]
     if extra:
         names = ", ".join(sorted(a.name for a in extra))
@@ -390,17 +385,15 @@ def hyperbolicity_sampled(p: Poly, tau: Sequence[Fraction],
                           seed: int = 0, factor_id: str = "") -> HyperbolicityVerdict:
     """Companion-matrix roots along eta + s*tau for sampled directions eta;
     hyperbolic when every root is real within tol*(1+|Re|).  A falsification
-    screen, not a certificate.  A polynomial that vanishes at tau is
-    not hyperbolic, with no sample drawn."""
+    screen, not a certificate.  A polynomial that vanishes at tau gets the
+    exact `vanishes-at-tau` verdict, with no sample drawn."""
     import numpy as np
     q = _specialize(p, params)
     d = q.homogeneous_degree_in(XI)
     if d is None or d < 1:
         raise DegreeMismatchError("sampled test needs a homogeneous xi-polynomial")
-    lead = _eval_at_cov(q, tau)
-    if lead == 0:
-        return HyperbolicityVerdict(factor_id, "sampled", "not-hyperbolic",
-                                    witness=f"vanishes at tau={_fmt_cov(tau)}", tolerance=tol)
+    if _eval_at_cov(q, tau) == 0:
+        return _vanishing(tau, factor_id)
     frame = _orthogonal_frame(tau)
     table = rational_directions(n_samples, seed)
     rows, = _line_coefficients([_line_restriction(q, tau, frame)], table)
@@ -446,9 +439,7 @@ def hyperbolicity_auto(p: Poly, tau, params=None, n_samples: int = 1000,
         if d is not None and d > 1:
             value = _eval_at_cov(q, tau)
             if value == 0 and d > 2:
-                return HyperbolicityVerdict(fid, "sampled", "not-hyperbolic",
-                                            witness=f"vanishes at tau={_fmt_cov(tau)}",
-                                            tolerance=tol)
+                return _vanishing(tau, fid)
             split = _split(q, tau, d, value) if value else None
             if split is not None:
                 method, exponent, polys = split
@@ -458,6 +449,13 @@ def hyperbolicity_auto(p: Poly, tau, params=None, n_samples: int = 1000,
         return quadratic or hyperbolicity_sampled(q, tau, None, n_samples, tol, seed, fid)
 
     return verdict(_specialize(p, params), factor_id)
+
+
+def _vanishing(tau: Sequence[Fraction], factor_id: str) -> HyperbolicityVerdict:
+    """Hyperbolicity with respect to tau needs p(tau) != 0, so a form that
+    vanishes at tau is not hyperbolic: exact, with no sample drawn."""
+    return HyperbolicityVerdict(factor_id, "vanishes-at-tau", "not-hyperbolic",
+                                witness=f"vanishes at tau={_fmt_cov(tau)}")
 
 
 def _conjunction(parts: Sequence[HyperbolicityVerdict]) -> str:

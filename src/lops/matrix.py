@@ -1,9 +1,12 @@
 """Principal symbol matrices and exact determinants.
 
 The determinant pipeline permutes a matrix to block upper-triangular form
-(strongly connected components of its sparsity digraph) and expands each
-diagonal block of more than one row by one memoized Laplace expansion, the
-numeric cofactor oracle too.  A block with a scalar set of k >= 2 rows (one
+(strongly connected components of its sparsity digraph, from one Tarjan pass
+over the reversed digraph) and expands each diagonal block of more than one
+row by one memoized Laplace expansion, the numeric cofactor oracle too.  The
+blocks come in the order of one rule: rows are taken in ascending order, and
+each row's block is placed right after the not-yet-placed blocks it depends
+on, lowest row first.  A block with a scalar set of k >= 2 rows (one
 nonzero diagonal entry a, zeros between them) and m <= k other rows expands
 only a*D - C*B: det[[a*I_k, B], [C, D]] = a^(k-m) * det(a*D - C*B) for
 k >= m (Silvester, "Determinants of block matrices", Math. Gazette 84, 2000),
@@ -63,83 +66,49 @@ def build_symbol_matrix(s: LeraySystem) -> SymbolMatrix:
 def block_order(m: SymbolMatrix) -> List[List[int]]:
     """Diagonal blocks (index groups) of the block upper-triangular form.
 
-    Strongly connected components of the digraph i -> j for nonzero (i, j),
-    in topological order of the condensation; the determinant is the product
-    of the block determinants.
+    The strongly connected components of the digraph i -> j for nonzero
+    (i, j), from one iterative Tarjan pass over predecessor lists (Tarjan,
+    SIAM J. Comput. 1, 1972).  Tarjan finishes a component after every
+    component it reaches, so on the reversed digraph each block comes after
+    the blocks it depends on, in the order of this rule: rows are taken in
+    ascending order, and each row's block is placed right after the
+    not-yet-placed blocks it depends on, lowest row first.  The determinant
+    is the product of the block determinants.
     """
     n = m.dimension
-    adj = [[j for j in range(n) if j != i and not m.entries[i][j].is_zero()] for i in range(n)]
-
-    # Tarjan, iterative
-    index = [0] * n
+    preds = [[i for i in range(n) if i != j and not m.entries[i][j].is_zero()] for j in range(n)]
+    index = {}  # visit number, from 0; n once the row's block is placed
     low = [0] * n
-    on_stack = [False] * n
     stack: List[int] = []
-    comp_of = [-1] * n
-    comps: List[List[int]] = []
-    counter = [1]
-
+    blocks: List[List[int]] = []
     for root in range(n):
-        if index[root]:
+        if root in index:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(preds[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if not index[w]:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+            v, rest = work[-1]
+            for w in rest:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(preds[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(comps)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-
-    # topological order of the condensation: edge a -> b when some i in a
-    # points to j in b; components must be ordered sources first
-    k = len(comps)
-    succ = [set() for _ in range(k)]
-    indeg = [0] * k
-    for i in range(n):
-        for j in adj[i]:
-            a, b = comp_of[i], comp_of[j]
-            if a != b and b not in succ[a]:
-                succ[a].add(b)
-                indeg[b] += 1
-    ready = sorted(c for c in range(k) if indeg[c] == 0)
-    order = []
-    while ready:
-        c = ready.pop(0)
-        order.append(c)
-        for b in sorted(succ[c]):
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                ready.append(b)
-        ready.sort()
-    return [comps[c] for c in order]
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    block = [stack.pop()]
+                    while block[-1] != v:
+                        block.append(stack.pop())
+                    for w in block:
+                        index[w] = n
+                    blocks.append(sorted(block))
+    return blocks
 
 
 # -- determinant -----------------------------------------------------------

@@ -282,6 +282,7 @@ class TestVanishingFactor:
         assert "Traceback" not in r.stderr
         verdict = json.loads(r.stdout)["factors"][0]
         assert verdict["verdict"] == "not-hyperbolic"
+        assert verdict["method"] == "vanishes-at-tau"
         assert verdict["witness"] == "vanishes at tau=(1,0,0,0)"
 
 

@@ -113,14 +113,18 @@ class TestSampled:
 
     def test_vanishing_leading_coefficient(self):
         v = hyperbolicity_sampled(X[1] * MINK, DT, n_samples=10, tol=1e-7, factor_id="f")
-        assert v.factor_id == "f" and v.method == "sampled" and v.verdict == "not-hyperbolic"
-        assert v.witness == "vanishes at tau=(1,0,0,0)"
-        assert v.sample_count == 0 and v.tolerance == 1e-7 and v.worst_imag_ratio == 0.0
+        assert v.factor_id == "f" and v.method == "vanishes-at-tau"
+        assert v.verdict == "not-hyperbolic" and v.witness == "vanishes at tau=(1,0,0,0)"
+        # no sample is drawn, so the JSON carries no sampling fields
+        assert v.to_json() == {"factor": "f", "method": "vanishes-at-tau",
+                               "verdict": "not-hyperbolic",
+                               "witness": "vanishes at tau=(1,0,0,0)"}
 
     def test_auto_reports_vanishing_leading_coefficient(self):
         v = hyperbolicity_auto(X[1] * MINK, DT, n_samples=10)
-        assert v.verdict == "not-hyperbolic" and v.method == "sampled"
-        assert v.witness == "vanishes at tau=(1,0,0,0)" and v.sample_count == 0
+        assert v.verdict == "not-hyperbolic" and v.method == "vanishes-at-tau"
+        assert v.witness == "vanishes at tau=(1,0,0,0)"
+        assert set(v.to_json()) == {"factor", "method", "verdict", "witness"}
 
     def test_agreement_with_closed_form_on_thousand_directions(self):
         # degree-2 factors certified by signature must also pass sampling

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import os
 import random
 import sys
 from fractions import Fraction as Fr
@@ -7,7 +8,8 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lops import matrix
+from lops import ens_spec_path, matrix
+from lops.dsl import parse_system
 from lops.matrix import (ExpansionDepthError, SymbolMatrix, _schur_factors, block_factors,
                          block_order, build_symbol_matrix, cofactor_determinant_rational,
                          determinant, determinant_factors, factored_xi_degree,
@@ -240,6 +242,65 @@ class TestBlockOrder:
         m = SymbolMatrix(3, [[z, X[0], z], [z, z, X[1]], [X[2], z, z]])
         # single cycle: one block; determinant is the signed product
         assert determinant(m) == X[0] * X[1] * X[2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 14).flatmap(
+        lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_blocks_are_the_strong_components_in_triangular_order(self, pattern):
+        # oracle: a bitmask transitive closure, i and j share a block when
+        # each reaches the other
+        n = len(pattern)
+        m = SymbolMatrix(n, [[X[0] if nz else Poly.zero() for nz in row] for row in pattern])
+        reach = [sum(1 << j for j in range(n) if pattern[i][j]) | 1 << i for i in range(n)]
+        for k in range(n):
+            for i in range(n):
+                if reach[i] >> k & 1:
+                    reach[i] |= reach[k]
+        strong = {tuple(j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1)
+                  for i in range(n)}
+        blocks = block_order(m)
+        assert sorted(map(tuple, blocks)) == sorted(strong)
+        position = {i: p for p, block in enumerate(blocks) for i in block}
+        assert all(position[i] <= position[j]
+                   for i in range(n) for j in range(n) if pattern[i][j])
+
+    def test_order_rule(self):
+        # rows in ascending order, each block right after the unplaced
+        # blocks it depends on: row 2 depends on row 0 only, so 1 comes first
+        grid = [[X[0] if j == i else Poly.zero() for j in range(4)] for i in range(4)]
+        grid[0][2] = X[1]
+        assert block_order(SymbolMatrix(4, grid)) == [[0], [1], [2], [3]]
+
+    def test_reference_order(self):
+        with open(ens_spec_path()) as fh:
+            m = build_symbol_matrix(parse_system(fh.read()))
+        assert block_order(m) == [[i] for i in range(15)] + [list(range(15, 25))]
+
+    def test_factor_order_does_not_move_a_verification(self, monkeypatch):
+        # the block order decides only the order of the factors, which the
+        # greedy cancellation must not depend on
+        monkeypatch.syspath_prepend(os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+        import specgen
+        with open(ens_spec_path()) as fh:
+            texts = [fh.read()] + [text for _, text, _ in specgen.make_batch(7, 50)]
+        rng = random.Random(3)
+        for text in texts:
+            system = parse_system(text)
+            dets = determinant_factors(build_symbol_matrix(system))
+            claim = system.factor_claim
+            want = verify_factorization_product(dets, claim).to_json()
+            for _ in range(4):
+                rng.shuffle(dets)
+                assert verify_factorization_product(dets, claim).to_json() == want
+
+    def test_long_chain_needs_no_recursion(self):
+        # each row depends on the next, so one depth-first path holds all of them
+        n, z = 3000, Poly.zero()
+        m = SymbolMatrix(n, [[X[0] if j == i else X[1] if j == i - 1 else z
+                              for j in range(n)] for i in range(n)])
+        assert block_order(m) == [[i] for i in reversed(range(n))]
 
 
 class TestFactorization:
