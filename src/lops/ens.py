@@ -330,9 +330,10 @@ class FluidState:
         out[INV_THR] = 1 / (theta * r)
         for a in range(4):
             for b in range(4):
-                out[GI[a][b]] = self.gi[a][b]
-                out[GL[a][b]] = self.gl[a][b]
-                out[PIU[a][b]] = self.gi[a][b] - self.u_up[a] * self.u_up[b]
+                if a <= b:  # GI, GL and PIU are symmetric: GI[b][a] is GI[a][b]
+                    out[GI[a][b]] = self.gi[a][b]
+                    out[GL[a][b]] = self.gl[a][b]
+                    out[PIU[a][b]] = self.gi[a][b] - self.u_up[a] * self.u_up[b]
                 out[PIM[a][b]] = (1 if a == b else 0) - self.u_up[a] * ul[b]
                 out[DUU[a][b]] = self.du_up[a][b]
                 out[DUL[a][b]] = self.du_lo[a][b]
@@ -376,10 +377,11 @@ def random_state(rng: random.Random, max_entry: int = 16) -> FluidState:
         if det:
             break
     eta = (1, -1, -1, -1)
-    gl = [[Fr(sum(eta[k] * m[k][a] * m[k][b] for k in range(4)), L * L) for b in range(4)]
-          for a in range(4)]
-    gi = [[Fr(L * L * sum(eta[k] * adj[a][k] * adj[b][k] for k in range(4)), det * det)
-           for b in range(4)] for a in range(4)]
+    gl, gi = [[None] * 4 for _ in range(4)], [[None] * 4 for _ in range(4)]
+    for a, b in SYM_PAIRS:  # both are symmetric: one entry per pair
+        gl[a][b] = gl[b][a] = Fr(sum(eta[k] * m[k][a] * m[k][b] for k in range(4)), L * L)
+        gi[a][b] = gi[b][a] = Fr(L * L * sum(eta[k] * adj[a][k] * adj[b][k] for k in range(4)),
+                                 det * det)
     u_up = [Fr(L * adj[a][0], det) for a in range(4)]
     F = 1 + abs(small())
     q = abs(small()) + Fr(1, 8)
@@ -674,12 +676,14 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     metric, the whole 25 x 25 determinant (integer Gaussian elimination) is
     compared with the reference product, and the 10 x 10 block with its
     closed form through the cofactor oracle, `matrix.laplace_determinant`
-    (no pivots, no division).  One batched evaluation gives, per state,
-    every nonzero matrix entry, the wave cone, u.xi and the reference
-    factors as exact (numerator, denominator) pairs; both determinants run
-    on the rows scaled to integers.  `threads` > 1 checks the states on
-    that many worker threads (only the benchmark's probe does); the report
-    does not depend on it.
+    (no pivots, no division).  One batched evaluation (`eval_columns`, one
+    trie of products over all 141 polynomials' terms, each product taken
+    once per chunk of states however many terms share it) gives, per
+    state, every nonzero matrix entry, the wave cone, u.xi and the
+    reference factors as exact (numerator, denominator) pairs; both
+    determinants run on the rows scaled to integers.  `threads` > 1 checks
+    the states on that many worker threads (only the benchmark's probe
+    does); the report does not depend on it.
     """
     from .hyperbolic import quartic_from_coefficients
     from .matrix import (block_factors, block_order, build_symbol_matrix, determinant,

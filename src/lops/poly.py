@@ -35,7 +35,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import add, floordiv, mul, or_
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
                     Union)
@@ -743,62 +743,77 @@ def eval_columns(polys: Sequence["Poly"], atoms: Sequence[Atom],
     MissingAtomError, at the call, for an atom of a polynomial that `atoms`
     lacks.
 
-    The polynomials are planned once per call (`_plan`); every integer
-    operation then runs over a whole column through `map` (see
-    `_column_values`), so the interpreter's per-term cost is paid once per
-    chunk instead of once per point, and the chunk bounds the integer
-    columns held at once.  Every exact evaluation goes through here: the
-    line restrictions of the sampled hyperbolicity screen and `cones`,
-    `ens verify`'s state samples, the sampled root check of the claimed
-    quartic table, and `Poly.eval` as the one-point case.  The lists are
-    shared between outputs; read them, do not change them.
+    All terms of all the polynomials go into one trie per call (`_plan`),
+    so a product of powers that several terms begin with is taken once per
+    chunk; every integer operation runs over a whole column through `map`
+    (see `_column_values`), so the interpreter's cost per operation is paid
+    once per chunk instead of once per point, and the chunk bounds the
+    integer columns held at once.  Every exact evaluation goes through
+    here: the line restrictions of the sampled hyperbolicity screen and
+    `cones`, `ens verify`'s state samples, the sampled root check of the
+    claimed quartic table, and `Poly.eval` as the one-point case.  The
+    lists are shared between outputs; read them, do not change them.
     """
-    plans, used, tops, top_degree = _plan(polys, atoms)
+    plan = _plan(polys, atoms)
     rest = iter(points)
     chunks = iter(lambda: list(islice(rest, COLUMN_CHUNK)), [])
-    return (_column_values(plans, used, tops, top_degree, chunk) for chunk in chunks)
+    return (_column_values(*plan, chunk) for chunk in chunks)
 
 
 def _plan(polys: Sequence["Poly"], atoms: Sequence[Atom]):
-    """(plans, used, tops, top_degree) of `eval_columns`, read straight off
-    the packed terms.
+    """(plans, root, used, tops, top_degree) of `eval_columns`, read
+    straight off the packed terms.
 
-    Each plan is (content, degree groups) in ascending total degree (the
-    packed monomial's lowest field), one row (coefficient, ((k, e), ...))
-    per term for its nonzero exponent fields: atom k of `atoms` to the
-    power e, which `_column_values` keeps at table[k][e].  `tops` holds
-    each atom's largest exponent and `used` the atoms with one.  Raises
-    MissingAtomError for an atom of a polynomial that `atoms` lacks.
+    Every term of every polynomial goes into one trie over its nonzero
+    exponent fields, atom k of `atoms` to the power e, in packed-slot order
+    (as the loop visits them; nothing is sorted): a node is the product of
+    the powers on its path, shared by every term through it (Carnicer and
+    Gasca's tree scheme, Math. Comp. 54, 1990), and holds (depth, k, e,
+    children, ends), `ends` the (group, coefficient) of each term ending
+    there; a group is one total degree of one polynomial.  Each plan is
+    (content, ((degree, group), ...)) in ascending total degree (the packed
+    monomial's lowest field).  `tops` holds each atom's largest exponent
+    and `used` the atoms with one.  Raises MissingAtomError for an atom of
+    a polynomial that `atoms` lacks.
     """
-    number = {_OFFSETS[a]: k for k, a in enumerate(atoms) if a in _OFFSETS}
+    number = {off: k for k, off in enumerate(map(_OFFSETS.get, atoms)) if off is not None}
     tops = [0] * len(atoms)
+    root: tuple = (0, 0, 0, {}, [])  # (depth, k, e, children by offset << _BITS | e, ends)
     plans = []
+    count = 0  # groups numbered so far
     for p in polys:
-        groups: Dict[int, list] = {}
+        groups: Dict[int, int] = {}
         for m, c in p._t.items():
-            pairs = []
+            g = groups.setdefault(m & _MASK, count + len(groups))
+            node, depth = root, 0
             rest, off = m >> _BITS, _BITS
             while rest:  # visit the nonzero exponent fields only
                 skip = ((rest & -rest).bit_length() - 1) // _BITS * _BITS
                 rest >>= skip
                 off += skip
-                k = number.get(off)
-                if k is None:
-                    raise MissingAtomError(f"no value for atom {_ATOMS[off // _BITS - 1].name}")
-                e = rest & _MASK
-                pairs.append((k, e))
-                if e > tops[k]:
-                    tops[k] = e
+                depth += 1
+                key = off << _BITS | rest & _MASK
+                children = node[3]
+                node = children.get(key)
+                if node is None:  # the first term with this prefix
+                    k = number.get(off)
+                    if k is None:
+                        raise MissingAtomError(f"no value for atom {_ATOMS[off // _BITS - 1].name}")
+                    e = rest & _MASK
+                    if e > tops[k]:
+                        tops[k] = e
+                    node = children[key] = (depth, k, e, {}, [])
                 rest >>= _BITS
                 off += _BITS
-            groups.setdefault(m & _MASK, []).append((c, tuple(pairs)))
+            node[4].append((g, c))
+        count += len(groups)
         plans.append((p._c, sorted(groups.items())))
     used = [k for k, top in enumerate(tops) if top]
     top_degree = max((groups[-1][0] for _, groups in plans if groups), default=0)
-    return plans, used, tops, top_degree
+    return plans, root, used, tops, top_degree
 
 
-def _column_values(plans, used: Sequence[int], tops: Sequence[int], top_degree: int,
+def _column_values(plans, root, used: Sequence[int], tops: Sequence[int], top_degree: int,
                    chunk: Sequence[Sequence[Tuple[int, int]]]
                    ) -> List[Tuple[List[int], List[int]]]:
     """(numerators, denominators) of each planned polynomial at a chunk of
@@ -811,16 +826,18 @@ def _column_values(plans, used: Sequence[int], tops: Sequence[int], top_degree: 
     multiplications only, and a polynomial of top degree K has the value
     sum_k S_k * L**(K-k) over L**K (accumulated by Horner's rule in L),
     times its content.  L, each power N**e and each S_k are columns over
-    the chunk, built by `map` over whole columns.
+    the chunk, built by `map` over whole columns.  The trie is walked depth
+    first on a stack, not by recursion, keeping one product column per
+    depth, its parent's times N_k**e: one column product per node below
+    depth 1 however many terms share it, and the columns of one path held
+    at once.  Each term that ends at a node is added into its S_k there.
     """
     m = len(chunk)
-    coords = list(zip(*chunk))
-    pairs = {k: tuple(zip(*coords[k])) for k in used}
-    L = list(map(math.lcm, *[pairs[k][1] for k in used])) if used else [1] * m
+    cols = list(zip(*map(chain.from_iterable, chunk)))  # atom k: n at 2k, d at 2k + 1
+    L = list(map(math.lcm, *[cols[2 * k + 1] for k in used])) if used else [1] * m
     table: List[Optional[list]] = [None] * len(tops)  # table[k][e]: N_k**e
     for k in used:
-        nums, dens = pairs[k]
-        v = x = list(map(mul, nums, map(floordiv, L, dens)))
+        v = x = list(map(mul, cols[2 * k], map(floordiv, L, cols[2 * k + 1])))
         table[k] = powers = [None, x]
         for _ in range(tops[k] - 1):
             x = list(map(mul, x, v))
@@ -828,22 +845,29 @@ def _column_values(plans, used: Sequence[int], tops: Sequence[int], top_degree: 
     lpow = [[1] * m, L]
     for _ in range(top_degree - 1):
         lpow.append(list(map(mul, lpow[-1], L)))
+    path = [None] * (top_degree + 1)  # path[d]: the current node's column at depth d
+    sums = {g: [c] * m for g, c in root[4]}  # a constant term ends at the root
+    stack = list(root[3].values())
+    while stack:
+        depth, k, e, children, ends = stack.pop()
+        col = table[k][e]
+        if depth > 1:
+            col = map(mul, path[depth - 1], col)
+            if children or len(ends) > 1:  # a lazy column is read once
+                col = list(col)
+        if children:
+            path[depth] = col
+            stack.extend(children.values())
+        for g, c in ends:
+            term = col if c == 1 else map(mul, col, repeat(c))
+            s = sums.get(g)
+            sums[g] = list(term) if s is None else list(map(add, s, term))
     out = []
     for content, groups in plans:
         total = None
         prev = 0
-        for deg, rows in groups:
-            terms = []
-            for c, idx in rows:
-                if not idx:
-                    terms.append(repeat(c, m))
-                    continue
-                k, e = idx[0]
-                col = table[k][e]
-                for k, e in idx[1:]:
-                    col = map(mul, col, table[k][e])
-                terms.append(col if c == 1 else map(mul, col, repeat(c)))
-            s = list(terms[0]) if len(terms) == 1 else list(map(sum, zip(*terms)))
+        for deg, g in groups:
+            s = sums.pop(g)
             total = s if total is None else list(map(add, map(mul, total, lpow[deg - prev]), s))
             prev = deg
         cn, cd = content.numerator, content.denominator

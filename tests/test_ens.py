@@ -2,13 +2,14 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction as Fr
 
 import pytest
 
 from lops import ens
 from lops.matrix import build_symbol_matrix, determinant, laplace_determinant
-from lops.poly import Poly, XI, xi
+from lops.poly import COLUMN_CHUNK, Poly, XI, eval_columns, xi
 from lops.system import validate_structure, total_order
 
 X = [Poly.atom(a) for a in XI]
@@ -213,6 +214,15 @@ class TestStates:
                 _assert_same_state(state, _fraction_state(twin, max_entry))
                 _assert_inverse_pair(state.gi, state.gl)
 
+    def test_assignment_of_symmetric_atoms(self):
+        state = ens.random_state(random.Random(3), max_entry=8)
+        assign = state.assignment()
+        for a in range(4):
+            for b in range(4):
+                assert assign[ens.GI[a][b]] == state.gi[a][b] == state.gi[b][a]
+                assert assign[ens.GL[a][b]] == state.gl[a][b] == state.gl[b][a]
+                assert assign[ens.PIU[a][b]] == state.gi[a][b] - state.u_up[a] * state.u_up[b]
+
     def test_singular_frame_drawn_again(self):
         # a first frame whose row 0 is zero (1 - 4/4, then three 0/4 entries)
         script = [-4, 1] + [0, 1] * 15
@@ -393,6 +403,31 @@ class TestVerification:
     def test_sampled_root_nonnegativity_small(self):
         item = ens.sampled_root_nonnegativity(Fr(2), Fr(3), n_dirs=500, seed=0)
         assert item.ok
+
+    def test_state_sample_columns_stay_small(self):
+        # ens verify's 141 polynomials, one chunk of states: the columns
+        # held at once follow the depth of the trie of products, not its
+        # number of nodes
+        mat = build_symbol_matrix(ens.build_ens_system("general", "on_data"))
+        ref = ens.reference_factor_claim("general")
+        polys = ([e for row in mat.entries for e in row if e]
+                 + [ens._light_cone("general"), ens._flow(ens.U), ref.prefactor]
+                 + [p for p, _ in ref.factors])
+        assert len(polys) == 141
+        atoms = sorted(set().union(*(p.atoms() for p in polys)), key=lambda a: a.sort_key)
+        rng = random.Random(5)
+        points = []
+        for _ in range(COLUMN_CHUNK):
+            assign = ens.random_state(rng, max_entry=8).assignment()
+            assign.update(zip(XI, (Fr(rng.randint(-9, 9), rng.randint(1, 4)) for _ in XI)))
+            points.append([(assign[a].numerator, assign[a].denominator) for a in atoms])
+        tracemalloc.start()
+        try:
+            chunks = list(eval_columns(polys, atoms, points))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(chunks) == 1 and peak < 8_000_000
 
 
 # the acceptance (F, q) grid, then points on both sides of q^2 = 4F(F+q)

@@ -153,6 +153,50 @@ class TestEval:
     def test_eval_columns_without_points(self):
         assert list(eval_columns([X0, Poly.zero()], [xi(0)], [])) == []
 
+    @given(polys(max_terms=4), st.lists(polys(max_terms=4), min_size=1, max_size=4),
+           st.lists(st.integers(-5, 5), min_size=3, max_size=3),
+           st.sampled_from([1, 3, COLUMN_CHUNK - 1, COLUMN_CHUNK, COLUMN_CHUNK + 1]),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_eval_columns_shared_products(self, factor, ps, coeffs, count, rng):
+        # every term of a call goes into one trie of products: a common
+        # factor times each polynomial shares prefixes across polynomials,
+        # x0*x1 ends at an inner node below x0*x1*x2 and x0*x1*x2*F, one
+        # monomial sits in several polynomials with different coefficients,
+        # and constants and zero end at the root or nowhere
+        a, b, c = coeffs
+        x01 = X0 * X1
+        ps = [factor * p for p in ps] + [
+            a * x01 + b * x01 * X2 + c * x01 * X2 * F, b * x01 * X2 - a, c * x01 * X2 + x01,
+            Poly.constant(Fr(a, 7)), Poly.zero()]
+        points = [[(rng.randint(-9, 9), rng.randint(1, 12)) for _ in ATOM_POOL]
+                  for _ in range(count)]
+        rows = [row for chunk in eval_columns(ps, ATOM_POOL, points)
+                for row in zip(*(zip(nums, dens) for nums, dens in chunk))]
+        assert len(rows) == count
+        for point, row in zip(points, rows):
+            value = {atom: Fr(n, d) for atom, (n, d) in zip(ATOM_POOL, point)}
+            assert [Fr(n, d) for n, d in row] == [
+                sum((k * math.prod(value[atom] ** e for atom, e in mono) for mono, k in p.terms()),
+                    Fr(0))
+                for p in ps]
+
+    def test_eval_deep_monomial(self):
+        # a monomial of 300 atoms is a trie path 300 nodes deep, walked
+        # without recursion; a second path differs from it in its first
+        # field only, a third term ends at depth 1
+        atoms = [param(f"deep{i}") for i in range(300)]
+        mono = Poly.monomial(3, [(atom, 1) for atom in atoms])
+        ps = [mono, mono * Poly.atom(atoms[0]) + Poly.atom(atoms[-1]) ** 2]
+        value = {atom: Fr(i % 7 - 3 or 5, i % 4 + 1) for i, atom in enumerate(atoms)}
+        prod = 3 * math.prod(value.values())
+        expected = [prod, prod * value[atoms[0]] + value[atoms[-1]] ** 2]
+        assert [p.eval(value) for p in ps] == expected
+        point = [(v.numerator, v.denominator) for v in value.values()]
+        (columns,) = eval_columns(ps, atoms, [point] * 3)
+        assert [[Fr(n, d) for n, d in zip(nums, dens)] for nums, dens in columns] == [
+            [v] * 3 for v in expected]
+
 
 class TestDivision:
     def test_exact_quotient(self):
