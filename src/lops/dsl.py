@@ -14,16 +14,17 @@ One declaration per line; `#` starts a comment.  Statements:
 Polynomial expressions use `+ - * ^` with parentheses; coefficients are
 exact rationals written `a` or `a/b`.  A number `a/b` is read whole before
 an exponent, so `a/b^k` is `(a/b)^k`: `3/2^2` is 9/4.  A unary minus
-negates the whole factor after it, `^k` included.  A sum is read in one
-pass: a term of numbers and atoms, each with an optional `^k`, stays a
-numerator, a denominator and a list of atom powers, and `Poly.from_monomials`
-packs a run of such terms into one Poly at once; only a parenthesized factor
-is multiplied, and added, as a Poly.  An exponent is at most MAX_DEGREE, a
-number has at most MAX_DIGITS digits, a power of a number at most
-MAX_POWER_BITS bits, a power of a parenthesized sum at most MAX_POWER_SIZE
-coefficient bits (estimated before expanding), and parentheses nest at most
-MAX_NESTING deep.  The
-covector atoms are spelled `xi0..xi3`; every other atom must have been
+negates the whole factor after it, `^k` included.  A sum is read by
+character position: a plain term (an optional unary minus, `a` or `a/b`,
+and a `*`-run of atoms, each with an optional `^k`) is one pattern match,
+its monomial the sum of its factors' packed monomials, memoized per parse
+by their text.  Any other term is read by a recursive descent from the same
+position, as a product of Polys, so every fault keeps its message and
+column.  An exponent is at most MAX_DEGREE, a number has at most MAX_DIGITS
+digits, a power of a number at most MAX_POWER_BITS bits, a power of a
+parenthesized sum at most MAX_POWER_SIZE coefficient bits (estimated before
+expanding), and parentheses nest at most MAX_NESTING deep.  The covector
+atoms are spelled `xi0..xi3`; every other atom must have been
 declared with `param`.  Any trailing text after a complete statement is an
 error, and so is a spec with no unknown or no equation block (reported at
 the end of the input), one whose equation and unknown totals differ, an
@@ -39,17 +40,16 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
-from .poly import MAX_DEGREE, XI, Atom, DegreeOverflowError, Poly, param, slot, xi
+from .poly import MAX_DEGREE, XI, Atom, DegreeOverflowError, Poly, pack, param, slot, xi
 from .system import (DependencyDecl, EquationBlock, FactorClaim, LeraySystem,
                      ParamDecl, SymbolEntry, UnknownBlock)
 
 XI_NAMES = {a.name: a for a in XI}
 
-# whitespace separates tokens; any other character no token starts with is a
-# token of its own, refused as unexpected
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|:=|[-+*^()\[\]:/]|\S")
-_OPS = frozenset([":=", "-", "+", "*", "^", "(", ")", "[", "]", ":", "/"])
-_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# one token after any whitespace; any other character no token starts with is
+# a token of its own, refused as unexpected
+_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                       r"|(?P<op>:=|[-+*^()\[\]:/])|(?P<bad>\S))")
 # the tokens of `<eq>[i] <unk>[j] :=` after `entry`
 _ENTRY_HEAD = (("name",), ("op", "["), ("num",), ("op", "]"),
                ("name",), ("op", "["), ("num",), ("op", "]"), ("op", ":="))
@@ -71,9 +71,18 @@ MAX_POWER_BITS = 2 * MAX_DEGREE + 2
 # (xi0+xi1+xi2)^86 or (xi0+xi1)^576, each expand in under 0.3 s (2-vCPU Xeon)
 MAX_POWER_SIZE = 1_000_000
 
-# a character no token starts with (an = not after a :), or a digit run too
-# long to be a number
-_SUSPECT_RE = re.compile(r"[^\s\dA-Za-z_\-+*^()\[\]:/=]|(?<!:)=|\d{%d}" % (MAX_DIGITS + 1))
+# a plain term at the cursor: an optional unary minus, an optional `a` or
+# `a/b` and a `*`-run of atoms, each with an optional `^k` of at most five
+# digits, then the next term's sign, a `)` or the end; compiled when a parser
+# is first made, so that a process that parses no sum does not compile it
+_FACTOR = r"[A-Za-z_][A-Za-z0-9_]*(?:\s*\^\s*\d{1,5})?"
+_PLAIN = (r"\s*(-?)\s*(?:(\d{1,%d})(?:\s*/\s*(\d{1,%d}))?"
+          r"(?:\s*\*\s*(?=[A-Za-z_])|(?=\s*[-+)]|\s*\Z)))?(%s(?:\s*\*\s*%s)*)?"
+          r"\s*(?:([-+])|(?=\))|\Z)" % (MAX_DIGITS, MAX_DIGITS, _FACTOR, _FACTOR))
+# a factor's memo value is its packed monomial shifted past a low counter of
+# its exponent, wide enough that no line's exponents carry out of it
+_COUNT_BITS = 64
+_COUNT = (1 << _COUNT_BITS) - 1
 
 
 class ParseError(Exception):
@@ -91,214 +100,212 @@ class UnknownAtomError(ParseError):
     pass
 
 
-def _kind(t: str) -> str:
-    return ("op" if t in _OPS else "num" if t.isdecimal()
-            else "name" if t[0] in _NAME_START else "bad")
-
-
-class _Tokens:
-    """The tokens of one line as strings, read by index from `i`.  A
-    token's column is found only when a message or a statement needs it."""
+class _Line:
+    """One line, read token by token from the character position `pos`."""
 
     def __init__(self, text: str, line_no: int):
         self.text = text
         self.line_no = line_no
-        self.toks: List[str] = _TOKEN_RE.findall(text)
-        self.i = 0
-        self._starts: List[int] = []
-        self._matches = _TOKEN_RE.finditer(text)
-        if _SUSPECT_RE.search(text):
-            for i, t in enumerate(self.toks):
-                if _kind(t) == "bad":
-                    raise ParseError(f"unexpected character {t!r}", line_no, self.col(i))
-                if len(t) > MAX_DIGITS and t.isdecimal():
-                    raise ParseError(f"number of {len(t)} digits, more than {MAX_DIGITS}",
-                                     line_no, self.col(i))
+        self.pos = self.end = 0
+        self.at = -1  # where `tok`, the last token matched, starts
 
-    def col(self, i: int) -> int:
-        """The column of token i; past the last token, that of the line's end."""
-        if i >= len(self.toks):
-            return len(self.text) + 1
-        starts = self._starts
-        while len(starts) <= i:
-            starts.append(next(self._matches).start() + 1)
-        return starts[i]
-
-    def check(self, i: int, kind: str, value: Optional[str] = None) -> str:
-        """Token i, which must be of `kind`, and `value` if one is given."""
-        if i >= len(self.toks):
-            raise ParseError("unexpected end of line", self.line_no, self.col(i))
-        t = self.toks[i]
-        if _kind(t) != kind or value not in (None, t):
-            raise ParseError(f"expected {value or kind!r}, found {t!r}", self.line_no, self.col(i))
-        return t
-
-    def number(self, i: int) -> Tuple[int, int, int]:
-        """The a and b of a number `a` or `a/b` at token i, and the index after it."""
-        n = int(self.check(i, "num"))
-        if i + 1 < len(self.toks) and self.toks[i + 1] == "/":
-            d = int(self.check(i + 2, "num"))
-            if not d:
-                raise ParseError("zero denominator", self.line_no, self.col(i + 2))
-            return n, d, i + 3
-        return n, 1, i + 1
+    def peek(self) -> Tuple[str, str, int]:
+        """The kind, text and column of the token at `pos`, with `end` set
+        past it; past the last token, ("end", "", the column after the line).
+        An unexpected character or an overlong number is refused here."""
+        if self.pos == self.at:
+            return self.tok
+        mo = _TOKEN_RE.match(self.text, self.pos)
+        if mo is None:
+            return "end", "", len(self.text) + 1
+        kind = mo.lastgroup
+        t, col = mo[kind], mo.start(kind) + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {t!r}", self.line_no, col)
+        if kind == "num" and len(t) > MAX_DIGITS:
+            raise ParseError(f"number of {len(t)} digits, more than {MAX_DIGITS}",
+                             self.line_no, col)
+        self.at, self.end, self.tok = self.pos, mo.end(), (kind, t, col)
+        return self.tok
 
     def expect(self, kind: str, value: Optional[str] = None) -> Tuple[str, str, int]:
-        i = self.i
-        self.i += 1
-        return kind, self.check(i, kind, value), self.col(i)
+        """The token at `pos`, which must be of `kind`, and `value` if one is
+        given; `pos` moves past it."""
+        k, t, col = self.peek()
+        if k == "end":
+            raise ParseError("unexpected end of line", self.line_no, col)
+        if k != kind or value not in (None, t):
+            raise ParseError(f"expected {value or kind!r}, found {t!r}", self.line_no, col)
+        self.pos = self.end
+        return k, t, col
+
+    def number(self) -> Tuple[int, int]:
+        """The a and b of a number `a` or `a/b` at `pos`, which moves past it."""
+        n = int(self.expect("num")[1])
+        if self.peek()[1] != "/":
+            return n, 1
+        self.pos = self.end
+        _, d, col = self.expect("num")
+        if not int(d):
+            raise ParseError("zero denominator", self.line_no, col)
+        return n, int(d)
 
     def done(self):
-        if self.i < len(self.toks):
-            raise ParseError(f"trailing input {self.toks[self.i]!r}", self.line_no,
-                             self.col(self.i))
+        kind, t, col = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input {t!r}", self.line_no, col)
+
+    def __enter__(self) -> "_Line":
+        return self
+
+    def __exit__(self, kind, err, tb):
+        # the line's first unexpected character or overlong number goes before
+        # any other fault on it: peek raises it as the line is read again
+        self.pos = 0
+        while isinstance(err, ParseError) and self.peek()[0] != "end":
+            self.pos = self.end
+
+
+class _FactorMemo(dict):
+    """The memo values (see _COUNT_BITS) of a parse's plain factors, keyed by
+    their text (`xi0^2`, `inv_thr`).  An undeclared atom or an exponent past
+    MAX_DEGREE counts past MAX_DEGREE, so its term goes to the descent."""
+
+    def __init__(self, atoms: Dict[str, Atom]):
+        super().__init__()
+        self.atoms = atoms
+
+    def __missing__(self, key: str) -> int:
+        name, _, k = key.partition("^")
+        atom, k = self.atoms.get(name.strip()), int(k) if k else 1
+        v = ((pack([(atom, k)]) << _COUNT_BITS) + k if atom is not None and k <= MAX_DEGREE
+             else MAX_DEGREE + 1)
+        self[key] = v
+        return v
 
 
 class _PolyParser:
-    """Recursive-descent parser for polynomial expressions."""
+    """Reader of polynomial expressions: a plain term is one match of
+    _PLAIN, and everything else goes to the recursive descent at the same
+    position."""
 
-    def __init__(self, toks: _Tokens, atoms: Dict[str, Atom]):
-        self.toks = toks
+    def __init__(self, atoms: Dict[str, Atom]):
         self.atoms = atoms
+        self.memo = _FactorMemo(atoms)
+        self.plain = re.compile(_PLAIN).match
         self.depth = 0  # parentheses open around the current token
 
-    def parse(self) -> Poly:
-        start = self.toks.i
+    def parse(self, line: _Line) -> Poly:
+        self.line = line
+        start = line.pos
         try:
             return self.expr()
         except DegreeOverflowError as err:
-            raise ParseError(str(err), self.toks.line_no, self.toks.col(start)) from None
+            line.pos = start
+            raise ParseError(str(err), line.line_no, line.peek()[2]) from None
 
     def expr(self) -> Poly:
         """A sum, read in one pass as the module docstring says."""
-        toks, t = self.toks, self.toks.toks
+        line, get = self.line, self.memo.__getitem__
         acc, run, sign = Poly.zero(), [], 1
         while True:
-            term = self.term(sign)
-            if type(term) is tuple:
-                run.append(term)
-            else:
-                acc, run = acc + Poly.from_monomials(run) + term, []
-            i = toks.i
-            if i < len(t) and (t[i] == "+" or t[i] == "-"):
-                sign = 1 if t[i] == "+" else -1
-                toks.i = i + 1
-            else:
-                return acc + Poly.from_monomials(run)
+            mo = self.plain(line.text, line.pos)
+            if mo and (mo[2] or mo[4]):  # not an empty match before a sign, `)` or the end
+                v = sum(map(get, mo[4].split("*"))) if mo[4] else 0
+                den = int(mo[3]) if mo[3] else 1
+                if v & _COUNT <= MAX_DEGREE and den:
+                    num = int(mo[2]) if mo[2] else 1
+                    run.append((-sign * num if mo[1] else sign * num, den, v >> _COUNT_BITS))
+                    line.pos = mo.end()
+                    if not mo[5]:
+                        return acc + Poly.from_packed(run)
+                    sign = 1 if mo[5] == "+" else -1
+                    continue
+            acc, run = acc + Poly.from_packed(run) + self.term(sign), []
+            t = line.peek()[1]
+            if t != "+" and t != "-":
+                return acc
+            sign = 1 if t == "+" else -1
+            line.pos = line.end
 
-    def term(self, sign: int):
-        """A product of powers, times `sign`.  A run of plain factors (a
-        number or a/b, an atom, either with an optional ^k) folds into one
-        numerator, denominator and list of atom powers; a term of nothing
-        else comes back as that (num, den, powers) triple.  Any other factor
-        is a Poly product, and so is an atom power that would lift the total
-        degree past MAX_DEGREE, which then raises the DegreeOverflowError of
-        a factor-by-factor product.  A unary minus before a factor negates
-        the run, so the whole factor, ^k included: 2*-xi1^2 is -2*xi1^2."""
-        toks, t, atoms = self.toks, self.toks.toks, self.atoms
-        end = len(t)
-        acc = None                               # the factors before the run
-        num, den, powers, deg = sign, 1, [], 0   # the run
-        i = toks.i
+    def term(self, sign: int) -> Poly:
+        """A product of factors times `sign`, multiplied factor by factor, so
+        a DegreeOverflowError names the running degree.  A unary minus negates
+        the factor after it, ^k included: 2*-xi1^2 is -2*xi1^2."""
+        line, acc = self.line, None
         while True:
-            s = t[i] if i < end else ""
-            factor = None
-            if s.isdecimal():
-                n, d, i = toks.number(i)
-                if i < end and t[i] == "^":
-                    k = self.exponent(i + 1, max(n.bit_length(), d.bit_length()))
-                    n, d = n ** k, d ** k
-                    i += 2
-                num *= n
-                den *= d
-            elif s in atoms:
-                a, k = atoms[s], 1
-                i += 1
-                if i < end and t[i] == "^":
-                    k = self.exponent(i + 1)
-                    i += 2
-                before = deg + (max(acc.degree(), 0) if acc is not None else 0)
-                if before + k <= MAX_DEGREE:
-                    powers.append((a, k))
-                    deg += k
-                else:
-                    factor = Poly.atom(a) ** k
-            elif s == "-":
-                num = -num
-                i += 1
+            kind, t, col = line.peek()
+            if t == "-":
+                sign, line.pos = -sign, line.end
                 continue
-            elif s and _kind(s) == "name":
-                raise UnknownAtomError(f"undeclared atom {s!r}", toks.line_no, toks.col(i))
+            if kind == "num":
+                n, d = line.number()
+                k = self.exponent(max(n.bit_length(), d.bit_length()))
+                factor = Poly.constant(Fraction(n ** k, d ** k))
+            elif kind == "name":
+                if t not in self.atoms:
+                    raise UnknownAtomError(f"undeclared atom {t!r}", line.line_no, col)
+                line.pos = line.end
+                factor = Poly.atom(self.atoms[t]) ** self.exponent()
             else:
-                toks.i = i
                 factor = self.power()
-                i = toks.i
-            if factor is not None:
-                if num != den or powers:
-                    mono = Poly.from_monomials([(num, den, powers)])
-                    acc = mono if acc is None else acc * mono
-                    num, den, powers, deg = 1, 1, [], 0
-                acc = factor if acc is None else acc * factor
-            if i < end and t[i] == "*":
-                i += 1
-            else:
-                toks.i = i
-                if acc is not None and (num != den or powers):
-                    acc = acc * Poly.from_monomials([(num, den, powers)])
-                return (num, den, powers) if acc is None else acc
+            acc = factor if acc is None else acc * factor
+            if line.peek()[1] != "*":
+                return acc if sign == 1 else -acc
+            line.pos = line.end
 
-    def exponent(self, i: int, bits: int = 0) -> int:
-        """The k of a `^k` whose number is token i.  No base may be raised
-        past MAX_DEGREE: a constant would be a huge integer and a
+    def exponent(self, bits: int = 0) -> int:
+        """The k of a `^k` at `pos`, 1 if there is none.  No base may be
+        raised past MAX_DEGREE: a constant would be a huge integer and a
         polynomial would overflow its degree.  A number whose numerator or
         denominator has `bits` bits may be raised only while k * bits stays
         within MAX_POWER_BITS."""
-        toks = self.toks
-        k = int(toks.check(i, "num"))
+        line = self.line
+        if line.peek()[1] != "^":
+            return 1
+        line.pos = line.end
+        _, k, col = line.expect("num")
+        k = int(k)
         if k > MAX_DEGREE:
             raise ParseError(f"exponent {k} exceeds the supported maximum degree "
-                             f"{MAX_DEGREE}", toks.line_no, toks.col(i))
+                             f"{MAX_DEGREE}", line.line_no, col)
         if k * bits > MAX_POWER_BITS:
             raise ParseError(f"a number of {bits} bits to the power {k} would have "
                              f"about {k * bits} bits, more than {MAX_POWER_BITS}",
-                             toks.line_no, toks.col(i))
+                             line.line_no, col)
         return k
 
     def power(self) -> Poly:
         """A parenthesized sum with an optional ^k."""
-        toks = self.toks
-        i = toks.i
+        line = self.line
+        kind, t, col = line.peek()
         # term leaves only an operator or the end of the line to this point
-        if toks.check(i, "op") != "(":
-            raise ParseError(f"expected a term, found {toks.toks[i]!r}", toks.line_no,
-                             toks.col(i))
+        if kind != "end" and t != "(":
+            raise ParseError(f"expected a term, found {t!r}", line.line_no, col)
+        line.expect("op", "(")
         if self.depth == MAX_NESTING:
-            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
-                             toks.line_no, toks.col(i))
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", line.line_no, col)
         self.depth += 1
-        toks.i = i + 1
         base = self.expr()
-        toks.check(toks.i, "op", ")")
+        line.expect("op", ")")
         self.depth -= 1
-        i = toks.i = toks.i + 1
-        if i < len(toks.toks) and toks.toks[i] == "^":
-            bits = base.coefficient_bits()
-            k = self.exponent(i + 1, bits if base.is_constant() else 0)
-            t = len(base)
-            # past MAX_DEGREE, ** raises the DegreeOverflowError that parse reports
-            if (t and k > 1 and base.degree() * k <= MAX_DEGREE
-                    and comb(k + t - 1, t - 1) * k * (bits + t.bit_length()) > MAX_POWER_SIZE):
-                raise ParseError(f"a {t}-term base to the power {k} could expand to more "
-                                 f"than {MAX_POWER_SIZE} coefficient bits", toks.line_no,
-                                 toks.col(i + 1))
-            toks.i = i + 2
-            return base ** k
-        return base
+        bits = base.coefficient_bits()
+        k = self.exponent(bits if base.is_constant() else 0)
+        t = len(base)
+        # past MAX_DEGREE, ** raises the DegreeOverflowError that parse reports;
+        # line.tok is the exponent just read
+        if (t and k > 1 and base.degree() * k <= MAX_DEGREE
+                and comb(k + t - 1, t - 1) * k * (bits + t.bit_length()) > MAX_POWER_SIZE):
+            raise ParseError(f"a {t}-term base to the power {k} could expand to more "
+                             f"than {MAX_POWER_SIZE} coefficient bits", line.line_no, line.tok[2])
+        return base if k == 1 else base ** k
 
 
-def _parse_rational(toks: _Tokens) -> Fraction:
-    neg = toks.toks[toks.i:toks.i + 1] == ["-"]
-    num, den, toks.i = toks.number(toks.i + neg)
+def _parse_rational(line: _Line) -> Fraction:
+    neg = line.peek()[1] == "-"
+    if neg:
+        line.pos = line.end
+    num, den = line.number()
     return Fraction(-num if neg else num, den)
 
 
@@ -315,6 +322,7 @@ def parse_system(text: str) -> LeraySystem:
     prefactor_at = last_block_at = None  # (line, column) of the statement
 
     atoms: Dict[str, Atom] = dict(XI_NAMES)
+    reader = _PolyParser(atoms)
     entry_keys = set()
     # (statement, equation token, unknown token, index tokens, line) of every
     # reference to a block, checked once all blocks are declared
@@ -324,102 +332,103 @@ def parse_system(text: str) -> LeraySystem:
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        toks = _Tokens(line, line_no)
-        head = toks.expect("name")
+        with _Line(line, line_no) as toks:
+            head = toks.expect("name")
 
-        if head[1] == "unknown" or head[1] == "equation":
-            name = toks.expect("name")[1]
-            toks.expect("name", "multiplicity")
-            mult = int(toks.expect("num")[1])
-            toks.expect("name", "index")
-            idx = int(toks.expect("num")[1])
-            toks.done()
-            last_block_at = (line_no, head[2])
-            blocks, block = ((unknowns, UnknownBlock) if head[1] == "unknown"
-                             else (equations, EquationBlock))
-            if any(b.name == name for b in blocks):
-                raise ParseError(f"duplicate {head[1]} block {name!r}", line_no, head[2])
-            blocks.append(block(name, mult, idx))
+            if head[1] == "unknown" or head[1] == "equation":
+                name = toks.expect("name")[1]
+                toks.expect("name", "multiplicity")
+                mult = int(toks.expect("num")[1])
+                toks.expect("name", "index")
+                idx = int(toks.expect("num")[1])
+                toks.done()
+                last_block_at = (line_no, head[2])
+                blocks, block = ((unknowns, UnknownBlock) if head[1] == "unknown"
+                                 else (equations, EquationBlock))
+                if any(b.name == name for b in blocks):
+                    raise ParseError(f"duplicate {head[1]} block {name!r}", line_no, head[2])
+                blocks.append(block(name, mult, idx))
 
-        elif head[1] == "param":
-            name = toks.expect("name")[1]
-            if name in atoms:
-                raise ParseError(f"atom {name!r} already declared", line_no, head[2])
-            constraint = None
-            if toks.i < len(toks.toks):
-                toks.expect("name", "constraint")
-                toks.expect("op", ":")
-                c = toks.expect("name")
-                if c[1] not in ("positive", "nonzero"):
-                    raise ParseError("constraint must be positive or nonzero", line_no, c[2])
-                constraint = c[1]
-            toks.done()
-            atoms[name] = param(name)
-            slot(atoms[name])  # packed in declaration order; see lops.poly
-            params.append(ParamDecl(name, constraint))
+            elif head[1] == "param":
+                name = toks.expect("name")[1]
+                if name in atoms:
+                    raise ParseError(f"atom {name!r} already declared", line_no, head[2])
+                constraint = None
+                if toks.peek()[0] != "end":
+                    toks.expect("name", "constraint")
+                    toks.expect("op", ":")
+                    c = toks.expect("name")
+                    if c[1] not in ("positive", "nonzero"):
+                        raise ParseError("constraint must be positive or nonzero", line_no, c[2])
+                    constraint = c[1]
+                toks.done()
+                atoms[name] = param(name)
+                slot(atoms[name])  # packed in declaration order; see lops.poly
+                params.append(ParamDecl(name, constraint))
 
-        elif head[1] == "assign":
-            name = toks.expect("name")
-            if name[1] not in atoms or name[1] in XI_NAMES:
-                raise UnknownAtomError(f"undeclared parameter {name[1]!r}", line_no, name[2])
-            toks.expect("op", ":=")
-            assigns[name[1]] = _parse_rational(toks)
-            toks.done()
+            elif head[1] == "assign":
+                name = toks.expect("name")
+                if name[1] not in atoms or name[1] in XI_NAMES:
+                    raise UnknownAtomError(f"undeclared parameter {name[1]!r}", line_no, name[2])
+                toks.expect("op", ":=")
+                assigns[name[1]] = _parse_rational(toks)
+                toks.done()
 
-        elif head[1] == "entry":
-            eq_tok, _, eq_idx_tok, _, unk_tok, _, unk_idx_tok, _, _ = (
-                toks.expect(*want) for want in _ENTRY_HEAD)
-            eq_name, eq_idx = eq_tok[1], int(eq_idx_tok[1])
-            unk_name, unk_idx = unk_tok[1], int(unk_idx_tok[1])
-            symbol = _PolyParser(toks, atoms).parse()
-            toks.done()
-            key = (eq_name, eq_idx, unk_name, unk_idx)
-            if key in entry_keys:
-                raise DuplicateEntryError(
-                    f"duplicate entry {eq_name}[{eq_idx}] {unk_name}[{unk_idx}]",
-                    line_no, head[2])
-            entry_keys.add(key)
-            block_refs.append(("entry", eq_tok, unk_tok, (eq_idx_tok, unk_idx_tok), line_no))
-            if not symbol.is_zero():
-                entries.append(SymbolEntry(eq_name, eq_idx, unk_name, unk_idx, symbol))
+            elif head[1] == "entry":
+                eq_tok, _, eq_idx_tok, _, unk_tok, _, unk_idx_tok, _, _ = (
+                    toks.expect(*want) for want in _ENTRY_HEAD)
+                eq_name, eq_idx = eq_tok[1], int(eq_idx_tok[1])
+                unk_name, unk_idx = unk_tok[1], int(unk_idx_tok[1])
+                symbol = reader.parse(toks)
+                toks.done()
+                key = (eq_name, eq_idx, unk_name, unk_idx)
+                if key in entry_keys:
+                    raise DuplicateEntryError(
+                        f"duplicate entry {eq_name}[{eq_idx}] {unk_name}[{unk_idx}]",
+                        line_no, head[2])
+                entry_keys.add(key)
+                block_refs.append(("entry", eq_tok, unk_tok, (eq_idx_tok, unk_idx_tok), line_no))
+                if not symbol.is_zero():
+                    entries.append(SymbolEntry(eq_name, eq_idx, unk_name, unk_idx, symbol))
 
-        elif head[1] == "depends":
-            eq_tok = toks.expect("name")
-            toks.expect("name", "on")
-            unk_tok = toks.expect("name")
-            toks.expect("name", "order")
-            order = int(toks.expect("num")[1])
-            toks.done()
-            block_refs.append(("dependency", eq_tok, unk_tok, (), line_no))
-            deps.append(DependencyDecl(eq_tok[1], unk_tok[1], order))
+            elif head[1] == "depends":
+                eq_tok = toks.expect("name")
+                toks.expect("name", "on")
+                unk_tok = toks.expect("name")
+                toks.expect("name", "order")
+                order = int(toks.expect("num")[1])
+                toks.done()
+                block_refs.append(("dependency", eq_tok, unk_tok, (), line_no))
+                deps.append(DependencyDecl(eq_tok[1], unk_tok[1], order))
 
-        elif head[1] == "factor":
-            mult_tok = toks.expect("num")
-            mult = int(mult_tok[1])
-            if mult < 1:
-                raise ParseError("factor multiplicity must be at least 1", line_no, mult_tok[2])
-            toks.expect("op", ":=")
-            start = toks.col(toks.i)
-            p = _PolyParser(toks, atoms).parse()
-            toks.done()
-            # each claimed factor is tested for hyperbolicity in xi0..xi3
-            d = p.homogeneous_degree_in(XI)
-            problem = ("is zero" if p.is_zero()
-                       else "is not homogeneous in xi0..xi3" if d is None
-                       else "does not involve xi0..xi3" if d == 0 else None)
-            if problem is not None:
-                raise ParseError(f"claimed factor {len(factors) + 1} ({p.render()}) {problem}",
-                                 line_no, start)
-            factors.append((p, mult))
+            elif head[1] == "factor":
+                mult_tok = toks.expect("num")
+                mult = int(mult_tok[1])
+                if mult < 1:
+                    raise ParseError("factor multiplicity must be at least 1", line_no,
+                                     mult_tok[2])
+                toks.expect("op", ":=")
+                start = toks.peek()[2]
+                p = reader.parse(toks)
+                toks.done()
+                # each claimed factor is tested for hyperbolicity in xi0..xi3
+                d = p.homogeneous_degree_in(XI)
+                problem = ("is zero" if p.is_zero()
+                           else "is not homogeneous in xi0..xi3" if d is None
+                           else "does not involve xi0..xi3" if d == 0 else None)
+                if problem is not None:
+                    raise ParseError(f"claimed factor {len(factors) + 1} ({p.render()}) {problem}",
+                                     line_no, start)
+                factors.append((p, mult))
 
-        elif head[1] == "prefactor":
-            toks.expect("op", ":=")
-            prefactor = _PolyParser(toks, atoms).parse()
-            toks.done()
-            prefactor_at = (line_no, head[2])
+            elif head[1] == "prefactor":
+                toks.expect("op", ":=")
+                prefactor = reader.parse(toks)
+                toks.done()
+                prefactor_at = (line_no, head[2])
 
-        else:
-            raise ParseError(f"unknown statement {head[1]!r}", line_no, head[2])
+            else:
+                raise ParseError(f"unknown statement {head[1]!r}", line_no, head[2])
 
     eq_mult = {b.name: b.multiplicity for b in equations}
     unk_mult = {b.name: b.multiplicity for b in unknowns}
@@ -480,7 +489,7 @@ def print_system(s: LeraySystem) -> str:
 
 def parse_poly(text: str, atom_names: Dict[str, Atom]) -> Poly:
     """Parse a standalone polynomial expression using the given atom table."""
-    toks = _Tokens(text, 1)
-    p = _PolyParser(toks, {**XI_NAMES, **atom_names}).parse()
-    toks.done()
+    with _Line(text, 1) as line:
+        p = _PolyParser({**XI_NAMES, **atom_names}).parse(line)
+        line.done()
     return p

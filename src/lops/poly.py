@@ -17,7 +17,8 @@ Slots are given out in the order atoms are first used or reserved with
 integer work of a product grows with the slots of its atoms.
 `dsl.parse_system` reserves a spec's parameters on their `param` lines, in
 declaration order, so a fresh `lops analyze` process lays a spec out in
-the spec's own order.
+the spec's own order; it packs each distinct factor of a spec once (`pack`)
+and builds each sum from packed terms (`Poly.from_packed`).
 By Gauss's lemma a product of primitive polynomials is primitive and an
 exact quotient of primitive polynomials is integral, so multiplication never
 reduces coefficients and exact division runs on integers only (Monagan and
@@ -208,6 +209,20 @@ def _check_degree(deg: int) -> None:
             f"total degree {deg} exceeds the supported maximum {MAX_DEGREE}")
 
 
+def pack(powers: Iterable[Tuple[Atom, int]]) -> int:
+    """The packed monomial of the product of atom**exponent over the (atom,
+    exponent) pairs of `powers`; an atom may repeat."""
+    m = deg = 0
+    for a, e in powers:
+        if e < 0:
+            raise ValueError("monomial exponents are non-negative integers")
+        if e:
+            m += e << (_OFFSETS.get(a) or _offset(a))
+            deg += e
+    _check_degree(deg)
+    return m + deg
+
+
 def _field_sum(atoms: Iterable[Atom]):
     """Function of a packed monomial: its combined exponent of `atoms`.
 
@@ -297,26 +312,18 @@ class Poly:
         """c times the product of atom**exponent over the (atom, exponent)
         pairs of `powers`; an atom may repeat."""
         c = Fraction(c)
-        return Poly.from_monomials([(c.numerator, c.denominator, powers)])
+        return Poly.from_packed([(c.numerator, c.denominator, pack(powers))]) if c else _ZERO
 
     @staticmethod
-    def from_monomials(terms: Iterable[Tuple[int, int, Iterable[Tuple[Atom, int]]]]) -> "Poly":
-        """The sum of num/den times the product of atom**exponent over the
-        (num, den, powers) triples of `terms`, den > 0, as `monomial` reads
-        (c, powers): one common denominator, each monomial packed once."""
+    def from_packed(terms: Iterable[Tuple[int, int, int]]) -> "Poly":
+        """The sum of num/den times the monomial m over the (num, den, m)
+        triples of `terms`, den > 0 and m packed as `pack` packs it: one
+        common denominator, no monomial unpacked."""
         terms = [t for t in terms if t[0]]
         lcm = math.lcm(*[d for _, d, _ in terms])
         out: Dict[int, int] = {}
-        for num, den, powers in terms:
-            m = deg = 0
-            for a, e in powers:
-                if e < 0:
-                    raise ValueError("monomial exponents are non-negative integers")
-                if e:
-                    m += e << (_OFFSETS.get(a) or _offset(a))
-                    deg += e
-            _check_degree(deg)
-            out[m + deg] = out.get(m + deg, 0) + num * (lcm // den)
+        for num, den, m in terms:
+            out[m] = out.get(m, 0) + num * (lcm // den)
         return _normal(Fraction(1, lcm), _drop_zeros(out))
 
     # -- inspection --------------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as Fr
 
 import pytest
@@ -8,7 +9,7 @@ from lops import build_ens_system, ens_spec_path, wave_spec_path
 from lops.dsl import (MAX_DIGITS, MAX_NESTING, MAX_POWER_BITS, MAX_POWER_SIZE,
                       DuplicateEntryError, ParseError, UnknownAtomError, parse_poly,
                       parse_system, print_system)
-from lops.poly import MAX_DEGREE, Poly, param, xi
+from lops.poly import MAX_DEGREE, Atom, Poly, param, xi
 from lops.system import (DependencyDecl, EquationBlock, LeraySystem, ParamDecl,
                          SymbolEntry, UnknownBlock, validate_structure)
 
@@ -236,17 +237,47 @@ def _atom(name):
 
 
 @st.composite
+def plain_term(draw):
+    """(tokens, value) of a plain term: an optional unary minus, an optional
+    a or a/b, and a *-run of atoms, each with an optional ^k, drawn from a
+    few names so that a factor often repeats (xi0*xi0^2)."""
+    tokens, value = [], Poly.one()
+    if draw(st.booleans()):
+        tokens.append("-")
+        value = -value
+    coefficient = draw(st.sampled_from(["none", "num", "ratio"]))
+    if coefficient != "none":
+        n, d = draw(st.integers(0, 12)), draw(st.integers(1, 9))
+        tokens += [str(n)] + (["/", str(d)] if coefficient == "ratio" else [])
+        value = value * Fr(n, d if coefficient == "ratio" else 1)
+    for f, name in enumerate(draw(st.lists(st.sampled_from(["xi0", "xi1", "a"]), max_size=5,
+                                           min_size=0 if coefficient != "none" else 1))):
+        tokens += ["*"] if f or coefficient != "none" else []
+        k = draw(st.none() | st.integers(0, 3))
+        tokens += [name] + (["^", str(k)] if k is not None else [])
+        value = value * _atom(name) ** (1 if k is None else k)
+    return tokens, value
+
+
+@st.composite
 def trees(draw, depth=0):
     """(tokens, value) of a random sum: a tree over xi0..xi3, a and b of
     small rationals, a/b, ^k with k <= 3, unary minus, parentheses and
     + - *, nested at most 3 deep, and its value by Poly arithmetic under
-    the module docstring's rules."""
+    the module docstring's rules.  About half the terms are plain terms,
+    the rest mix plain factors with numbers' powers, inner unary minus
+    and parenthesized factors."""
     tokens, value = [], Poly.zero()
-    for j in range(draw(st.integers(1, 3))):
+    for j in range(draw(st.integers(1, 4))):
         sign = 1
         if j:
             tokens.append(draw(st.sampled_from("+-")))
             sign = -1 if tokens[-1] == "-" else 1
+        if draw(st.booleans()):
+            inner, term = draw(plain_term())
+            tokens += inner
+            value = value + sign * term
+            continue
         term = Poly.one()
         for f in range(draw(st.integers(1, 3))):
             if f:
@@ -282,10 +313,10 @@ def trees(draw, depth=0):
 
 
 @given(trees(), st.data())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_parse_equals_the_tree_built_by_poly_arithmetic(tree, data):
     tokens, value = tree
-    gaps = data.draw(st.lists(st.sampled_from(["", " ", "  "]), min_size=len(tokens),
+    gaps = data.draw(st.lists(st.sampled_from(["", " ", "  ", "\t"]), min_size=len(tokens),
                               max_size=len(tokens)))
     text = "".join(g + t for g, t in zip(gaps, tokens))
     assert parse_poly(text, TREE_ATOMS) == value
@@ -308,6 +339,10 @@ def test_unary_minus_errors(text, col, message):
     ("(xi0^2+xi1)^20000", 40000),
     ("xi0^20000*xi1^20000", 40000),
     ("xi0^20000*(xi1+1)*xi1^20000", 40001),
+    # exponents summing past 2^16, which a 16-bit degree field would wrap
+    ("xi0^30000*xi0^30000*xi0^30000", 60000),
+    ("xi1*xi0^30000*xi2^30000*xi3^30000", 60001),
+    ("-2/3*xi0^16000*xi1^16000*xi2^16000*xi3^18000", 48000),
 ])
 def test_degree_overflow_names_the_running_degree(text, degree):
     with pytest.raises(ParseError) as err:
@@ -390,3 +425,76 @@ def test_fresh_parse_lays_parameters_out_in_declaration_order():
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "77\n"
+
+
+ENS_TEXT = open(ens_spec_path()).read()
+LONG_SUM_LINE = 217  # entry eq_s[0] u[0], a sum of 224 terms
+
+
+def _fault_at_term_200(fault):
+    """ens.lops with term 200 of its line LONG_SUM_LINE rewritten by `fault`."""
+    lines = ENS_TEXT.splitlines()
+    head, rhs = lines[LONG_SUM_LINE - 1].split(" := ")
+    parts = re.split(r"( [-+] )", rhs)   # terms at even indices, signs between
+    assert len(parts) == 2 * 224 - 1
+    parts[2 * 199] = fault(parts[2 * 199])
+    lines[LONG_SUM_LINE - 1] = head + " := " + "".join(parts)
+    return "\n".join(lines)
+
+
+# term 200 is xi2*xi3*F*duu1_2*inv_thr*piu01*u3*vtheta, from column 8561,
+# followed by " - ": a fault in it stops the one-match read of a plain term,
+# and the recursive descent reports it at its own column
+@pytest.mark.parametrize("fault, message", [
+    (lambda t: t.replace("*", "$", 1), "column 8564: unexpected character '$'"),
+    (lambda t: t + "*+", "column 8602: expected a term, found '+'"),
+    (lambda t: t + "^", "column 8603: expected 'num', found '-'"),
+    (lambda t: "3/0*xi0", "column 8563: zero denominator"),
+    (lambda t: t.replace("F", "mystery"), "column 8569: undeclared atom 'mystery'"),
+    (lambda t: "7" * 641 + "*" + t, "column 8561: number of 641 digits, more than 640"),
+    (lambda t: "xi0^40000",
+     "column 8565: exponent 40000 exceeds the supported maximum degree 32767"),
+    (lambda t: "xi0^20000*xi1^20000*" + t,
+     "column 23: total degree 40000 exceeds the supported maximum 32767"),
+    (lambda t: "xi0^30000*xi0^30000*xi0^30000",
+     "column 23: total degree 60000 exceeds the supported maximum 32767"),
+    (lambda t: "+ " + t, "column 8561: expected a term, found '+'"),
+    (lambda t: t.replace("*", " ", 1), "column 8565: trailing input 'xi3'"),
+], ids=["bad-character", "trailing-star", "caret-without-number", "zero-denominator",
+        "undeclared-atom", "641-digits", "xi0^40000", "running-degree", "three-factors",
+        "leading-plus", "juxtaposed-atoms"])
+def test_faults_in_a_long_sum_located(fault, message):
+    with pytest.raises(ParseError) as err:
+        parse_system(_fault_at_term_200(fault))
+    assert str(err.value) == f"line {LONG_SUM_LINE}, {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("xi0 xi1 $", "column 9: unexpected character '$'"),
+    ("3/0*xi0 + " + "7" * 641, "column 11: number of 641 digits, more than 640"),
+    ("(xi0 + xi1 $", "column 12: unexpected character '$'"),
+])
+def test_a_lines_lexical_fault_goes_first(text, message):
+    # an unexpected character or an overlong number anywhere on the line is
+    # reported before a fault the reader meets earlier on it
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, {})
+    assert str(err.value) == f"line 1, {message}"
+    with pytest.raises(ParseError) as err:
+        parse_system("unknown w multiplicity x index $\n")
+    assert str(err.value) == "line 1, column 32: unexpected character '$'"
+
+
+def test_parse_hashes_atoms_once_per_factor_text(monkeypatch):
+    # plain factors are packed from a per-parse memo keyed by their text, so
+    # no Atom is hashed per factor: packing atom by atom hashes about 11,000
+    calls = [0]
+    atom_hash = Atom.__hash__
+
+    def counted(self):
+        calls[0] += 1
+        return atom_hash(self)
+
+    monkeypatch.setattr(Atom, "__hash__", counted)
+    parse_system(ENS_TEXT)
+    assert 0 < calls[0] <= 1000
