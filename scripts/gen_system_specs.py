@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from lops import build_ens_system, print_system
 from lops.dsl import parse_system
-from lops.poly import Poly, param, xi
+from lops.poly import XI, Poly
 from lops.system import (DependencyDecl, EquationBlock, FactorClaim,
                          LeraySystem, ParamDecl, SymbolEntry, UnknownBlock)
 
@@ -24,11 +24,11 @@ DATA = os.path.join(os.path.dirname(__file__), "..", "src", "lops", "data")
 def wave_system() -> LeraySystem:
     names = [(a, b) for a in range(4) for b in range(a, 4)]
     params = [ParamDecl(f"gi{a}{b}") for a, b in names]
-    gi = {(a, b): param(f"gi{min(a,b)}{max(a,b)}") for a in range(4) for b in range(4)}
     sym = Poly.zero()
     for a in range(4):
         for b in range(4):
-            sym = sym + Poly.atom(gi[(a, b)]) * Poly.atom(xi(a)) * Poly.atom(xi(b))
+            gi = f"gi{min(a, b)}{max(a, b)}"
+            sym = sym + Poly.atom(gi) * Poly.atom(XI[a]) * Poly.atom(XI[b])
     assigns = {f"gi{a}{b}": Fraction(1 if a == b == 0 else (-1 if a == b else 0))
                for a, b in names}
     return LeraySystem(

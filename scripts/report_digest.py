@@ -24,7 +24,7 @@ which does not (`inconclusive`); a cubic that vanishes at tau (1,0,0,0)
 (`not-hyperbolic`, method `vanishes-at-tau`); a factor whose parameter has
 no value (`inconclusive`); and a negated square inside a product,
 `1*-xi2^2`, which is `hyperbolic` only when a unary minus negates its whole
-factor, power included.  Four one-block specs close the set: a dense 6x6
+factor, power included.  Five one-block specs close the set: a dense 6x6
 symbol with a parameter in every entry, a coupled 2x2 one, so that blocks
 of more than one row other than the reference's 10x10 are expanded too, a
 6x6 one with three scalar rows (xi0 on the diagonal, zeros between them), a
@@ -32,8 +32,10 @@ of more than one row other than the reference's 10x10 are expanded too, a
 block other than the reference's takes the Schur step, and a 5x5 one that
 takes the common-factor step: three scalar rows c*(xi0 + xi1), every entry
 of their rows outside the scalar set a multiple of xi0 + xi1, and a claimed
-factor that straddles that common factor and the complement's determinant.
-80 reports in all.
+factor that straddles that common factor and the complement's determinant,
+and a 3x3 one, xi0*I + xi1*A + xi2*B + xi3*C with A, B and C symmetric,
+whose determinant is a hyperbolic cubic irreducible over Q: no exact split
+applies, so its verdict comes from the `sampled` screen.  81 reports in all.
 """
 
 import hashlib
@@ -85,7 +87,7 @@ def one_block(rows, factors, head=""):
 
 
 def edited_specs(ens_spec, wave_spec, tmp):
-    """(name, path) of the twelve edited specs, written into `tmp`."""
+    """(name, path) of the thirteen edited specs, written into `tmp`."""
     with open(wave_spec) as fh:
         wave = [line for line in fh if not line.startswith("factor ")]
     with open(ens_spec) as fh:
@@ -129,6 +131,14 @@ def edited_specs(ens_spec, wave_spec, tmp):
              ["xi1", "0", "xi1", "xi1", "xi0"]],
             ["2 := xi0 + xi1", "1 := (xi0 + xi1)*(c^2*xi0^2 - (c - 2)^2*xi1^2)"],
             head="param c\nassign c := 4\nprefactor := c\n"),
+        "irreducible-cubic-3x3-block": one_block(
+            [["xi0 + xi1 + 2*xi3", "2*xi1 + xi2", "xi2 + xi3"],
+             ["2*xi1 + xi2", "xi0 - xi1 + 2*xi2", "xi1 + xi3"],
+             ["xi2 + xi3", "xi1 + xi3", "xi0 + 3*xi1 - 2*xi2 + xi3"]],
+            ["1 := xi0^3 + 3*xi0^2*xi1 + 3*xi0^2*xi3 - 6*xi0*xi1^2 + 4*xi0*xi1*xi2"
+             " + 2*xi0*xi1*xi3 - 6*xi0*xi2^2 - 16*xi1^3 + 8*xi1^2*xi2 - 11*xi1^2*xi3"
+             " + 4*xi1*xi2^2 + 22*xi1*xi2*xi3 - 2*xi1*xi3^2 - 11*xi2^2*xi3"
+             " + 4*xi2*xi3^2 - 2*xi3^3"]),
     }
     for name, text in specs.items():
         path = os.path.join(tmp, f"{name}.lops")

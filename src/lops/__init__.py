@@ -18,8 +18,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "poly": ("Atom", "MissingAtomError", "NotDivisibleError", "NotPerfectPowerError",
-             "NotPerfectSquareError", "Poly", "XI", "param", "xi"),
+    "poly": ("MissingAtomError", "NotDivisibleError", "NotPerfectPowerError",
+             "NotPerfectSquareError", "Poly", "XI"),
     "system": ("ConditionReport", "DependencyDecl", "EquationBlock", "FactorClaim",
                "LeraySystem", "ParamDecl", "StructureReport", "SymbolEntry",
                "UnknownBlock", "leray_condition", "total_order", "validate_structure"),

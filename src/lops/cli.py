@@ -35,7 +35,7 @@ from .hyperbolic import (HyperbolicityVerdict, cone_sample, gevrey_sigma,
                          hyperbolicity_auto, sigma_json)
 from .matrix import (ExpansionDepthError, block_factors, build_symbol_matrix,
                      factored_xi_degree, verify_factorization_product)
-from .poly import DegreeOverflowError, Poly
+from .poly import XI, DegreeOverflowError, Poly
 from .system import FACTOR_NAMES, leray_condition, total_order, validate_structure
 
 
@@ -178,14 +178,10 @@ def _emit(payload, args, renderer=None) -> None:
 
 def _assignment_for(system, factor_polys, overrides: Dict[str, Fraction]):
     """Atom values for hyperbolicity: file assigns plus CLI overrides."""
-    values = dict(system.assigns)
-    values.update(overrides)
-    needed = set()
-    for p in factor_polys:
-        needed |= {a for a in p.atoms() if a.kind == "parameter"}
-    missing = sorted(a.name for a in needed if a.name not in values)
-    assign = {a: values[a.name] for a in needed if a.name in values}
-    return assign, missing
+    values = {**system.assigns, **overrides}
+    needed = set().union(*(p.atoms() for p in factor_polys)).difference(XI)
+    missing = sorted(needed.difference(values))
+    return {a: values[a] for a in needed if a in values}, missing
 
 
 def cmd_analyze(args) -> int:
@@ -258,10 +254,9 @@ def _analyze(system, args) -> int:
         all_hyp = all(v.hyperbolic for v in verdicts)
         ok = ok and all_hyp
 
-        sigma = gevrey_sigma(claim) if all_hyp else None
-        if all_hyp:
+        if all_hyp and ver.ok:  # a sigma0 only for a verified claim
             report["factor_count"] = claim.factor_count()
-            report["sigma0"] = sigma_json(sigma)
+            report["sigma0"] = sigma_json(gevrey_sigma(claim))
         cond = leray_condition(system, claim.degrees())
         report["leray_condition"] = cond.to_json()
         ok = ok and cond.ok

@@ -38,13 +38,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .poly import MAX_DEGREE, XI, Atom, DegreeOverflowError, Poly, pack, param, slot, xi
+from .poly import MAX_DEGREE, XI, DegreeOverflowError, Poly, pack, slot
 from .system import (DependencyDecl, EquationBlock, FactorClaim, LeraySystem,
                      ParamDecl, SymbolEntry, UnknownBlock)
-
-XI_NAMES = {a.name: a for a in XI}
 
 # one token after any whitespace; any other character no token starts with is
 # a token of its own, refused as unexpected
@@ -171,14 +169,14 @@ class _FactorMemo(dict):
     their text (`xi0^2`, `inv_thr`).  An undeclared atom or an exponent past
     MAX_DEGREE counts past MAX_DEGREE, so its term goes to the descent."""
 
-    def __init__(self, atoms: Dict[str, Atom]):
+    def __init__(self, atoms: Set[str]):
         super().__init__()
         self.atoms = atoms
 
     def __missing__(self, key: str) -> int:
-        name, _, k = key.partition("^")
-        atom, k = self.atoms.get(name.strip()), int(k) if k else 1
-        v = ((pack([(atom, k)]) << _COUNT_BITS) + k if atom is not None and k <= MAX_DEGREE
+        atom, _, k = key.partition("^")
+        atom, k = atom.strip(), int(k) if k else 1
+        v = ((pack([(atom, k)]) << _COUNT_BITS) + k if atom in self.atoms and k <= MAX_DEGREE
              else MAX_DEGREE + 1)
         self[key] = v
         return v
@@ -189,7 +187,7 @@ class _PolyParser:
     _PLAIN, and everything else goes to the recursive descent at the same
     position."""
 
-    def __init__(self, atoms: Dict[str, Atom]):
+    def __init__(self, atoms: Set[str]):
         self.atoms = atoms
         self.memo = _FactorMemo(atoms)
         self.plain = re.compile(_PLAIN).match
@@ -246,7 +244,7 @@ class _PolyParser:
                 if t not in self.atoms:
                     raise UnknownAtomError(f"undeclared atom {t!r}", line.line_no, col)
                 line.pos = line.end
-                factor = Poly.atom(self.atoms[t]) ** self.exponent()
+                factor = Poly.atom(t) ** self.exponent()
             else:
                 factor = self.power()
             acc = factor if acc is None else acc * factor
@@ -321,7 +319,7 @@ def parse_system(text: str) -> LeraySystem:
     prefactor: Optional[Poly] = None
     prefactor_at = last_block_at = None  # (line, column) of the statement
 
-    atoms: Dict[str, Atom] = dict(XI_NAMES)
+    atoms = set(XI)  # the declared atoms
     reader = _PolyParser(atoms)
     entry_keys = set()
     # (statement, equation token, unknown token, index tokens, line) of every
@@ -362,13 +360,13 @@ def parse_system(text: str) -> LeraySystem:
                         raise ParseError("constraint must be positive or nonzero", line_no, c[2])
                     constraint = c[1]
                 toks.done()
-                atoms[name] = param(name)
-                slot(atoms[name])  # packed in declaration order; see lops.poly
+                atoms.add(name)
+                slot(name)  # packed in declaration order; see lops.poly
                 params.append(ParamDecl(name, constraint))
 
             elif head[1] == "assign":
                 name = toks.expect("name")
-                if name[1] not in atoms or name[1] in XI_NAMES:
+                if name[1] not in atoms or name[1] in XI:
                     raise UnknownAtomError(f"undeclared parameter {name[1]!r}", line_no, name[2])
                 toks.expect("op", ":=")
                 assigns[name[1]] = _parse_rational(toks)
@@ -487,9 +485,10 @@ def print_system(s: LeraySystem) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_poly(text: str, atom_names: Dict[str, Atom]) -> Poly:
-    """Parse a standalone polynomial expression using the given atom table."""
+def parse_poly(text: str, params: Iterable[str]) -> Poly:
+    """Parse a standalone polynomial expression in xi0..xi3 and the named
+    parameter atoms."""
     with _Line(text, 1) as line:
-        p = _PolyParser({**XI_NAMES, **atom_names}).parse(line)
+        p = _PolyParser({*XI, *params}).parse(line)
         line.done()
     return p

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .matrix import laplace_determinant
-from .poly import Atom, NotDivisibleError, Poly, XI, eval_columns, param
+from .poly import NotDivisibleError, Poly, XI, eval_columns
 from .system import (FACTOR_NAMES, DependencyDecl, EquationBlock, FactorClaim,  # noqa: F401
                      LeraySystem, ParamDecl, SymbolEntry, UnknownBlock)
 
@@ -39,23 +39,23 @@ ANTISYM_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 # -- atoms --------------------------------------------------------------------
 
-U = [param(f"u{i}") for i in range(4)]          # contravariant velocity u^mu
-UL = [param(f"ul{i}") for i in range(4)]        # covariant velocity u_mu
-CV = [param(f"C{i}") for i in range(4)]         # contravariant dynamic velocity C^mu
-F_ATOM = param("F")
-Q_ATOM = param("q")
-INV_F = param("invF")                           # 1/F
-VTHETA = param("vtheta")                        # shear viscosity coefficient
-INV_THR = param("inv_thr")                      # 1/(temperature * rest-mass density)
+U = [f"u{i}" for i in range(4)]       # contravariant velocity u^mu
+UL = [f"ul{i}" for i in range(4)]     # covariant velocity u_mu
+CV = [f"C{i}" for i in range(4)]      # contravariant dynamic velocity C^mu
+F_ATOM = "F"
+Q_ATOM = "q"
+INV_F = "invF"                        # 1/F
+VTHETA = "vtheta"                     # shear viscosity coefficient
+INV_THR = "inv_thr"                   # 1/(temperature * rest-mass density)
 
-GI = [[param(f"gi{min(a,b)}{max(a,b)}") for b in range(4)] for a in range(4)]
-GL = [[param(f"gl{min(a,b)}{max(a,b)}") for b in range(4)] for a in range(4)]
-PIU = [[param(f"piu{min(a,b)}{max(a,b)}") for b in range(4)] for a in range(4)]
-PIM = [[param(f"pim{a}_{b}") for b in range(4)] for a in range(4)]  # pi^a_b
-DUU = [[param(f"duu{a}_{b}") for b in range(4)] for a in range(4)]  # d_a u^b
-DUL = [[param(f"dul{a}_{b}") for b in range(4)] for a in range(4)]  # d_a u_b
-GM = [param(f"gm{i}") for i in (1, 2, 3)]       # diagonal spatial inverse metric
-GLM = [param(f"glm{i}") for i in (1, 2, 3)]     # diagonal spatial metric
+GI = [[f"gi{min(a,b)}{max(a,b)}" for b in range(4)] for a in range(4)]
+GL = [[f"gl{min(a,b)}{max(a,b)}" for b in range(4)] for a in range(4)]
+PIU = [[f"piu{min(a,b)}{max(a,b)}" for b in range(4)] for a in range(4)]
+PIM = [[f"pim{a}_{b}" for b in range(4)] for a in range(4)]  # pi^a_b
+DUU = [[f"duu{a}_{b}" for b in range(4)] for a in range(4)]  # d_a u^b
+DUL = [[f"dul{a}_{b}" for b in range(4)] for a in range(4)]  # d_a u_b
+GM = [f"gm{i}" for i in (1, 2, 3)]    # diagonal spatial inverse metric
+GLM = [f"glm{i}" for i in (1, 2, 3)]  # diagonal spatial metric
 _MINKOWSKI = {a: Poly.constant(-1) for a in GM}  # GM at the Minkowski metric
 
 XIP = [Poly.atom(a) for a in XI]
@@ -243,8 +243,8 @@ def build_ens_system(metric: str = "specialized",
     return LeraySystem(unknowns, equations, entries, deps, params, assigns, claim)
 
 
-def _metric_polys(metric: str, general: Sequence[Sequence[Atom]],
-                  spatial: Sequence[Atom]) -> List[List[Poly]]:
+def _metric_polys(metric: str, general: Sequence[Sequence[str]],
+                  spatial: Sequence[str]) -> List[List[Poly]]:
     """A 4x4 metric of atoms: all of `general`, or diag(1, spatial) when
     specialized."""
     if metric == "general":
@@ -264,15 +264,15 @@ def _param_decls(metric: str, dynamic_velocity: str) -> List[ParamDecl]:
         ParamDecl("vtheta", "nonzero"),
         ParamDecl("inv_thr", "positive"),
     ]
-    decls += [ParamDecl(a.name) for a in U + UL]
+    decls += [ParamDecl(a) for a in U + UL]
     if dynamic_velocity == "independent":
-        decls += [ParamDecl(a.name) for a in CV]
+        decls += [ParamDecl(a) for a in CV]
     if metric == "general":
-        decls += [ParamDecl(name) for name in dict.fromkeys(a.name for row in GI + GL for a in row)]
+        decls += [ParamDecl(a) for a in dict.fromkeys(a for row in GI + GL for a in row)]
     else:
-        decls += [ParamDecl(a.name, "nonzero") for a in GM + GLM]
+        decls += [ParamDecl(a, "nonzero") for a in GM + GLM]
     tensors = PIU + PIM + DUU + DUL  # symmetric ones name each atom twice
-    return decls + [ParamDecl(name) for name in dict.fromkeys(a.name for row in tensors for a in row)]
+    return decls + [ParamDecl(a) for a in dict.fromkeys(a for row in tensors for a in row)]
 
 
 # -- fluid states --------------------------------------------------------------
@@ -313,9 +313,9 @@ class FluidState:
     def u_lo(self) -> List[Fraction]:
         return [sum(self.gl[a][b] * self.u_up[b] for b in range(4)) for a in range(4)]
 
-    def assignment(self) -> Dict[Atom, Fraction]:
+    def assignment(self) -> Dict[str, Fraction]:
         """Values for every atom the system entries may mention."""
-        out: Dict[Atom, Fraction] = {}
+        out: Dict[str, Fraction] = {}
         ul = self.u_lo
         for a in range(4):
             out[U[a]] = self.u_up[a]
@@ -440,9 +440,8 @@ def default_state_assignment(metric: str, dynamic_velocity: str) -> Dict[str, Fr
     """Named default values shipped in the spec file: Minkowski rest state."""
     state = FluidState.minkowski()
     values = state.assignment()
-    names = {a.name: v for a, v in values.items()}
     decls = {p.name for p in _param_decls(metric, dynamic_velocity)}
-    return {name: names[name] for name in sorted(names) if name in decls}
+    return {name: values[name] for name in sorted(values) if name in decls}
 
 
 # -- reference factorization ----------------------------------------------------
@@ -744,7 +743,7 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     ref = reference_factor_claim("general")
     polys = ([mat_gen.entries[i][j] for i, j in cells]
              + [_light_cone("general"), uxi, ref.prefactor] + [p for p, _ in ref.factors])
-    atoms = sorted(set().union(*(p.atoms() for p in polys)), key=lambda a: a.sort_key)
+    atoms = sorted(set().union(*(p.atoms() for p in polys)))
     states = []
     points = []
     for _ in range(state_samples):
@@ -847,7 +846,7 @@ def degeneration_report(P: Optional[Poly] = None) -> EnsVerifyReport:
     return EnsVerifyReport(items)
 
 
-def _root_forms(values: Optional[Dict[Atom, Fraction]] = None):
+def _root_forms(values: Optional[Dict[str, Fraction]] = None):
     """(B, R, forms) of the claimed table at Minkowski with xi0 = 0.
 
     B is the middle coefficient, R = sqrt(B^2 - 4AC) the claimed

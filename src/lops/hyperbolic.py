@@ -43,8 +43,7 @@ from fractions import Fraction
 from operator import truediv
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .poly import (Atom, NotDivisibleError, NotPerfectPowerError, Poly, XI, eval_columns,
-                   param, xi)
+from .poly import NotDivisibleError, NotPerfectPowerError, Poly, XI, eval_columns
 from .system import FactorClaim
 
 Fr = Fraction
@@ -62,6 +61,7 @@ class LeadingCoefficientZeroError(Exception):
 class HyperbolicityVerdict:
     factor_id: str
     # linear-exact | quadratic-signature | power | product | vanishes-at-tau | sampled
+    # | unassigned
     method: str
     verdict: str                 # hyperbolic | not-hyperbolic | inconclusive
     witness: Optional[str] = None
@@ -96,17 +96,17 @@ def _specialize(p: Poly, params) -> Poly:
     q = p.substitute(params or {})
     extra = [a for a in q.atoms() if a not in XI]
     if extra:
-        names = ", ".join(sorted(a.name for a in extra))
+        names = ", ".join(sorted(extra))
         raise ValueError(f"parameter assignment leaves atoms unbound: {names}")
     return q
 
 
 def _eval_at_cov(p: Poly, tau: Sequence[Fraction]) -> Fraction:
-    return p.eval({xi(i): Fr(tau[i]) for i in range(4)})
+    return p.eval(dict(zip(XI, map(Fr, tau))))
 
 
 def hyperbolicity_linear(p: Poly, tau: Sequence[Fraction],
-                         params: Optional[Mapping[Atom, Fraction]] = None,
+                         params: Optional[Mapping[str, Fraction]] = None,
                          factor_id: str = "") -> HyperbolicityVerdict:
     """A homogeneous linear form is hyperbolic iff it does not vanish at tau."""
     q = _specialize(p, params)
@@ -127,7 +127,7 @@ def quadratic_form_matrix(p: Poly) -> List[List[Fraction]]:
         for a, e in mono:
             if a not in XI:
                 raise ValueError("quadratic form extraction needs a parameter-free polynomial")
-            idx.extend([a.index] * e)
+            idx.extend([XI.index(a)] * e)
         if len(idx) != 2:
             raise DegreeMismatchError("polynomial is not xi-quadratic")
         i, j = idx
@@ -181,7 +181,7 @@ def rational_signature(sym: List[List[Fraction]]) -> Tuple[int, int, int]:
 
 
 def hyperbolicity_quadratic(p: Poly, tau: Sequence[Fraction],
-                            params: Optional[Mapping[Atom, Fraction]] = None,
+                            params: Optional[Mapping[str, Fraction]] = None,
                             factor_id: str = "") -> HyperbolicityVerdict:
     """Exact signature test: hyperbolic iff the form is nonzero at tau and,
     signed to be positive there, has inertia (1, dim-1) on its support.
@@ -316,8 +316,8 @@ def _gram_schmidt(t: Tuple[Fraction, ...]) -> Tuple[Tuple[Fraction, ...], ...]:
     return tuple(basis)
 
 
-_LINE_XYZ = (param("_line_x"), param("_line_y"), param("_line_z"))
-_LINE_S = param("_line_s")
+_LINE_XYZ = ("_line_x", "_line_y", "_line_z")
+_LINE_S = "_line_s"
 
 
 def _line_restriction(q: Poly, tau: Sequence[Fraction], frame: Frame) -> List[Poly]:
@@ -326,8 +326,8 @@ def _line_restriction(q: Poly, tau: Sequence[Fraction], frame: Frame) -> List[Po
     every direction of a sample."""
     x, y, z = (Poly.atom(a) for a in _LINE_XYZ)
     s = Poly.atom(_LINE_S)
-    bind = {xi(i): x * frame[0][i] + y * frame[1][i] + z * frame[2][i] + s * Fr(tau[i])
-            for i in range(4)}
+    bind = {a: x * frame[0][i] + y * frame[1][i] + z * frame[2][i] + s * Fr(tau[i])
+            for i, a in enumerate(XI)}
     uni = q.substitute(bind)
     return [uni.coefficient_of(_LINE_S, k)
             for k in range(uni.degree_in([_LINE_S]), -1, -1)]
@@ -380,7 +380,7 @@ def _line_roots(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def hyperbolicity_sampled(p: Poly, tau: Sequence[Fraction],
-                          params: Optional[Mapping[Atom, Fraction]] = None,
+                          params: Optional[Mapping[str, Fraction]] = None,
                           n_samples: int = 1000, tol: float = 1e-9,
                           seed: int = 0, factor_id: str = "") -> HyperbolicityVerdict:
     """Companion-matrix roots along eta + s*tau for sampled directions eta;
@@ -527,7 +527,7 @@ def _linear_factor(q: Poly, tau: Sequence[Fraction]) -> Optional[Tuple[Poly, Pol
         for s, u in zip(combo, dual):
             if s:
                 w = [x - s * y if y else x for x, y in zip(w, u)]
-        ell = sum((Poly.atom(xi(i)) * c for i, c in enumerate(_primitive(w)) if c),
+        ell = sum((Poly.atom(a) * c for a, c in zip(XI, _primitive(w)) if c),
                   Poly.zero())
         try:
             return ell, q.exact_div(ell)
@@ -639,7 +639,7 @@ def _bisect(c: List[int], D: int, cuts: List[int]) -> List[Tuple[int, int]]:
 
 
 def biquadratic_split(A: Poly, B: Poly, C: Poly,
-                      params: Optional[Mapping[Atom, Fraction]] = None
+                      params: Optional[Mapping[str, Fraction]] = None
                       ) -> Tuple[Poly, Poly]:
     """Split P = A*xi0^4 + B*xi0^2 + C into two quadratics.
 
@@ -656,7 +656,7 @@ def biquadratic_split(A: Poly, B: Poly, C: Poly,
             raise LeadingCoefficientZeroError("leading coefficient A vanishes at the assignment")
     disc = B * B - 4 * A * C
     d = disc.sqrt()  # NotPerfectSquareError carries the obstruction
-    x0sq = Poly.atom(xi(0)) ** 2
+    x0sq = Poly.atom(XI[0]) ** 2
     two_a = Poly.constant(2) * A
     p1 = two_a * x0sq + B - d
     p2 = two_a * x0sq + B + d
@@ -664,7 +664,7 @@ def biquadratic_split(A: Poly, B: Poly, C: Poly,
 
 
 def quartic_from_coefficients(A: Poly, B: Poly, C: Poly) -> Poly:
-    x0 = Poly.atom(xi(0))
+    x0 = Poly.atom(XI[0])
     return A * x0 ** 4 + B * x0 ** 2 + C
 
 
@@ -715,7 +715,7 @@ class ConeSamples:
 
 
 def cone_sample(p: Poly, tau: Sequence[Fraction],
-                params: Optional[Mapping[Atom, Fraction]] = None,
+                params: Optional[Mapping[str, Fraction]] = None,
                 n: int = 100, seed: int = 0, tol: float = 1e-9,
                 factor_id: str = "", *, reference: Poly) -> ConeSamples:
     """Real root sheets of p(eta + s*tau) and of the reference polynomial

@@ -398,7 +398,7 @@ def _evaluation_witness(det_factors: Sequence[Poly], claim: FactorClaim) -> Veri
     atoms |= claim.prefactor.atoms()
     for p, _ in claim.factors:
         atoms |= p.atoms()
-    ordered = sorted(atoms, key=lambda a: a.sort_key)
+    ordered = sorted(atoms, key=lambda a: (a not in XI, a))  # xi0..xi3 first
     for trial in range(64):
         assign = {a: Fraction(((trial + 3) * (i + 2) * 7919) % 97 + 1, (i % 5) + 2)
                   for i, a in enumerate(ordered)}
@@ -409,7 +409,7 @@ def _evaluation_witness(det_factors: Sequence[Poly], claim: FactorClaim) -> Veri
         for p, mult in claim.factors:
             rhs *= p.eval(assign) ** mult
         if lhs != rhs:
-            point = ", ".join(f"{a.name}={v}" for a, v in list(assign.items())[:8])
+            point = ", ".join(f"{a}={v}" for a, v in list(assign.items())[:8])
             return VerifyReport(
                 False,
                 f"products differ at exact rational point ({point}, ...): "

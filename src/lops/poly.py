@@ -1,8 +1,9 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 Polynomials live in Q[xi0..xi3, p1, p2, ...]: four distinguished covector
-atoms plus an open-ended set of named parameter atoms.  No floating point
-enters any operation here.  Values are immutable after construction, so
+atoms plus an open-ended set of named parameter atoms.  An atom is its name,
+a str; the covector atoms are the names in `XI`.  No floating point enters
+any operation here.  Values are immutable after construction, so
 they are safe to share freely.
 
 Representation: one positive rational content times a primitive integer
@@ -24,8 +25,8 @@ exact quotient of primitive polynomials is integral, so multiplication never
 reduces coefficients and exact division runs on integers only (Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors", CASC 2007).  Ordering packed ints as integers is a
-monomial order; `leading()` and `render()` use graded-lex order by
-`Atom.sort_key` instead.
+monomial order; `leading()` and `render()` use graded-lex order with xi0..xi3
+first, by index, and the parameters after them by name.
 """
 
 from __future__ import annotations
@@ -33,16 +34,12 @@ from __future__ import annotations
 import heapq
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, islice, repeat
 from operator import add, floordiv, mul, or_
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
                     Union)
-
-KIND_COVECTOR = "covector"
-KIND_PARAMETER = "parameter"
 
 Scalar = Union[int, Fraction]
 
@@ -97,44 +94,15 @@ class NotPerfectSquareError(NotPerfectPowerError):
         return f"not a perfect square, obstruction {self.remainder}"
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A single indeterminate.  Identity is (name, index); kind is metadata."""
-
-    name: str
-    kind: str = KIND_PARAMETER
-    index: Optional[int] = None
-
-    def __post_init__(self):
-        # covector atoms first (by index), then parameters alphabetically
-        if self.kind == KIND_COVECTOR:
-            key = (0, self.index or 0, self.name)
-        else:
-            key = (1, 0, self.name)
-        object.__setattr__(self, "sort_key", key)
-        object.__setattr__(self, "_hash", hash((self.name, self.index)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Atom):
-            return NotImplemented
-        return self.name == other.name and self.index == other.index
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return self.name
-
-
 # -- atom registry -------------------------------------------------------------
 
-_ATOMS: List[Atom] = []          # slot -> atom; slot s owns field s + 1
-_OFFSETS: Dict[Atom, int] = {}   # atom -> bit offset of its field
+_ATOMS: List[str] = []           # slot -> atom; slot s owns field s + 1
+_OFFSETS: Dict[str, int] = {}    # atom -> bit offset of its field
 _GUARDS = _GUARD                 # guard bits of every field in use
 _LOCK = threading.Lock()
 
 
-def _offset(atom: Atom) -> int:
+def _offset(atom: str) -> int:
     """Bit offset of the atom's exponent field, registering it on first use."""
     off = _OFFSETS.get(atom)
     if off is None:
@@ -149,52 +117,45 @@ def _offset(atom: Atom) -> int:
     return off
 
 
-def slot(atom: Atom) -> int:
+def slot(atom: str) -> int:
     """The atom's slot in the packed-monomial registry, reserving the next
     free one on first use.  Slot s owns exponent field s + 1; xi0..xi3 hold
     slots 0..3."""
     return _offset(atom) // _BITS - 1
 
 
-def xi(i: int) -> Atom:
-    if not 0 <= i <= 3:
-        raise ValueError("covector components are xi0..xi3")
-    return Atom(f"xi{i}", KIND_COVECTOR, i)
-
-
-XI = (xi(0), xi(1), xi(2), xi(3))
+XI = ("xi0", "xi1", "xi2", "xi3")
 for _a in XI:
     _offset(_a)  # the covector atoms own the lowest slots
 
 
-def param(name: str, index: Optional[int] = None) -> Atom:
-    return Atom(name, KIND_PARAMETER, index)
-
-
 # -- packed monomials ----------------------------------------------------------
 
-# the public monomial form: (Atom, exponent) pairs with exponent > 0, sorted
-# by the atom sort key; the empty tuple is the constant monomial
+# the public monomial form: (atom, exponent) pairs with exponent > 0, xi0..xi3
+# first by index, then the parameters by name; the empty tuple is the
+# constant monomial
 Monomial = tuple
 
 
 def _unpack(m: int) -> Monomial:
-    out = []
+    xis, params = [], []
     m >>= _BITS
     while m:
-        slot = ((m & -m).bit_length() - 1) // _BITS
-        off = slot * _BITS
-        out.append((_ATOMS[slot], (m >> off) & _MASK))
+        s = ((m & -m).bit_length() - 1) // _BITS
+        off = s * _BITS
+        (xis if s < 4 else params).append((_ATOMS[s], (m >> off) & _MASK))
         m &= ~(_MASK << off)
-    out.sort(key=lambda pair: pair[0].sort_key)
-    return tuple(out)
+    # xi0..xi3 own slots 0..3, so only the parameters need sorting
+    params.sort()
+    return tuple(xis + params)
 
 
 def _glex_key(m: int):
     """Sort key under which the graded-lex LARGEST monomial has the SMALLEST
-    key (atom sort keys contain strings, so descending order is encoded by
-    negating degrees and exponents instead)."""
-    return (-(m & _MASK), tuple((a.sort_key, -e) for a, e in _unpack(m)))
+    key (atom names are strings, so descending order is encoded by negating
+    degrees and exponents instead); a covector atom ranks before any
+    parameter."""
+    return (-(m & _MASK), tuple((a not in XI, a, -e) for a, e in _unpack(m)))
 
 
 def _divides(num: int, den: int) -> bool:
@@ -209,7 +170,7 @@ def _check_degree(deg: int) -> None:
             f"total degree {deg} exceeds the supported maximum {MAX_DEGREE}")
 
 
-def pack(powers: Iterable[Tuple[Atom, int]]) -> int:
+def pack(powers: Iterable[Tuple[str, int]]) -> int:
     """The packed monomial of the product of atom**exponent over the (atom,
     exponent) pairs of `powers`; an atom may repeat."""
     m = deg = 0
@@ -223,7 +184,7 @@ def pack(powers: Iterable[Tuple[Atom, int]]) -> int:
     return m + deg
 
 
-def _field_sum(atoms: Iterable[Atom]):
+def _field_sum(atoms: Iterable[str]):
     """Function of a packed monomial: its combined exponent of `atoms`.
 
     Masks the atoms' fields and adds them with one multiplication: the
@@ -304,11 +265,11 @@ class Poly:
         return Poly.monomial(c, ())
 
     @staticmethod
-    def atom(a: Atom) -> "Poly":
+    def atom(a: str) -> "Poly":
         return _new(_F1, {(1 << _offset(a)) + 1: 1}, 1)
 
     @staticmethod
-    def monomial(c: Scalar, powers: Iterable[Tuple[Atom, int]]) -> "Poly":
+    def monomial(c: Scalar, powers: Iterable[Tuple[str, int]]) -> "Poly":
         """c times the product of atom**exponent over the (atom, exponent)
         pairs of `powers`; an atom may repeat."""
         c = Fraction(c)
@@ -329,7 +290,7 @@ class Poly:
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> List[Tuple[Monomial, Fraction]]:
-        """(monomial, coefficient) pairs; monomials as sorted (Atom, exp) tuples."""
+        """(monomial, coefficient) pairs; monomials as sorted (atom, exp) tuples."""
         c = self._c
         return [(_unpack(m), c * v) for m, v in self._t.items()]
 
@@ -368,14 +329,14 @@ class Poly:
             self._deg = max((m & _MASK for m in self._t), default=-1)
         return self._deg
 
-    def degree_in(self, atoms: Iterable[Atom]) -> int:
+    def degree_in(self, atoms: Iterable[str]) -> int:
         """Largest combined exponent of the given atoms; -1 for zero."""
         if not self._t:
             return -1
         f = _field_sum(atoms)
         return max(f(m) for m in self._t)
 
-    def homogeneous_degree_in(self, atoms: Iterable[Atom]) -> Optional[int]:
+    def homogeneous_degree_in(self, atoms: Iterable[str]) -> Optional[int]:
         """Common degree in `atoms` of every term, or None when inhomogeneous.
 
         The zero polynomial is homogeneous of every degree; it reports 0.
@@ -405,7 +366,7 @@ class Poly:
             deg += e
         return _new(_F1, {m + deg: 1}, deg)
 
-    def coefficient_of(self, atom: Atom, power: int) -> "Poly":
+    def coefficient_of(self, atom: str, power: int) -> "Poly":
         """Collect the coefficient of atom**power (a polynomial in the rest)."""
         off = _OFFSETS.get(atom)
         if off is None:
@@ -515,25 +476,25 @@ class Poly:
 
     # -- evaluation and substitution ----------------------------------------
 
-    def eval(self, assignment: Mapping[Atom, Scalar]) -> Fraction:
+    def eval(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Exact value under a total assignment of the polynomial's atoms;
         the one-point, one-polynomial case of `eval_columns`."""
         if not self._t:
             return Fraction(0)
-        atoms = [a for a, _ in _unpack(reduce(or_, self._t, 0))]
+        atoms = list(self.atoms())
         point = []
         for a in atoms:
             try:
                 v = assignment[a]
             except KeyError:
-                raise MissingAtomError(f"no value for atom {a.name}") from None
+                raise MissingAtomError(f"no value for atom {a}") from None
             if not isinstance(v, (int, Fraction)):
                 v = Fraction(v)
             point.append((v.numerator, v.denominator))
         ((num,), (den,)), = _column_values(*_plan((self,), atoms), (point,))
         return Fraction(num, den)
 
-    def substitute(self, bindings: Mapping[Atom, "Poly"]) -> "Poly":
+    def substitute(self, bindings: Mapping[str, "Poly"]) -> "Poly":
         """Exact composition; atoms without a binding are left in place."""
         present = reduce(or_, self._t, 0)
         bound = []
@@ -712,7 +673,7 @@ class Poly:
         parts = []
         for m in sorted(self._t, key=_glex_key):
             c = self._c * self._t[m]
-            body = "*".join(a.name if e == 1 else f"{a.name}^{e}" for a, e in _unpack(m))
+            body = "*".join(a if e == 1 else f"{a}^{e}" for a, e in _unpack(m))
             mag = abs(c)
             if not body:
                 chunk = str(mag)
@@ -735,7 +696,7 @@ class Poly:
 COLUMN_CHUNK = 100
 
 
-def eval_columns(polys: Sequence["Poly"], atoms: Sequence[Atom],
+def eval_columns(polys: Sequence["Poly"], atoms: Sequence[str],
                  points: Iterable[Sequence[Tuple[int, int]]]
                  ) -> Iterator[List[Tuple[List[int], List[int]]]]:
     """Exact values of several polynomials at many points, on integers.
@@ -767,7 +728,7 @@ def eval_columns(polys: Sequence["Poly"], atoms: Sequence[Atom],
     return (_column_values(*plan, chunk) for chunk in chunks)
 
 
-def _plan(polys: Sequence["Poly"], atoms: Sequence[Atom]):
+def _plan(polys: Sequence["Poly"], atoms: Sequence[str]):
     """(plans, root, used, tops, top_degree) of `eval_columns`, read
     straight off the packed terms.
 
@@ -805,7 +766,7 @@ def _plan(polys: Sequence["Poly"], atoms: Sequence[Atom]):
                 if node is None:  # the first term with this prefix
                     k = number.get(off)
                     if k is None:
-                        raise MissingAtomError(f"no value for atom {_ATOMS[off // _BITS - 1].name}")
+                        raise MissingAtomError(f"no value for atom {_ATOMS[off // _BITS - 1]}")
                     e = rest & _MASK
                     if e > tops[k]:
                         tops[k] = e

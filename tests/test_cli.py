@@ -60,6 +60,22 @@ class TestExitCodes:
         payload = json.loads(r.stdout)
         assert not payload["factorization"]["ok"]
 
+    def test_wrong_claim_has_no_sigma0(self, tmp_path, capsys):
+        # its one factor is hyperbolic, but it is not the determinant, so no
+        # Gevrey index follows from it
+        spec = tmp_path / "wrong.lops"
+        spec.write_text("unknown w multiplicity 1 index 2\n"
+                        "equation e multiplicity 1 index 0\n"
+                        "entry e[0] w[0] := 2*xi0^2 - xi1^2 - xi2^2 - xi3^2\n"
+                        "factor 1 := xi0^2 - xi1^2 - xi2^2 - xi3^2\n")
+        assert main(["analyze", str(spec), "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert not payload["factorization"]["ok"]
+        assert [f["verdict"] for f in payload["factors"]] == ["hyperbolic"]
+        assert "sigma0" not in payload and "factor_count" not in payload
+        assert main(["analyze", str(spec)]) == 1
+        assert "sigma0" not in capsys.readouterr().out
+
     def test_wave_passes_with_sobolev_sentinel(self):
         r = run_cli(["analyze", wave_spec_path(), "--json"])
         assert r.returncode == 0

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from lops import build_ens_system, ens_spec_path, wave_spec_path
+from lops import build_ens_system, dsl, ens_spec_path, wave_spec_path
 from lops.dsl import (MAX_DIGITS, MAX_NESTING, MAX_POWER_BITS, MAX_POWER_SIZE,
                       DuplicateEntryError, ParseError, UnknownAtomError, parse_poly,
                       parse_system, print_system)
-from lops.poly import MAX_DEGREE, Atom, Poly, param, xi
+from lops.poly import MAX_DEGREE, XI, Poly
 from lops.system import (DependencyDecl, EquationBlock, LeraySystem, ParamDecl,
                          SymbolEntry, UnknownBlock, validate_structure)
 
@@ -65,7 +65,7 @@ def small_systems(draw):
                                 unique=True, max_size=3))
     params = [ParamDecl(n, draw(st.sampled_from([None, "positive", "nonzero"])))
               for n in param_names]
-    atoms = [xi(i) for i in range(4)] + [param(n) for n in param_names]
+    atoms = list(XI) + param_names
     entries = []
     for eq in equations:
         for unk in unknowns:
@@ -187,6 +187,13 @@ class TestErrors:
         assert (err.value.line, err.value.col) == (3, 28)
         assert "undeclared atom 'mystery'" in str(err.value)
 
+    @pytest.mark.parametrize("i", range(4))
+    def test_covector_name_is_no_parameter(self, i):
+        # a parameter may not take a covector atom's name
+        with pytest.raises(ParseError) as err:
+            parse_system(f"param xi{i}\n")
+        assert str(err.value) == f"line 1, column 1: atom 'xi{i}' already declared"
+
     def test_assign_requires_declared_param(self):
         with pytest.raises(UnknownAtomError):
             parse_system("assign nope := 3\n")
@@ -197,11 +204,10 @@ class TestErrors:
             "equation e multiplicity 1 index 0\n"
             "entry e[0] w[0] := 2/3*xi0 - 5*xi1\n")
         p = s.entries[0].symbol
-        from lops.poly import xi
-        assert p.eval({xi(0): Fr(3), xi(1): Fr(0)}) == 2
+        assert p.eval({"xi0": Fr(3), "xi1": Fr(0)}) == 2
 
 
-X0, X1, X2 = (Poly.atom(xi(i)) for i in range(3))
+X0, X1, X2 = (Poly.atom(a) for a in XI[:3])
 
 
 @pytest.mark.parametrize("text, expected", [
@@ -228,12 +234,7 @@ def test_products(text, expected):
     assert parse_poly(text, {}) == expected
 
 
-TREE_ATOMS = {"a": param("a"), "b": param("b")}
 TREE_NAMES = ["xi0", "xi1", "xi2", "xi3", "a", "b"]
-
-
-def _atom(name):
-    return Poly.atom(TREE_ATOMS[name] if name in TREE_ATOMS else xi(int(name[2])))
 
 
 @st.composite
@@ -255,7 +256,7 @@ def plain_term(draw):
         tokens += ["*"] if f or coefficient != "none" else []
         k = draw(st.none() | st.integers(0, 3))
         tokens += [name] + (["^", str(k)] if k is not None else [])
-        value = value * _atom(name) ** (1 if k is None else k)
+        value = value * Poly.atom(name) ** (1 if k is None else k)
     return tokens, value
 
 
@@ -296,7 +297,7 @@ def trees(draw, depth=0):
             elif kind == "atom":
                 name = draw(st.sampled_from(TREE_NAMES))
                 tokens.append(name)
-                v = _atom(name)
+                v = Poly.atom(name)
             else:
                 inner, v = draw(trees(depth + 1))
                 tokens += ["(", *inner, ")"]
@@ -319,7 +320,7 @@ def test_parse_equals_the_tree_built_by_poly_arithmetic(tree, data):
     gaps = data.draw(st.lists(st.sampled_from(["", " ", "  ", "\t"]), min_size=len(tokens),
                               max_size=len(tokens)))
     text = "".join(g + t for g, t in zip(gaps, tokens))
-    assert parse_poly(text, TREE_ATOMS) == value
+    assert parse_poly(text, ["a", "b"]) == value
 
 
 # errors around a unary minus keep their messages and columns
@@ -405,7 +406,7 @@ def test_power_of_a_long_number_refused(text, col):
 
 
 def test_power_within_the_bit_bound_read():
-    x0 = Poly.atom(xi(0))
+    x0 = Poly.atom("xi0")
     assert parse_poly(f"2^{MAX_DEGREE}*xi0", {}) == Poly.constant(2 ** MAX_DEGREE) * x0
     assert parse_poly("(2/3)^3*xi0", {}) == Poly.constant(Fr(8, 27)) * x0
 
@@ -419,7 +420,7 @@ def test_fresh_parse_lays_parameters_out_in_declaration_order():
             "from lops.dsl import parse_system\n"
             "s = parse_system(open(sys.argv[1]).read())\n"
             "assert poly._ATOMS[:4] == list(poly.XI)\n"
-            "assert poly._ATOMS[4:] == [poly.param(p.name) for p in s.params]\n"
+            "assert poly._ATOMS[4:] == [p.name for p in s.params]\n"
             "print(len(s.params))\n")
     r = subprocess.run([sys.executable, "-c", code, ens_spec_path()],
                        capture_output=True, text=True)
@@ -485,16 +486,17 @@ def test_a_lines_lexical_fault_goes_first(text, message):
     assert str(err.value) == "line 1, column 32: unexpected character '$'"
 
 
-def test_parse_hashes_atoms_once_per_factor_text(monkeypatch):
+def test_parse_packs_once_per_factor_text(monkeypatch):
     # plain factors are packed from a per-parse memo keyed by their text, so
-    # no Atom is hashed per factor: packing atom by atom hashes about 11,000
+    # each distinct factor text is packed once: packing factor by factor
+    # would take about 11,000 calls on ens.lops
     calls = [0]
-    atom_hash = Atom.__hash__
+    pack = dsl.pack
 
-    def counted(self):
+    def counted(powers):
         calls[0] += 1
-        return atom_hash(self)
+        return pack(powers)
 
-    monkeypatch.setattr(Atom, "__hash__", counted)
+    monkeypatch.setattr(dsl, "pack", counted)
     parse_system(ENS_TEXT)
     assert 0 < calls[0] <= 1000

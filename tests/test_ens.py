@@ -9,7 +9,7 @@ import pytest
 
 from lops import ens
 from lops.matrix import build_symbol_matrix, determinant, laplace_determinant
-from lops.poly import COLUMN_CHUNK, Poly, XI, eval_columns, xi
+from lops.poly import COLUMN_CHUNK, Poly, XI, eval_columns
 from lops.system import validate_structure, total_order
 
 X = [Poly.atom(a) for a in XI]
@@ -414,7 +414,7 @@ class TestVerification:
                  + [ens._light_cone("general"), ens._flow(ens.U), ref.prefactor]
                  + [p for p, _ in ref.factors])
         assert len(polys) == 141
-        atoms = sorted(set().union(*(p.atoms() for p in polys)), key=lambda a: a.sort_key)
+        atoms = sorted(set().union(*(p.atoms() for p in polys)))
         rng = random.Random(5)
         points = []
         for _ in range(COLUMN_CHUNK):

@@ -14,7 +14,7 @@ from lops.hyperbolic import (DegreeMismatchError, LeadingCoefficientZeroError,
                              hyperbolicity_quadratic, hyperbolicity_sampled,
                              quartic_from_coefficients, rational_directions,
                              rational_signature, sigma_json, sphere_directions)
-from lops.poly import NotPerfectSquareError, Poly, XI, param, xi
+from lops.poly import NotPerfectSquareError, Poly, XI
 from lops.system import FactorClaim
 
 X = [Poly.atom(a) for a in XI]
@@ -338,7 +338,7 @@ def exact_line(q, tau, eta):
     for mono, c in q.terms():
         line = [c]  # ascending in s
         for atom, e in mono:
-            a, b = eta[atom.index], Fr(tau[atom.index])
+            a, b = eta[XI.index(atom)], Fr(tau[XI.index(atom)])
             for _ in range(e):
                 line = [(line[k] * a if k < len(line) else 0) + (line[k - 1] * b if k else 0)
                         for k in range(len(line) + 1)]

@@ -10,15 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from lops import ens_spec_path, matrix
 from lops.dsl import parse_system
-from lops.matrix import (ExpansionDepthError, SymbolMatrix, _schur_factors, block_factors,
-                         block_order, build_symbol_matrix, cofactor_determinant_rational,
-                         determinant, determinant_factors, factored_xi_degree,
-                         laplace_determinant, verify_factorization_product)
-from lops.poly import NotDivisibleError, Poly, XI, param, xi
+from lops.matrix import (ExpansionDepthError, SymbolMatrix, _evaluation_witness,
+                         _schur_factors, block_factors, block_order, build_symbol_matrix,
+                         cofactor_determinant_rational, determinant, determinant_factors,
+                         factored_xi_degree, laplace_determinant, verify_factorization_product)
+from lops.poly import NotDivisibleError, Poly, XI
 from lops.system import FactorClaim
 
 X = [Poly.atom(a) for a in XI]
-ATOMS = list(XI) + [param("F"), param("q")]
+ATOMS = list(XI) + ["F", "q"]
 
 
 def random_poly(rng, max_terms=2, max_exp=1):
@@ -125,14 +125,14 @@ class TestDeterminant:
         assert cofactor_determinant_rational(rows) == determinant(wrapped).as_constant()
 
 
-F = Poly.atom(param("F"))
+F = Poly.atom("F")
 # (a, g): g is a over the gcd of its monomials, constant for a monomial a
 SCALARS = [(X[0], Poly.one()), (F * X[0], Poly.one()), (X[0] + X[1], X[0] + X[1]),
            (X[0] - 2 * X[2], X[0] - 2 * X[2]),
            (Fr(3, 2) * F * X[2] * (X[0] + X[1]), Fr(3, 2) * (X[0] + X[1]))]
 # entries free of xi0, so that no entry outside the scalar set equals a
 ENTRIES = st.builds(lambda c, atom, d: c * Poly.atom(atom) + d, st.integers(-3, 3),
-                    st.sampled_from([XI[1], XI[2], param("F")]), st.integers(-2, 2))
+                    st.sampled_from([XI[1], XI[2], "F"]), st.integers(-2, 2))
 
 
 @st.composite
@@ -314,6 +314,16 @@ class TestFactorization:
         f = FactorClaim(Poly.one(), ((X[0] + X[1], 2),))
         rep = verify_factorization_product([det], f)
         assert not rep.ok and rep.witness_monomial
+
+    def test_evaluation_witness_assigns_covector_atoms_first(self):
+        # the witness point gives its values to xi0..xi3 first, then to the
+        # parameters by name, whatever order the atoms were first used in
+        b, a = Poly.atom("b"), Poly.atom("A")
+        rep = _evaluation_witness([X[1] + a * X[0] + b * X[3]],
+                                  FactorClaim(Poly.one(), ((X[1] + b * X[3], 1),)))
+        assert rep.detail == ("products differ at exact rational point (xi0=41, xi1=74/3, "
+                              "xi3=33/2, A=58/5, b=25/3, ...): determinant=19133/30, "
+                              "claim=973/6")
 
     def test_prefactor_must_be_parameter_only(self):
         f = FactorClaim(X[0], ((X[1], 1),))

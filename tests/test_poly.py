@@ -8,14 +8,14 @@ import hypothesis.strategies as st
 
 from lops.poly import (MAX_DEGREE, DegreeOverflowError, MissingAtomError,
                        NotDivisibleError, NotPerfectPowerError, NotPerfectSquareError, Poly,
-                       PolyError, XI, COLUMN_CHUNK, eval_columns, param, slot, xi)
-from lops.dsl import parse_poly
+                       PolyError, XI, COLUMN_CHUNK, eval_columns, slot)
+from lops.dsl import parse_poly, parse_system
 
 X0, X1, X2, X3 = (Poly.atom(a) for a in XI)
-F = Poly.atom(param("F"))
-Q = Poly.atom(param("q"))
+F = Poly.atom("F")
+Q = Poly.atom("q")
 
-ATOM_POOL = list(XI) + [param("F"), param("q"), param("u0"), param("gm1")]
+ATOM_POOL = list(XI) + ["F", "q", "u0", "gm1"]
 
 
 @st.composite
@@ -77,14 +77,14 @@ class TestRingBasics:
 class TestEval:
     def test_simple_point(self):
         p = X0 ** 2 - X1 ** 2
-        assert p.eval({xi(0): Fr(3), xi(1): Fr(2)}) == 5
+        assert p.eval({"xi0": Fr(3), "xi1": Fr(2)}) == 5
 
     def test_constant_ignores_assignment(self):
         assert Poly.constant(Fr(7, 3)).eval({}) == Fr(7, 3)
 
     def test_missing_atom(self):
         with pytest.raises(MissingAtomError):
-            (X0 + F).eval({xi(0): Fr(1)})
+            (X0 + F).eval({"xi0": Fr(1)})
 
     def test_eval_is_ring_homomorphism(self):
         rng = random.Random(42)
@@ -148,10 +148,10 @@ class TestEval:
     def test_eval_columns_missing_atom(self, points):
         # raised at the call, before any chunk is drawn
         with pytest.raises(MissingAtomError, match="no value for atom F"):
-            eval_columns([X0, X0 + F], [xi(0)], points)
+            eval_columns([X0, X0 + F], ["xi0"], points)
 
     def test_eval_columns_without_points(self):
-        assert list(eval_columns([X0, Poly.zero()], [xi(0)], [])) == []
+        assert list(eval_columns([X0, Poly.zero()], ["xi0"], [])) == []
 
     @given(polys(max_terms=4), st.lists(polys(max_terms=4), min_size=1, max_size=4),
            st.lists(st.integers(-5, 5), min_size=3, max_size=3),
@@ -185,7 +185,7 @@ class TestEval:
         # a monomial of 300 atoms is a trie path 300 nodes deep, walked
         # without recursion; a second path differs from it in its first
         # field only, a third term ends at depth 1
-        atoms = [param(f"deep{i}") for i in range(300)]
+        atoms = [f"deep{i}" for i in range(300)]
         mono = Poly.monomial(3, [(atom, 1) for atom in atoms])
         ps = [mono, mono * Poly.atom(atoms[0]) + Poly.atom(atoms[-1]) ** 2]
         value = {atom: Fr(i % 7 - 3 or 5, i % 4 + 1) for i, atom in enumerate(atoms)}
@@ -286,7 +286,7 @@ class TestDegrees:
 
     def test_substitute_composes(self):
         p = X0 ** 2 + F * X1
-        q = p.substitute({xi(0): X1 + X2, param("F"): Poly.constant(2)})
+        q = p.substitute({"xi0": X1 + X2, "F": Poly.constant(2)})
         assert q == (X1 + X2) ** 2 + 2 * X1
 
 
@@ -294,13 +294,28 @@ class TestRenderParse:
     @given(polys())
     @settings(max_examples=150, deadline=None)
     def test_roundtrip(self, p):
-        names = {a.name: a for a in p.atoms()}
-        assert parse_poly(p.render(), names) == p
+        assert parse_poly(p.render(), p.atoms()) == p
 
     def test_canonical_text_is_deterministic(self):
         a = X0 * X1 + 2 * X2 - Poly.constant(Fr(1, 2))
         b = -Poly.constant(Fr(1, 2)) + X0 * X1 + 2 * X2
         assert a.render() == b.render()
+
+
+def test_atom_order_is_canonical():
+    # xi0..xi3 by index, then the parameters by name (uppercase first), not
+    # in declaration or slot order; xi and xi10 are parameters
+    text = "z*xi0 + F*xi1 + _a*xi10*xi2 + Zeta*xi3 + xi*xi0^2 + xi10 + F*z"
+    p = parse_system("unknown w multiplicity 1 index 0\n"
+                     "equation e multiplicity 1 index 0\n"
+                     + "".join(f"param {n}\n" for n in ("z", "xi10", "Zeta", "_a", "xi", "F"))
+                     + f"entry e[0] w[0] := {text}\n").entries[0].symbol
+    assert p.render() == "xi0^2*xi + xi2*_a*xi10 + xi0*z + xi1*F + xi3*Zeta + F*z + xi10"
+    assert dict(p.terms()) == {
+        (("xi0", 2), ("xi", 1)): 1, (("xi2", 1), ("_a", 1), ("xi10", 1)): 1,
+        (("xi0", 1), ("z", 1)): 1, (("xi1", 1), ("F", 1)): 1, (("xi3", 1), ("Zeta", 1)): 1,
+        (("F", 1), ("z", 1)): 1, (("xi10", 1),): 1}
+    assert p.leading() == ((("xi0", 2), ("xi", 1)), 1)
 
 
 class TestContent:
@@ -316,7 +331,7 @@ class TestContent:
 
     def test_terms_report_rational_coefficients(self):
         p = Fr(2, 3) * X0 * F - Fr(4, 9) * X1
-        assert dict(p.terms()) == {((XI[0], 1), (param("F"), 1)): Fr(2, 3),
+        assert dict(p.terms()) == {((XI[0], 1), ("F", 1)): Fr(2, 3),
                                    ((XI[1], 1),): Fr(-4, 9)}
 
     def test_exponent_field_overflow_raises(self):
@@ -341,7 +356,7 @@ class TestSympyOracle:
     @staticmethod
     def to_sympy(p):
         sp = pytest.importorskip("sympy")
-        return sp.Add(*(c * sp.Mul(*(sp.Symbol(a.name) ** e for a, e in mono))
+        return sp.Add(*(c * sp.Mul(*(sp.Symbol(a) ** e for a, e in mono))
                         for mono, c in p.terms()))
 
     @given(polys(), polys())
@@ -372,9 +387,9 @@ class TestSympyOracle:
     def test_render_parse_roundtrip(self, p):
         sp = pytest.importorskip("sympy")
         text = p.render()
-        assert parse_poly(text, {a.name: a for a in p.atoms()}) == p
+        assert parse_poly(text, p.atoms()) == p
         parsed = sp.sympify(text.replace("^", "**"),
-                            locals={a.name: sp.Symbol(a.name) for a in ATOM_POOL})
+                            locals={a: sp.Symbol(a) for a in ATOM_POOL})
         assert sp.expand(parsed - self.to_sympy(p)) == 0
 
 
@@ -385,8 +400,8 @@ def test_atom_registry_is_thread_safe():
 
     from lops import poly
 
-    own = [[param(f"_stress{t}_{k}") for k in range(500)] for t in range(8)]
-    shared = [param(f"_stress_shared{k}") for k in range(500)]
+    own = [[f"_stress{t}_{k}" for k in range(500)] for t in range(8)]
+    shared = [f"_stress_shared{k}" for k in range(500)]
     seen = {}
 
     def work(t):
@@ -411,19 +426,19 @@ def test_atom_registry_is_thread_safe():
 
 
 def test_monomial_packs_one_term():
-    m = Poly.monomial(Fr(-3, 2), [(xi(0), 2), (xi(1), 1), (xi(0), 1), (xi(2), 0)])
+    m = Poly.monomial(Fr(-3, 2), [("xi0", 2), ("xi1", 1), ("xi0", 1), ("xi2", 0)])
     assert m == Fr(-3, 2) * X0 ** 3 * X1
     assert m.degree() == 4 and len(m) == 1
-    assert Poly.monomial(0, [(xi(0), 5)]).is_zero()
+    assert Poly.monomial(0, [("xi0", 5)]).is_zero()
     assert Poly.monomial(7, []) == Poly.constant(7)
     with pytest.raises(DegreeOverflowError):
-        Poly.monomial(1, [(xi(0), 20000), (xi(1), 20000)])
+        Poly.monomial(1, [("xi0", 20000), ("xi1", 20000)])
     with pytest.raises(ValueError):
-        Poly.monomial(1, [(xi(0), -1)])
+        Poly.monomial(1, [("xi0", -1)])
 
 
 def test_slot_reserves_once():
     assert [slot(a) for a in XI] == [0, 1, 2, 3]
-    first = slot(param("_slot_probe"))
-    assert first > 3 and slot(param("_slot_probe")) == first
-    assert slot(param("_slot_probe_next")) == first + 1
+    first = slot("_slot_probe")
+    assert first > 3 and slot("_slot_probe") == first
+    assert slot("_slot_probe_next") == first + 1
