@@ -35,7 +35,7 @@ of their rows outside the scalar set a multiple of xi0 + xi1, and a claimed
 factor that straddles that common factor and the complement's determinant,
 and a 3x3 one, xi0*I + xi1*A + xi2*B + xi3*C with A, B and C symmetric,
 whose determinant is a hyperbolic cubic irreducible over Q: no exact split
-applies, so its verdict comes from the `sampled` screen.  81 reports in all.
+applies, so its verdict comes from the `sampled` screen.  82 reports in all.
 """
 
 import hashlib
@@ -153,6 +153,9 @@ def runs(ens_spec, wave_spec, tmp):
     yield "ens-verify-20.json", ["ens", "verify", "--samples", "20", "--json"], None
     yield ("ens-verify-100-seed3.json",
            ["ens", "verify", "--samples", "100", "--seed", "3", "--json"], None)
+    # more states than one chunk of the streamed draw
+    yield ("ens-verify-150-seed5.json",
+           ["ens", "verify", "--samples", "150", "--seed", "5", "--json"], None)
     yield "ens-verify-q0.txt", ["ens", "verify", "--q", "0"], None
     yield ("ens-verify-F2-q1_3.txt",
            ["ens", "verify", "--samples", "2", "--F", "2", "--q", "1/3"], None)

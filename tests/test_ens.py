@@ -336,6 +336,78 @@ class TestVerification:
         failed = [name for name, item in items.items() if not item.ok]
         assert failed == ["numeric-full-determinant", "numeric-block-cofactor-oracle"]
 
+    def test_entry_above_the_block_diagonal_is_not_read(self, monkeypatch):
+        # entry [10][11] (560 terms of eq_s) lies above the block diagonal:
+        # no term of the determinant reads it, so changing it changes neither
+        # numeric check
+        from lops import matrix
+        build = matrix.build_symbol_matrix
+
+        def perturbed(system):
+            mat = build(system)
+            if any(p.name == "gi00" for p in system.params):
+                assert len(mat.entries[10][11]) == 560
+                mat.entries[10][11] = mat.entries[10][11] + Poly.constant(1)
+            return mat
+
+        monkeypatch.setattr(matrix, "build_symbol_matrix", perturbed)
+        rep = ens.verify_ens_determinant(state_samples=5, seed=0)
+        assert rep.ok, "\n".join(i.line() for i in rep.items)
+
+    def test_entry_below_the_block_diagonal_fails_by_name(self, monkeypatch):
+        # with the blocks reversed, the entries above the diagonal fall below
+        # it: the full-determinant item fails and names the first of them
+        from lops import matrix
+        order = matrix.block_order
+        monkeypatch.setattr(matrix, "block_order", lambda m: order(m)[::-1])
+        items = {i.name: i for i in ens.verify_ens_determinant(state_samples=3, seed=0).items}
+        assert not items["numeric-full-determinant"].ok
+        assert items["numeric-full-determinant"].detail == (
+            "entry [0][11] below the block diagonal is nonzero")
+        failed = [name for name, item in items.items() if not item.ok]
+        assert failed == ["numeric-full-determinant"]
+
+    def test_one_small_evaluation_per_verify(self, monkeypatch):
+        # the entries inside the diagonal blocks and the reference
+        # polynomials, not the 141 polynomials and 3,596 terms of every
+        # nonzero entry
+        calls = []
+        real = ens.eval_columns
+
+        def counted(polys, atoms, points):
+            calls.append((len(polys), sum(len(p) for p in polys)))
+            return real(polys, atoms, points)
+
+        monkeypatch.setattr(ens, "eval_columns", counted)
+        assert ens.verify_ens_determinant(state_samples=2, seed=0).ok
+        assert len(calls) == 1
+        polys, terms = calls[0]
+        assert polys <= 57 and terms <= 420
+
+    def test_states_are_drawn_one_chunk_at_a_time(self, monkeypatch):
+        # chunks of two states: each chunk is evaluated before the next is
+        # drawn, and the report equals the one-chunk run's
+        from lops import poly
+        whole = ens.verify_ens_determinant(state_samples=5, seed=4).to_json()
+        drawn = []
+        draw, values = ens.random_state, poly._column_values
+
+        def counted_draw(*args, **kwargs):
+            drawn.append(None)
+            return draw(*args, **kwargs)
+
+        seen = []
+
+        def counted_values(*args):
+            seen.append(len(drawn))
+            return values(*args)
+
+        monkeypatch.setattr(ens, "random_state", counted_draw)
+        monkeypatch.setattr(poly, "_column_values", counted_values)
+        monkeypatch.setattr(poly, "COLUMN_CHUNK", 2)
+        assert ens.verify_ens_determinant(state_samples=5, seed=4).to_json() == whole
+        assert seen == [2, 4, 5]
+
     def test_block_division_failure_is_reported(self, monkeypatch):
         # a diagonal block that its claimed power does not divide fails its
         # item; the other checks still run
@@ -405,9 +477,10 @@ class TestVerification:
         assert item.ok
 
     def test_state_sample_columns_stay_small(self):
-        # ens verify's 141 polynomials, one chunk of states: the columns
-        # held at once follow the depth of the trie of products, not its
-        # number of nodes
+        # every nonzero entry of the general matrix and the reference
+        # polynomials (141, more than ens verify evaluates), one chunk of
+        # states: the columns held at once follow the depth of the trie of
+        # products, not its number of nodes
         mat = build_symbol_matrix(ens.build_ens_system("general", "on_data"))
         ref = ens.reference_factor_claim("general")
         polys = ([e for row in mat.entries for e in row if e]
