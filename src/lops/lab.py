@@ -9,9 +9,11 @@ variants must not converge.
 
 Each derived field is computed once per patch, as a cached property that
 every check and mutated control reads, and the index contractions run as
-batched matmuls.  Each field is differenced once.  The conformal connection
-is transient: it is built, applied to the dynamic velocity and to the test
-one-form, and dropped, so it is never cached beside the plain connection.
+batched matmuls.  Each field is differenced once.  The closures read the
+open grid, one broadcastable array per axis, and the inverse metric is in
+closed form.  The conformal connection is transient: it is built, applied
+to the dynamic velocity and to the test one-form, and dropped, so it is
+never cached beside the plain connection.
 
 Pointwise fields (metric, velocities, F, projectors) span every node of a
 patch, whose boundary the differences read.  Derivatives, connections and
@@ -47,10 +49,10 @@ class PatchTooSmallError(Exception):
 # are fixed so residual tables are reproducible.
 
 
-def standard_metric(x: np.ndarray) -> np.ndarray:
-    """g_{ab}(x) for coordinates x with shape (..., 4); returns (..., 4, 4)."""
-    x0, x1, x2, x3 = (x[..., i] for i in range(4))
-    g = np.zeros(x.shape[:-1] + (4, 4))
+def standard_metric(*x: np.ndarray) -> np.ndarray:
+    """g_{ab} on the four broadcastable coordinate arrays x; (*nodes, 4, 4)."""
+    x0, x1, x2, x3 = x
+    g = np.zeros(np.broadcast_shapes(*map(np.shape, x)) + (4, 4))
     g[..., 0, 0] = 1.0 + EPS * np.sin(x1) * np.cos(x2)
     g[..., 1, 1] = -1.0 + EPS * np.cos(x0 + x3)
     g[..., 2, 2] = -1.0 + EPS * np.sin(x0 - x1)
@@ -63,10 +65,10 @@ def standard_metric(x: np.ndarray) -> np.ndarray:
     return g
 
 
-def standard_dynamic_velocity(x: np.ndarray) -> np.ndarray:
-    """Covector C_a(x) with nonzero curl, |C| close to 1 on the patch."""
-    x0, x1, x2, x3 = (x[..., i] for i in range(4))
-    c = np.zeros(x.shape[:-1] + (4,))
+def standard_dynamic_velocity(*x: np.ndarray) -> np.ndarray:
+    """Covector C_a with nonzero curl, |C| close to 1 on the patch."""
+    x0, x1, x2, x3 = x
+    c = np.zeros(np.broadcast_shapes(*map(np.shape, x)) + (4,))
     c[..., 0] = 1.0 + EPS * np.cos(x1 + 2.0 * x3)
     c[..., 1] = EPS * np.sin(x0 + x2)
     c[..., 2] = EPS * np.cos(x0 - x3)
@@ -74,10 +76,10 @@ def standard_dynamic_velocity(x: np.ndarray) -> np.ndarray:
     return c
 
 
-def standard_one_form(x: np.ndarray) -> np.ndarray:
+def standard_one_form(*x: np.ndarray) -> np.ndarray:
     """An unrelated analytic one-form for the conformal-derivative check."""
-    x0, x1, x2, x3 = (x[..., i] for i in range(4))
-    v = np.zeros(x.shape[:-1] + (4,))
+    x0, x1, x2, x3 = x
+    v = np.zeros(np.broadcast_shapes(*map(np.shape, x)) + (4,))
     v[..., 0] = np.sin(x1) + 0.3 * np.cos(x2 + x3)
     v[..., 1] = np.cos(x0) * np.sin(x3)
     v[..., 2] = 0.5 * np.sin(x0 + x1 + x3)
@@ -85,12 +87,12 @@ def standard_one_form(x: np.ndarray) -> np.ndarray:
     return v
 
 
-def constant_minkowski(x: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(ETA, x.shape[:-1] + (4, 4)).copy()
+def constant_minkowski(*x: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(ETA, np.broadcast_shapes(*map(np.shape, x)) + (4, 4)).copy()
 
 
-def constant_velocity(x: np.ndarray) -> np.ndarray:
-    c = np.zeros(x.shape[:-1] + (4,))
+def constant_velocity(*x: np.ndarray) -> np.ndarray:
+    c = np.zeros(np.broadcast_shapes(*map(np.shape, x)) + (4,))
     c[..., 0] = 1.0
     return c
 
@@ -101,12 +103,13 @@ def constant_velocity(x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class FieldPatch:
     """Sampled fields on a uniform 4-D lattice of n^4 nodes, spacing h, cut
-    to the axis-0 nodes [lo, hi), hi None meaning n."""
+    to the axis-0 nodes [lo, hi), hi None meaning n.  metric_fn and
+    velocity_fn map the four arrays of `axes` to fields on every node."""
 
     h: float
     n: int
-    metric_fn: Callable[[np.ndarray], np.ndarray]
-    velocity_fn: Callable[[np.ndarray], np.ndarray]
+    metric_fn: Callable[..., np.ndarray]
+    velocity_fn: Callable[..., np.ndarray]
     lo: int = 0
     hi: Optional[int] = None
 
@@ -135,15 +138,15 @@ class FieldPatch:
             yield self if count == 1 else replace(self, lo=start - 1, hi=stop + 1)
 
     @cached_property
-    def coords(self) -> np.ndarray:
+    def axes(self) -> Tuple[np.ndarray, ...]:
+        """The node coordinates as an open grid, one broadcastable array per axis."""
         half = (self.n - 1) / 2.0
         axis = (np.arange(self.n) - half) * self.h
-        grids = np.meshgrid(axis[self.lo:self.hi], axis, axis, axis, indexing="ij")
-        return np.stack(grids, axis=-1)
+        return np.ix_(axis[self.lo:self.hi], axis, axis, axis)
 
     @cached_property
     def gl(self) -> np.ndarray:
-        g = self.metric_fn(self.coords)
+        g = self.metric_fn(*self.axes)
         # Lorentzian sanity: eigenvalues of eta-congruent form stay away from 0
         if not np.isfinite(g).all():
             raise ValueError("metric closure produced non-finite values")
@@ -151,11 +154,11 @@ class FieldPatch:
 
     @cached_property
     def gi(self) -> np.ndarray:
-        return np.linalg.inv(self.gl)
+        return symmetric_inverse(self.gl)
 
     @cached_property
     def C_lo(self) -> np.ndarray:
-        return self.velocity_fn(self.coords)
+        return self.velocity_fn(*self.axes)
 
     @cached_property
     def C_up(self) -> np.ndarray:
@@ -203,12 +206,13 @@ class FieldPatch:
     def cov_deriv_covector(dv: np.ndarray, v: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         """(nabla_a v_b) = d_a v_b - Gamma^l_{ab} v_l with shape (..., 4a, 4b), at
         the interior nodes: dv = d_a v_b and gamma hold the interior, v every node."""
-        return dv - np.einsum("...lab,...l->...ab", gamma, v[_INTERIOR])
+        vg = v[_INTERIOR][..., None, :] @ gamma.reshape(gamma.shape[:-3] + (4, 16))
+        return dv - vg.reshape(dv.shape)
 
     @cached_property
     def one_form(self) -> np.ndarray:
         """The unrelated analytic one-form of the conformal-derivative check."""
-        return standard_one_form(self.coords)
+        return standard_one_form(*self.axes)
 
     @cached_property
     def dC(self) -> np.ndarray:
@@ -337,6 +341,31 @@ def _gradient(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def symmetric_inverse(g: np.ndarray) -> np.ndarray:
+    """The inverse of each symmetric 4x4 matrix of g (..., 4, 4): its adjugate
+    from the 2x2 minors of rows 0-1 and 2-3 (Laplace expansion by complementary
+    minors) over its determinant, ten upper cofactors mirrored so that it is
+    exactly symmetric.  Raises ValueError where a determinant is 0 or not finite."""
+    a = np.moveaxis(g, (-2, -1), (0, 1)).copy()  # each entry one contiguous array
+    upper = [(i, j) for i in range(4) for j in range(i, 4)]
+    low, high = ({(j, k): a[r, j] * a[r + 1, k] - a[r, k] * a[r + 1, j]
+                  for j, k in upper if j < k} for r in (0, 2))
+    adj = np.empty_like(a)
+    for i, j in upper:  # the minor of (i, j) along the other row of i's pair
+        row, minor = (1 - i, high) if i < 2 else (5 - i, low)
+        k0, k1, k2 = (k for k in range(4) if k != j)
+        adj[i, j] = (a[row, k0] * minor[k1, k2] - a[row, k1] * minor[k0, k2]
+                     + a[row, k2] * minor[k0, k1])
+    det = (low[0, 1] * high[2, 3] - low[0, 2] * high[1, 3] + low[0, 3] * high[1, 2]
+           + low[1, 2] * high[0, 3] - low[1, 3] * high[0, 2] + low[2, 3] * high[0, 1])
+    if not (np.isfinite(det) & (det != 0)).all():
+        raise ValueError("metric closure produced a singular metric")
+    for i, j in upper:  # the cofactor's sign joins the division
+        adj[i, j] /= -det if (i + j) % 2 else det
+        adj[j, i] = adj[i, j]
+    return np.moveaxis(adj, (0, 1), (-2, -1)).copy()
+
+
 def project(p: np.ndarray, s: np.ndarray) -> np.ndarray:
     """p_am p_bn s_mn at every node, as the batched matmul p @ s @ p^T."""
     return p @ s @ np.swapaxes(p, -1, -2)
@@ -395,7 +424,7 @@ def _field_conformal_derivative(patch: FieldPatch,
     rhs = patch.dv - kv - np.swapaxes(kv, -1, -2)
     if not drop_trace_term:
         k_up = np.einsum("...ab,...b->...a", patch.gi[_INTERIOR], K)
-        rhs = rhs + np.einsum("...r,...r,...ab->...ab", k_up, v, patch.gl[_INTERIOR])
+        rhs = rhs + np.einsum("...r,...r->...", k_up, v)[..., None, None] * patch.gl[_INTERIOR]
     return lhs - rhs
 
 
@@ -432,8 +461,8 @@ def _field_shear_contraction(patch: FieldPatch,
     lhs = patch.sigma_sq
     rhs = patch.du_sq
     if not drop_acceleration_term:
-        rhs = rhs - np.einsum("...ab,...a,...b->...", patch.gi[_INTERIOR],
-                              patch.acc, patch.acc)
+        acc_up = (patch.acc[..., None, :] @ patch.gi[_INTERIOR])[..., 0, :]
+        rhs = rhs - np.einsum("...b,...b->...", acc_up, patch.acc)
     rhs = 2.0 * patch.F[_INTERIOR] ** 2 * rhs
     return lhs - rhs
 

@@ -425,6 +425,34 @@ class TestRealFlags:
         assert main(["lab", "run", "--h", "5"]) == 1
         assert "overall: FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [["--h", "5e-324"], ["--h", "1e-323", "--refine", "2"]],
+                             ids=["halved-to-zero", "quartered-to-zero"])
+    def test_subnormal_finest_spacing_rejected(self, flags, capsys):
+        # the finest level's differences would divide by 0 and read NaN
+        assert main(["lab", "run", "--json", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--h" in err and "not a positive normal float" in err
+        assert "Traceback" not in err
+
+    def test_tiny_normal_spacing_is_a_verdict(self, capsys):
+        assert main(["lab", "run", "--h", "1e-300"]) == 1
+        assert "overall: FAIL" in capsys.readouterr().out
+
+    def test_check_without_a_ratio_fails(self, monkeypatch, capsys):
+        from lops import lab
+        table = lab.refinement_table
+
+        def one_ratio_lost(**kwargs):
+            rows = table(**kwargs)
+            assert rows[1].ratio is not None and rows[1].h == 0.05
+            rows[1].ratio = None  # as when a finer level's shared residuals are 0 or NaN
+            return rows
+
+        monkeypatch.setattr(lab, "refinement_table", one_ratio_lost)
+        assert main(["lab", "run"]) == 1
+        assert "overall: FAIL" in capsys.readouterr().out
+
 
 class TestAnalyzeEns:
     def test_json_report_fields(self, tmp_path):

@@ -104,6 +104,11 @@ def axis0(patch):
     return range(patch.n)[patch.lo:patch.hi]
 
 
+def coords(patch):
+    """The coordinates of every node of a patch, shape (*nodes, 4)."""
+    return np.stack(np.broadcast_arrays(*patch.axes), axis=-1)
+
+
 def whole_patch_table(h, refine, n):
     """The residual rows as one pass over each whole patch computes them,
     check by check."""
@@ -152,15 +157,15 @@ class TestSlabs:
         for slab in patch.slabs():
             nodes = axis0(slab)
             rows = slice(nodes.start, nodes.stop)
-            assert np.array_equal(slab.coords, patch.coords[rows])
+            assert np.array_equal(coords(slab), coords(patch)[rows])
             assert np.array_equal(slab.gi, patch.gi[rows])
             inner = slice(nodes.start, nodes.stop - 2)  # interior fields start at node 1
             assert np.array_equal(slab.christoffel, patch.christoffel[inner])
             assert np.array_equal(slab.sigma_bar, patch.sigma_bar[inner])
 
     def test_refinement_peak_allocation(self):
-        """tracemalloc peak of the default table: 58.6 MB measured with
-        slabs (150.8 MB with whole patches); the bound is 1.25x that."""
+        """tracemalloc peak of the default table: 57.6 MB measured with
+        slabs (150.8 MB with whole patches); the bound is 1.25x 58.6 MB."""
         tracemalloc.start()
         try:
             lab.refinement_table(h=0.1, refine=1, n=9)
@@ -168,6 +173,49 @@ class TestSlabs:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * 58.6 * 2 ** 20, peak / 2 ** 20
+
+
+CLOSURES = (lab.standard_metric, lab.standard_dynamic_velocity, lab.standard_one_form,
+            lab.constant_minkowski, lab.constant_velocity)
+
+
+class TestOpenGrid:
+    """The closures read the open-grid axes and return the same fields, to
+    the bit, as on the fully broadcast lattice."""
+
+    @pytest.mark.parametrize("fn", CLOSURES, ids=lambda fn: fn.__name__)
+    def test_closure_on_axes_equals_the_lattice(self, fn):
+        patch = lab.FieldPatch.standard(h=0.1, n=17)
+        for p in (patch, *patch.slabs()):
+            got = fn(*p.axes)
+            assert got.shape[:4] == (len(axis0(p)), 17, 17, 17)
+            assert np.array_equal(got, fn(*np.broadcast_arrays(*p.axes)))
+
+
+def lorentzian_frames(count, seed):
+    """Seeded random metrics g = E^T eta E with frames E near the identity."""
+    frames = np.eye(4) + 0.2 * np.random.default_rng(seed).standard_normal((count, 4, 4))
+    return np.swapaxes(frames, -1, -2) @ lab.ETA @ frames
+
+
+class TestSymmetricInverse:
+    """The closed-form inverse against LAPACK's, kept here as the reference."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_lapack(self, seed):
+        g = lorentzian_frames(2000, seed)
+        gi = lab.symmetric_inverse(g)
+        ref = np.linalg.inv(g)
+        assert np.max(np.abs(gi @ g - np.eye(4))) <= 1e-13
+        scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
+        assert np.max(np.abs(gi - ref) / scale) <= 1e-13
+
+    def test_exactly_symmetric(self, patch):
+        for gi in (patch.gi, lab.symmetric_inverse(lorentzian_frames(2000, 3))):
+            assert np.array_equal(gi, gi.swapaxes(-1, -2))
+
+    def test_minkowski_is_its_own_inverse(self, flat):
+        assert np.array_equal(flat.gi, np.broadcast_to(lab.ETA, flat.gl.shape))
 
 
 class TestInteriorDifferences:
@@ -193,8 +241,8 @@ class TestInteriorDifferences:
         each slab, told the slab's first axis-0 node."""
         base = lab.FieldPatch.standard(h=0.1, n=9)
         fine = base.refined(level)
-        shared = np.isin(fine.coords[lab._INTERIOR],
-                         np.unique(base.coords[lab._INTERIOR])).all(axis=-1)
+        shared = np.isin(coords(fine)[lab._INTERIOR],
+                         np.unique(coords(base)[lab._INTERIOR])).all(axis=-1)
         assert shared.sum() == (base.n - 2) ** 4
         pieces = [(shared, 0)] + [(shared[s.lo:s.hi - 2], s.lo) for s in fine.slabs()]
         assert len(pieces) > 2
@@ -268,17 +316,27 @@ class TestPatchMechanics:
     def test_refinement_keeps_extent(self, patch):
         fine = patch.refined(1)
         assert fine.n == 17 and fine.h == pytest.approx(0.05)
-        assert np.allclose(fine.coords[0, 0, 0, 0], patch.coords[0, 0, 0, 0])
-        assert np.allclose(fine.coords[-1, -1, -1, -1], patch.coords[-1, -1, -1, -1])
+        assert np.allclose(coords(fine)[0, 0, 0, 0], coords(patch)[0, 0, 0, 0])
+        assert np.allclose(coords(fine)[-1, -1, -1, -1], coords(patch)[-1, -1, -1, -1])
 
     def test_velocity_requires_timelike_dynamic_velocity(self):
-        def null_velocity(x):
-            c = np.zeros(x.shape[:-1] + (4,))
+        def null_velocity(*x):
+            c = np.zeros(np.broadcast_shapes(*(a.shape for a in x)) + (4,))
             c[..., 1] = 1.0  # spacelike covector
             return c
         bad = lab.FieldPatch(0.1, 5, lab.constant_minkowski, null_velocity)
         with pytest.raises(ValueError):
             _ = bad.F
+
+    def test_singular_metric_rejected(self):
+        def metric(*x):
+            g = lab.constant_minkowski(*x)
+            g[..., 0, 0] = sum(a * a for a in x)  # 0 at the central node only
+            return g
+        bad = lab.FieldPatch(0.1, 5, metric, lab.constant_velocity)
+        assert np.count_nonzero(bad.gl[..., 0, 0] == 0) == 1
+        with pytest.raises(ValueError, match="singular metric"):
+            _ = bad.gi
 
     def test_vorticity_antisymmetric(self, patch):
         om = patch.omega
