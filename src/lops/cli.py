@@ -21,6 +21,7 @@ exact split reaches.  `main` builds its argument parser once per process.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import importlib.util
 import json
@@ -176,12 +177,11 @@ def _emit(payload, args, renderer=None) -> None:
         sys.stdout.write(text)
 
 
-def _assignment_for(system, factor_polys, overrides: Dict[str, Fraction]):
-    """Atom values for hyperbolicity: file assigns plus CLI overrides."""
-    values = {**system.assigns, **overrides}
+def _assignment_for(system, factor_polys):
+    """Atom values for hyperbolicity, from the system's assigns."""
     needed = set().union(*(p.atoms() for p in factor_polys)).difference(XI)
-    missing = sorted(needed.difference(values))
-    return {a: values[a] for a in needed if a in values}, missing
+    missing = sorted(needed.difference(system.assigns))
+    return {a: system.assigns[a] for a in needed if a in system.assigns}, missing
 
 
 def cmd_analyze(args) -> int:
@@ -208,6 +208,11 @@ def cmd_analyze(args) -> int:
 
 def _analyze(system, args) -> int:
     report: Dict = {"input": os.path.basename(args.input)}
+    # --F and --q stand in for the file's assigns, so the declared
+    # constraints are checked on the values that are used
+    overrides = {name: value for name, value in (("F", args.F), ("q", args.q))
+                 if value is not None}
+    system = dataclasses.replace(system, assigns={**system.assigns, **overrides})
     structure = validate_structure(system)
     report["structure"] = structure.to_json()
     ok = structure.ok
@@ -233,12 +238,7 @@ def _analyze(system, args) -> int:
         report["factorization"] = ver.to_json()
         ok = ok and ver.ok
 
-        overrides: Dict[str, Fraction] = {}
-        if args.F is not None:
-            overrides["F"] = args.F
-        if args.q is not None:
-            overrides["q"] = args.q
-        assign, missing = _assignment_for(system, [p for p, _ in claim.factors], overrides)
+        assign, missing = _assignment_for(system, [p for p, _ in claim.factors])
         verdicts = []
         for idx, (p, mult) in enumerate(claim.factors):
             fid = f"factor{idx}(x{mult})"

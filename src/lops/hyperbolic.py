@@ -385,12 +385,13 @@ def hyperbolicity_sampled(p: Poly, tau: Sequence[Fraction],
                           seed: int = 0, factor_id: str = "") -> HyperbolicityVerdict:
     """Companion-matrix roots along eta + s*tau for sampled directions eta;
     hyperbolic when every root is real within tol*(1+|Re|).  A falsification
-    screen, not a certificate.  A polynomial that vanishes at tau gets the
-    exact `vanishes-at-tau` verdict, with no sample drawn."""
+    screen, not a certificate.  A polynomial that vanishes at tau, the zero
+    polynomial included, gets the exact `vanishes-at-tau` verdict, with no
+    sample drawn."""
     import numpy as np
     q = _specialize(p, params)
     d = q.homogeneous_degree_in(XI)
-    if d is None or d < 1:
+    if q and (d is None or d < 1):
         raise DegreeMismatchError("sampled test needs a homogeneous xi-polynomial")
     if _eval_at_cov(q, tau) == 0:
         return _vanishing(tau, factor_id)
@@ -427,7 +428,9 @@ def hyperbolicity_auto(p: Poly, tau, params=None, n_samples: int = 1000,
     factor (`product`), and the parts get their own verdicts: the factor is
     hyperbolic exactly when every part is (Garding 1951).  A singular form
     that splits no further keeps its `inconclusive` quadratic-signature
-    verdict; only a factor of degree 3 or more gets the sampled screen."""
+    verdict; only a factor of degree 3 or more gets the sampled screen.  A
+    factor that the assignment makes the zero polynomial reaches
+    `hyperbolicity_sampled`, which finds that it vanishes at tau."""
 
     def verdict(q: Poly, fid: str) -> HyperbolicityVerdict:
         d = q.homogeneous_degree_in(XI)

@@ -5,7 +5,9 @@ patch; all derived fields (index of the fluid, normalized velocity,
 vorticity, shears, projectors) are built pointwise so the only error source
 is the second-order central differencing.  Identities that hold in the
 continuum must then show O(h^2) residuals, and deliberately mutated
-variants must not converge.
+variants must not converge.  `IDENTITIES` is the one table of them: each
+identity is a generator that yields its check's residual and then, from
+the same intermediate arrays, its mutated control's, if it has one.
 
 Each derived field is computed once per patch, as a cached property that
 every check and mutated control reads, and the index contractions run as
@@ -147,7 +149,8 @@ class FieldPatch:
     @cached_property
     def gl(self) -> np.ndarray:
         g = self.metric_fn(*self.axes)
-        # Lorentzian sanity: eigenvalues of eta-congruent form stay away from 0
+        # only finiteness is checked here: symmetric_inverse refuses a singular
+        # metric, and F a dynamic velocity that is not timelike
         if not np.isfinite(g).all():
             raise ValueError("metric closure produced non-finite values")
         return g
@@ -413,58 +416,54 @@ def _field_metric_compatibility(patch: FieldPatch) -> np.ndarray:
             - np.einsum("...lac,...bl->...abc", gamma, gl))
 
 
-def _field_conformal_derivative(patch: FieldPatch,
-                                drop_trace_term: bool = False) -> np.ndarray:
-    """The test one-form's conformal derivative against its K-term expansion."""
+def _field_conformal_derivative(patch: FieldPatch) -> Iterator[np.ndarray]:
+    """The test one-form's conformal derivative against its K-term expansion;
+    the control drops the trace term."""
     # the conformal side first: its transient connection then peaks before
     # the plain one is built and cached
     lhs = patch.dbar_one_form
     v, K = patch.one_form[_INTERIOR], patch.K
     kv = np.einsum("...a,...b->...ab", K, v)
     rhs = patch.dv - kv - np.swapaxes(kv, -1, -2)
-    if not drop_trace_term:
-        k_up = np.einsum("...ab,...b->...a", patch.gi[_INTERIOR], K)
-        rhs = rhs + np.einsum("...r,...r->...", k_up, v)[..., None, None] * patch.gl[_INTERIOR]
-    return lhs - rhs
+    k_up = np.einsum("...ab,...b->...a", patch.gi[_INTERIOR], K)
+    yield lhs - (rhs + np.einsum("...r,...r->...", k_up, v)[..., None, None]
+                 * patch.gl[_INTERIOR])
+    yield lhs - rhs
 
 
-def _field_first_shear_identity(patch: FieldPatch,
-                                drop_projection_term: bool = False) -> np.ndarray:
-    """Conformal shear = plain shear + 2 pi_{ab} u^r d_r F."""
+def _field_first_shear_identity(patch: FieldPatch) -> Iterator[np.ndarray]:
+    """Conformal shear = plain shear + 2 pi_{ab} u^r d_r F; the control drops
+    the projection term."""
     u_dF = np.einsum("...r,...r->...", patch.u_up[_INTERIOR], patch.dF)
     rhs = patch.sigma
-    if not drop_projection_term:
-        rhs = rhs + 2.0 * patch.pi_lo[_INTERIOR] * u_dF[..., None, None]
-    return patch.sigma_bar - rhs
+    yield patch.sigma_bar - (rhs + 2.0 * patch.pi_lo[_INTERIOR] * u_dF[..., None, None])
+    yield patch.sigma_bar - rhs
 
 
-def _field_second_shear_identity(patch: FieldPatch) -> np.ndarray:
+def _field_second_shear_identity(patch: FieldPatch) -> Iterator[np.ndarray]:
     """Conformal shear = 2 (nablabar_b C_a) + Theta_{ab}."""
     rhs = 2.0 * np.swapaxes(patch.dbarC, -1, -2) + patch.theta_tensor
-    return patch.sigma_bar - rhs
+    yield patch.sigma_bar - rhs
 
 
-def _field_acceleration_identity(patch: FieldPatch,
-                                 drop_vorticity_term: bool = False) -> np.ndarray:
-    """u^a nabla_a u_b = pi^a_b d_a F / F + u^a Omega_{ab} / F."""
+def _field_acceleration_identity(patch: FieldPatch) -> Iterator[np.ndarray]:
+    """u^a nabla_a u_b = pi^a_b d_a F / F + u^a Omega_{ab} / F; the control
+    drops the vorticity term."""
     lhs = patch.acc
     F = patch.F[_INTERIOR][..., None]
     rhs = np.einsum("...ab,...a->...b", patch.pi_mixed[_INTERIOR], patch.dF) / F
-    if not drop_vorticity_term:
-        rhs = rhs + np.einsum("...a,...ab->...b", patch.u_up[_INTERIOR], patch.omega) / F
-    return lhs - rhs
+    yield lhs - (rhs + np.einsum("...a,...ab->...b", patch.u_up[_INTERIOR], patch.omega) / F)
+    yield lhs - rhs
 
 
-def _field_shear_contraction(patch: FieldPatch,
-                             drop_acceleration_term: bool = False) -> np.ndarray:
-    """Sigma^{ab} Sigma_{ab} = 2 F^2 (du_sq - acceleration square)."""
-    lhs = patch.sigma_sq
-    rhs = patch.du_sq
-    if not drop_acceleration_term:
-        acc_up = (patch.acc[..., None, :] @ patch.gi[_INTERIOR])[..., 0, :]
-        rhs = rhs - np.einsum("...b,...b->...", acc_up, patch.acc)
-    rhs = 2.0 * patch.F[_INTERIOR] ** 2 * rhs
-    return lhs - rhs
+def _field_shear_contraction(patch: FieldPatch) -> Iterator[np.ndarray]:
+    """Sigma^{ab} Sigma_{ab} = 2 F^2 (du_sq - acceleration square); the
+    control drops the acceleration square."""
+    lhs, rhs = patch.sigma_sq, patch.du_sq
+    acc_up = (patch.acc[..., None, :] @ patch.gi[_INTERIOR])[..., 0, :]
+    scale = 2.0 * patch.F[_INTERIOR] ** 2
+    yield lhs - scale * (rhs - np.einsum("...b,...b->...", acc_up, patch.acc))
+    yield lhs - scale * rhs
 
 
 @dataclass
@@ -526,32 +525,21 @@ def check_projector_algebra(patch: FieldPatch) -> Dict[str, float]:
             "velocity-unit": float(unit_u)}
 
 
-def _field_velocity_gradient_orthogonality(patch: FieldPatch) -> np.ndarray:
+def _field_velocity_gradient_orthogonality(patch: FieldPatch) -> Iterator[np.ndarray]:
     """u^a nabla_b u_a = 0 (derivative of the exact unit normalization)."""
-    return np.einsum("...a,...ba->...b", patch.u_up[_INTERIOR], patch.du)  # du is (..., b, a)
+    yield np.einsum("...a,...ba->...b", patch.u_up[_INTERIOR], patch.du)  # du is (..., b, a)
 
 
-#: Convergent identity checks, name -> residual field.  This table and
-#: NEGATIVE_CONTROLS are the lab's only interface to the identities.
-FIELD_CHECKS: Tuple[Tuple[str, Callable[[FieldPatch], np.ndarray]], ...] = (
+#: The lab's identities, name -> residual fields: each yields its check's
+#: residual, then, if it has one, its mutated control's (row `<name>-mutated`),
+#: a variant with one term dropped that must NOT converge.
+IDENTITIES: Tuple[Tuple[str, Callable[[FieldPatch], Iterator[np.ndarray]]], ...] = (
     ("conformal-derivative", _field_conformal_derivative),
     ("shear-conformal-split", _field_first_shear_identity),
     ("shear-vorticity-split", _field_second_shear_identity),
     ("flow-acceleration", _field_acceleration_identity),
     ("shear-contraction", _field_shear_contraction),
     ("unit-norm-derivative", _field_velocity_gradient_orthogonality),
-)
-
-#: Mutated variants that must NOT converge (a dropped term dominates).
-NEGATIVE_CONTROLS: Tuple[Tuple[str, Callable[[FieldPatch], np.ndarray]], ...] = (
-    ("conformal-derivative-mutated",
-     lambda p: _field_conformal_derivative(p, drop_trace_term=True)),
-    ("shear-conformal-split-mutated",
-     lambda p: _field_first_shear_identity(p, drop_projection_term=True)),
-    ("flow-acceleration-mutated",
-     lambda p: _field_acceleration_identity(p, drop_vorticity_term=True)),
-    ("shear-contraction-mutated",
-     lambda p: _field_shear_contraction(p, drop_acceleration_term=True)),
 )
 
 
@@ -569,32 +557,36 @@ def _nested_max(field: np.ndarray, level: int, base_n: int, lo: int = 0) -> floa
 
 def refinement_table(h: float = 0.1, refine: int = 1, n: int = 9,
                      base: Optional[FieldPatch] = None) -> List[IdentityResidual]:
-    """Residuals of every FIELD_CHECKS, then NEGATIVE_CONTROLS, entry across k
-    halvings of the spacing, with ratios over the shared base-grid nodes.
+    """Residuals of every field the IDENTITIES yield, the checks and then the
+    mutated controls, across k halvings of the spacing, with ratios over the
+    shared base-grid nodes.
 
     The coarsest patch is `base` when given (its h and n then stand in for
-    the arguments), else the standard patch.  Each check's maxima are taken
+    the arguments), else the standard patch.  Each row's maxima are taken
     over the slabs of each level, finest first, so that the fields of a
     `base` that fits one slab are computed last and kept for the caller.
     """
     if base is None:
         base = FieldPatch.standard(h, n)
     patches = [base] + [base.refined(k) for k in range(1, refine + 1)]
-    checks = FIELD_CHECKS + NEGATIVE_CONTROLS
-    top = np.zeros((len(checks), len(patches), 2))  # (interior, shared-node) max
+    top: Dict[str, np.ndarray] = {}  # row -> per level (interior, shared-node) max
     for level in reversed(range(len(patches))):
         for slab in patches[level].slabs():
-            for i, (_, fn) in enumerate(checks):
-                field = fn(slab)
-                top[i, level] = np.maximum(top[i, level], (
-                    slab.interior_max(field), _nested_max(field, level, base.n, slab.lo)))
+            for name, identity in IDENTITIES:
+                row = name
+                for field in identity(slab):
+                    maxima = top.setdefault(row, np.zeros((len(patches), 2)))
+                    maxima[level] = np.maximum(maxima[level], (
+                        slab.interior_max(field), _nested_max(field, level, base.n, slab.lo)))
+                    del field  # reduced, so dropped before the next field is built
+                    row = name + "-mutated"
     rows: List[IdentityResidual] = []
-    for i, (name, _) in enumerate(checks):
+    for name in sorted(top, key=lambda row: row.endswith("-mutated")):
         for level, patch in enumerate(patches):
-            res = IdentityResidual(name, float(top[i, level, 0]), patch.h)
-            shared = float(top[i, level, 1])
+            res = IdentityResidual(name, float(top[name][level, 0]), patch.h)
+            shared = float(top[name][level, 1])
             if level and shared > 0:
-                res.ratio = float(top[i, level - 1, 1]) / shared
+                res.ratio = float(top[name][level - 1, 1]) / shared
             rows.append(res)
     return rows
 

@@ -302,6 +302,30 @@ class TestVanishingFactor:
         assert verdict["witness"] == "vanishes at tau=(1,0,0,0)"
 
 
+    @pytest.mark.parametrize("factor", ["a*xi0", "a*xi0^3"], ids=["linear", "cubic"])
+    def test_factor_zero_at_the_assignment_fails_without_traceback(self, tmp_path, factor):
+        spec = tmp_path / "zero.lops"
+        spec.write_text("unknown w multiplicity 1 index 1\n"
+                        "equation e multiplicity 1 index 0\n"
+                        "param a\n"
+                        "assign a := 0\n"
+                        "entry e[0] w[0] := xi0\n"
+                        "prefactor := 1\n"
+                        f"factor 1 := {factor}\n")
+        r = run_cli(["analyze", str(spec), "--json"])
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert json.loads(r.stdout)["factors"][0]["method"] == "vanishes-at-tau"
+
+    def test_reference_factors_zero_at_the_override_fail_without_traceback(self):
+        # P1 = 2(F + q) * cone is the zero polynomial at F = q = 0
+        r = run_cli(["analyze", ens_spec_path(), "--F", "0", "--q", "0", "--json"])
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        p1 = json.loads(r.stdout)["factors"][3]
+        assert (p1["method"], p1["verdict"]) == ("vanishes-at-tau", "not-hyperbolic")
+
+
 class TestCountFlags:
     """A count below 1 would let a check pass on nothing: exit 2, naming the
     flag.  `ens verify` decides root nonnegativity exactly and takes no
@@ -397,6 +421,18 @@ class TestRealFlags:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [("--F", "0"), ("--F", "-1"), ("--q", "0")])
+    def test_analyze_override_checks_the_declared_constraint(self, flag, value, capsys):
+        # the reference spec declares F and q positive, and an override
+        # is checked as an `assign` in the file would be
+        assert main(["analyze", ens_spec_path(), flag, value, "--json"]) == 1
+        items = json.loads(capsys.readouterr().out)["structure"]["items"]
+        name = flag[2:]
+        checked = [i for i in items if i["kind"] == "assignment-constraint"
+                   and i["subject"] == name]
+        assert checked == [{"kind": "assignment-constraint", "subject": name,
+                            "required": "positive", "found": value, "ok": False}]
 
     def test_analyze_takes_any_finite_rational(self, capsys):
         # a spec declares its own parameter constraints; the wave spec reads none

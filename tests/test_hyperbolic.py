@@ -126,6 +126,17 @@ class TestSampled:
         assert v.witness == "vanishes at tau=(1,0,0,0)"
         assert set(v.to_json()) == {"factor", "method", "verdict", "witness"}
 
+    @pytest.mark.parametrize("check", [hyperbolicity_auto, hyperbolicity_sampled],
+                             ids=["auto", "sampled"])
+    @pytest.mark.parametrize("power", [1, 3])
+    def test_factor_zero_at_the_assignment_vanishes(self, check, power):
+        # a * xi0^power is the zero polynomial at a = 0, which vanishes at tau
+        v = check(Poly.atom("a") * X[0] ** power, DT, {"a": Fr(0)}, n_samples=10,
+                  factor_id="f")
+        assert v.to_json() == {"factor": "f", "method": "vanishes-at-tau",
+                               "verdict": "not-hyperbolic",
+                               "witness": "vanishes at tau=(1,0,0,0)"}
+
     def test_agreement_with_closed_form_on_thousand_directions(self):
         # degree-2 factors certified by signature must also pass sampling
         for p in (MINK, Poly.constant(3) * MINK):

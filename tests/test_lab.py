@@ -22,13 +22,27 @@ def flat():
     return lab.FieldPatch(0.1, 5, lab.constant_minkowski, lab.constant_velocity)
 
 
+def yielded_fields(patch):
+    """Every residual field the identity table yields on a patch, by row
+    name: the checks in table order, then the mutated controls."""
+    checks, controls = {}, {}
+    for name, identity in lab.IDENTITIES:
+        check, *control = identity(patch)
+        assert len(control) <= 1, name  # a check and at most one control
+        checks[name] = check
+        controls.update((name + "-mutated", field) for field in control)
+    return {**checks, **controls}
+
+
 class TestFlatCases:
     def test_christoffels_vanish(self, flat):
         assert np.max(np.abs(flat.christoffel)) == 0.0
 
     def test_identities_trivially_zero(self, flat):
-        for name, fn in lab.FIELD_CHECKS + lab.NEGATIVE_CONTROLS:
-            assert flat.interior_max(fn(flat)) == 0.0, name
+        fields = yielded_fields(flat)
+        assert len(fields) == 10
+        for name, field in fields.items():
+            assert flat.interior_max(field) == 0.0, name
 
     def test_entropy_production_exactly_zero(self, flat):
         rep = lab.check_entropy_sign(flat, vtheta=-1.0)
@@ -94,8 +108,7 @@ class TestContractionKernels:
 
         monkeypatch.setattr(lab, "_gradient", counted)
         patch = lab.FieldPatch.standard(h=0.1, n=5)  # one slab
-        for _, fn in lab.FIELD_CHECKS + lab.NEGATIVE_CONTROLS:
-            fn(patch)
+        yielded_fields(patch)
         assert sorted(calls) == sorted([(4, 4), (4, 4), (4,), (4,), (4,), ()])
 
 
@@ -111,23 +124,38 @@ def coords(patch):
 
 def whole_patch_table(h, refine, n):
     """The residual rows as one pass over each whole patch computes them,
-    check by check."""
+    row by row."""
     patches = [lab.FieldPatch.standard(h, n)]
     patches += [patches[0].refined(k) for k in range(1, refine + 1)]
+    maxima = []  # per level: row -> (interior max, shared-node max)
+    for level, patch in enumerate(patches):
+        stride = 2 ** level
+        nodes = (slice(stride - 1, (n - 1) * stride - 1, stride),) * 4
+        maxima.append({name: (patch.interior_max(field), float(np.max(np.abs(field[nodes]))))
+                       for name, field in yielded_fields(patch).items()})
     rows = []
-    for name, fn in lab.FIELD_CHECKS + lab.NEGATIVE_CONTROLS:
+    for name in maxima[0]:
         prev = None
         for level, patch in enumerate(patches):
-            field = fn(patch)
-            stride = 2 ** level
-            shared = float(np.max(np.abs(
-                field[(slice(stride - 1, (n - 1) * stride - 1, stride),) * 4])))
-            res = lab.IdentityResidual(name, patch.interior_max(field), patch.h)
+            top, shared = maxima[level][name]
+            res = lab.IdentityResidual(name, top, patch.h)
             if prev is not None and shared > 0:
                 res.ratio = prev / shared
             rows.append(res.to_json())
             prev = shared
     return rows
+
+
+ROW_NAMES = ["conformal-derivative", "shear-conformal-split", "shear-vorticity-split",
+             "flow-acceleration", "shear-contraction", "unit-norm-derivative",
+             "conformal-derivative-mutated", "shear-conformal-split-mutated",
+             "flow-acceleration-mutated", "shear-contraction-mutated"]
+
+
+def test_refinement_table_row_names(table):
+    """The six checks, then the four mutated controls, each across its levels."""
+    assert [r.name for r in table] == [name for name in ROW_NAMES for _ in range(2)]
+    assert [r.h for r in table] == [0.1, 0.05] * len(ROW_NAMES)
 
 
 class TestSlabs:
