@@ -149,21 +149,16 @@ def build_ens_system(metric: str = "specialized",
     # entropy row: double flow derivative on s plus second-order velocity
     # couplings whose coefficients carry first velocity derivatives
     put("eq_s", 0, "s", 0, uxi * uxi)
+    # each velocity coupling is scoef * u.xi * [d_a u^g piux[a] + pi^{ag} d_a u^m xi_m
+    # + (d_m u_n + d_n u_m) g^{ng} piux[m]], every xi contraction taken once
     scoef = Poly.constant(-1) * Poly.atom(VTHETA) * Poly.atom(F_ATOM) * Poly.atom(INV_THR)
+    duux = [_flow(row) for row in DUU]  # d_alpha u^mu xi_mu
+    sym_dul = [[Poly.atom(DUL[m][v]) + Poly.atom(DUL[v][m]) for v in range(4)] for m in range(4)]
+    dul_piux = [sum((sym_dul[m][v] * piux[m] for m in range(4)), Poly.zero()) for v in range(4)]
     for g in range(4):
-        t1 = Poly.zero()
-        t2 = Poly.zero()
-        t3 = Poly.zero()
-        for al in range(4):
-            for mu in range(4):
-                t1 = t1 + Poly.atom(PIU[al][mu]) * Poly.atom(DUU[al][g]) * XIP[mu]
-                t2 = t2 + Poly.atom(PIU[al][g]) * Poly.atom(DUU[al][mu]) * XIP[mu]
-        for mu in range(4):
-            sym_du = Poly.zero()
-            for nu in range(4):
-                sym_du = sym_du + (Poly.atom(DUL[mu][nu]) + Poly.atom(DUL[nu][mu])) * giu[nu][g]
-            t3 = t3 + sym_du * piux[mu]
-        put("eq_s", 0, "u", g, scoef * uxi * (t1 + t2 + t3))
+        t = sum((Poly.atom(DUU[al][g]) * piux[al] + Poly.atom(PIU[al][g]) * duux[al]
+                 + dul_piux[al] * giu[al][g] for al in range(4)), Poly.zero())
+        put("eq_s", 0, "u", g, scoef * uxi * t)
 
     # velocity rows: wave operator, vorticity and dynamic-velocity couplings
     for g in range(4):
@@ -353,13 +348,19 @@ class FluidState:
                           u_up=[Fr(1), Fr(0), Fr(0), Fr(0)], F=F, q=q, **kw)
 
 
+def _det3(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a 3 x 3 matrix, expanded along its first row."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def random_state(rng: random.Random, max_entry: int = 16) -> FluidState:
     """Draw a rational state from a frame: g = E^T eta E with E near the
     identity keeps g Lorentzian and u = column 0 of E^{-1} exactly unit.
 
     The frame goes over one integer denominator, E = M/L, so E^{-1} =
-    L adj(M)/det(M) comes from the signed 3 x 3 minors of M; a singular
-    frame is drawn again."""
+    L adj(M)/det(M) comes from the signed 3 x 3 minors of M (`_det3`); a
+    singular frame is drawn again."""
 
     def draw() -> Tuple[int, int]:
         return rng.randint(-max_entry, max_entry), rng.randint(1, max_entry) * 4
@@ -372,7 +373,7 @@ def random_state(rng: random.Random, max_entry: int = 16) -> FluidState:
         L = math.lcm(*(d for row in e for _, d in row))
         m = [[n * (L // d) + L * (a == b) for b, (n, d) in enumerate(row)]
              for a, row in enumerate(e)]
-        adj = [[(-1) ** (a + b) * laplace_determinant([r[:a] + r[a + 1:] for r in m[:b] + m[b + 1:]])
+        adj = [[(-1) ** (a + b) * _det3([r[:a] + r[a + 1:] for r in m[:b] + m[b + 1:]])
                 for b in range(4)] for a in range(4)]
         det = sum(m[0][k] * adj[k][0] for k in range(4))
         if det:
@@ -673,24 +674,25 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     and the report carries it as `quartic`.
 
     Numeric path: at random rational states with fully general Lorentzian
-    metric, the whole 25 x 25 determinant (integer Gaussian elimination) is
-    compared with the reference product, and the 10 x 10 block with its
-    closed form through the cofactor oracle, `matrix.laplace_determinant`
-    (no pivots, no division).  The general matrix is checked to have no
-    nonzero entry below its block diagonal (`block_order`); then its
-    determinant is the product of the diagonal blocks' determinants, since
-    no term of it reads an entry between two blocks, so only the 49 entries
-    inside a block are evaluated and those above the diagonal stay 0 in the
-    integer rows.  A nonzero entry below fails the full-determinant item,
-    named.  One batched evaluation (`eval_columns`, one trie of products
-    over the 57 polynomials' 420 terms, each product taken once per chunk
-    of states however many terms share it) gives, per state, those
-    entries, the wave cone, u.xi and the reference factors as exact
-    (numerator, denominator) pairs; both determinants run on the rows
-    scaled to integers.  The states are drawn lazily, one chunk at a time,
-    in the RNG order of the reports.  `threads` > 1 checks the states on
-    that many worker threads (only the benchmark's probe does); the report
-    does not depend on it.
+    metric, the whole 25 x 25 determinant is compared with the reference
+    product, and the 10 x 10 block with its closed form through the cofactor
+    oracle, `matrix.laplace_determinant` (no pivots, no division).  The
+    general matrix is checked to have no nonzero entry below its block
+    diagonal (`block_order`); then its determinant is the product of the
+    diagonal blocks' determinants, since no term of it reads an entry
+    between two blocks, so only the 49 entries inside a block are
+    evaluated.  The product takes each 1 x 1 block's value and one integer
+    Gaussian elimination (`_integer_det`) per larger block, on that block's
+    rows scaled to integers once; the oracle expands the same integer rows
+    of the 10 x 10 block first.  A nonzero entry below the block diagonal
+    fails the full-determinant item, named.  One batched evaluation
+    (`eval_columns`, one trie of products over the 57 polynomials' 420
+    terms, each product taken once per chunk of states however many terms
+    share it) gives, per state, those entries, the wave cone, u.xi and the
+    reference factors as exact (numerator, denominator) pairs.  The states
+    are drawn lazily, one chunk at a time, in the RNG order of the reports.
+    `threads` > 1 checks the states on that many worker threads (only the
+    benchmark's probe does); the report does not depend on it.
     """
     from .hyperbolic import quartic_from_coefficients
     from .matrix import (block_factors, block_order, build_symbol_matrix, determinant,
@@ -746,7 +748,8 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     rng = random.Random(seed)
     mat_gen = build_symbol_matrix(build_ens_system("general", "on_data"))
     n = mat_gen.dimension
-    rank = {i: b for b, block in enumerate(block_order(mat_gen)) for i in block}
+    blocks = block_order(mat_gen)
+    rank = {i: b for b, block in enumerate(blocks) for i in block}
     nonzero = [(i, j) for i in range(n) for j in range(n) if mat_gen.entries[i][j]]
     lower = next(((i, j) for i, j in nonzero if rank[i] > rank[j]), None)
     cells = [(i, j) for i, j in nonzero if rank[i] == rank[j]]
@@ -767,7 +770,7 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     rows = (row for columns in eval_columns(polys, atoms, (p for _, p in points))
             for row in zip(*[zip(nums, dens) for nums, dens in columns]))
     samples = zip((s for s, _ in states), rows)
-    idx10 = range(15, 25)
+    idx10 = list(range(15, 25))
 
     def check_sample(pair) -> Tuple[bool, bool]:
         state, row = pair  # unreduced (numerator, denominator) pairs
@@ -779,10 +782,17 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
         for (_, mult), (fn, fd) in zip(ref.factors, values):
             rn *= fn ** mult
             rd *= fd ** mult
-        block, block_scale = _integer_rows([[full_rows[i][j] for j in idx10] for i in idx10])
-        oracle = Fr(laplace_determinant(block), block_scale)
-        full, scale = _integer_rows(full_rows)
-        full_ok = _integer_det(full) * rd == rn * scale
+        num, den, oracle = 1, 1, None
+        for block in blocks:  # det = the product of the diagonal blocks' determinants
+            if len(block) == 1:
+                bn, bd = full_rows[block[0]][block[0]]
+            else:
+                ints, bd = _integer_rows([[full_rows[i][j] for j in block] for i in block])
+                if block == idx10:  # before the elimination overwrites the rows
+                    oracle = Fr(laplace_determinant(ints), bd)
+                bn = _integer_det(ints)
+            num, den = num * bn, den * bd
+        full_ok = num * rd == rn * den
         lightv, uxiv = Fr(ln, ld), Fr(un, ud)
         pval = (state.F + state.q) * lightv ** 2
         expected = state.F ** 3 * (state.F + state.q) ** 2 * uxiv ** 6 * lightv ** 2 * pval

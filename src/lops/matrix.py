@@ -122,13 +122,19 @@ def laplace_determinant(rows: Sequence[Sequence]):
     """Memoized Laplace expansion over any ring whose zero is falsy.
 
     Expands along rows taken sparsest first, memoizes each minor on its
-    column set and applies the sign of that row permutation.  No pivoting
+    column set and applies the sign of that row permutation.  Each row's
+    support mask (bit j set when its column j is nonzero) orders the rows by
+    popcount, and a minor over the column mask visits only `mask & support`;
+    a column's sign is the parity of the mask bits below it.  No pivoting
     and no division, so it works for `Poly`, `Fraction` and `int` entries
     alike: every block and Schur complement expanded, and the numeric oracle.
-    Exponential in the worst case.  It nests one frame per row, and raises
-    `ExpansionDepthError` up front if the recursion limit leaves too few.
+    The empty matrix has determinant 1.  Exponential in the worst case.  It
+    nests one frame per row, and raises `ExpansionDepthError` up front if
+    the recursion limit leaves too few.
     """
     n = len(rows)
+    if not n:
+        return 1
     # frames left for one per row, after the stack and the ring's arithmetic
     frame, room = sys._getframe(), sys.getrecursionlimit() - 16
     while frame is not None:
@@ -136,7 +142,9 @@ def laplace_determinant(rows: Sequence[Sequence]):
     if n > room:
         raise ExpansionDepthError(f"a {n}x{n} block is too deep to expand: the recursion limit "
                                   f"{sys.getrecursionlimit()} leaves room for {max(room, 0)} rows")
-    order = sorted(range(n), key=lambda i: sum(1 for e in rows[i] if e))
+    supports = [sum(1 << j for j, e in enumerate(row) if e) for row in rows]
+    order = sorted(range(n), key=lambda i: supports[i].bit_count())
+    ordered = [(rows[i], supports[i]) for i in order]
     last = rows[order[-1]]
     zero = type(last[0])()  # Poly(), Fraction() and int() are each their ring's zero
     memo = {}
@@ -147,20 +155,16 @@ def laplace_determinant(rows: Sequence[Sequence]):
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        row = rows[order[depth]]
+        row, support = ordered[depth]
         total = zero
-        pos = 0
-        rem = mask
+        rem = mask & support
         while rem:
-            j = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            e = row[j]
-            if e:
-                minor = rec(depth + 1, mask & ~(1 << j))
-                if minor:
-                    term = e * minor
-                    total = total + term if pos % 2 == 0 else total - term
-            pos += 1
+            bit = rem & -rem
+            rem ^= bit
+            minor = rec(depth + 1, mask ^ bit)
+            if minor:
+                term = row[bit.bit_length() - 1] * minor
+                total = total - term if (mask & (bit - 1)).bit_count() & 1 else total + term
         memo[mask] = total
         return total
 

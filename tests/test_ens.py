@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -76,6 +77,20 @@ def _assert_inverse_pair(gi, gl):
     for a in range(4):
         for b in range(4):
             assert sum(gi[a][k] * gl[k][b] for k in range(4)) == int(a == b)
+
+
+def _perturb_general_entry(monkeypatch, i, j):
+    """Add 1 to entry [i][j] of every general-metric symbol matrix built."""
+    from lops import matrix
+    build = matrix.build_symbol_matrix
+
+    def perturbed(system):
+        mat = build(system)
+        if any(p.name == "gi00" for p in system.params):
+            mat.entries[i][j] = mat.entries[i][j] + Poly.constant(1)
+        return mat
+
+    monkeypatch.setattr(matrix, "build_symbol_matrix", perturbed)
 
 
 class _Scripted:
@@ -214,6 +229,45 @@ class TestStates:
                 _assert_same_state(state, _fraction_state(twin, max_entry))
                 _assert_inverse_pair(state.gi, state.gl)
 
+    def test_first_sampled_states_are_pinned(self, monkeypatch):
+        # the reports print only counts, so a moved RNG stream or frame
+        # inverse would leave every report byte-identical: pin what seed 0
+        # draws, gi over SYM_PAIRS
+        rng = random.Random(0)
+        first, second = (ens.random_state(rng, max_entry=8) for _ in range(2))
+        assert [first.gi[a][b] for a, b in ens.SYM_PAIRS] == [
+            Fr(305458611211600, 703678068278761), Fr(-399220609726400, 2111034204836283),
+            Fr(669108753782000, 2111034204836283), Fr(394016020032600, 703678068278761),
+            Fr(-9478245900237056, 6333102614508849), Fr(-7570706617090240, 6333102614508849),
+            Fr(-715483375949472, 703678068278761), Fr(-11603216703513200, 6333102614508849),
+            Fr(-861528593615880, 703678068278761), Fr(-1523841288580476, 703678068278761)]
+        assert first.u_up == [Fr(19988500, 26526931), Fr(-15480080, 79580793),
+                              Fr(6185900, 79580793), Fr(6807150, 26526931)]
+        assert (first.F, first.q) == (Fr(17, 14), Fr(3, 8))
+        assert [second.gi[a][b] for a, b in ens.SYM_PAIRS] == [
+            Fr(-491397688832, 104304457445), Fr(-276834181952, 104304457445),
+            Fr(-146851689472, 104304457445), Fr(127729030912, 104304457445),
+            Fr(-117277610704, 104304457445), Fr(-38206871168, 104304457445),
+            Fr(51262409408, 104304457445), Fr(-6323075840, 20860891489),
+            Fr(7826771456, 20860891489), Fr(-36587498752, 20860891489)]
+        assert second.u_up == [Fr(483168, 722165), Fr(-200256, 722165),
+                               Fr(-345744, 722165), Fr(272384, 722165)]
+        assert (second.F, second.q) == (Fr(15, 8), Fr(3, 8))
+        # verify_ens_determinant draws each state, then its covector
+        points = []
+        real = ens.eval_columns
+
+        def spy(polys, atoms, pts):
+            pts = iter(pts)
+            head = next(pts)
+            points.append({a: Fr(*v) for a, v in zip(atoms, head)})
+            return real(polys, atoms, itertools.chain([head], pts))
+
+        monkeypatch.setattr(ens, "eval_columns", spy)
+        assert ens.verify_ens_determinant(state_samples=1, seed=0).ok
+        assert [points[0][a] for a in XI] == [Fr(-2), Fr(9), Fr(-9), Fr(-3)]
+        assert (points[0][ens.F_ATOM], points[0][ens.GI[0][0]]) == (first.F, first.gi[0][0])
+
     def test_assignment_of_symmetric_atoms(self):
         state = ens.random_state(random.Random(3), max_entry=8)
         assign = state.assignment()
@@ -318,16 +372,7 @@ class TestVerification:
         # the vorticity/velocity block must show in both numeric checks at
         # every sample, while the symbolic checks, which read the
         # specialized matrix, still pass
-        from lops import matrix
-        build = matrix.build_symbol_matrix
-
-        def perturbed(system):
-            mat = build(system)
-            if any(p.name == "gi00" for p in system.params):
-                mat.entries[20][20] = mat.entries[20][20] + Poly.constant(1)
-            return mat
-
-        monkeypatch.setattr(matrix, "build_symbol_matrix", perturbed)
+        _perturb_general_entry(monkeypatch, 20, 20)
         items = {i.name: i for i in ens.verify_ens_determinant(state_samples=5, seed=0).items}
         assert items["numeric-full-determinant"].detail == (
             "5 random rational states, 5 mismatches")
@@ -336,21 +381,28 @@ class TestVerification:
         failed = [name for name, item in items.items() if not item.ok]
         assert failed == ["numeric-full-determinant", "numeric-block-cofactor-oracle"]
 
+    @pytest.mark.parametrize("cell", [0, 10])
+    def test_full_determinant_reads_each_1x1_block(self, monkeypatch, cell):
+        # the full determinant is the product of the diagonal blocks'
+        # determinants: a changed 1 x 1 block (a metric row's wave cone, the
+        # entropy row's (u.xi)^2) fails it at every sample, and the 10 x 10
+        # block's oracle still passes
+        _perturb_general_entry(monkeypatch, cell, cell)
+        items = {i.name: i for i in ens.verify_ens_determinant(state_samples=5, seed=0).items}
+        assert items["numeric-full-determinant"].detail == (
+            "5 random rational states, 5 mismatches")
+        assert items["numeric-block-cofactor-oracle"].detail == (
+            "5 states vs independent cofactor expansion, 0 mismatches")
+        failed = [name for name, item in items.items() if not item.ok]
+        assert failed == ["numeric-full-determinant"]
+
     def test_entry_above_the_block_diagonal_is_not_read(self, monkeypatch):
         # entry [10][11] (560 terms of eq_s) lies above the block diagonal:
         # no term of the determinant reads it, so changing it changes neither
         # numeric check
-        from lops import matrix
-        build = matrix.build_symbol_matrix
-
-        def perturbed(system):
-            mat = build(system)
-            if any(p.name == "gi00" for p in system.params):
-                assert len(mat.entries[10][11]) == 560
-                mat.entries[10][11] = mat.entries[10][11] + Poly.constant(1)
-            return mat
-
-        monkeypatch.setattr(matrix, "build_symbol_matrix", perturbed)
+        general = build_symbol_matrix(ens.build_ens_system("general", "on_data"))
+        assert len(general.entries[10][11]) == 560
+        _perturb_general_entry(monkeypatch, 10, 11)
         rep = ens.verify_ens_determinant(state_samples=5, seed=0)
         assert rep.ok, "\n".join(i.line() for i in rep.items)
 

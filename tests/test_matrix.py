@@ -8,7 +8,7 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lops import ens_spec_path, matrix
+from lops import ens, ens_spec_path, matrix
 from lops.dsl import parse_system
 from lops.matrix import (ExpansionDepthError, SymbolMatrix, _evaluation_witness,
                          _schur_factors, block_factors, block_order, build_symbol_matrix,
@@ -123,6 +123,64 @@ class TestDeterminant:
                 for _ in range(5)]
         wrapped = SymbolMatrix(5, [[Poly.constant(v) for v in row] for row in rows])
         assert cofactor_determinant_rational(rows) == determinant(wrapped).as_constant()
+
+    def test_empty_matrix(self):
+        assert laplace_determinant([]) == ens._integer_det([]) == 1
+
+
+def _eliminated_det(rows):
+    """Exact determinant of a rational matrix by `ens._integer_det`'s
+    fraction-free elimination on the rows `ens._integer_rows` scales."""
+    ints, scale = ens._integer_rows([[(Fr(x).numerator, Fr(x).denominator) for x in row]
+                                     for row in rows])
+    return Fr(ens._integer_det(ints), scale)
+
+
+class TestLaplaceSupportLoop:
+    """The expansion visits only each row's nonzero columns; checked on
+    sparse matrices against elimination, which shares none of its code."""
+
+    @staticmethod
+    def sparse_rows(rng, n, kind, shape):
+        def entry():
+            if kind is int:
+                return rng.choice([-3, -2, -1, 1, 2, 5])
+            if kind is Fr:
+                return Fr(rng.choice([-3, -1, 1, 2, 7]), rng.randint(1, 4))
+            return random_poly(rng) or Poly.one()
+
+        zero = Poly.zero() if kind is Poly else kind()
+        if shape == "equal-counts":  # the stable popcount order decides the sign
+            width = min(n, rng.randint(1, 3))
+            support = [set(rng.sample(range(n), width)) for _ in range(n)]
+        else:
+            support = [{j for j in range(n) if rng.random() < 0.35} for _ in range(n)]
+        rows = [[entry() if j in s else zero for j in range(n)] for s in support]
+        if shape == "zero-row":
+            rows[rng.randrange(n)] = [zero] * n
+        return rows
+
+    @pytest.mark.parametrize("kind", [int, Fr, Poly], ids=["int", "Fraction", "Poly"])
+    @pytest.mark.parametrize("shape", ["sparse", "equal-counts", "zero-row"])
+    def test_agrees_with_elimination(self, kind, shape):
+        rng = random.Random(f"{kind.__name__}-{shape}")
+        values = set()
+        for trial in range(36):
+            n = trial % 9 + 1
+            rows = self.sparse_rows(rng, n, kind, shape)
+            det = laplace_determinant(rows)
+            if kind is Poly:
+                assert det == determinant(SymbolMatrix(n, rows)), f"trial {trial}"
+                for _ in range(2):  # det commutes with evaluation at a point
+                    point = {a: Fr(rng.randint(-5, 5), rng.randint(1, 3)) for a in ATOMS}
+                    value = det.eval(point)
+                    assert value == _eliminated_det([[e.eval(point) for e in row]
+                                                     for row in rows]), f"trial {trial}"
+                    values.add(value == 0)
+            else:
+                assert det == _eliminated_det(rows), f"trial {trial}"
+                values.add(det == 0)
+        assert values == ({True} if shape == "zero-row" else {True, False})
 
 
 F = Poly.atom("F")
