@@ -30,7 +30,9 @@ error, and so is a spec with no unknown or no equation block (reported at
 the end of the input), one whose equation and unknown totals differ, an
 entry index beyond its block's multiplicity, a claimed factor that is zero,
 free of xi or not xi-homogeneous, a factor multiplicity below 1, or a
-prefactor with no factor.
+prefactor with no factor.  The unknown blocks, and the equation blocks,
+total at most MAX_ROWS rows, and a claimed factor's multiplicity times its
+xi-degree is at most MAX_DEGREE, the highest degree a determinant can have.
 """
 
 from __future__ import annotations
@@ -68,6 +70,12 @@ MAX_POWER_BITS = 2 * MAX_DEGREE + 2
 # k * (bits + log2 t) bits.  Powers at the bound, such as (xi0+xi1+xi2+xi3)^33,
 # (xi0+xi1+xi2)^86 or (xi0+xi1)^576, each expand in under 0.3 s (2-vCPU Xeon)
 MAX_POWER_SIZE = 1_000_000
+# the most rows the unknown blocks, or the equation blocks, may total: the
+# symbol matrix is n x n, so its grid alone grows as n^2.  An all-zero spec of
+# 2,000 rows analyzes in 0.54 s and 48 MB in a fresh process (2-vCPU Xeon;
+# 4,000 rows take 2.1 s and 140 MB); the largest shipped, sweep or digest
+# spec has 25 rows
+MAX_ROWS = 2_000
 
 # a plain term at the cursor: an optional unary minus, an optional `a` or
 # `a/b` and a `*`-run of atoms, each with an optional `^k` of at most five
@@ -336,7 +344,7 @@ def parse_system(text: str) -> LeraySystem:
             if head[1] == "unknown" or head[1] == "equation":
                 name = toks.expect("name")[1]
                 toks.expect("name", "multiplicity")
-                mult = int(toks.expect("num")[1])
+                mult_tok = toks.expect("num")
                 toks.expect("name", "index")
                 idx = int(toks.expect("num")[1])
                 toks.done()
@@ -345,6 +353,11 @@ def parse_system(text: str) -> LeraySystem:
                                  else (equations, EquationBlock))
                 if any(b.name == name for b in blocks):
                     raise ParseError(f"duplicate {head[1]} block {name!r}", line_no, head[2])
+                mult = int(mult_tok[1])
+                rows = mult + sum(b.multiplicity for b in blocks)
+                if rows > MAX_ROWS:
+                    raise ParseError(f"{head[1]} blocks total {rows} rows, more than {MAX_ROWS}",
+                                     line_no, mult_tok[2])
                 blocks.append(block(name, mult, idx))
 
             elif head[1] == "param":
@@ -417,6 +430,9 @@ def parse_system(text: str) -> LeraySystem:
                 if problem is not None:
                     raise ParseError(f"claimed factor {len(factors) + 1} ({p.render()}) {problem}",
                                      line_no, start)
+                if mult * d > MAX_DEGREE:  # no determinant's degree is past it (lops.poly)
+                    raise ParseError(f"factor multiplicity {mult} times degree {d} exceeds the "
+                                     f"supported maximum degree {MAX_DEGREE}", line_no, mult_tok[2])
                 factors.append((p, mult))
 
             elif head[1] == "prefactor":

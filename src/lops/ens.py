@@ -160,53 +160,38 @@ def build_ens_system(metric: str = "specialized",
                  + dul_piux[al] * giu[al][g] for al in range(4)), Poly.zero())
         put("eq_s", 0, "u", g, scoef * uxi * t)
 
-    # velocity rows: wave operator, vorticity and dynamic-velocity couplings
+    # velocity rows: wave operator, vorticity and dynamic-velocity couplings.
+    # The terms -(1/2F)(g^{mn} d_n Omega_{mg} + u^m u^n d_m Omega_{ng}) and
+    # (1/2F) u_g u^m g^{nb} d_b Omega_{nm} give row g's Omega_xy (x < y) the
+    # symbol u_g W_xy, plus V_x when g = y and minus V_y when g = x, where
+    # V_m = -(1/2F)(g^{mn} xi_n + u^m u.xi), W_xy = (1/2F)(u^y g^{xb} - u^x g^{yb}) xi_b
+    half_inv_f = Poly.constant(Fr(1, 2)) * Poly.atom(INV_F)
+    v = [-half_inv_f * (xiup[m] + Poly.atom(U[m]) * uxi) for m in range(4)]
+    w = [half_inv_f * (Poly.atom(U[y]) * xiup[x] - Poly.atom(U[x]) * xiup[y])
+         for x, y in ANTISYM_PAIRS]
     for g in range(4):
         put("eq_u", g, "u", g, light)
-    half_inv_f = Poly.constant(Fr(1, 2)) * Poly.atom(INV_F)
     for g in range(4):
-        omega_coeff: Dict[int, Poly] = {k: Poly.zero() for k in range(6)}
-
-        def add_omega(x: int, y: int, c: Poly):
-            # accumulate coefficient of Omega_{xy} using antisymmetric storage
-            if x == y:
-                return
-            if x < y:
-                omega_coeff[ANTISYM_PAIRS.index((x, y))] += c
-            else:
-                omega_coeff[ANTISYM_PAIRS.index((y, x))] += -c
-
-        for mu in range(4):
-            # -(1/2F) g^{mu nu} d_nu Omega_{mu g}
-            add_omega(mu, g, -half_inv_f * xiup[mu])
-            # -(1/2F) u^mu u^nu d_mu Omega_{nu g}
-            add_omega(mu, g, -half_inv_f * uxi * Poly.atom(U[mu]))
-        for nu in range(4):
-            for mu in range(4):
-                # +(1/2F) u_g u^mu g^{nu beta} d_beta Omega_{nu mu}
-                add_omega(nu, mu, half_inv_f * Poly.atom(UL[g]) * Poly.atom(U[mu]) * xiup[nu])
-        for k in range(6):
-            put("eq_u", g, "omega", k, omega_coeff[k])
+        for k, (x, y) in enumerate(ANTISYM_PAIRS):
+            side = v[x] if g == y else -v[y] if g == x else Poly.zero()
+            put("eq_u", g, "omega", k, Poly.atom(UL[g]) * w[k] + side)
         for mu in range(4):
             put("eq_u", g, "c", mu, Poly.atom(INV_F) * piux[mu] * pix[g])
 
     # vorticity rows: transport along the dynamic velocity plus q-coupling
+    qx = Poly.atom(Q_ATOM) * uxi
     for k, (a, b) in enumerate(ANTISYM_PAIRS):
         put("eq_omega", k, "omega", k, cxi)
-        qx = Poly.atom(Q_ATOM) * uxi
         put("eq_omega", k, "c", b, qx * XIP[a])
         put("eq_omega", k, "c", a, -qx * XIP[b])
 
-    # dynamic-velocity rows: wave operator minus divergence of the vorticity
+    # dynamic-velocity rows: wave operator minus divergence of the vorticity,
+    # xi^b in row a's Omega_ab column and -xi^a in row b's
     for al in range(4):
         put("eq_c", al, "c", al, light)
         for k, (a, b) in enumerate(ANTISYM_PAIRS):
-            sym = Poly.zero()
-            if a == al:
-                sym = sym + xiup[b]
-            if b == al:
-                sym = sym - xiup[a]
-            put("eq_c", al, "omega", k, sym)
+            if al in (a, b):
+                put("eq_c", al, "omega", k, xiup[b] if al == a else -xiup[a])
 
     deps = [
         DependencyDecl("eq_g", "g", 1),
@@ -464,13 +449,13 @@ def quartic_coefficients() -> Tuple[Poly, Poly, Poly]:
 
 
 def vorticity_velocity_block():
-    """The trailing 10 x 10 symbol block (vorticity and dynamic-velocity
-    rows/columns) of the specialized on-data system."""
-    from .matrix import build_symbol_matrix
+    """The 10 x 10 symbol block (vorticity and dynamic-velocity rows/columns)
+    of the specialized on-data system: the one diagonal block of more than
+    one row."""
+    from .matrix import block_order, build_symbol_matrix
 
-    sys_ = build_ens_system(metric="specialized", dynamic_velocity="on_data")
-    mat = build_symbol_matrix(sys_)
-    idx = list(range(15, 25))
+    mat = build_symbol_matrix(build_ens_system(metric="specialized", dynamic_velocity="on_data"))
+    (idx,) = [b for b in block_order(mat) if len(b) > 1]
     return mat.submatrix(idx, idx)
 
 
@@ -734,8 +719,8 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
             detail = f"division failed: {err}"
         items.append(VerifyItem(name, ok, detail))
 
-    # P from this run's own vorticity/velocity block determinant
-    P = _quartic_from_block(groups[block_order(mat).index(list(range(15, 25)))])
+    # P from this run's own vorticity/velocity block, the one of more than one row
+    (P,) = [_quartic_from_block(g) for b, g in zip(block_order(mat), groups) if len(b) > 1]
     A, B, C = quartic_coefficients()
     closed = quartic_from_coefficients(A, B, C)
     items.append(VerifyItem("vorticity-block-quartic", P == closed,
@@ -770,7 +755,6 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     rows = (row for columns in eval_columns(polys, atoms, (p for _, p in points))
             for row in zip(*[zip(nums, dens) for nums, dens in columns]))
     samples = zip((s for s, _ in states), rows)
-    idx10 = list(range(15, 25))
 
     def check_sample(pair) -> Tuple[bool, bool]:
         state, row = pair  # unreduced (numerator, denominator) pairs
@@ -786,10 +770,9 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
         for block in blocks:  # det = the product of the diagonal blocks' determinants
             if len(block) == 1:
                 bn, bd = full_rows[block[0]][block[0]]
-            else:
+            else:  # the vorticity/velocity block, the one of more than one row
                 ints, bd = _integer_rows([[full_rows[i][j] for j in block] for i in block])
-                if block == idx10:  # before the elimination overwrites the rows
-                    oracle = Fr(laplace_determinant(ints), bd)
+                oracle = Fr(laplace_determinant(ints), bd)  # before the elimination
                 bn = _integer_det(ints)
             num, den = num * bn, den * bd
         full_ok = num * rd == rn * den

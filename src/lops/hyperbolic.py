@@ -388,13 +388,13 @@ def hyperbolicity_sampled(p: Poly, tau: Sequence[Fraction],
     screen, not a certificate.  A polynomial that vanishes at tau, the zero
     polynomial included, gets the exact `vanishes-at-tau` verdict, with no
     sample drawn."""
-    import numpy as np
     q = _specialize(p, params)
     d = q.homogeneous_degree_in(XI)
     if q and (d is None or d < 1):
         raise DegreeMismatchError("sampled test needs a homogeneous xi-polynomial")
     if _eval_at_cov(q, tau) == 0:
         return _vanishing(tau, factor_id)
+    import numpy as np
     frame = _orthogonal_frame(tau)
     table = rational_directions(n_samples, seed)
     rows, = _line_coefficients([_line_restriction(q, tau, frame)], table)
@@ -429,8 +429,9 @@ def hyperbolicity_auto(p: Poly, tau, params=None, n_samples: int = 1000,
     hyperbolic exactly when every part is (Garding 1951).  A singular form
     that splits no further keeps its `inconclusive` quadratic-signature
     verdict; only a factor of degree 3 or more gets the sampled screen.  A
-    factor that the assignment makes the zero polynomial reaches
-    `hyperbolicity_sampled`, which finds that it vanishes at tau."""
+    factor of degree 3 or more that vanishes at tau, or that the assignment
+    makes the zero polynomial, reaches `hyperbolicity_sampled`, which finds
+    that it vanishes at tau before it draws a sample or loads numpy."""
 
     def verdict(q: Poly, fid: str) -> HyperbolicityVerdict:
         d = q.homogeneous_degree_in(XI)
@@ -441,8 +442,6 @@ def hyperbolicity_auto(p: Poly, tau, params=None, n_samples: int = 1000,
             return quadratic
         if d is not None and d > 1:
             value = _eval_at_cov(q, tau)
-            if value == 0 and d > 2:
-                return _vanishing(tau, fid)
             split = _split(q, tau, d, value) if value else None
             if split is not None:
                 method, exponent, polys = split

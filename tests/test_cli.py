@@ -252,8 +252,11 @@ class TestSpecChecks:
          "index 3 out of range for block 'e' of multiplicity 1"),
         ("entry e[0] u[0] := xi0^2\nunknown v multiplicity 2 index 1\n", "line 4, column 1",
          "equations total 1, unknowns total 3"),
+        ("entry e[0] u[0] := xi0^2\nfactor 100000000000000000000 := xi0\n", "line 4, column 8",
+         "factor multiplicity 100000000000000000000 times degree 1 exceeds"),
     ], ids=["factor-multiplicity-zero", "prefactor-without-factor", "zero-factor",
-            "xi-free-factor", "inhomogeneous-factor", "index-out-of-range", "not-square"])
+            "xi-free-factor", "inhomogeneous-factor", "index-out-of-range", "not-square",
+            "factor-multiplicity-past-max-degree"])
     def test_malformed_spec_located(self, tmp_path, body, where, message):
         spec = tmp_path / "bad.lops"
         spec.write_text(self.HEAD + body)
@@ -261,6 +264,21 @@ class TestSpecChecks:
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert where in r.stderr and message in r.stderr
+
+    def test_rows_past_the_bound_refused_before_the_matrix(self, tmp_path):
+        # a 20,000 x 20,000 symbol grid would need about 3.2 GB; under a
+        # 1.5 GB address-space cap the spec must be refused before it is built
+        spec = tmp_path / "big.lops"
+        spec.write_text("unknown w multiplicity 20000 index 1\n"
+                        "equation e multiplicity 20000 index 0\n")
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))\n"
+                "from lops.cli import main\n"
+                "sys.exit(main(['analyze', sys.argv[1]]))\n")
+        r = run_python("-c", code, str(spec))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert "line 1, column 24: unknown blocks total 20000 rows, more than" in r.stderr
 
     @pytest.mark.parametrize("text, where, message", [
         ("prefactor := 1\nfactor 1 := xi0\n", "line 3, column 1", "no unknown block"),
@@ -620,6 +638,26 @@ class TestLoading:
         assert r.stdout.splitlines() == [
             "['quadratic-signature', 'linear-exact', 'product', 'quadratic-signature', "
             "'quadratic-signature', 'power']", "False"]
+
+    def test_factor_zero_at_the_assignment_loads_no_numpy(self, tmp_path):
+        # the exact vanishes-at-tau verdict is reached before any float screen
+        spec = tmp_path / "zero.lops"
+        spec.write_text("param a\n"
+                        "assign a := 0\n"
+                        "unknown u multiplicity 1 index 1\n"
+                        "equation e multiplicity 1 index 0\n"
+                        "entry e[0] u[0] := xi0\n"
+                        "factor 1 := a*xi0\n")
+        code = ("import json, sys\n"
+                "import lops.cli\n"
+                "out = sys.argv[2]\n"
+                "assert lops.cli.main(['analyze', sys.argv[1], '--json', '--out', out]) == 1\n"
+                "with open(out) as fh:\n"
+                "    print([f['method'] for f in json.load(fh)['factors']])\n"
+                "print('numpy' in sys.modules)\n")
+        r = run_python("-c", code, str(spec), str(tmp_path / "zero.json"))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == ["['vanishes-at-tau']", "False"]
 
     def test_lazy_package_exports(self):
         code = ("import sys, lops\n"

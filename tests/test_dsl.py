@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from lops import build_ens_system, dsl, ens_spec_path, wave_spec_path
-from lops.dsl import (MAX_DIGITS, MAX_NESTING, MAX_POWER_BITS, MAX_POWER_SIZE,
+from lops.dsl import (MAX_DIGITS, MAX_NESTING, MAX_POWER_BITS, MAX_POWER_SIZE, MAX_ROWS,
                       DuplicateEntryError, ParseError, UnknownAtomError, parse_poly,
                       parse_system, print_system)
 from lops.poly import MAX_DEGREE, XI, Poly
@@ -193,6 +193,42 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse_system(f"param xi{i}\n")
         assert str(err.value) == f"line 1, column 1: atom 'xi{i}' already declared"
+
+    BIG = 10 ** 20
+
+    @pytest.mark.parametrize("text, line, col, message", [
+        (f"factor {BIG} := xi0\n", 4, 8,
+         f"factor multiplicity {BIG} times degree 1 exceeds the supported maximum degree"),
+        (f"factor {MAX_DEGREE // 2 + 1} := xi0^2\n", 4, 8,
+         f"times degree 2 exceeds the supported maximum degree {MAX_DEGREE}"),
+        (f"unknown v multiplicity {BIG} index 1\nequation f multiplicity {BIG} index 0\n",
+         4, 24, f"unknown blocks total {BIG + 1} rows, more than {MAX_ROWS}"),
+        ("unknown v multiplicity 20000 index 1\nequation f multiplicity 20000 index 0\n",
+         4, 24, f"unknown blocks total 20001 rows, more than {MAX_ROWS}"),
+        (f"unknown v multiplicity {MAX_ROWS - 1} index 1\n"
+         f"equation f multiplicity {MAX_ROWS} index 0\n",
+         5, 25, f"equation blocks total {MAX_ROWS + 1} rows, more than {MAX_ROWS}"),
+    ], ids=["factor-multiplicity-huge", "factor-degree-one-past", "rows-huge", "rows-20000",
+            "equation-rows-one-past"])
+    def test_size_bounds_located(self, text, line, col, message):
+        # refused at the statement, before any matrix or factor list is built
+        head = ("unknown u multiplicity 1 index 1\n"
+                "equation e multiplicity 1 index 0\n"
+                "entry e[0] u[0] := xi0\n")
+        with pytest.raises(ParseError) as err:
+            parse_system(head + text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert message in str(err.value)
+
+    def test_size_bounds_admit_their_limits(self):
+        s = parse_system(f"unknown u multiplicity {MAX_ROWS // 2} index 1\n"
+                         f"unknown v multiplicity {MAX_ROWS // 2} index 1\n"
+                         f"equation e multiplicity {MAX_ROWS} index 0\n"
+                         "entry e[0] u[0] := xi0\n"
+                         f"factor {MAX_DEGREE} := xi0\n"
+                         f"factor {MAX_DEGREE // 2} := xi0^2\n")
+        assert s.total_unknowns == MAX_ROWS
+        assert [m for _, m in s.factor_claim.factors] == [MAX_DEGREE, MAX_DEGREE // 2]
 
     def test_assign_requires_declared_param(self):
         with pytest.raises(UnknownAtomError):

@@ -155,6 +155,52 @@ class TestSymbolEntries:
         assert s.entry("eq_c", 3, "omega", 4) == -xiup[1]
         assert s.entry("eq_c", 3, "omega", 5) == -xiup[2]
 
+    @pytest.mark.parametrize("metric", ["specialized", "general"])
+    def test_velocity_row_vorticity_couplings_are_the_index_sums(self, metric):
+        # row g of eq_u against Omega, summed term by term over the indices:
+        #   -(1/2F) g^{mu nu} xi_nu Omega_{mu g} - (1/2F) u^mu u.xi Omega_{mu g}
+        #   + (1/2F) u_g u^mu g^{nu beta} xi_beta Omega_{nu mu},
+        # with Omega_{yx} = -Omega_{xy} and Omega_{xx} = 0
+        s = ens.build_ens_system(metric, "on_data")
+        xiup, uxi = ens._xi_up(metric), ens._flow(ens.U)
+        u = [Poly.atom(a) for a in ens.U]
+        half_inv_f = Poly.constant(Fr(1, 2)) * Poly.atom(ens.INV_F)
+        for g in range(4):
+            coeff = {pair: Poly.zero() for pair in ens.ANTISYM_PAIRS}
+
+            def add(x, y, c):
+                if x != y:
+                    coeff[min(x, y), max(x, y)] += c if x < y else -c
+
+            for mu in range(4):
+                add(mu, g, -half_inv_f * (xiup[mu] + u[mu] * uxi))
+                for nu in range(4):
+                    add(nu, mu, half_inv_f * Poly.atom(ens.UL[g]) * u[mu] * xiup[nu])
+            for k, pair in enumerate(ens.ANTISYM_PAIRS):
+                assert s.entry("eq_u", g, "omega", k) == coeff[pair], (g, pair)
+
+    @pytest.mark.parametrize("dynamic_velocity", ["on_data", "independent"])
+    def test_general_metric_specializes_entry_for_entry(self, dynamic_velocity):
+        # g^00 = g_00 = 1, g^0i = g_0i = 0, g^ij = g_ij = 0 for i != j,
+        # g^ii = gm_i and g_ii = glm_i take every general entry and the
+        # general reference claim to the specialized ones
+        bind = {}
+        for names, spatial in ((ens.GI, ens.GM), (ens.GL, ens.GLM)):
+            for a in range(4):
+                for b in range(a, 4):
+                    bind[names[a][b]] = (Poly.zero() if a != b else Poly.one() if a == 0
+                                         else Poly.atom(spatial[a - 1]))
+        general = ens.build_ens_system("general", dynamic_velocity)
+        special = ens.build_ens_system("specialized", dynamic_velocity)
+        reduced = [((e.eq_block, e.eq_index, e.unk_block, e.unk_index), e.symbol.substitute(bind))
+                   for e in general.entries]
+        assert [(key, p) for key, p in reduced if p] == [
+            ((e.eq_block, e.eq_index, e.unk_block, e.unk_index), e.symbol)
+            for e in special.entries]
+        claim, want = ens.reference_factor_claim("general"), ens.reference_factor_claim()
+        assert claim.prefactor.substitute(bind) == want.prefactor
+        assert [(p.substitute(bind), m) for p, m in claim.factors] == list(want.factors)
+
     def test_structure_and_order(self):
         s = ens.build_ens_system()
         assert validate_structure(s).ok
