@@ -121,13 +121,16 @@ class ExpansionDepthError(ValueError):
 def laplace_determinant(rows: Sequence[Sequence]):
     """Memoized Laplace expansion over any ring whose zero is falsy.
 
-    Expands along rows taken sparsest first, memoizes each minor on its
-    column set and applies the sign of that row permutation.  Each row's
-    support mask (bit j set when its column j is nonzero) orders the rows by
-    popcount, and a minor over the column mask visits only `mask & support`;
-    a column's sign is the parity of the mask bits below it.  No pivoting
-    and no division, so it works for `Poly`, `Fraction` and `int` entries
-    alike: every block and Schur complement expanded, and the numeric oracle.
+    Expands along rows in frontal order, memoizes each minor on its column
+    set and applies the sign of that row permutation.  The next row keeps
+    the union of the columns touched so far smallest (ties: fewer nonzeros,
+    then the lower row; Sloan, IJNME 23, 1986), since a minor memoized at
+    depth d drops d of the columns the first d rows touch.  A minor over the
+    column mask visits only `mask & support`, a row's support mask having
+    bit j set when its column j is nonzero; a column's sign is the parity of
+    the mask bits below it.  No pivoting and no division, so it works for
+    `Poly`, `Fraction` and `int` entries alike: every block and Schur
+    complement expanded, and the numeric oracle.
     The empty matrix has determinant 1.  Exponential in the worst case.  It
     nests one frame per row, and raises `ExpansionDepthError` up front if
     the recursion limit leaves too few.
@@ -143,7 +146,12 @@ def laplace_determinant(rows: Sequence[Sequence]):
         raise ExpansionDepthError(f"a {n}x{n} block is too deep to expand: the recursion limit "
                                   f"{sys.getrecursionlimit()} leaves room for {max(room, 0)} rows")
     supports = [sum(1 << j for j, e in enumerate(row) if e) for row in rows]
-    order = sorted(range(n), key=lambda i: supports[i].bit_count())
+    order, seen, left = [], 0, list(range(n))
+    while left:  # min keeps the first of equal keys: ties go to the lower row
+        i = min(left, key=lambda i: ((seen | supports[i]).bit_count(), supports[i].bit_count()))
+        left.remove(i)
+        order.append(i)
+        seen |= supports[i]
     ordered = [(rows[i], supports[i]) for i in order]
     last = rows[order[-1]]
     zero = type(last[0])()  # Poly(), Fraction() and int() are each their ring's zero
@@ -358,6 +366,8 @@ def _cancel(num: List[Poly], unit: Poly) -> Poly:
     """
     while not unit.is_constant():
         for i, d in enumerate(num):
+            if d.is_constant():  # cancelled already: no non-constant unit divides it
+                continue
             try:
                 num[i] = d.exact_div(unit)
                 return Poly.one()

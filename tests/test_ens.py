@@ -488,7 +488,7 @@ class TestVerification:
         from lops import poly
         whole = ens.verify_ens_determinant(state_samples=5, seed=4).to_json()
         drawn = []
-        draw, values = ens.random_state, poly._column_values
+        draw, values = ens._state_pairs, poly._column_values
 
         def counted_draw(*args, **kwargs):
             drawn.append(None)
@@ -500,11 +500,47 @@ class TestVerification:
             seen.append(len(drawn))
             return values(*args)
 
-        monkeypatch.setattr(ens, "random_state", counted_draw)
+        monkeypatch.setattr(ens, "_state_pairs", counted_draw)
         monkeypatch.setattr(poly, "_column_values", counted_values)
         monkeypatch.setattr(poly, "COLUMN_CHUNK", 2)
         assert ens.verify_ens_determinant(state_samples=5, seed=4).to_json() == whole
         assert seen == [2, 4, 5]
+
+    def test_sampled_points_are_the_drawn_states(self, monkeypatch):
+        # the states are drawn and checked as integer pairs: at each of 300
+        # states the point evaluated is the Fraction construction's
+        # assignment and covector, pair for pair, in lowest terms with a
+        # positive denominator
+        seen = []
+        real = ens.eval_columns
+
+        def spy(polys, atoms, points):
+            points = list(points)
+            seen.append((atoms, points))
+            return real(polys, atoms, points)
+
+        monkeypatch.setattr(ens, "eval_columns", spy)
+        assert ens.verify_ens_determinant(state_samples=300, seed=7).ok
+        [(atoms, points)] = seen
+        assert set(atoms) == ({ens.F_ATOM, ens.Q_ATOM} | set(ens.U) | set(XI)
+                              | {ens.GI[a][b] for a, b in ens.SYM_PAIRS})
+        twin = random.Random(7)
+        for k, point in enumerate(points):
+            assign = _fraction_state(twin, 8).assignment()
+            assign.update((a, Fr(twin.randint(-9, 9), twin.randint(1, 4))) for a in XI)
+            assert point == [(assign[a].numerator, assign[a].denominator) for a in atoms], k
+
+    def test_atom_the_drawer_lacks_fails_loudly(self, monkeypatch):
+        draw = ens._state_pairs
+
+        def without_q(rng, max_entry):
+            pairs = draw(rng, max_entry)
+            del pairs[ens.Q_ATOM]
+            return pairs
+
+        monkeypatch.setattr(ens, "_state_pairs", without_q)
+        with pytest.raises(KeyError, match="'q'"):
+            ens.verify_ens_determinant(state_samples=1)
 
     def test_block_division_failure_is_reported(self, monkeypatch):
         # a diagonal block that its claimed power does not divide fails its

@@ -137,8 +137,9 @@ def _eliminated_det(rows):
 
 
 class TestLaplaceSupportLoop:
-    """The expansion visits only each row's nonzero columns; checked on
-    sparse matrices against elimination, which shares none of its code."""
+    """The expansion visits only each row's nonzero columns, in the frontal
+    row order; checked on sparse matrices against elimination and the
+    Leibniz sum, which share none of its code."""
 
     @staticmethod
     def sparse_rows(rng, n, kind, shape):
@@ -150,7 +151,7 @@ class TestLaplaceSupportLoop:
             return random_poly(rng) or Poly.one()
 
         zero = Poly.zero() if kind is Poly else kind()
-        if shape == "equal-counts":  # the stable popcount order decides the sign
+        if shape == "equal-counts":  # ties in the frontal order decide the sign
             width = min(n, rng.randint(1, 3))
             support = [set(rng.sample(range(n), width)) for _ in range(n)]
         else:
@@ -169,6 +170,8 @@ class TestLaplaceSupportLoop:
             n = trial % 9 + 1
             rows = self.sparse_rows(rng, n, kind, shape)
             det = laplace_determinant(rows)
+            if n <= 6:
+                assert leibniz_determinant(rows) == det, f"trial {trial}"
             if kind is Poly:
                 assert det == determinant(SymbolMatrix(n, rows)), f"trial {trial}"
                 for _ in range(2):  # det commutes with evaluation at a point
@@ -181,6 +184,32 @@ class TestLaplaceSupportLoop:
                 assert det == _eliminated_det(rows), f"trial {trial}"
                 values.add(det == 0)
         assert values == ({True} if shape == "zero-row" else {True, False})
+
+    def test_frontal_order_on_the_reference_block(self, monkeypatch):
+        # the rows of the 10 x 10 vorticity/velocity block, as integers, at
+        # a sampled state: taking next the row that keeps the columns
+        # touched so far fewest takes 232 products of an entry and a nonzero
+        # minor, where sparsest-first took 493
+        caught = []
+        real = ens.laplace_determinant
+
+        def spy(rows):
+            caught.append([list(row) for row in rows])
+            return real(rows)
+
+        monkeypatch.setattr(ens, "laplace_determinant", spy)
+        assert ens.verify_ens_determinant(state_samples=1, seed=0).ok
+        [rows] = caught
+        products = []
+
+        class Counted(int):
+            def __mul__(self, other):
+                products.append(None)
+                return int(self) * other
+
+        det = laplace_determinant([[Counted(e) for e in row] for row in rows])
+        assert len(rows) == 10 and det == _eliminated_det(rows)
+        assert len(products) == 232
 
 
 F = Poly.atom("F")
@@ -423,6 +452,26 @@ class TestFactorization:
     ], ids=["constant-left", "cofactor-differs"])
     def test_product_form_rejects_cancelled_straddling_unit(self, factors, claim):
         assert not verify_factorization_product(factors, claim).ok
+
+    def test_equal_claimed_factors_take_one_division_each(self, monkeypatch):
+        # a cancelled determinant factor stays in the list as the constant 1;
+        # no later unit tries to divide it, so the divisions grow linearly
+        # in the number of equal units, not as n^2/2
+        calls = []
+        real = Poly.exact_div
+
+        def counted(p, q):
+            calls.append(None)
+            return real(p, q)
+
+        monkeypatch.setattr(Poly, "exact_div", counted)
+        counts = []
+        for n in (50, 100, 200):
+            calls.clear()
+            claim = FactorClaim(Poly.one(), ((X[0], n),))
+            assert verify_factorization_product([X[0]] * n, claim).ok
+            counts.append(len(calls))
+        assert counts == [50, 100, 200]
 
     @pytest.mark.parametrize("mutate", ["flow", "cone"])
     def test_reference_claim_with_a_mutated_straddling_unit_fails(self, mutate):
