@@ -31,8 +31,8 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .dsl import ParseError, parse_system
-from .hyperbolic import (HyperbolicityVerdict, cone_sample, gevrey_sigma,
+from .dsl import MAX_DIGITS, ParseError, parse_system
+from .hyperbolic import (FloatRangeError, HyperbolicityVerdict, cone_sample, gevrey_sigma,
                          hyperbolicity_auto, sigma_json)
 from .matrix import (ExpansionDepthError, block_factors, build_symbol_matrix,
                      factored_xi_degree, verify_factorization_product)
@@ -63,11 +63,45 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a rational, got {text!r}") from None
+def _reader(convert, kind: str, *bounds):
+    """An argparse type: the text converted, refused as `expected <kind>`
+    when `convert` raises and as `must be <need>` at the first (test, need)
+    bound whose test the value fails."""
+    def read(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+        for test, need in bounds:
+            if not test(value):
+                raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+    return read
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), refused when its numerator or denominator would have
+    more than MAX_DIGITS digits, as a spec's numbers are.  The digits are
+    counted in the text before Fraction builds any power of 10 (`1e10000000`
+    alone takes seconds): a/b has those of a and b; m.f times 10^e, of n
+    digits with f after the point, is an n-digit integer times 10^(e - f)."""
+    num, _, den = text.lower().partition("/")
+    mantissa, _, exp = num.partition("e")
+    n, f, d = (sum(map(str.isdigit, s)) for s in (mantissa, mantissa.partition(".")[2], den))
+    shift = int(exp or 0) - f
+    if max(n + max(shift, 0), 1 - min(shift, 0), d) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"must have a numerator and denominator of at most {MAX_DIGITS} digits, got {text}")
+    return Fraction(text)
+
+
+_FINITE = (math.isfinite, "finite")
+_POSITIVE = (lambda v: v > 0, "positive")
+_NONNEGATIVE = (lambda v: v >= 0, "at least 0")
+_rational = _reader(_fraction, "a rational")
+_integer = _reader(int, "an integer")
+# a sample, direction or refinement count: below 1 a check would pass on nothing
+_count = _reader(int, "an integer", (lambda n: n >= 1, "at least 1"))
 
 
 def _parse_tau(text: str) -> List[Fraction]:
@@ -75,64 +109,16 @@ def _parse_tau(text: str) -> List[Fraction]:
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("tau needs four comma-separated rationals")
-    tau = [_parse_fraction(p) for p in parts]
+    tau = [_rational(p) for p in parts]
     if not any(tau):
         raise argparse.ArgumentTypeError("must be nonzero")
     return tau
 
 
-def _parse_positive(text: str) -> Fraction:
-    """The reference fluid's F: its states divide by F."""
-    value = _parse_fraction(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
-def _parse_nonnegative(text: str) -> Fraction:
-    """The reference fluid's coupling q; 0 is the degeneration limit."""
-    value = _parse_fraction(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
-    return value
-
-
-def _parse_count(text: str) -> int:
-    """A sample, direction or refinement count: below 1 a check would pass on
-    nothing."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _parse_finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
-def _parse_tol(text: str) -> float:
-    """A root tolerance: below 0 every sampled factor fails, with no witness."""
-    value = _parse_finite(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
-    return value
-
-
 def _parse_spacing(text: str) -> float:
     """A lattice spacing: the finite differences divide by it and the
     entropy bound scales with its square, so that bound must be finite."""
-    value = _parse_finite(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    value = _reader(float, "a number", _FINITE, _POSITIVE)(text)
     if not math.isfinite(lab.entropy_bound(value)):
         raise argparse.ArgumentTypeError(
             f"its square overflows the entropy bound {lab.ENTROPY_BOUND_FACTOR:g}*h^2, "
@@ -147,11 +133,11 @@ MAX_REFINE = 2
 
 def _parse_refine(text: str) -> int:
     """A refinement count for `lab run`, at most MAX_REFINE."""
-    value = _parse_count(text)
+    value = _count(text)
     if value > MAX_REFINE:
         nodes = lab.FieldPatch.standard().refined(MAX_REFINE + 1).n ** 4
         raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_REFINE}, got {value}: {MAX_REFINE + 1} refinements "
+            f"must be at most {MAX_REFINE}, got {text}: {MAX_REFINE + 1} refinements "
             f"already take a lattice of {nodes:,} nodes")
     return value
 
@@ -201,7 +187,7 @@ def cmd_analyze(args) -> int:
         return EXIT_INPUT_ERROR
     try:
         return _analyze(system, args)
-    except (DegreeOverflowError, ExpansionDepthError) as err:  # too high a degree, too deep a block
+    except (DegreeOverflowError, ExpansionDepthError, FloatRangeError) as err:
         print(f"input error: {args.input}: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
@@ -385,9 +371,13 @@ def cmd_cones(args) -> int:
     claim = ens.reference_factor_claim("specialized")
     polys = {name: p for name, (p, _) in zip(FACTOR_NAMES, claim.factors)}
     assign = state.assignment()
-    samples = cone_sample(polys[args.factor], args.tau, assign, n=args.n,
-                          seed=args.seed, tol=args.tol, factor_id=args.factor,
-                          reference=polys["light"])
+    try:
+        samples = cone_sample(polys[args.factor], args.tau, assign, n=args.n,
+                              seed=args.seed, tol=args.tol, factor_id=args.factor,
+                              reference=polys["light"])
+    except FloatRangeError as err:
+        print(f"input error: --F, --q, --tau: {err}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     payload = {
         "factor": samples.factor_id,
         "tau": list(samples.tau),
@@ -464,15 +454,17 @@ def build_parser() -> argparse.ArgumentParser:
             "--tau": dict(type=_parse_tau,
                           default=(Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
                           help="time direction covector, four comma-separated rationals"),
-            "--samples": dict(type=_parse_count, default=1000),
-            "--tol": dict(type=_parse_tol, default=1e-9),
-            "--seed": dict(type=int, default=0),
+            "--samples": dict(type=_count, default=1000),
+            # a root tolerance: below 0 every sampled factor fails, with no witness
+            "--tol": dict(type=_reader(float, "a number", _FINITE, _NONNEGATIVE), default=1e-9),
+            "--seed": dict(type=_integer, default=0),
             "--json": dict(action="store_true"),
             "--out": dict(default=None),
-            # the reference fluid's coupling and F; a spec declares its own
-            # constraints, so `analyze` takes any rational for them
-            "--q": dict(type=_parse_nonnegative, default=None),
-            "--F": dict(type=_parse_positive, default=None),
+            # the reference fluid's coupling, whose 0 is the degeneration
+            # limit, and its F, by which its states divide; a spec declares
+            # its own constraints, so `analyze` takes any rational for them
+            "--q": dict(type=_reader(_fraction, "a rational", _NONNEGATIVE), default=None),
+            "--F": dict(type=_reader(_fraction, "a rational", _POSITIVE), default=None),
         }
         for name in names:
             p.add_argument(name, **spec[name])
@@ -481,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("input")
     flags(p_an, "--tau", "--samples", "--tol", "--seed", "--json", "--out")
     for name in ("--q", "--F"):
-        p_an.add_argument(name, type=_parse_fraction, default=None)
+        p_an.add_argument(name, type=_rational, default=None)
     p_an.set_defaults(func=cmd_analyze)
 
     p_ens = sub.add_parser("ens", help="reference-instance commands")
@@ -494,14 +486,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cone = sub.add_parser("cones", help="sample characteristic root sheets")
     p_cone.add_argument("--factor", required=True,
                         help=f"one of: {', '.join(FACTOR_NAMES)}")
-    p_cone.add_argument("--n", type=_parse_count, default=100)
+    p_cone.add_argument("--n", type=_count, default=100)
     flags(p_cone, "--tau", "--tol", "--seed", "--json", "--out", "--q", "--F")
     p_cone.set_defaults(func=cmd_cones)
 
     p_lab = sub.add_parser("lab", help="finite-difference identity lab")
     lab_sub = p_lab.add_subparsers(dest="lab_command", required=True)
     p_run = lab_sub.add_parser("run", help="residual and convergence tables")
-    p_run.add_argument("--seed", type=int, default=0,
+    p_run.add_argument("--seed", type=_integer, default=0,
                        help="accepted for symmetry with the other commands; the lab "
                             "draws nothing at random")
     flags(p_run, "--json", "--out")
@@ -527,8 +519,7 @@ def _join_signed(argv: List[str]) -> List[str]:
     value that starts with a single "-"."""
     out: List[str] = []
     for arg in argv:
-        if (out and out[-1] in SIGNED_FLAGS and arg.startswith("-")
-                and not arg.startswith("--")):
+        if out and out[-1] in SIGNED_FLAGS and arg.startswith("-") and not arg.startswith("--"):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)

@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import tee
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .matrix import laplace_determinant
@@ -681,9 +680,10 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     one chunk at a time, in the RNG order of the reports, as integer pairs
     (`_state_pairs`, the draws of `random_state`) and checked in integers:
     their 20 atoms, reduced, go to one batched evaluation (`eval_columns`,
-    one trie over the 57 polynomials' 420 terms), which gives those entries,
-    the wave cone, u.xi and the reference factors as (numerator,
-    denominator) pairs, and both items compare by cross-multiplying.
+    one trie over the 56 polynomials' 408 terms), whose one row of
+    (numerator, denominator) pairs per state gives each block's entries,
+    F (F+q), the prefactor and the reference factors, `light` and `flow`
+    among them; both items compare by cross-multiplying.
     `threads` > 1 checks the states on that many worker threads (only the
     benchmark's probe does); the report does not depend on it.
     """
@@ -748,10 +748,8 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
     cells = [(i, j) for i, j in nonzero if rank[i] == rank[j]]
     ref = reference_factor_claim("general")
     polys = ([mat_gen.entries[i][j] for i, j in cells]
-             + [_light_cone("general"), uxi, ref.prefactor] + [p for p, _ in ref.factors])
+             + [_F * (_F + _Q), ref.prefactor] + [p for p, _ in ref.factors])
     atoms = sorted(set().union(*(p.atoms() for p in polys)))
-
-    at_f, at_q = atoms.index(F_ATOM), atoms.index(Q_ATOM)
 
     def draws():  # lazily, in the one RNG order that fixes a seed's report
         for _ in range(state_samples):
@@ -761,29 +759,25 @@ def verify_ens_determinant(state_samples: int = 100, seed: int = 0,
             yield [(n // g, d // g) for n, d in map(pairs.__getitem__, atoms)
                    for g in (math.gcd(n, d) if d > 0 else -math.gcd(n, d),)]
 
-    drawn, points = tee(draws())  # apart by at most one chunk of states
-    rows = (row for columns in eval_columns(polys, atoms, points)
-            for row in zip(*[zip(nums, dens) for nums, dens in columns]))
-    samples = zip(drawn, rows)
+    samples = (row for columns in eval_columns(polys, atoms, draws())
+               for row in zip(*[zip(nums, dens) for nums, dens in columns]))
 
-    def check_sample(pair) -> Tuple[bool, bool]:
-        point, row = pair  # the state's atom pairs; unreduced value pairs
-        values = iter(row)
-        full_rows = [[(0, 1)] * n for _ in range(n)]
-        for (i, j), v in zip(cells, values):
-            full_rows[i][j] = v
-        (ln, ld), (un, ud), (rn, rd) = next(values), next(values), next(values)
-        for (_, mult), (fn, fd) in zip(ref.factors, values):
+    def check_sample(row) -> Tuple[bool, bool]:
+        values = iter(row)  # unreduced (numerator, denominator) pairs
+        entry = dict(zip(cells, values))
+        (fq, fqd), (rn, rd) = next(values), next(values)  # F (F+q), the prefactor
+        factors = dict(zip(FACTOR_NAMES, values))
+        for (_, mult), (fn, fd) in zip(ref.factors, factors.values()):
             rn *= fn ** mult
             rd *= fd ** mult
-        (fn, fd), (qn, qd) = point[at_f], point[at_q]
-        fq, fqd = fn * (fn * qd + qn * fd), fd * fd * qd  # F (F+q) = fq / fqd
+        (ln, ld), (un, ud) = factors["light"], factors["flow"]
         num, den, oracle_ok = 1, 1, False
         for block in blocks:  # det = the product of the diagonal blocks' determinants
+            rows = [[entry.get((i, j), (0, 1)) for j in block] for i in block]
             if len(block) == 1:
-                bn, bd = full_rows[block[0]][block[0]]
+                (bn, bd), = rows[0]
             else:  # the vorticity/velocity block, the one of more than one row
-                ints, bd = _integer_rows([[full_rows[i][j] for j in block] for i in block])
+                ints, bd = _integer_rows(rows)
                 # det / bd == F^3 (F+q)^3 (u.xi)^6 light^4, before the elimination
                 oracle_ok = (laplace_determinant(ints) * fqd ** 3 * ud ** 6 * ld ** 4
                              == bd * fq ** 3 * un ** 6 * ln ** 4)

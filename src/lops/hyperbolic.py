@@ -26,13 +26,14 @@ The sampled screen and `cone_sample` share one batched path.
 `rational_directions` gives a memoized table of sphere directions with
 exact rational coordinates.  One symbolic substitution turns a factor into
 its line coefficients, polynomials in the direction coordinates;
-`poly.eval_columns` evaluates them on integers direction-major, one
-integer column per coefficient over a chunk of directions, and each exact
-value is rounded once into the coefficient matrix.  The roots of all lines
-then come from one `np.linalg.eigvals` call per companion size, equal bit
-for bit to per-line `np.roots`.  `ens.sampled_root_nonnegativity` shares
-only the direction table and the evaluator.  numpy is imported by the float
-helpers on first use, so no exact verdict loads it.
+`poly.eval_columns` evaluates them on integers direction-major, one integer
+column per coefficient over a chunk of directions, and each exact value is
+rounded once into the coefficient matrix (`FloatRangeError` past the float
+range).  The roots of all lines then come from one `np.linalg.eigvals` call
+per companion size, equal bit for bit to per-line `np.roots`.
+`ens.sampled_root_nonnegativity` shares only the direction table and the
+evaluator.  numpy is imported by the float helpers on first use, so no
+exact verdict loads it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,18 @@ class DegreeMismatchError(Exception):
 
 class LeadingCoefficientZeroError(Exception):
     pass
+
+
+class FloatRangeError(ValueError):
+    """An exact value beyond the float range where a float is needed."""
+
+
+def _floats(nums: Sequence[int], dens: Sequence[int], what: str) -> List[float]:
+    """Each nums[k] / dens[k], rounded once as `float(Fraction)` rounds it."""
+    try:
+        return list(map(truediv, nums, dens))
+    except OverflowError:
+        raise FloatRangeError(f"{what} is beyond the float range") from None
 
 
 @dataclass
@@ -334,18 +347,19 @@ def _line_restriction(q: Poly, tau: Sequence[Fraction], frame: Frame) -> List[Po
 
 
 def _line_coefficients(restrictions: Sequence[List[Poly]],
-                       table: DirectionTable) -> List[np.ndarray]:
+                       table: DirectionTable, factor_id: str = "") -> List[np.ndarray]:
     """Per restriction, a matrix with one row per direction: the float
-    coefficients (descending) of s -> q(eta + s*tau), each rounded once
-    from its exact value, written a column chunk at a time."""
+    coefficients (descending) of s -> q(eta + s*tau), each rounded once from
+    its exact value a column chunk at a time (FloatRangeError past the range)."""
     import numpy as np
     flat = [c for r in restrictions for c in r]
     values = np.empty((len(table), len(flat)))
+    what = f"a line coefficient of {factor_id or 'the factor'}"
     start = 0
     for columns in eval_columns(flat, _LINE_XYZ, table):
         stop = start + len(columns[0][0])
         for j, (nums, dens) in enumerate(columns):
-            values[start:stop, j] = list(map(truediv, nums, dens))
+            values[start:stop, j] = _floats(nums, dens, what)
         start = stop
     return np.split(values, np.cumsum([len(r) for r in restrictions[:-1]]), axis=1)
 
@@ -397,7 +411,7 @@ def hyperbolicity_sampled(p: Poly, tau: Sequence[Fraction],
     import numpy as np
     frame = _orthogonal_frame(tau)
     table = rational_directions(n_samples, seed)
-    rows, = _line_coefficients([_line_restriction(q, tau, frame)], table)
+    rows, = _line_coefficients([_line_restriction(q, tau, frame)], table, factor_id)
     roots, _ = _line_roots(rows)
     # entries past a row's roots are 0j, whose ratio 0 never raises the worst
     ratios = np.abs(roots.imag) / (1.0 + np.abs(roots.real))
@@ -733,12 +747,12 @@ def cone_sample(p: Poly, tau: Sequence[Fraction],
                     for poly in (p, reference)]
     table = rational_directions(n, seed)
     all_roots, ref_roots = (_real_sheets(rows, tol)
-                            for rows in _line_coefficients(restrictions, table))
+                            for rows in _line_coefficients(restrictions, table, factor_id))
     within = [max(map(abs, roots), default=0.0) <= max(map(abs, rr), default=0.0) + 1e-7
               for roots, rr in zip(all_roots, ref_roots)]
     dirs_f = [tuple(num / den for num, den in row) for row in table]
-    return ConeSamples(factor_id, tuple(float(t) for t in tau), dirs_f, all_roots,
-                       ref_roots, within)
+    tau_f = _floats([Fr(t).numerator for t in tau], [Fr(t).denominator for t in tau], "tau")
+    return ConeSamples(factor_id, tuple(tau_f), dirs_f, all_roots, ref_roots, within)
 
 
 def _real_sheets(rows: np.ndarray, tol: float) -> List[List[float]]:

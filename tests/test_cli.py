@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lops
 from lops import ens_spec_path, wave_spec_path
+from lops import cli
 from lops.cli import build_parser, main
 
 # the child interpreter imports the same lops as the tests, installed or not
@@ -344,6 +346,47 @@ class TestVanishingFactor:
         assert (p1["method"], p1["verdict"]) == ("vanishes-at-tau", "not-hyperbolic")
 
 
+DIGITS = "must have a numerator and denominator of at most 640 digits"
+
+# the digest set's irreducible-cubic-3x3-block spec: xi0*I + xi1*A + xi2*B +
+# xi3*C, whose determinant no exact split reaches
+CUBIC_ROWS = [["xi0 + xi1 + 2*xi3", "2*xi1 + xi2", "xi2 + xi3"],
+              ["2*xi1 + xi2", "xi0 - xi1 + 2*xi2", "xi1 + xi3"],
+              ["xi2 + xi3", "xi1 + xi3", "xi0 + 3*xi1 - 2*xi2 + xi3"]]
+CUBIC = ("xi0^3 + 3*xi0^2*xi1 + 3*xi0^2*xi3 - 6*xi0*xi1^2 + 4*xi0*xi1*xi2"
+         " + 2*xi0*xi1*xi3 - 6*xi0*xi2^2 - 16*xi1^3 + 8*xi1^2*xi2 - 11*xi1^2*xi3"
+         " + 4*xi1*xi2^2 + 22*xi1*xi2*xi3 - 2*xi1*xi3^2 - 11*xi2^2*xi3"
+         " + 4*xi2*xi3^2 - 2*xi3^3")
+
+
+def cubic_spec(path, prefactor="1", scale="1"):
+    path.write_text(f"prefactor := {prefactor}\n"
+                    "unknown u multiplicity 3 index 1\n"
+                    "equation e multiplicity 3 index 0\n"
+                    + "".join(f"entry e[{i}] u[{j}] := {symbol}\n"
+                              for i, row in enumerate(CUBIC_ROWS) for j, symbol in enumerate(row))
+                    + f"factor 1 := {scale}*({CUBIC})\n")
+    return str(path)
+
+
+class TestFloatRange:
+    """The sampled screen rounds exact line coefficients to floats: one past
+    the float range is bad input, exit 2 naming the file and the factor,
+    not an OverflowError."""
+
+    @pytest.mark.parametrize("spec, flags", [
+        ({}, ["--tau", "1e200,0,0,0"]),
+        ({"prefactor": "1/10^400", "scale": "10^400"}, []),
+    ], ids=["tau", "coefficient"])
+    def test_past_the_float_range_is_an_input_error(self, tmp_path, spec, flags, capsys):
+        path = cubic_spec(tmp_path / "cubic.lops", **spec)
+        assert main(["analyze", path, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"input error: {path}: a line coefficient of factor0(x1) "
+                       "is beyond the float range\n")
+
+
 class TestCountFlags:
     """A count below 1 would let a check pass on nothing: exit 2, naming the
     flag.  `ens verify` decides root nonnegativity exactly and takes no
@@ -357,8 +400,14 @@ class TestCountFlags:
         (["cones", "--factor", "light", "--n", "0"], "argument --n: must be at least 1"),
         (["lab", "run", "--refine", "0"], "argument --refine: must be at least 1"),
         (["lab", "run", "--refine", "-1"], "argument --refine: must be at least 1"),
+        # a count echoes its text, as every other number flag does
+        (["cones", "--factor", "light", "--n", "00"], "argument --n: must be at least 1, got 00"),
+        (["analyze", "WAVE", "--samples", "x"], "argument --samples: expected an integer, got 'x'"),
+        (["analyze", "WAVE", "--seed", "1.5"], "argument --seed: expected an integer, got '1.5'"),
+        (["lab", "run", "--seed", "x"], "argument --seed: expected an integer, got 'x'"),
     ], ids=["analyze-samples-0", "analyze-samples-negative", "ens-verify-samples",
-            "ens-verify-n", "cones-n", "lab-refine-0", "lab-refine-negative"])
+            "ens-verify-n", "cones-n", "lab-refine-0", "lab-refine-negative", "cones-n-echoed",
+            "analyze-samples-not-integer", "analyze-seed-not-integer", "lab-seed-not-integer"])
     def test_rejected(self, argv, message, capsys):
         argv = [wave_spec_path() if a == "WAVE" else a for a in argv]
         with pytest.raises(SystemExit) as exit_info:
@@ -424,20 +473,79 @@ class TestRealFlags:
          "argument --F: must be positive, got -3/2"),
         (["cones", "--factor", "light", "--n", "5", "--q", "-1/2"],
          "argument --q: must be at least 0, got -1/2"),
+        # a rational's numerator and denominator have at most 640 digits, as
+        # in a spec: past that, printing F or q ended in a traceback
+        (["analyze", "ENS", "--q", "1e5000"], f"argument --q: {DIGITS}, got 1e5000"),
+        (["ens", "verify", "--samples", "1", "--q", "1e5000"],
+         f"argument --q: {DIGITS}, got 1e5000"),
+        (["analyze", "ENS", "--F", "1e-5000"], f"argument --F: {DIGITS}, got 1e-5000"),
+        (["analyze", "ENS", "--F", "1e10000000"], f"argument --F: {DIGITS}, got 1e10000000"),
+        (["cones", "--factor", "light", "--n", "5", "--F", "1/" + "9" * 641],
+         f"argument --F: {DIGITS}, got 1/{'9' * 641}"),
+        (["analyze", "ENS", "--tau", "1,0,0,1e641"], f"argument --tau: {DIGITS}, got 1e641"),
+        (["cones", "--factor", "light", "--n", "5", "--tau", "1e-640,0,0,0"],
+         f"argument --tau: {DIGITS}, got 1e-640"),
     ], ids=["tol-negative", "tol-nan", "lab-h-0", "lab-h-nan", "lab-h-huge",
             "lab-h-bound-overflows", "lab-tol", "ens-verify-tau", "ens-verify-tol",
             "cones-samples", "analyze-F-zero-denominator", "analyze-q-not-rational",
             "analyze-tau-zero", "cones-tau-zero-denominator", "cones-tau-zero",
             "cones-F-zero", "cones-q-negative", "ens-verify-F-zero",
             "ens-verify-F-negative", "ens-verify-q-negative", "ens-verify-F-negative-rational",
-            "ens-verify-F-negative-rational-joined", "cones-q-negative-rational"])
+            "ens-verify-F-negative-rational-joined", "cones-q-negative-rational",
+            "analyze-q-digits", "ens-verify-q-digits", "analyze-F-digits-below",
+            "analyze-F-exponent-huge", "cones-F-denominator-digits", "analyze-tau-digits",
+            "cones-tau-digits-below"])
     def test_rejected(self, argv, message, capsys):
-        argv = [wave_spec_path() if a == "WAVE" else a for a in argv]
+        spec = {"WAVE": wave_spec_path(), "ENS": ens_spec_path()}
+        argv = [spec.get(a, a) for a in argv]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, accepted", [
+        ("9" * 640, True), ("9" * 641, False), ("-" + "9" * 640, True),
+        ("1/" + "9" * 640, True), ("1/" + "9" * 641, False),
+        ("1e639", True), ("1e640", False), ("1E639", True), ("1.5e639", True),
+        ("1.5e640", False), ("1e-639", True), ("1e-640", False),
+        ("0." + "0" * 638 + "1", True), ("0." + "0" * 639 + "1", False),
+        ("1_0e638", True), ("1_0e639", False),
+    ], ids=["640-nines", "641-nines", "minus-640-nines", "over-640-nines", "over-641-nines",
+            "1e639", "1e640", "1E639", "1.5e639", "1.5e640", "1e-639", "1e-640",
+            "639-decimals", "640-decimals", "1_0e638", "1_0e639"])
+    def test_digit_bound_at_its_limit(self, text, accepted):
+        # the unreduced numerator and denominator, as Fraction builds them
+        parse = build_parser().parse_args
+        argv = ["analyze", "spec.lops", "--q", text]
+        if accepted:
+            assert parse(argv).q == Fraction(text)
+        else:
+            with pytest.raises(SystemExit):
+                parse(argv)
+
+    def test_digit_bound_is_read_before_the_value_is_built(self, monkeypatch):
+        # Fraction("1e10000000") alone takes seconds
+        def refuse(text):
+            raise AssertionError(f"built {text}")
+
+        parser = build_parser()
+        monkeypatch.setattr(cli, "Fraction", refuse)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["analyze", "spec.lops", "--F", "1e10000000"])
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "ENS", "--q", "9" * 640, "--json"],
+        ["analyze", "ENS", "--F", "1e-639", "--json"],
+        ["ens", "verify", "--samples", "1", "--q", "9" * 640, "--json"],
+        ["ens", "verify", "--samples", "1", "--F", "1e-639", "--json"],
+    ], ids=["analyze-q", "analyze-F", "ens-verify-q", "ens-verify-F"])
+    def test_rationals_at_the_digit_bound_are_reported(self, argv, capsys):
+        argv = [ens_spec_path() if a == "ENS" else a for a in argv]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == (0 if json.loads(out)["ok"] else 1)
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag, value", [("--F", "0"), ("--F", "-1"), ("--q", "0")])
@@ -719,6 +827,18 @@ class TestCones:
     def test_unknown_factor_is_input_error(self):
         r = run_cli(["cones", "--factor", "nope", "--n", "4"])
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("flags, factor", [
+        (["--factor", "P1", "--q", "1e400"], "P1"),
+        (["--factor", "light", "--tau", "1e400,0,0,0"], "light"),
+        (["--factor", "P2", "--F", "9" * 640], "P2"),
+    ], ids=["q", "tau", "F"])
+    def test_values_past_the_float_range_are_input_errors(self, flags, factor, capsys):
+        assert main(["cones", "--n", "5", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"input error: --F, --q, --tau: a line coefficient of {factor} "
+                       "is beyond the float range\n")
 
 
 class TestEnsVerifyCommand:

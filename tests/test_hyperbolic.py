@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lops import ens
-from lops.hyperbolic import (DegreeMismatchError, LeadingCoefficientZeroError,
+from lops.hyperbolic import (DegreeMismatchError, FloatRangeError, LeadingCoefficientZeroError,
                              _limit_denominator, _line_coefficients,
                              _line_restriction, _line_roots,
                              _orthogonal_frame, _rational_roots, biquadratic_split, cone_sample,
@@ -327,6 +328,22 @@ class TestConeSamples:
         lines = samples.csv_lines()
         assert lines[0] == "dir_x,dir_y,dir_z,roots"
         assert len(lines) == 8
+
+    def test_values_past_the_float_range_are_named(self):
+        # each exact value is rounded as float(Fraction) rounds it, up to the
+        # largest float; past it, FloatRangeError names what overflowed
+        big = Fr(10) ** 400
+        with pytest.raises(FloatRangeError, match="^a line coefficient of m is beyond"):
+            cone_sample(MINK, [big, 0, 0, 0], n=3, reference=MINK, factor_id="m")
+        with pytest.raises(FloatRangeError, match="^a line coefficient of c is beyond"):
+            hyperbolicity_sampled(X[1] ** 3 - X[0] ** 3, [big, 0, 0, 0], n_samples=3,
+                                  factor_id="c")
+        # xi2 along eta + s*tau has the coefficients 1 and eta2: only tau is past
+        with pytest.raises(FloatRangeError, match="^tau is beyond the float range$"):
+            cone_sample(X[2], [big, 0, 1, 0], n=3, reference=X[2])
+        top = Fr(sys.float_info.max)
+        assert cone_sample(X[2], [top, 0, 1, 0], n=3, reference=X[2]).tau == (
+            sys.float_info.max, 0.0, 1.0, 0.0)
 
 
 # -- the batched direction path against per-direction references ----------------
