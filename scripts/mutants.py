@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Run each mutant of a committed list against the tests named to kill it.
 
-    python scripts/mutants.py [--list PATH] [--timeout S] [NAME ...]
+    python scripts/mutants.py [NAME ...]
 
-The list (default `scripts/mutants.toml`, one `[[mutant]]` table per
-mutant) gives each mutant a `name`, a `file` relative to the repository
-root, an exact `old` text that must occur in that file exactly once, the
-`new` text that replaces it, the pytest node ids in `tests` that should
-fail under it, and a `why` line.  NAMEs restrict the run to those mutants.
+The list, `scripts/mutants.toml` (one `[[mutant]]` table per mutant), gives
+each mutant a `name`, a `file` relative to the repository root, an exact
+`old` text that must occur in that file exactly once, the `new` text that
+replaces it, the pytest node ids in `tests` that should fail under it, and
+a `why` line.  NAMEs restrict the run to those mutants.
 
 The script copies `src`, `tests`, `scripts`, `perfbench` and
 `pyproject.toml` into a temporary directory, checks every old text, and
@@ -16,8 +16,8 @@ must pass.  Then, one mutant at a time, it writes the mutated file, runs
 only that mutant's tests (`pytest -x`, no bytecode written, so no stale
 `.pyc` can stand in for the mutated source) and restores the file.  A
 mutant is killed when pytest reports a failed test (exit 1), or when its
-tests run past the timeout (a mutation that makes a loop run without end);
-it survives when every named test passes.  One line per mutant.
+tests run past TIMEOUT seconds (a mutation that makes a loop run without
+end); it survives when every named test passes.  One line per mutant.
 
 Exits 1 if an old text does not occur exactly once, the unmutated tests
 fail, a mutant survives, or pytest ends any other way (a node id that names
@@ -38,6 +38,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 COPIED = ("src", "tests", "scripts", "perfbench", "pyproject.toml")
 KEYS = {"name", "file", "old", "new", "tests", "why"}
+#: seconds a mutant's tests may run before it counts as killed; the
+#: unmutated run, which runs every selected mutant's tests, gets twice that
+TIMEOUT = 120
 
 
 def load(path, names):
@@ -70,11 +73,7 @@ def pytest(tree, tests, timeout):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("names", nargs="*", metavar="NAME")
-    ap.add_argument("--list", default=os.path.join(HERE, "mutants.toml"))
-    ap.add_argument("--timeout", type=float, default=120.0,
-                    help="seconds a mutant's tests may run before it counts as killed")
-    args = ap.parse_args()
-    mutants = load(args.list, args.names)
+    mutants = load(os.path.join(HERE, "mutants.toml"), ap.parse_args().names)
     bad = 0
     with tempfile.TemporaryDirectory() as tree:
         for name in COPIED:
@@ -93,7 +92,7 @@ def main():
         if bad:
             return 1
         tests = list(dict.fromkeys(t for m in mutants for t in m["tests"]))
-        code, failed = pytest(tree, tests, args.timeout * 2)
+        code, failed = pytest(tree, tests, TIMEOUT * 2)
         if code != 0:
             print(f"UNMUTATED tests do not pass (pytest exit {code}):", *failed, sep="\n  ")
             return 1
@@ -105,7 +104,7 @@ def main():
                 fh.write(original.replace(m["old"], m["new"]))
             start = time.monotonic()
             try:
-                code, failed = pytest(tree, m["tests"], args.timeout)
+                code, failed = pytest(tree, m["tests"], TIMEOUT)
             finally:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(original)

@@ -27,6 +27,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -81,13 +82,17 @@ def _reader(convert, kind: str, *bounds):
 
 def _fraction(text: str) -> Fraction:
     """Fraction(text), refused when its numerator or denominator would have
-    more than MAX_DIGITS digits, as a spec's numbers are.  The digits are
-    counted in the text before Fraction builds any power of 10 (`1e10000000`
-    alone takes seconds): a/b has those of a and b; m.f times 10^e, of n
-    digits with f after the point, is an n-digit integer times 10^(e - f)."""
-    num, _, den = text.lower().partition("/")
+    more than MAX_DIGITS digits, as a spec's numbers are.  Fraction checks
+    the syntax first, on the text with each run of digits made 1; then the
+    digits are counted in the text, leading zeros aside, before Fraction
+    builds any power of 10 (`1e10000000` alone takes seconds): a/b has those
+    of a and b; m.f times 10^e, of n digits with f after the point, is an
+    n-digit integer times 10^(e - f)."""
+    Fraction(re.sub(r"\d+", "1", text))
+    num, _, den = re.sub(r"[^\d./e+-]", "", text.lower()).partition("/")
     mantissa, _, exp = num.partition("e")
-    n, f, d = (sum(map(str.isdigit, s)) for s in (mantissa, mantissa.partition(".")[2], den))
+    whole, _, frac = mantissa.lstrip("+-").partition(".")
+    n, f, d = len((whole + frac).lstrip("0")), len(frac), len(den.lstrip("0"))
     shift = int(exp or 0) - f
     if max(n + max(shift, 0), 1 - min(shift, 0), d) > MAX_DIGITS:
         raise argparse.ArgumentTypeError(
@@ -519,7 +524,8 @@ def _join_signed(argv: List[str]) -> List[str]:
     value that starts with a single "-"."""
     out: List[str] = []
     for arg in argv:
-        if out and out[-1] in SIGNED_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+        if (out and out[-1] in SIGNED_FLAGS and arg.startswith("-")
+                and not arg.startswith("--")):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)

@@ -29,11 +29,11 @@ its line coefficients, polynomials in the direction coordinates;
 `poly.eval_columns` evaluates them on integers direction-major, one integer
 column per coefficient over a chunk of directions, and each exact value is
 rounded once into the coefficient matrix (`FloatRangeError` past the float
-range).  The roots of all lines then come from one `np.linalg.eigvals` call
-per companion size, equal bit for bit to per-line `np.roots`.
-`ens.sampled_root_nonnegativity` shares only the direction table and the
-evaluator.  numpy is imported by the float helpers on first use, so no
-exact verdict loads it.
+range, or when a nonzero value rounds to 0.0).  The roots of all lines then
+come from one `np.linalg.eigvals` call per companion size, equal bit for bit
+to per-line `np.roots`.  `ens.sampled_root_nonnegativity` shares only the
+direction table and the evaluator.  numpy is imported by the float helpers
+on first use, so no exact verdict loads it.
 """
 
 from __future__ import annotations
@@ -59,15 +59,21 @@ class LeadingCoefficientZeroError(Exception):
 
 
 class FloatRangeError(ValueError):
-    """An exact value beyond the float range where a float is needed."""
+    """An exact value outside the float range where a float is needed: too
+    large, or nonzero and rounding to 0.0."""
 
 
 def _floats(nums: Sequence[int], dens: Sequence[int], what: str) -> List[float]:
-    """Each nums[k] / dens[k], rounded once as `float(Fraction)` rounds it."""
+    """Each nums[k] / dens[k], rounded once as `float(Fraction)` rounds it.
+    A nonzero value that rounds to 0.0 is refused too: a leading coefficient
+    lost that way drops a root, and the screen would pass the factor."""
     try:
-        return list(map(truediv, nums, dens))
+        values = list(map(truediv, nums, dens))
     except OverflowError:
         raise FloatRangeError(f"{what} is beyond the float range") from None
+    if values.count(0.0) != nums.count(0):
+        raise FloatRangeError(f"{what} is below the float range")
+    return values
 
 
 @dataclass
@@ -350,7 +356,7 @@ def _line_coefficients(restrictions: Sequence[List[Poly]],
                        table: DirectionTable, factor_id: str = "") -> List[np.ndarray]:
     """Per restriction, a matrix with one row per direction: the float
     coefficients (descending) of s -> q(eta + s*tau), each rounded once from
-    its exact value a column chunk at a time (FloatRangeError past the range)."""
+    its exact value a column chunk at a time (FloatRangeError outside the range)."""
     import numpy as np
     flat = [c for r in restrictions for c in r]
     values = np.empty((len(table), len(flat)))

@@ -371,8 +371,8 @@ def cubic_spec(path, prefactor="1", scale="1"):
 
 class TestFloatRange:
     """The sampled screen rounds exact line coefficients to floats: one past
-    the float range is bad input, exit 2 naming the file and the factor,
-    not an OverflowError."""
+    the float range, or nonzero and rounding to 0.0, is bad input, exit 2
+    naming the file and the factor, not an OverflowError or a false pass."""
 
     @pytest.mark.parametrize("spec, flags", [
         ({}, ["--tau", "1e200,0,0,0"]),
@@ -385,6 +385,22 @@ class TestFloatRange:
         assert out == ""
         assert err == (f"input error: {path}: a line coefficient of factor0(x1) "
                        "is beyond the float range\n")
+
+    def test_below_the_float_range_is_an_input_error(self, tmp_path, capsys):
+        # an irreducible cubic reaches the sampled screen; at this tau its s^3
+        # coefficient, about 1e-600, rounded to 0.0 left each line one real
+        # root, and the screen certified the factor hyperbolic
+        cube = "xi0^3 + xi1^3 + xi2^3"
+        path = tmp_path / "cube.lops"
+        path.write_text("unknown u multiplicity 1 index 3\nequation e multiplicity 1 index 0\n"
+                        f"entry e[0] u[0] := {cube}\nfactor 1 := {cube}\n")
+        assert main(["analyze", str(path)]) == 1
+        assert "factor0(x1): not-hyperbolic (sampled)" in capsys.readouterr().out
+        assert main(["analyze", str(path), "--tau", "1e-200,0,0,0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"input error: {path}: a line coefficient of factor0(x1) "
+                       "is below the float range\n")
 
 
 class TestCountFlags:
@@ -485,6 +501,13 @@ class TestRealFlags:
         (["analyze", "ENS", "--tau", "1,0,0,1e641"], f"argument --tau: {DIGITS}, got 1e641"),
         (["cones", "--factor", "light", "--n", "5", "--tau", "1e-640,0,0,0"],
          f"argument --tau: {DIGITS}, got 1e-640"),
+        # text that is no rational is refused as such, however many digits
+        (["analyze", "ENS", "--q", "9" * 641 + "x"],
+         f"argument --q: expected a rational, got '{'9' * 641}x'"),
+        (["analyze", "ENS", "--F", "1/" + "9" * 641 + "abc"],
+         f"argument --F: expected a rational, got '1/{'9' * 641}abc'"),
+        (["cones", "--factor", "light", "--n", "5", "--tau", "1e" + "9" * 700 + "e,0,0,0"],
+         f"argument --tau: expected a rational, got '1e{'9' * 700}e'"),
     ], ids=["tol-negative", "tol-nan", "lab-h-0", "lab-h-nan", "lab-h-huge",
             "lab-h-bound-overflows", "lab-tol", "ens-verify-tau", "ens-verify-tol",
             "cones-samples", "analyze-F-zero-denominator", "analyze-q-not-rational",
@@ -494,7 +517,8 @@ class TestRealFlags:
             "ens-verify-F-negative-rational-joined", "cones-q-negative-rational",
             "analyze-q-digits", "ens-verify-q-digits", "analyze-F-digits-below",
             "analyze-F-exponent-huge", "cones-F-denominator-digits", "analyze-tau-digits",
-            "cones-tau-digits-below"])
+            "cones-tau-digits-below", "analyze-q-digits-not-rational",
+            "analyze-F-digits-not-rational", "cones-tau-digits-not-rational"])
     def test_rejected(self, argv, message, capsys):
         spec = {"WAVE": wave_spec_path(), "ENS": ens_spec_path()}
         argv = [spec.get(a, a) for a in argv]
@@ -512,9 +536,14 @@ class TestRealFlags:
         ("1.5e640", False), ("1e-639", True), ("1e-640", False),
         ("0." + "0" * 638 + "1", True), ("0." + "0" * 639 + "1", False),
         ("1_0e638", True), ("1_0e639", False),
+        # leading zeros are no digits of the value
+        ("0" * 700 + "1", True), ("1/" + "0" * 700 + "3", True), ("-0" + "9" * 640, True),
+        ("00." + "0" * 638 + "1", True), ("0" * 700 + "1e639", True),
     ], ids=["640-nines", "641-nines", "minus-640-nines", "over-640-nines", "over-641-nines",
             "1e639", "1e640", "1E639", "1.5e639", "1.5e640", "1e-639", "1e-640",
-            "639-decimals", "640-decimals", "1_0e638", "1_0e639"])
+            "639-decimals", "640-decimals", "1_0e638", "1_0e639", "leading-zeros",
+            "denominator-leading-zeros", "minus-leading-zero", "leading-zeros-decimals",
+            "leading-zeros-exponent"])
     def test_digit_bound_at_its_limit(self, text, accepted):
         # the unreduced numerator and denominator, as Fraction builds them
         parse = build_parser().parse_args
@@ -526,9 +555,11 @@ class TestRealFlags:
                 parse(argv)
 
     def test_digit_bound_is_read_before_the_value_is_built(self, monkeypatch):
-        # Fraction("1e10000000") alone takes seconds
+        # Fraction("1e10000000") alone takes seconds; the syntax check builds
+        # only the text with each run of digits made 1
         def refuse(text):
-            raise AssertionError(f"built {text}")
+            assert text == "1e1", f"built {text}"
+            return Fraction(text)
 
         parser = build_parser()
         monkeypatch.setattr(cli, "Fraction", refuse)
@@ -828,17 +859,20 @@ class TestCones:
         r = run_cli(["cones", "--factor", "nope", "--n", "4"])
         assert r.returncode == 2
 
-    @pytest.mark.parametrize("flags, factor", [
-        (["--factor", "P1", "--q", "1e400"], "P1"),
-        (["--factor", "light", "--tau", "1e400,0,0,0"], "light"),
-        (["--factor", "P2", "--F", "9" * 640], "P2"),
-    ], ids=["q", "tau", "F"])
-    def test_values_past_the_float_range_are_input_errors(self, flags, factor, capsys):
+    @pytest.mark.parametrize("flags, factor, where", [
+        (["--factor", "P1", "--q", "1e400"], "P1", "beyond"),
+        (["--factor", "light", "--tau", "1e400,0,0,0"], "light", "beyond"),
+        (["--factor", "P2", "--F", "9" * 640], "P2", "beyond"),
+        # light(tau), the s^2 coefficient, is -1e-600: rounded to 0.0 it
+        # would leave each row without its roots, about +-1e300
+        (["--factor", "light", "--tau", "1e-300,0,0,0"], "light", "below"),
+    ], ids=["q", "tau", "F", "tau-below"])
+    def test_values_past_the_float_range_are_input_errors(self, flags, factor, where, capsys):
         assert main(["cones", "--n", "5", *flags]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (f"input error: --F, --q, --tau: a line coefficient of {factor} "
-                       "is beyond the float range\n")
+                       f"is {where} the float range\n")
 
 
 class TestEnsVerifyCommand:

@@ -338,12 +338,28 @@ class TestConeSamples:
         with pytest.raises(FloatRangeError, match="^a line coefficient of c is beyond"):
             hyperbolicity_sampled(X[1] ** 3 - X[0] ** 3, [big, 0, 0, 0], n_samples=3,
                                   factor_id="c")
-        # xi2 along eta + s*tau has the coefficients 1 and eta2: only tau is past
+        # xi2 along eta + s*tau has the coefficients tau2 and eta2; at this tau
+        # the frame is e1, e2, e3 and the only coefficient is eta2: only tau is past
         with pytest.raises(FloatRangeError, match="^tau is beyond the float range$"):
-            cone_sample(X[2], [big, 0, 1, 0], n=3, reference=X[2])
+            cone_sample(X[2], [big, 0, 0, 0], n=3, reference=X[2])
         top = Fr(sys.float_info.max)
         assert cone_sample(X[2], [top, 0, 1, 0], n=3, reference=X[2]).tau == (
             sys.float_info.max, 0.0, 1.0, 0.0)
+        # a nonzero value that rounds to 0.0 is below the range: MINK(tau) is
+        # the s^2 coefficient, and without it each line would lose its roots
+        tiny = 1 / big
+        with pytest.raises(FloatRangeError, match="^a line coefficient of m is below"):
+            cone_sample(MINK, [tiny, 0, 0, 0], n=3, reference=MINK, factor_id="m")
+        with pytest.raises(FloatRangeError, match="^tau is below the float range$"):
+            cone_sample(X[2], [tiny, 0, 0, 0], n=3, reference=X[2])
+        least = Fr(5e-324)
+        assert cone_sample(X[2], [least, 0, 0, 0], n=3, reference=X[2]).tau == (
+            5e-324, 0.0, 0.0, 0.0)
+        # the frame is not normalized: against tau = (10^400, 0, 1, 0) its first
+        # vector has the xi2 entry -10^400/(10^800 + 1), and on a direction
+        # whose third coordinate is 0, eta2 is that small
+        with pytest.raises(FloatRangeError, match="^a line coefficient of the factor is below"):
+            cone_sample(X[2], [big, 0, 1, 0], n=3, reference=X[2])
 
 
 # -- the batched direction path against per-direction references ----------------
