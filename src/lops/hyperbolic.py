@@ -8,8 +8,10 @@ tau exactly when every factor is.  `hyperbolicity_auto` tries, in order, a
 perfect power (`Poly.root`, method `power`) and a rational linear factor
 (method `product`), and recurses on the parts.  The linear factor is
 proposed from the rational roots of the factor's restrictions to the lines
-s*tau + e through tau's orthogonal frame, exact integer polynomials whose
-real roots are bracketed by bisection between critical points on exact
+s*tau + e through tau's orthogonal frame, with tau and the frame scaled to
+primitive integer vectors: exact integer polynomials, each read off the
+factor's values at d + 1 points of its line, whose real roots are
+bracketed by bisection between critical points on exact
 signs; a candidate is kept only when `Poly.exact_div` accepts it, so the
 proposer never decides a verdict and uses no floating point.  A factor that
 splits no further falls back to the sampled falsification screen:
@@ -507,34 +509,36 @@ def _split(q: Poly, tau: Sequence[Fraction], d: int,
                 return "power", k, [base.root(k)]
             except NotPerfectPowerError:
                 pass
-    split = _linear_factor(q, tau)
+    split = _linear_factor(q, tau, d)
     return None if split is None else ("product", 0, list(split))
 
 
-# the lines of `_linear_factor`: through e0, e1, e2, e0 + e1 and e0 + e2 of
-# the orthogonal frame, as a direction table
-_SPLIT_LINES = tuple(tuple((c, 1) for c in v)
-                     for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)))
+def _linear_factor(q: Poly, tau: Sequence[Fraction], d: int) -> Optional[Tuple[Poly, Poly]]:
+    """(l, q / l) for a rational linear form l dividing the xi-form q of
+    degree d, or None.
 
-
-def _linear_factor(q: Poly, tau: Sequence[Fraction]) -> Optional[Tuple[Poly, Poly]]:
-    """(l, q / l) for a rational linear form l dividing q, or None.
-
-    A linear factor l of q with l(tau) = 1 vanishes on the line s*tau + e
-    at s = -l(e), a rational root of the restriction of q to that line.  So
-    l is found from one rational root s_k per line through each vector e_k
-    of `_orthogonal_frame(tau)`: l(xi) = w.xi with w = tau/|tau|^2 -
-    sum_k s_k e_k/|e_k|^2.  The same l vanishes at s_0 + s_1 on the line
-    through e_0 + e_1 and at s_0 + s_2 on the line through e_0 + e_2, which
-    prunes the choices of roots to about one per linear factor.  The roots
-    only propose; each candidate, made primitive with l(tau) > 0, is kept
-    only if `Poly.exact_div` accepts it.
+    T and E0, E1, E2 are tau and the vectors of `_orthogonal_frame(tau)`,
+    each scaled by a positive factor to a primitive integer vector.  A
+    linear factor l of q with l(T) = 1 vanishes on the line s*T + e at s =
+    -l(e), a rational root of the restriction of q to that line.  So l is
+    found from one rational root s_k per line through each E_k: l(xi) =
+    w.xi with w = T/|T|^2 - sum_k s_k E_k/|E_k|^2.  The same l vanishes at
+    s_0 + s_1 on the line through E0 + E1 and at s_0 + s_2 on the line
+    through E0 + E2, which prunes the choices of roots to about one per
+    linear factor.  Each restriction is read, in integers, off q's values
+    at the d + 1 points e + k*T, k = 0..d (`_interpolate`), all five lines'
+    points in one `eval_columns` call.  The roots only propose; each
+    candidate, made primitive with l(tau) > 0, is kept only if
+    `Poly.exact_div` accepts it.
     """
-    t = [Fr(x) for x in tau]
-    frame = _orthogonal_frame(t)
-    columns, = eval_columns(_line_restriction(q, t, frame), _LINE_XYZ, _SPLIT_LINES)
-    *lines, g01, g02 = ([_primitive([Fr(nums[j], dens[j]) for nums, dens in columns])
-                         for j in range(len(_SPLIT_LINES))])
+    T, *E = (_primitive(v) for v in (tau, *_orthogonal_frame(tau)))
+    norms = [sum(x * x for x in v) for v in (T, *E)]
+    bases = [*E, [a + b for a, b in zip(E[0], E[1])], [a + b for a, b in zip(E[0], E[2])]]
+    points = [[(e + k * t, 1) for e, t in zip(base, T)] for base in bases for k in range(d + 1)]
+    # at integer points every value has the content's denominator
+    values = [v for (nums, _), in eval_columns([q], XI, points) for v in nums]
+    *lines, g01, g02 = (_interpolate(values[j:j + d + 1])
+                        for j in range(0, len(values), d + 1))
     roots = []
     for line in lines:
         found = _rational_roots(line)
@@ -542,13 +546,10 @@ def _linear_factor(q: Poly, tau: Sequence[Fraction]) -> Optional[Tuple[Poly, Pol
             return None
         roots.append(found)
     r0, r1, r2 = roots
-    base, *dual = ([x / sum(y * y for y in v) for x in v] for v in [t, *frame])
     for combo in ((s0, s1, s2) for s0 in r0 for s1 in r1 if _vanishes(g01, s0 + s1)
                   for s2 in r2 if _vanishes(g02, s0 + s2)):
-        w = list(base)
-        for s, u in zip(combo, dual):
-            if s:
-                w = [x - s * y if y else x for x, y in zip(w, u)]
+        w = [Fr(t, norms[0]) - sum(s * e / n for s, e, n in zip(combo, es, norms[1:]) if s and e)
+             for t, *es in zip(T, *E)]
         ell = sum((Poly.atom(a) * c for a, c in zip(XI, _primitive(w)) if c),
                   Poly.zero())
         try:
@@ -556,6 +557,25 @@ def _linear_factor(q: Poly, tau: Sequence[Fraction]) -> Optional[Tuple[Poly, Pol
         except NotDivisibleError:
             continue
     return None
+
+
+def _interpolate(values: Sequence[int]) -> List[int]:
+    """The primitive integer coefficients, descending, of a positive
+    multiple of the polynomial r of degree d = len(values) - 1 with r(k) =
+    values[k]: Newton's form r(s) = sum_j D_j/j! s(s-1)...(s-j+1) from the
+    forward differences D_j of the values, times d! so that every
+    coefficient is an integer, expanded by Horner's rule on the nodes."""
+    diffs, v = [], list(values)
+    while v:
+        diffs.append(v[0])
+        v = [b - a for a, b in zip(v, v[1:])]
+    c, scale = diffs[-1:], 1  # scale: d!/j!
+    for j in range(len(diffs) - 2, -1, -1):
+        scale *= j + 1
+        c = [a - j * b for a, b in zip(c + [0], [0] + c)]
+        c[-1] += diffs[j] * scale
+    g = math.gcd(*c)
+    return [x // g for x in c]
 
 
 def _primitive(coeffs: Sequence[Fraction]) -> List[int]:

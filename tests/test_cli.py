@@ -404,7 +404,8 @@ class TestFloatRange:
 
 
 class TestCountFlags:
-    """A count below 1 would let a check pass on nothing: exit 2, naming the
+    """A count below 1 would let a check pass on nothing, and one above
+    MAX_COUNT would run for minutes or exhaust memory: exit 2, naming the
     flag.  `ens verify` decides root nonnegativity exactly and takes no
     direction count at all."""
 
@@ -443,6 +444,26 @@ class TestCountFlags:
 
     def test_refine_two_accepted(self):
         assert build_parser().parse_args(["lab", "run", "--refine", "2"]).refine == 2
+
+    # past MAX_COUNT a run takes minutes or ends in a MemoryError, so these
+    # tests call the parser alone and never a handler
+    @pytest.mark.parametrize("argv", [
+        ["cones", "--factor", "light", "--n", "100001"],
+        ["analyze", "WAVE", "--samples", "100001"],
+        ["ens", "verify", "--samples", "100001"],
+        ["cones", "--factor", "light", "--n", "1000000000000"],
+    ], ids=["cones-n", "analyze-samples", "ens-verify-samples", "cones-n-13-digits"])
+    def test_above_the_ceiling_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        flag, text = argv[-2:]
+        assert (f"argument {flag}: must be at most 100000, got {text}"
+                in capsys.readouterr().err)
+
+    def test_ceiling_accepted(self):
+        args = build_parser().parse_args(["cones", "--factor", "light", "--n", "100000"])
+        assert args.n == 100000
 
 
 class TestRealFlags:

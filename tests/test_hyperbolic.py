@@ -226,6 +226,18 @@ class TestExactSplit:
         assert (v.method, v.verdict) == ("product", "hyperbolic")
         assert _leaves(v) == {("linear-exact", "hyperbolic")}
 
+    def test_product_read_over_more_than_one_column_chunk(self):
+        # degree 21: the five lines' 22 points each fill more than one
+        # COLUMN_CHUNK of eval_columns
+        flow = 3 * X[0] - Fr(1, 2) * X[1] + Fr(2, 3) * X[3]
+        v = hyperbolicity_auto(flow * MINK ** 10, DT)
+        assert (v.method, v.verdict) == ("product", "hyperbolic")
+        lin, power = v.parts
+        assert (lin.factor_id, lin.method) == ("18*xi0 - 3*xi1 + 4*xi3", "linear-exact")
+        # the least exponent first: light^10 = (light^5)^2
+        assert (power.method, power.exponent, power.verdict) == ("power", 2, "hyperbolic")
+        assert [(p.method, p.exponent) for p in power.parts] == [("power", 5)]
+
     def test_singular_quadratic_without_a_rational_split_stays_inconclusive(self):
         # (xi0 - xi2)^2 - 2*(xi1 - xi2)^2 splits only over Q(sqrt 2)
         v = hyperbolicity_auto((X[0] - X[2]) ** 2 - 2 * (X[1] - X[2]) ** 2, DT)

@@ -5,7 +5,8 @@ the line restrictions.
 The inputs are drawn from seeded generators: rational linear forms times
 light cones under random rational frames, times positive-definite sums of
 squares (the sweep's `ctrl-flow-sq` controls), and light cones to the power
-2 and 3, at tau = (1, 0, 0, 0) and at random rational tau.
+2 and 3, at tau = (1, 0, 0, 0), at random rational tau, and at tau with
+components of 40 to 45 digits.
 """
 
 import random
@@ -61,11 +62,21 @@ def value(p, tau):
     return p.eval(dict(zip(XI, tau)))
 
 
-def case(seed):
-    """(factor, tau, whether it is hyperbolic at tau) for one seed."""
+def long_tau(rng, nonzero):
+    """tau with `nonzero` leading components of 40 to 45 digits over a small
+    denominator, the rest 0."""
+    return tuple(Fr(rng.choice((1, -1)) * rng.randrange(10 ** 40, 10 ** 45),
+                    rng.choice((1, 3, 7))) if i < nonzero else Fr(0) for i in range(4))
+
+
+def case(seed, nonzero=0):
+    """(factor, tau, whether it is hyperbolic at tau) for one seed; tau has
+    `nonzero` long components when `nonzero` is not 0."""
     rng = random.Random(seed)
     tau = DT
-    if seed % 2:
+    if nonzero:
+        tau = long_tau(rng, nonzero)
+    elif seed % 2:
         tau = tuple(rat(rng, -3, 3, 2) for _ in range(4))
     kind = ("flow-light", "flow-sq", "light2", "light3")[seed % 4]
     if kind == "flow-sq":
@@ -109,7 +120,19 @@ def check_parts(verdict, expr, tau):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_split_against_factor_list(seed):
-    f, tau, hyperbolic = case(seed)
+    check_against_factor_list(*case(seed))
+
+
+# flow-light and flow-sq at tau with one long component, and flow-light at
+# tau with two
+@pytest.mark.parametrize("seed, nonzero", [(300, 1), (301, 1), (304, 2)])
+def test_split_at_long_tau_against_factor_list(seed, nonzero):
+    f, tau, hyperbolic = case(seed, nonzero)
+    assert min(len(str(abs(t.numerator))) for t in tau if t) >= 40
+    check_against_factor_list(f, tau, hyperbolic)
+
+
+def check_against_factor_list(f, tau, hyperbolic):
     verdict = hyperbolicity_auto(f, tau).to_json()
     assert verdict["method"] in ("product", "power")
     expr = to_sympy(f.render())
